@@ -37,7 +37,6 @@ from .generation import (
 from .grading import GradingError, RegexCandidate, grade, select_best
 from .knowledge import (
     KnowledgeBaseError,
-    KnowledgeNode,
     KnowledgeStore,
     NodeLabel,
     default_store,

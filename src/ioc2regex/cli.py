@@ -48,7 +48,8 @@ def _add_generate_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--restart-cap", type=int, default=5,
                         help="workflow restarts per IOC (default 5)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="indicator threads; only speeds up the remote backend")
     parser.add_argument("--dump-annotations", default="",
                         help="also write the per-IOC keep/discard annotation dump")
 

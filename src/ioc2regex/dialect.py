@@ -4,16 +4,24 @@ The dialect is a portable subset of common regex engines: a leading inline
 case-insensitivity flag, escaped literals, character classes, the wildcard
 dot, quantifiers (``*`` ``+`` ``?`` ``{m,n}``, optionally lazy), alternation,
 plain and non-capturing groups, and the ``^``/``$`` anchors.  Everything a
-pattern is allowed to contain is produced here as a typed token stream; the
-other modules build their analyses (literal runs, optional-group spans,
-wildcard units, structural feature vectors) on top of that stream instead of
-re-parsing pattern text ad hoc.
+pattern is allowed to contain is produced here as a typed token stream.  A
+group that contains a repeating quantifier may not itself be repeated (star
+height at most one, so ``(a+)+`` and ``(.*a)*`` are rejected): such nesting
+backtracks exponentially on near-miss inputs.
+
+``analyze`` tokenizes, validates and compiles a pattern once and caches the
+result; the validation gates and the grader all read that one analysis.  Its
+literal runs carry the one rule for what a pattern guarantees: a run is
+*required* when it is literally on every match path, not in an alternation
+branch or a group that may match zero times.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
+from typing import Sequence
 
 FLAGS = "flags"
 GROUP_OPEN = "group_open"
@@ -30,6 +38,9 @@ LITERAL = "literal"
 _CLASS_ESCAPE_CHARS = "wWsSdD"
 _FLAGS_RE = re.compile(r"\(\?[imsx]+\)")
 _BRACE_QUANT_RE = re.compile(r"\{\d+(,\d*)?\}")
+
+# Analyses kept for reuse; one indicator's k workflows mostly repeat patterns.
+_ANALYSIS_CACHE_SIZE = 64
 
 # Tokens a quantifier may follow.
 _QUANTIFIABLE = frozenset({LITERAL, ESCAPE, CLASS_ESCAPE, CLASS, DOT, GROUP_CLOSE})
@@ -184,99 +195,144 @@ def tokenize(pattern: str) -> list[Token]:
     return tokens
 
 
-def validate(tokens: list[Token]) -> None:
-    """Structural checks: quantifier placement and balanced groups."""
-    depth = 0
+def _quantifier_bounds(text: str) -> tuple[int, int | None]:
+    """(min, max) repetitions of a quantifier token; max None is unbounded."""
+    q = text.rstrip("?") or "?"  # drop the lazy marker; "?" and "??" keep one
+    if q == "?":
+        return 0, 1
+    if q == "*":
+        return 0, None
+    if q == "+":
+        return 1, None
+    low, comma, high = q[1:-1].partition(",")
+    if not comma:
+        return int(low), int(low)
+    return int(low), int(high) if high else None
+
+
+def _repeats(text: str) -> bool:
+    high = _quantifier_bounds(text)[1]
+    return high is None or high > 1
+
+
+def validate(tokens: Sequence[Token]) -> None:
+    """Structural checks: quantifier placement, balanced groups, and no
+    repeated group that itself contains a repeating quantifier."""
+    opened: list[tuple[int, bool]] = []  # (open pos, enclosing level repeats inside)
+    repeats_inside = False  # the current level holds a repeating quantifier
+    closed_repeats_inside = False  # ... and so did the group that just closed
     prev: Token | None = None
     for tok in tokens:
         if tok.kind == QUANT:
             if prev is None or prev.kind not in _QUANTIFIABLE:
                 raise DialectError("quantifier has nothing to repeat", tok.pos)
+            if _repeats(tok.text):
+                if prev.kind == GROUP_CLOSE and closed_repeats_inside:
+                    raise DialectError(
+                        "nested repetition: a repeated group may not contain"
+                        " a repeating quantifier",
+                        tok.pos,
+                    )
+                repeats_inside = True
         elif tok.kind == GROUP_OPEN:
-            depth += 1
+            opened.append((tok.pos, repeats_inside))
+            repeats_inside = False
         elif tok.kind == GROUP_CLOSE:
-            depth -= 1
-            if depth < 0:
+            if not opened:
                 raise DialectError("unbalanced ')'", tok.pos)
+            closed_repeats_inside = repeats_inside
+            repeats_inside = opened.pop()[1] or repeats_inside
         prev = tok
-    if depth > 0:
-        last_open = max(t.pos for t in tokens if t.kind == GROUP_OPEN)
-        raise DialectError("unbalanced '('", last_open)
+    if opened:
+        raise DialectError("unbalanced '('", opened[-1][0])
+
+
+@dataclass(frozen=True)
+class LiteralRun:
+    """A maximal stretch of literal characters in a pattern.
+
+    ``required`` runs are literally on every match path: not in an alternation
+    branch and not in a group whose quantifier allows zero repetitions.
+    """
+
+    text: str
+    required: bool
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """One pattern's tokens, compiled regex and literal runs."""
+
+    tokens: tuple[Token, ...]
+    regex: re.Pattern
+    runs: tuple[LiteralRun, ...]
+
+
+@functools.lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)
+def analyze(pattern: str) -> Analysis:
+    """Tokenize, validate and compile a pattern; raises DialectError."""
+    tokens = tuple(tokenize(pattern))
+    validate(tokens)
+    try:
+        regex = re.compile(pattern)
+    except re.error as exc:  # pragma: no cover - dialect validation is stricter
+        raise DialectError(exc.msg, exc.pos or 0) from exc
+    return Analysis(tokens, regex, tuple(literal_runs(tokens)))
 
 
 def compile_pattern(pattern: str) -> re.Pattern:
     """Validate a pattern against the dialect, then compile it."""
-    tokens = tokenize(pattern)
-    validate(tokens)
-    try:
-        return re.compile(pattern)
-    except re.error as exc:  # pragma: no cover - dialect validation is stricter
-        raise DialectError(exc.msg, exc.pos or 0) from exc
+    return analyze(pattern).regex
 
 
 # -- analyses over the token stream -------------------------------------
 
 
-@dataclass
-class LiteralRun:
-    """A maximal stretch of guaranteed-literal characters in a pattern."""
-
-    chars: list[tuple[str, int, int]]  # (character, pattern pos, width)
-
-    @property
-    def text(self) -> str:
-        return "".join(c for c, _p, _w in self.chars)
-
-    def span_of(self, start: int, length: int) -> tuple[int, int]:
-        """Pattern-offset span covering chars [start, start+length)."""
-        first = self.chars[start]
-        last = self.chars[start + length - 1]
-        return first[1], last[1] + last[2]
-
-
-def literal_runs(tokens: list[Token]) -> list[LiteralRun]:
-    """Maximal literal character runs, with unescaped text.
+def literal_runs(tokens: Sequence[Token]) -> list[LiteralRun]:
+    """Maximal literal character runs of a validated token stream, with
+    unescaped text.
 
     A quantified atom is excluded (it is not guaranteed to occur verbatim),
-    and any non-literal token breaks the run.
+    and any non-literal token breaks the run.  A run is not required when a
+    ``|`` sits at its own or any enclosing level, or when it lies in a group
+    quantified by ``?``, ``*``, ``{0,n}`` or ``{0,}`` (lazy or not).
     """
-    runs: list[LiteralRun] = []
-    current: list[tuple[str, int, int]] = []
+    texts: list[str] = []
+    optional: list[bool] = []
+    current: list[str] = []
+    levels: list[list] = [[0, False]]  # per open level: [first run index, has '|']
 
     def flush() -> None:
-        nonlocal current
         if current:
-            runs.append(LiteralRun(current))
-            current = []
+            texts.append("".join(current))
+            optional.append(False)
+            current.clear()
 
     for k, tok in enumerate(tokens):
-        quantified = k + 1 < len(tokens) and tokens[k + 1].kind == QUANT
+        nxt = tokens[k + 1] if k + 1 < len(tokens) else None
+        quantified = nxt is not None and nxt.kind == QUANT
         if tok.kind == LITERAL and not quantified:
-            current.extend((c, tok.pos + j, 1) for j, c in enumerate(tok.text))
+            current.append(tok.text)
         elif tok.kind == ESCAPE and not quantified:
-            current.append((tok.text[1], tok.pos, 2))
+            current.append(tok.text[1])
         else:
             flush()
+            if tok.kind == GROUP_OPEN:
+                levels.append([len(texts), False])
+            elif tok.kind == ALT:
+                levels[-1][1] = True
+            elif tok.kind == GROUP_CLOSE:
+                first, alternated = levels.pop()
+                skippable = quantified and _quantifier_bounds(nxt.text)[0] == 0
+                if alternated or skippable:
+                    optional[first:] = [True] * (len(texts) - first)
     flush()
-    return runs
+    if levels[0][1]:
+        optional = [True] * len(texts)
+    return [LiteralRun(text, not opt) for text, opt in zip(texts, optional)]
 
 
-def optional_group_spans(tokens: list[Token]) -> list[tuple[int, int]]:
-    """Pattern-offset spans of groups made optional by a trailing ``?``."""
-    spans: list[tuple[int, int]] = []
-    stack: list[int] = []
-    for k, tok in enumerate(tokens):
-        if tok.kind == GROUP_OPEN:
-            stack.append(tok.pos)
-        elif tok.kind == GROUP_CLOSE and stack:
-            open_pos = stack.pop()
-            nxt = tokens[k + 1] if k + 1 < len(tokens) else None
-            if nxt is not None and nxt.kind == QUANT and nxt.text in ("?", "??"):
-                spans.append((open_pos, nxt.end))
-    return spans
-
-
-def wildcard_units(tokens: list[Token]) -> list[tuple[int, int, str]]:
+def wildcard_units(tokens: Sequence[Token]) -> list[tuple[int, int, str]]:
     """Wildcard constructs as (start, end, text) spans.
 
     One unit per dot or class shorthand (merged with a following quantifier)

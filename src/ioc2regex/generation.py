@@ -2,11 +2,13 @@
 
 A pluggable backend proposes candidate patterns; each candidate runs through
 three gates in order: a match debug check against the source indicator, an
-audit that every keep component appears literally while no discard component
-does, and an over-generalization probe with ten seeded random strings.  A
-failing debug or audit feeds a diagnostic back to the backend for up to ten
-attempts per stage; an over-general pattern (or an exhausted stage) restarts
-the whole workflow, up to a configurable number of passes.
+audit that every keep component appears literally on every match path (not in
+an alternation branch or a group that may match zero times) while no discard
+component appears literally anywhere, and an over-generalization probe with
+ten seeded random strings.  A failing debug or audit feeds a diagnostic back
+to the backend for up to ten attempts per stage; an over-general pattern (or
+an exhausted stage) restarts the whole workflow, up to a configurable number
+of passes.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import re
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 from . import dialect
 from .capture import GroupAnnotation
@@ -59,7 +62,7 @@ class DebugResult:
         )
 
 
-def _probe_tokens(tokens: list[dialect.Token]) -> list[dialect.Token]:
+def _probe_tokens(tokens: Sequence[dialect.Token]) -> list[dialect.Token]:
     """Per-character granularity for literal tokens, so the failing point
     inside a literal run can be named."""
     out: list[dialect.Token] = []
@@ -78,13 +81,13 @@ def debug_check(pattern: str, target: str) -> DebugResult:
     """Does the pattern match the indicator?  On failure, report the longest
     compilable token-prefix that still matches and the first failing token."""
     try:
-        rx = dialect.compile_pattern(pattern)
+        analysis = dialect.analyze(pattern)
     except dialect.DialectError as exc:
         return DebugResult(ok=False, syntax_error=str(exc))
-    if rx.search(target) is not None:
+    if analysis.regex.search(target) is not None:
         return DebugResult(ok=True)
 
-    tokens = _probe_tokens(dialect.tokenize(pattern))
+    tokens = _probe_tokens(analysis.tokens)
     matched_prefix = ""
     target_offset = 0
     failing = tokens[0].text if tokens else ""
@@ -142,14 +145,17 @@ class NoncaptureResult:
 
 def noncapture_check(pattern: str, annotation: GroupAnnotation) -> NoncaptureResult:
     """Every keep component must appear as a literal (escaping-normalized,
-    case-insensitive) substring; no discard component may."""
+    case-insensitive) substring of a required run, i.e. literally on every
+    match path; no discard component may appear in any literal run."""
     keeps = annotation.keep_components
     if not keeps:
         raise ValueError("noncapture_check requires an annotation with keep components")
-    runs = [r.text.casefold() for r in dialect.literal_runs(dialect.tokenize(pattern))]
+    all_runs = dialect.analyze(pattern).runs
+    runs = [r.text.casefold() for r in all_runs]
+    required = [r.text.casefold() for r in all_runs if r.required]
 
     missing = [
-        comp for comp in keeps if not any(comp.casefold() in run for run in runs)
+        comp for comp in keeps if not any(comp.casefold() in run for run in required)
     ]
     present = [
         comp
@@ -198,7 +204,7 @@ def overgen_check(
     keep_components: list[str] | tuple[str, ...] = (),
 ) -> OvergenResult:
     """Fail only when the pattern matches every one of the ten random strings."""
-    rx = dialect.compile_pattern(pattern)
+    rx = dialect.analyze(pattern).regex
     probes = random_probe_strings(rng_seed, keep_components)
     matched = [s for s in probes if rx.search(s) is not None]
     return OvergenResult(ok=len(matched) < len(probes), probes=probes, matched=matched)
@@ -387,6 +393,8 @@ class RemoteBackend(GeneratorBackend):
             data = resp.json()
         except (requests.RequestException, ValueError) as exc:
             raise BackendError(f"remote backend failure: {exc}") from exc
+        if not isinstance(data, dict):
+            raise BackendError("remote backend reply is not a JSON object")
         pattern = data.get("pattern")
         if not isinstance(pattern, str) or not pattern:
             raise BackendError("remote backend returned no pattern")

@@ -1,14 +1,16 @@
 """Score candidate patterns and pick the best of several generation runs.
 
-The score rewards each keep component that appears literally outside any
-optional group and penalizes wildcard constructs and stray literal runs that
-belong to no keep component.  One leading and one trailing bare ``.*`` are
+The score rewards each keep component that appears in a required literal run
+(literally on every match path, not in an alternation branch or a group that
+may match zero times) and penalizes wildcard constructs and stray literal runs
+that belong to no keep component.  One leading and one trailing bare ``.*`` are
 treated as search anchors and not penalized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import dialect, generation
 from .capture import GroupAnnotation
@@ -41,30 +43,7 @@ class RegexCandidate:
         }
 
 
-def _keep_occurrences(
-    runs: list[dialect.LiteralRun], component: str
-) -> list[tuple[int, int, int, int]]:
-    """All occurrences of a component in literal runs.
-
-    Returns (run index, char offset, pattern span start, pattern span end).
-    """
-    comp = component.casefold()
-    hits = []
-    for ri, run in enumerate(runs):
-        text = run.text.casefold()
-        start = 0
-        while (idx := text.find(comp, start)) != -1:
-            span = run.span_of(idx, len(comp))
-            hits.append((ri, idx, span[0], span[1]))
-            start = idx + 1
-    return hits
-
-
-def _inside_any(span: tuple[int, int], regions: list[tuple[int, int]]) -> bool:
-    return any(s <= span[0] and span[1] <= e for s, e in regions)
-
-
-def _anchor_exempt_spans(tokens: list[dialect.Token]) -> set[tuple[int, int]]:
+def _anchor_exempt_spans(tokens: Sequence[dialect.Token]) -> set[tuple[int, int]]:
     """Spans of the leading and trailing bare ``.*`` anchors, if present."""
     spans: set[tuple[int, int]] = set()
     body = [t for t in tokens if t.kind != dialect.FLAGS]
@@ -94,34 +73,34 @@ def grade(
 ) -> RegexCandidate:
     """Score = alpha * n_cg - beta * n_wc for one candidate pattern."""
     try:
-        tokens = dialect.tokenize(pattern)
-        dialect.validate(tokens)
+        analysis = dialect.analyze(pattern)
     except dialect.DialectError as exc:
         raise GradingError(f"cannot grade non-compiling pattern: {exc}") from exc
 
-    runs = dialect.literal_runs(tokens)
-    optional = dialect.optional_group_spans(tokens)
-
+    runs = [run.text.casefold() for run in analysis.runs]
     n_cg = 0
-    covered: dict[int, set[int]] = {}
+    covered: list[set[int]] = [set() for _ in runs]
     for comp in annotation.keep_components:
-        hits = _keep_occurrences(runs, comp)
-        for ri, offset, _s, _e in hits:
-            covered.setdefault(ri, set()).update(range(offset, offset + len(comp)))
-        if any(not _inside_any((s, e), optional) for _ri, _o, s, e in hits):
-            n_cg += 1
+        comp = comp.casefold()
+        counted = False
+        for ri, text in enumerate(runs):
+            start = 0
+            while (idx := text.find(comp, start)) != -1:
+                covered[ri].update(range(idx, idx + len(comp)))
+                counted = counted or analysis.runs[ri].required
+                start = idx + 1
+        n_cg += counted
 
-    exempt = _anchor_exempt_spans(tokens)
+    exempt = _anchor_exempt_spans(analysis.tokens)
     n_wc = sum(
-        1 for start, end, _text in dialect.wildcard_units(tokens)
+        1 for start, end, _text in dialect.wildcard_units(analysis.tokens)
         if (start, end) not in exempt
     )
 
     # stray literal content: uncovered non-glue stretches of each run
-    for ri, run in enumerate(runs):
-        marks = covered.get(ri, set())
+    for run, marks in zip(analysis.runs, covered):
         stretch = 0
-        for ci, (char, _pos, _w) in enumerate(run.chars):
+        for ci, char in enumerate(run.text):
             if ci in marks or char in _GLUE_CHARS:
                 if stretch >= foreign_run_min:
                     n_wc += 1

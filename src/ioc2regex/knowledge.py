@@ -10,7 +10,6 @@ to share across worker threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -23,12 +22,8 @@ FOREST_NAMES = (PATH_FOREST, REGISTRY_FOREST, COMMAND_FOREST)
 # Executable suffixes stripped when canonicalizing command names.
 EXECUTABLE_EXTENSIONS = (".exe", ".com", ".bat", ".cmd", ".ps1")
 
-_HIERARCHY_DELIMS = "\\/"
-
 
 class NodeLabel(str, Enum):
-    DIRECTORY = "directory"
-    REGISTRY_COMPONENT = "registry_component"
     COMMAND = "command"
     PARAMETER = "parameter"
 
@@ -43,16 +38,6 @@ class KnowledgeBaseError(ValueError):
         super().__init__(f"{where}: {message}")
         self.filename = filename
         self.line = line
-
-
-@dataclass(frozen=True)
-class KnowledgeNode:
-    """A single named component with its label and child-name set."""
-
-    name: str
-    label: NodeLabel
-    children: tuple[str, ...] = ()
-    versions: tuple[str, ...] = ()
 
 
 def _fold(name: str) -> str:
@@ -81,20 +66,13 @@ class _HierarchyForest:
     O(1) regardless of where in a hierarchy a component appeared.
     """
 
-    def __init__(self, label: NodeLabel):
-        self.label = label
+    def __init__(self):
         self.children: dict[str, set[str]] = {}
-        self.roots: set[str] = set()
-        self.versions: dict[str, set[str]] = {}
-        self.chains: set[tuple[str, ...]] = set()
 
-    def add_chain(self, components: list[str], version: str) -> None:
+    def add_chain(self, components: list[str]) -> None:
         folded = [_fold(c) for c in components]
-        self.chains.add(tuple(folded))
-        self.roots.add(folded[0])
         for name in folded:
             self.children.setdefault(name, set())
-            self.versions.setdefault(name, set()).add(version)
         for parent, child in zip(folded, folded[1:]):
             self.children[parent].add(child)
 
@@ -104,20 +82,6 @@ class _HierarchyForest:
     def adjacent(self, parent: str, child: str) -> bool:
         return _fold(child) in self.children.get(_fold(parent), ())
 
-    def node(self, name: str) -> KnowledgeNode | None:
-        key = _fold(name)
-        if key not in self.children:
-            return None
-        return KnowledgeNode(
-            name=key,
-            label=self.label,
-            children=tuple(sorted(self.children[key])),
-            versions=tuple(sorted(self.versions.get(key, ()))),
-        )
-
-    def export_entries(self) -> list[str]:
-        return sorted("/".join(chain) for chain in self.chains)
-
 
 class _CommandForest:
     """Two-level forest: command nodes with parameter children."""
@@ -125,17 +89,14 @@ class _CommandForest:
     def __init__(self):
         self.commands: dict[str, set[str]] = {}
         self.parameters: set[str] = set()
-        self.versions: dict[str, set[str]] = {}
 
-    def add_command(self, name: str, parameters: list[str], version: str) -> None:
+    def add_command(self, name: str, parameters: list[str]) -> None:
         cmd = _fold(strip_executable_extension(name))
         self.commands.setdefault(cmd, set())
-        self.versions.setdefault(cmd, set()).add(version)
         for param in parameters:
             p = _fold(param)
             self.commands[cmd].add(p)
             self.parameters.add(p)
-            self.versions.setdefault(p, set()).add(version)
 
     def contains(self, name: str) -> bool:
         key = _fold(name)
@@ -152,32 +113,13 @@ class _CommandForest:
             return NodeLabel.PARAMETER
         return None
 
-    def node(self, name: str) -> KnowledgeNode | None:
-        key = _fold(name)
-        label = self.label_of(key)
-        if label is None:
-            return None
-        children = tuple(sorted(self.commands.get(key, ())))
-        return KnowledgeNode(
-            name=key,
-            label=label,
-            children=children,
-            versions=tuple(sorted(self.versions.get(key, ()))),
-        )
-
-    def export_entries(self) -> list[dict]:
-        return [
-            {"name": cmd, "parameters": sorted(params)}
-            for cmd, params in sorted(self.commands.items())
-        ]
-
 
 class KnowledgeStore:
     """Read-only membership/adjacency/label oracle over the three forests."""
 
     def __init__(self):
-        self._paths = _HierarchyForest(NodeLabel.DIRECTORY)
-        self._registry = _HierarchyForest(NodeLabel.REGISTRY_COMPONENT)
+        self._paths = _HierarchyForest()
+        self._registry = _HierarchyForest()
         self._commands = _CommandForest()
         self.source_manifest: list[dict] = []
 
@@ -227,7 +169,7 @@ class KnowledgeStore:
                     raise KnowledgeBaseError(
                         f"{key}[{i}]: no components in {entry!r}", filename
                     )
-                forest.add_chain(components, version)
+                forest.add_chain(components)
 
         commands = data.get("commands", [])
         if not isinstance(commands, list):
@@ -249,7 +191,7 @@ class KnowledgeStore:
                     f"commands[{i}] ({name}): 'parameters' must be non-empty strings",
                     filename,
                 )
-            self._commands.add_command(name.strip(), [p.strip() for p in params], version)
+            self._commands.add_command(name.strip(), [p.strip() for p in params])
 
         self.source_manifest.append({"file": filename, "version": version})
 
@@ -280,30 +222,9 @@ class KnowledgeStore:
         """Label of ``name`` in the command forest, or None if absent."""
         return self._commands.label_of(name)
 
-    def node(self, forest: str, name: str) -> KnowledgeNode | None:
-        return self._forest(forest).node(name)
-
     def path_children(self, name: str) -> frozenset[str]:
         """Case-folded child names of every path node called ``name``."""
         return frozenset(self._paths.children.get(_fold(name), ()))
-
-    # -- persistence --------------------------------------------------
-
-    def export(self) -> dict:
-        return {
-            "version": "+".join(
-                sorted({m["version"] for m in self.source_manifest if m["version"]})
-            ),
-            "paths": self._paths.export_entries(),
-            "registry": self._registry.export_entries(),
-            "commands": self._commands.export_entries(),
-        }
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.export(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
 
     def stats(self) -> dict:
         return {

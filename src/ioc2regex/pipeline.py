@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import evaluation
+from . import dialect, evaluation
 from .capture import GroupAnnotation, annotate, KEEP
 from .generation import (
     GeneratorBackend,
@@ -312,6 +312,14 @@ def run_evaluate(
     product = json.loads(Path(products_path).read_text(encoding="utf-8"))
     if "records" not in product:
         raise ConfigError(f"{products_path}: not a product file (missing 'records')")
+    for record in product["records"]:
+        try:
+            dialect.compile_pattern(record["pattern"])
+        except dialect.DialectError as exc:
+            raise ConfigError(
+                f"{products_path}: pattern of {record['ioc_id']!r} is outside the"
+                f" dialect: {exc}"
+            ) from exc
     truths = evaluation.load_truths(truths_path, store)
 
     match_log: list | None = [] if dump_matches else None

@@ -62,11 +62,14 @@ def recount_score(
     """Independent (n_cg, n_wc) recount via a character-scan parser.
 
     Single pass with a group stack; no tokenizer reuse.  Implements the same
-    documented rules: keep components count when some literal occurrence sits
-    outside every group that carries a trailing '?'; wildcard units are dots
-    and class shorthands (with their quantifier) plus quantified classes,
-    except one leading and one trailing bare '.*'; leftover literal stretches
-    of >= foreign_run_min non-glue characters each count one penalty.
+    documented rules: keep components count when some literal occurrence is
+    on every match path, i.e. there is no top-level '|' and the occurrence
+    sits outside every group that holds a '|' of its own or carries a
+    quantifier with minimum zero ('?', '*', '{0,n}', '{0,}', lazy or not);
+    wildcard units are dots and class shorthands (with their quantifier) plus
+    quantified classes, except one leading and one trailing bare '.*';
+    leftover literal stretches of >= foreign_run_min non-glue characters each
+    count one penalty.
     """
     glue = {"\\", "/", " ", "\t"}
     class_escapes = set("wWsSdD")
@@ -136,16 +139,29 @@ def recount_score(
         for k in range(len(elements))
     ]
 
-    # optional group spans
+    def min_zero(quant: str) -> bool:
+        if quant.startswith("{"):
+            return int(quant[1:].split(",")[0].split("}")[0]) == 0
+        return quant in ("?", "??", "*", "*?")
+
+    # spans off some match path: skippable groups and groups holding a '|'
     spans: list[tuple[int, int]] = []
-    stack: list[int] = []
+    stack: list[list] = []  # [group start, holds a '|' at its own level]
+    top_level_alt = False
     for k, el in enumerate(elements):
         if el[0] == "open":
-            stack.append(el[1])
+            stack.append([el[1], False])
+        elif el[0] == "other" and pattern[el[1]] == "|":
+            if stack:
+                stack[-1][1] = True
+            else:
+                top_level_alt = True
         elif el[0] == "close" and stack:
-            start = stack.pop()
-            if followed_by_quant[k] and elements[k + 1][3] in ("?", "??"):
+            start, has_alt = stack.pop()
+            if followed_by_quant[k] and min_zero(elements[k + 1][3]):
                 spans.append((start, elements[k + 1][2]))
+            elif has_alt:
+                spans.append((start, el[1]))
 
     # literal runs: consecutive unquantified lit elements
     runs: list[list[tuple[str, int, int]]] = []
@@ -160,8 +176,8 @@ def recount_score(
     if current:
         runs.append(current)
 
-    def inside_optional(s: int, e: int) -> bool:
-        return any(a <= s and e <= b for a, b in spans)
+    def off_some_path(s: int, e: int) -> bool:
+        return top_level_alt or any(a <= s and e <= b for a, b in spans)
 
     n_cg = 0
     covered: list[set[int]] = [set() for _ in runs]
@@ -175,7 +191,7 @@ def recount_score(
                 covered[ri].update(range(hit, hit + len(comp_f)))
                 start = run[hit][1]
                 end = run[hit + len(comp_f) - 1][2]
-                if not inside_optional(start, end):
+                if not off_some_path(start, end):
                     found = True
                 at = hit + 1
         if found:

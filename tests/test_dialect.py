@@ -3,11 +3,12 @@ import pytest
 from ioc2regex import dialect
 from ioc2regex.dialect import (
     DialectError,
+    LiteralRun,
     Token,
+    analyze,
     compile_pattern,
     feature_vector,
     literal_runs,
-    optional_group_spans,
     tokenize,
     validate,
     wildcard_units,
@@ -102,6 +103,25 @@ class TestValidate:
     def test_quantified_group_ok(self):
         validate(tokenize("(ab)+(?:cd)?"))
 
+    @pytest.mark.parametrize(
+        "pattern",
+        [r"(a+)+$", r"(.*a)*b", r"(?:\w+\s?)+$", r"(a*?){2,}", r"((ab)+c){2}"],
+    )
+    def test_repeated_group_with_repeating_quantifier_rejected(self, pattern):
+        with pytest.raises(DialectError, match="nested repetition"):
+            validate(tokenize(pattern))
+
+    @pytest.mark.parametrize(
+        "pattern", [r"(a+)?", r"(a+){0,1}", r"(a?)+", r"(a{1,1})*", r"(a+)b+"]
+    )
+    def test_single_level_repetition_accepted(self, pattern):
+        validate(tokenize(pattern))
+
+    def test_unbalanced_open_names_the_unclosed_group(self):
+        with pytest.raises(DialectError) as err:
+            validate(tokenize("(a(b)"))
+        assert err.value.offset == 0
+
     def test_compile_pattern_matches_re(self):
         rx = compile_pattern(r"(?i).*Users\\Public.*")
         assert rx.search(r"c:\users\public\x") is not None
@@ -120,30 +140,62 @@ class TestLiteralRuns:
         runs = literal_runs(tokenize("abc*d"))
         assert [r.text for r in runs] == ["ab", "d"]
 
-    def test_span_mapping(self):
-        (run,) = literal_runs(tokenize(r"a\.b"))
-        assert run.text == "a.b"
-        assert run.span_of(0, 3) == (0, 4)
-        assert run.span_of(1, 1) == (1, 3)  # the escape occupies two chars
+    def test_plain_and_repeated_groups_required(self):
+        runs = literal_runs(tokenize(r"ab(cd)(?:ef)+(?:gh){1,3}"))
+        assert runs == [
+            LiteralRun("ab", True),
+            LiteralRun("cd", True),
+            LiteralRun("ef", True),
+            LiteralRun("gh", True),
+        ]
+
+    @pytest.mark.parametrize(
+        "quant", ["?", "??", "*", "*?", "{0,2}", "{0,}", "{0}"]
+    )
+    def test_zero_repeat_group_not_required(self, quant):
+        assert literal_runs(tokenize("x(?:K)" + quant)) == [
+            LiteralRun("x", True),
+            LiteralRun("K", False),
+        ]
+
+    def test_alternation_branch_not_required(self):
+        runs = literal_runs(tokenize("x(?:K|zz)y"))
+        assert runs == [
+            LiteralRun("x", True),
+            LiteralRun("K", False),
+            LiteralRun("zz", False),
+            LiteralRun("y", True),
+        ]
+
+    def test_top_level_alternation_nothing_required(self):
+        assert [r.required for r in literal_runs(tokenize("ab|cd"))] == [False, False]
+
+    def test_enclosing_group_decides(self):
+        runs = literal_runs(tokenize("((?:K)+z)?w(a|(?:b))"))
+        assert runs == [
+            LiteralRun("K", False),
+            LiteralRun("z", False),
+            LiteralRun("w", True),
+            LiteralRun("a", False),
+            LiteralRun("b", False),
+        ]
 
 
-class TestOptionalSpans:
-    def test_simple_optional(self):
-        spans = optional_group_spans(tokenize("(?:Users)?"))
-        assert spans == [(0, 10)]
+class TestAnalyze:
+    def test_holds_tokens_regex_and_runs(self):
+        pattern = r"(?i).*Users\\(?:Public)?.*"
+        analysis = analyze(pattern)
+        assert analysis.tokens == tuple(tokenize(pattern))
+        assert analysis.regex.pattern == pattern
+        assert analysis.runs == (LiteralRun("Users\\", True), LiteralRun("Public", False))
 
-    def test_non_optional_group_has_no_span(self):
-        assert optional_group_spans(tokenize("(Users)")) == []
+    def test_cached(self):
+        assert analyze("abc") is analyze("abc")
+        assert compile_pattern("abc") is analyze("abc").regex
 
-    def test_nested(self):
-        pattern = "((?:ab)?c)?"
-        spans = optional_group_spans(tokenize(pattern))
-        assert (0, len(pattern)) in spans
-        assert (1, 8) in spans
-
-    def test_star_quantifier_not_optional_span(self):
-        # only '?' marks the optional-group rule
-        assert optional_group_spans(tokenize("(ab)*")) == []
+    def test_invalid_pattern_raises(self):
+        with pytest.raises(DialectError, match="nested repetition"):
+            analyze("(a+)+$")
 
 
 class TestWildcardUnits:

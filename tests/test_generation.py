@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from ioc2regex import annotate, make_record
 from ioc2regex.capture import GroupAnnotation
 from ioc2regex.generation import (
     BackendError,
@@ -69,6 +70,26 @@ class TestNoncaptureCheck:
         res = noncapture_check(r"(?i).*Public.*", path_annotation)
         assert not res.ok
         assert res.missing_keep == ["Users"]
+
+    def test_keep_off_some_match_path_flagged(self, store):
+        from test_grading import SYSTEM32_IOC, UNSOUND_SYSTEM32
+
+        ann = annotate(make_record(SYSTEM32_IOC, store), store)
+        target = ann.record.normalized
+        for pattern in UNSOUND_SYSTEM32:
+            # the match and the probe gates cannot see the difference
+            assert debug_check(pattern, target).ok, pattern
+            assert overgen_check(pattern, 0, ann.keep_components).ok, pattern
+            res = noncapture_check(pattern, ann)
+            assert res.missing_keep == ["Windows", "System32"], pattern
+
+    def test_keep_in_plain_or_repeated_group_passes(self, path_annotation):
+        for pattern in (r"(?i).*(Users\\Public)\\.*", r"(?i).*(?:Users)+\\Public.*"):
+            assert noncapture_check(pattern, path_annotation).ok, pattern
+
+    def test_discard_in_optional_group_still_flagged(self, path_annotation):
+        res = noncapture_check(r"(?i).*Users\\Public\\(?:11\.bat)?", path_annotation)
+        assert res.present_discard == ["11.bat"]
 
     def test_empty_keep_set_rejected(self):
         rec = IocRecord(raw="x", kind=IocKind.FILE_PATH, normalized="x", components=["x"])
@@ -230,6 +251,24 @@ class TestWorkflow:
         assert "boom" in trace.attempts[0].diagnostic
         assert trace.restarts == 1
 
+    def test_nested_repetition_fed_back_for_repair(self, path_annotation):
+        prompts = []
+
+        class Recording(ScriptedBackend):
+            def propose(self, annotation, prompt):
+                prompts.append(prompt)
+                return super().propose(annotation, prompt)
+
+        nested = r"(?i).*(?:\w+\\)+11\.bat"
+        backend = Recording([nested, GOOD_PATH_PATTERN])
+        pattern, trace = generate(path_annotation, backend, rng_seed=0)
+        assert pattern == GOOD_PATH_PATTERN
+        first = trace.attempts[0]
+        assert (first.pattern, first.verdict) == (nested, "fail")
+        assert "nested repetition" in first.diagnostic
+        assert f"pattern: {nested}" in prompts[1]
+        assert first.diagnostic in prompts[1]
+
     def test_loop_and_call_bounds(self, path_annotation):
         cap, iters = 4, 7
         backend = ScriptedBackend(["(never"])
@@ -307,3 +346,24 @@ class TestRemoteBackend:
         backend = RemoteBackend(endpoint="http://127.0.0.1:9/none", timeout=0.2)
         with pytest.raises(BackendError):
             backend.propose(path_annotation, "prompt")
+
+    def test_non_object_reply_is_backend_error(self, path_annotation, monkeypatch):
+        import requests
+
+        class ListReply:
+            def raise_for_status(self):
+                pass
+
+            def json(self):
+                return ["(?i).*Users.*"]
+
+        monkeypatch.setattr(requests, "post", lambda *args, **kwargs: ListReply())
+        backend = RemoteBackend(endpoint="http://127.0.0.1:9/none")
+        with pytest.raises(BackendError, match="not a JSON object"):
+            backend.propose(path_annotation, "prompt")
+
+        pattern, trace = generate(path_annotation, backend, restart_cap=2)
+        assert pattern is None
+        assert [a.verdict for a in trace.attempts] == ["error", "error"]
+        assert "not a JSON object" in trace.attempts[0].diagnostic
+        assert trace.restarts == 1

@@ -88,6 +88,59 @@ class TestGrade:
         assert cand.n_cg == 1
 
 
+SYSTEM32_IOC = r"C:\Windows\System32\abcd.exe"
+HONEST_SYSTEM32 = r"(?i).*Windows\\System32\\[a-z]{4}\.exe"
+# The keeps Windows and System32 written literally, but off some match path.
+UNSOUND_SYSTEM32 = [
+    r"(?i).*(?:Windows\\System32)*\\[a-z]{4}\.exe",
+    r"(?i).*(?:Windows\\System32){0,1}\\[a-z]{4}\.exe",
+    r"(?i).*(?:Windows\\System32)?\\[a-z]{4}\.exe",
+    r"(?i).*(?:Windows\\System32|zz)\\[a-z]{4}\.exe",
+    r"(?i).*Windows\\System32\\[a-z]{4}\.exe|x",
+]
+NO_INVARIANT = r"D:\junk\abcd.exe"
+
+
+@pytest.fixture(scope="module")
+def system32_annotation(store):
+    from ioc2regex import annotate, make_record
+
+    ann = annotate(make_record(SYSTEM32_IOC, store), store)
+    assert ann.keep_components == ["Windows", "System32"]
+    return ann
+
+
+class TestRequiredLiteralRule:
+    @pytest.mark.parametrize("pattern", UNSOUND_SYSTEM32)
+    def test_unsound_forms_score_no_keep(self, pattern, system32_annotation):
+        assert grade(pattern, system32_annotation).n_cg == 0
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [r"(?i).*(Windows\\System32)\\.*", r"(?i).*(?:Windows\\System32)+\\.*"],
+    )
+    def test_required_groups_still_count(self, pattern, system32_annotation):
+        assert grade(pattern, system32_annotation).n_cg == 2
+
+    def test_keep_in_optional_group_still_covers_its_literals(self, system32_annotation):
+        # "Windows" is no stray literal, so no foreign-run penalty either way
+        cand = grade(r"(?i).*(?:Windows)?\\System32\\.*", system32_annotation)
+        assert (cand.n_cg, cand.n_wc) == (1, 0)
+
+    @pytest.mark.parametrize("unsound", UNSOUND_SYSTEM32)
+    def test_select_best_ships_the_honest_pattern(self, unsound, system32_annotation):
+        backend = ScriptedBackend([unsound, HONEST_SYSTEM32])
+        best, _candidates = select_best(
+            system32_annotation, backend, k=2, rng_seed=0, restart_cap=1
+        )
+        assert best.pattern == HONEST_SYSTEM32
+        assert re.search(best.pattern, NO_INVARIANT) is None
+
+    def test_unsound_forms_match_without_the_invariant(self):
+        matching = [u for u in UNSOUND_SYSTEM32 if re.search(u, NO_INVARIANT)]
+        assert len(matching) == 4  # all but the '|zz' branch
+
+
 def random_annotation_and_pattern(rng):
     words = ["Users", "Public", "Windows", "System32", "Temp", "Run"]
     keeps = rng.sample(words, rng.randint(1, 4))
@@ -103,9 +156,17 @@ def random_annotation_and_pattern(rng):
     for comp in rng.sample(keeps, rng.randint(0, len(keeps))):
         body = re.escape(comp)
         roll = rng.random()
-        if roll < 0.2:
+        if roll < 0.1:
             parts.append(f"(?:{body})?")
+        elif roll < 0.15:
+            parts.append(f"(?:{body})*")
+        elif roll < 0.2:
+            parts.append(f"(?:{body}){{0,2}}")
+        elif roll < 0.25:
+            parts.append(f"(?:{body}|zz)")
         elif roll < 0.3:
+            parts.append(f"(?:{body})+")
+        elif roll < 0.4:
             parts.append(f"({body})")
         else:
             parts.append(body)
@@ -114,6 +175,8 @@ def random_annotation_and_pattern(rng):
         parts.append("".join(rng.choices(string.ascii_lowercase, k=rng.randint(2, 6))))
     if rng.random() < 0.8:
         parts.append(".*")
+    if rng.random() < 0.05:
+        parts.append("|x")
     return ann, "".join(parts)
 
 

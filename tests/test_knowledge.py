@@ -18,9 +18,8 @@ def test_ingest_path_hierarchy():
     store = tiny_store(paths=["Users/Public"])
     assert store.contains(PATH_FOREST, "users")
     assert store.contains(PATH_FOREST, "public")
-    node = store.node(PATH_FOREST, "Users")
-    assert node.label is NodeLabel.DIRECTORY
-    assert "public" in node.children
+    assert store.adjacent(PATH_FOREST, "Users", "public")
+    assert store.label_of("users") is None  # paths are not commands
 
 
 def test_empty_definition_list_gives_empty_store():
@@ -33,9 +32,11 @@ def test_empty_definition_list_gives_empty_store():
 
 def test_ingest_command_with_parameters():
     store = tiny_store(commands=[("curl", ["--get", "--request", "--data"])])
-    node = store.node(COMMAND_FOREST, "curl")
-    assert node.label is NodeLabel.COMMAND
-    assert node.children == ("--data", "--get", "--request")
+    assert store.label_of("curl") is NodeLabel.COMMAND
+    for param in ("--data", "--get", "--request"):
+        assert store.adjacent(COMMAND_FOREST, "curl", param)
+        assert store.label_of(param) is NodeLabel.PARAMETER
+    assert not store.adjacent(COMMAND_FOREST, "curl", "--post")
 
 
 def test_contains_examples(store):
@@ -70,29 +71,11 @@ def test_command_names_stored_extensionless():
 
 def test_duplicate_declarations_merge():
     store = tiny_store(paths=["a/b", "a/b", "A/B", "a/c"])
-    node = store.node(PATH_FOREST, "a")
-    assert node.children == ("b", "c")
-    assert store.export()["paths"] == ["a/b", "a/c"]
-
-
-def test_roundtrip_export(store, tmp_path):
-    out = tmp_path / "export.json"
-    store.save(out)
-    clone = KnowledgeStore.ingest([out])
-    data = store.export()
-    for forest, key in ((PATH_FOREST, "paths"), (REGISTRY_FOREST, "registry")):
-        names = {part for entry in data[key] for part in entry.split("/")}
-        for name in names:
-            assert clone.contains(forest, name) == store.contains(forest, name)
-            for other in names:
-                assert clone.adjacent(forest, name, other) == store.adjacent(
-                    forest, name, other
-                )
-    for cmd in data["commands"]:
-        assert clone.label_of(cmd["name"]) is NodeLabel.COMMAND
-        for param in cmd["parameters"]:
-            assert clone.adjacent(COMMAND_FOREST, cmd["name"], param)
-    assert clone.export() == data
+    assert store.adjacent(PATH_FOREST, "a", "b")
+    assert store.adjacent(PATH_FOREST, "a", "c")
+    assert not store.adjacent(PATH_FOREST, "b", "c")
+    assert store.path_children("a") == {"b", "c"}
+    assert store.stats()["path_nodes"] == 3
 
 
 def test_ingestion_order_independent(tmp_path):
@@ -104,7 +87,8 @@ def test_ingestion_order_independent(tmp_path):
     fb.write_text(json.dumps(part_b))
     one = KnowledgeStore.ingest([fa, fb])
     two = KnowledgeStore.ingest([fb, fa])
-    assert one.export()["paths"] == two.export()["paths"]
+    assert one.path_children("y") == two.path_children("y") == {"z"}
+    assert one.stats() == two.stats()
     assert one.adjacent(PATH_FOREST, "x", "y") and two.adjacent(PATH_FOREST, "x", "y")
     assert one.adjacent(PATH_FOREST, "y", "z") and two.adjacent(PATH_FOREST, "y", "z")
 

@@ -296,6 +296,16 @@ class TestRunEvaluate:
         assert report["hit_rate"] == 0.0
         assert report["mean_fpr"] is None
 
+    @pytest.mark.parametrize("pattern", [r"(?P<n>x)", r"(a+)+$"])
+    def test_product_pattern_outside_dialect(self, tmp_path, pattern):
+        products = write_json(
+            tmp_path / "products.json",
+            {"records": [{"ioc_id": "hand-edited", "pattern": pattern}]},
+        )
+        truths = write_json(tmp_path / "t.json", [])
+        with pytest.raises(ConfigError, match="'hand-edited'"):
+            run_evaluate(products, truths, tmp_path / "r.json")
+
     def test_bad_product_file(self, tmp_path):
         bad = write_json(tmp_path / "bad.json", {"nope": []})
         truths = write_json(tmp_path / "t.json", [])
@@ -378,6 +388,25 @@ class TestCli:
             ]
         )
         assert rc == 0
+
+    def test_exit_code_1_on_product_outside_dialect(self, tmp_path, caplog):
+        products = write_json(
+            tmp_path / "products.json",
+            {"records": [{"ioc_id": "hand-edited", "pattern": "(a+)+$"}]},
+        )
+        truths = write_json(tmp_path / "t.json", [])
+        rc = main(
+            [
+                "evaluate",
+                "--products", products,
+                "--truths", truths,
+                "--output", str(tmp_path / "report.json"),
+            ]
+        )
+        assert rc == 1
+        assert "'hand-edited'" in caplog.text
+        assert "nested repetition" in caplog.text
+        assert not (tmp_path / "report.json").exists()
 
     def test_exit_code_1_on_missing_input(self, tmp_path):
         rc = main(
