@@ -6,8 +6,13 @@ dot, quantifiers (``*`` ``+`` ``?`` ``{m,n}``, optionally lazy), alternation,
 plain and non-capturing groups, and the ``^``/``$`` anchors.  Everything a
 pattern is allowed to contain is produced here as a typed token stream.  A
 group that contains a repeating quantifier may not itself be repeated (star
-height at most one, so ``(a+)+`` and ``(.*a)*`` are rejected): such nesting
-backtracks exponentially on near-miss inputs.
+height at most one, so ``(a+)+`` and ``(.*a)*`` are rejected), and a group
+that contains ``|`` at any depth may not be repeated either (``(?:a|a)+`` and
+``(a|ab)*c`` are rejected; a character class says the same without
+backtracking): both backtrack exponentially on near-miss inputs.  The
+verbose flag ``(?x)`` and a brace quantifier without a lower bound
+(``{,n}``) are rejected, because they would make text that reads as literal
+match something else.
 
 ``analyze`` tokenizes, validates and compiles a pattern once and caches the
 result; the validation gates and the grader all read that one analysis.  Its
@@ -36,8 +41,10 @@ QUANT = "quant"
 LITERAL = "literal"
 
 _CLASS_ESCAPE_CHARS = "wWsSdD"
-_FLAGS_RE = re.compile(r"\(\?[imsx]+\)")
+_FLAGS_RE = re.compile(r"\(\?[ims]+\)")
 _BRACE_QUANT_RE = re.compile(r"\{\d+(,\d*)?\}")
+# Python reads these as {0,n} and {0,}; other engines as literal text.
+_BRACE_NO_LOW_RE = re.compile(r"\{,\d*\}")
 
 # Analyses kept for reuse; one indicator's k workflows mostly repeat patterns.
 _ANALYSIS_CACHE_SIZE = 64
@@ -181,6 +188,8 @@ def tokenize(pattern: str) -> list[Token]:
                     text += "?"
                 push_quant(text, i)
                 i += len(text)
+            elif _BRACE_NO_LOW_RE.match(pattern, i):
+                raise DialectError("brace quantifier needs a lower bound: {0,n}", i)
             else:
                 if not literal_buf:
                     literal_pos = i
@@ -217,10 +226,12 @@ def _repeats(text: str) -> bool:
 
 def validate(tokens: Sequence[Token]) -> None:
     """Structural checks: quantifier placement, balanced groups, and no
-    repeated group that itself contains a repeating quantifier."""
-    opened: list[tuple[int, bool]] = []  # (open pos, enclosing level repeats inside)
+    repeated group that itself contains a repeating quantifier or a ``|``."""
+    # per open group: (open pos, enclosing level's repeats_inside, alt_inside)
+    opened: list[tuple[int, bool, bool]] = []
     repeats_inside = False  # the current level holds a repeating quantifier
-    closed_repeats_inside = False  # ... and so did the group that just closed
+    alt_inside = False  # the current level holds a '|'
+    closed_repeats_inside = closed_alt_inside = False  # the group just closed
     prev: Token | None = None
     for tok in tokens:
         if tok.kind == QUANT:
@@ -233,15 +244,24 @@ def validate(tokens: Sequence[Token]) -> None:
                         " a repeating quantifier",
                         tok.pos,
                     )
+                if prev.kind == GROUP_CLOSE and closed_alt_inside:
+                    raise DialectError(
+                        "alternation inside a repeated group; use a character class",
+                        tok.pos,
+                    )
                 repeats_inside = True
+        elif tok.kind == ALT:
+            alt_inside = True
         elif tok.kind == GROUP_OPEN:
-            opened.append((tok.pos, repeats_inside))
-            repeats_inside = False
+            opened.append((tok.pos, repeats_inside, alt_inside))
+            repeats_inside = alt_inside = False
         elif tok.kind == GROUP_CLOSE:
             if not opened:
                 raise DialectError("unbalanced ')'", tok.pos)
-            closed_repeats_inside = repeats_inside
-            repeats_inside = opened.pop()[1] or repeats_inside
+            closed_repeats_inside, closed_alt_inside = repeats_inside, alt_inside
+            _pos, outer_repeats, outer_alt = opened.pop()
+            repeats_inside = outer_repeats or repeats_inside
+            alt_inside = outer_alt or alt_inside
         prev = tok
     if opened:
         raise DialectError("unbalanced '('", opened[-1][0])

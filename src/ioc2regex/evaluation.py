@@ -5,13 +5,23 @@ a false positive when the truth's annotated capture groups differ from those
 of the indicator the regex was generated from.  Additional diagnostics cover
 pattern/indicator edit-distance similarity, score distributions, and a
 structural feature-vector comparison between patterns.
+
+Every metric derives from one match row per regex (``fpr``): the truths it
+finds.  A row is built by one search per truth that holds all of the regex's
+required literal runs (``dialect.analyze``); a truth missing one cannot match
+and is skipped unsearched.  A ``(?i)`` regex compares only its ASCII runs,
+lowercased, and only against ASCII truths, because ``re.IGNORECASE`` also
+matches ASCII letters to some non-ASCII ones (``i`` to ``ı``, ``s`` to ``ſ``,
+``k`` to the Kelvin sign) that ``str.lower`` does not map.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +45,11 @@ class GroundTruthString:
     capture_groups: frozenset[str]  # case-folded component names
     dataset_id: str
     normalized: str = ""
+
+    @functools.cached_property
+    def ascii_lower(self) -> str | None:
+        """The normalized text lowercased, or None unless it is all ASCII."""
+        return self.normalized.lower() if self.normalized.isascii() else None
 
     def to_dict(self) -> dict:
         return {
@@ -105,16 +120,13 @@ class HitRateResult:
 
 
 def hit_rate(
-    patterns: list[tuple[str, str]], truths: list[GroundTruthString]
+    rows: Iterable[Iterable[int]], truths: list[GroundTruthString]
 ) -> HitRateResult:
-    """Fraction of truths matched by at least one pattern (unanchored search)."""
+    """Fraction of truths matched by at least one regex: the union of the
+    regexes' match rows (``FprResult.matched_indices`` over ``truths``)."""
     if not truths:
         raise UndefinedMetricError("hit rate is undefined for an empty truth set")
-    compiled = [(rid, re.compile(p)) for rid, p in patterns]
-    matched: set[int] = set()
-    for i, truth in enumerate(truths):
-        if any(rx.search(truth.normalized) for _rid, rx in compiled):
-            matched.add(i)
+    matched: set[int] = set().union(*rows)
     unmatched: dict[str, int] = {k.value: 0 for k in IocKind if k is not IocKind.OTHER}
     for i, truth in enumerate(truths):
         if i not in matched:
@@ -134,25 +146,37 @@ class FprResult:
     false_positive_indices: list[int]
 
 
+def _fpr_result(matched: list[int], false_pos: list[int]) -> FprResult:
+    value = len(false_pos) / len(matched) if matched else None
+    return FprResult(value, matched, false_pos)
+
+
 def fpr(
     pattern: str,
     source_groups: list[str] | frozenset[str],
     truths: list[GroundTruthString],
 ) -> FprResult:
-    """Among the truths this regex matches, the fraction whose annotated
-    capture groups differ from the source indicator's; None if it matches
-    nothing."""
-    rx = re.compile(pattern)
+    """The regex's match row over ``truths`` and, among the truths it
+    matches, the fraction whose annotated capture groups differ from the
+    source indicator's; None if it matches nothing.
+
+    ``pattern`` must be in the dialect; its required literal runs prefilter
+    the truths as the module docstring describes.
+    """
+    analysis = dialect.analyze(pattern)
+    search = analysis.regex.search
+    required = [run.text for run in analysis.runs if run.required]
+    if analysis.regex.flags & re.IGNORECASE:
+        required = [text.lower() for text in required if text.isascii()]
+        hays = [t.ascii_lower for t in truths]
+    else:
+        hays = [t.normalized for t in truths]
+    candidates: Iterable[int] = range(len(truths))
+    for lit in sorted(required, key=len, reverse=True):  # longest: likely rarest
+        candidates = [i for i in candidates if hays[i] is None or lit in hays[i]]
+    matched = [i for i in candidates if search(truths[i].normalized)]
     g_k = frozenset(g.casefold() for g in source_groups)
-    matched = [i for i, t in enumerate(truths) if rx.search(t.normalized)]
-    if not matched:
-        return FprResult(value=None, matched_indices=[], false_positive_indices=[])
-    false_pos = [i for i in matched if truths[i].capture_groups != g_k]
-    return FprResult(
-        value=len(false_pos) / len(matched),
-        matched_indices=matched,
-        false_positive_indices=false_pos,
-    )
+    return _fpr_result(matched, [i for i in matched if truths[i].capture_groups != g_k])
 
 
 def mean_fpr(values: list[float]) -> float:
@@ -166,21 +190,41 @@ def mean_fpr(values: list[float]) -> float:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Character-level edit distance (insert/delete/substitute)."""
+    """Character-level edit distance (insert/delete/substitute).
+
+    Myers' bit-parallel algorithm in Hyyrö's form for the global distance:
+    one column of the DP matrix over the longer string is held as two bit
+    vectors (its vertical +1 and -1 deltas) in Python ints, so each
+    character of the shorter string costs a few integer operations instead
+    of one update per cell.
+    """
     if not a:
         return len(b)
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-            )
-        previous = current
-    return previous[-1]
+    if len(a) < len(b):
+        a, b = b, a  # one loop step per character of the shorter string
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    mask = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    pv, mv, score = mask, 0, len(a)
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def similarity(pattern: str, source_ioc: str) -> float:
@@ -294,52 +338,7 @@ def evaluate_products(
     ``normalized`` and ``score``.  Score and similarity distributions cover
     only regexes that matched at least one truth.
     """
-    hits = hit_rate([(p["ioc_id"], p["pattern"]) for p in products], truths)
-
-    per_regex: list[tuple[str, float | None]] = []
-    fpr_values: list[float] = []
-    matching_products: list[dict] = []
-    for product in products:
-        result = fpr(product["pattern"], product["capture_groups"], truths)
-        per_regex.append((product["ioc_id"], result.value))
-        if result.value is not None:
-            fpr_values.append(result.value)
-            matching_products.append(product)
-        if match_log is not None:
-            match_log.append(
-                {
-                    "ioc_id": product["ioc_id"],
-                    "matched": [truths[i].text for i in result.matched_indices],
-                    "false_positives": [
-                        truths[i].text for i in result.false_positive_indices
-                    ],
-                }
-            )
-
-    mean_value = mean_fpr(fpr_values) if fpr_values else None
-    score_stats = (
-        score_distribution([p["score"] for p in matching_products])
-        if matching_products
-        else None
-    )
-    similarity_stats = (
-        score_distribution(
-            [similarity(p["pattern"], p["normalized"]) for p in matching_products]
-        )
-        if matching_products
-        else None
-    )
-    return EvaluationReport(
-        dataset_id=dataset_id,
-        total=hits.total,
-        matched=len(hits.matched_indices),
-        hit_rate=hits.rate,
-        unmatched_by_kind=hits.unmatched_by_kind,
-        per_regex_fpr=per_regex,
-        mean_fpr=mean_value,
-        score_stats=score_stats,
-        similarity_stats=similarity_stats,
-    )
+    return _evaluate(products, truths, {dataset_id: range(len(truths))}, match_log)[0]
 
 
 def evaluate_by_dataset(
@@ -348,13 +347,88 @@ def evaluate_by_dataset(
     match_log: list | None = None,
 ) -> list[EvaluationReport]:
     """One report per dataset_id found in the truth set, sorted by id."""
-    datasets = sorted({t.dataset_id for t in truths})
-    return [
-        evaluate_products(
-            products,
-            [t for t in truths if t.dataset_id == ds],
-            dataset_id=ds,
-            match_log=match_log,
+    datasets: dict[str, list[int]] = {}
+    for i, truth in enumerate(truths):
+        datasets.setdefault(truth.dataset_id, []).append(i)
+    return _evaluate(products, truths, dict(sorted(datasets.items())), match_log)
+
+
+def _evaluate(
+    products: list[dict],
+    truths: list[GroundTruthString],
+    datasets: dict[str, Sequence[int]],
+    match_log: list | None,
+) -> list[EvaluationReport]:
+    """Reports for ``datasets`` (id -> indices of its truths), in order.
+
+    Each regex is matched once against all truths; its row is then split by
+    dataset, so every report and ``match_log`` entry reads the same rows.
+    """
+    rows = [fpr(p["pattern"], p["capture_groups"], truths) for p in products]
+    similarities: dict[int, float] = {}
+    reports = []
+    for ds, members in datasets.items():
+        local = {g: n for n, g in enumerate(members)}
+        ds_rows = [
+            _fpr_result(
+                [local[i] for i in row.matched_indices if i in local],
+                [local[i] for i in row.false_positive_indices if i in local],
+            )
+            for row in rows
+        ]
+        reports.append(
+            _report(ds, products, [truths[i] for i in members], ds_rows,
+                    similarities, match_log)
         )
-        for ds in datasets
-    ]
+    return reports
+
+
+def _report(
+    dataset_id: str,
+    products: list[dict],
+    truths: list[GroundTruthString],
+    rows: list[FprResult],
+    similarities: dict[int, float],
+    match_log: list | None,
+) -> EvaluationReport:
+    """Assemble one dataset's report from its match rows; ``similarities``
+    caches each product's similarity (by position) across datasets."""
+    hits = hit_rate([row.matched_indices for row in rows], truths)
+    per_regex: list[tuple[str, float | None]] = []
+    fpr_values: list[float] = []
+    matching: list[int] = []
+    for k, (product, row) in enumerate(zip(products, rows)):
+        per_regex.append((product["ioc_id"], row.value))
+        if row.value is not None:
+            fpr_values.append(row.value)
+            matching.append(k)
+        if match_log is not None:
+            match_log.append(
+                {
+                    "ioc_id": product["ioc_id"],
+                    "matched": [truths[i].text for i in row.matched_indices],
+                    "false_positives": [
+                        truths[i].text for i in row.false_positive_indices
+                    ],
+                }
+            )
+    for k in matching:
+        if k not in similarities:
+            similarities[k] = similarity(products[k]["pattern"], products[k]["normalized"])
+    return EvaluationReport(
+        dataset_id=dataset_id,
+        total=hits.total,
+        matched=len(hits.matched_indices),
+        hit_rate=hits.rate,
+        unmatched_by_kind=hits.unmatched_by_kind,
+        per_regex_fpr=per_regex,
+        mean_fpr=mean_fpr(fpr_values) if fpr_values else None,
+        score_stats=(
+            score_distribution([products[k]["score"] for k in matching])
+            if matching
+            else None
+        ),
+        similarity_stats=(
+            score_distribution([similarities[k] for k in matching]) if matching else None
+        ),
+    )

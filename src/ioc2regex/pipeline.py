@@ -159,8 +159,8 @@ def _process_one(
     expansions: dict | None,
     registry_roots: dict | None,
 ) -> dict:
-    bypass_capture = config.ablation in ("-CR", "-C-R")
-    single_shot = config.ablation in ("C-R", "-C-R")
+    """One indicator's outcome; any exception after normalization becomes a
+    ``failed`` outcome, so one indicator never ends the batch."""
     try:
         record = make_record(
             raw,
@@ -172,7 +172,26 @@ def _process_one(
     except (ClassificationError, TokenizationError) as exc:
         return {"status": "failed", "ioc_id": source_id, "raw": raw,
                 "reason": f"normalization error: {exc}"}
+    try:
+        return _generate_one(index, source_id, raw, record, store, config, backend)
+    except Exception as exc:  # noqa: BLE001 - one indicator's fault must not end the batch
+        logger.warning("%s: internal error", source_id, exc_info=True)
+        return {"status": "failed", "ioc_id": source_id, "raw": raw,
+                "kind": record.kind.value,
+                "reason": f"internal error: {type(exc).__name__}: {exc}"}
 
+
+def _generate_one(
+    index: int,
+    source_id: str,
+    raw: str,
+    record: IocRecord,
+    store: KnowledgeStore,
+    config: PipelineConfig,
+    backend: GeneratorBackend,
+) -> dict:
+    bypass_capture = config.ablation in ("-CR", "-C-R")
+    single_shot = config.ablation in ("C-R", "-C-R")
     if record.kind is IocKind.OTHER:
         return {
             "status": "other",
@@ -310,8 +329,10 @@ def run_evaluate(
     """Score a product file against a ground-truth file; write the report."""
     store = KnowledgeStore.ingest(list(kb_paths)) if kb_paths else default_store()
     product = json.loads(Path(products_path).read_text(encoding="utf-8"))
-    if "records" not in product:
+    if not isinstance(product, dict) or not isinstance(product.get("records"), list):
         raise ConfigError(f"{products_path}: not a product file (missing 'records')")
+    for i, record in enumerate(product["records"]):
+        _check_product_record(record, f"{products_path}: record {i}")
     for record in product["records"]:
         try:
             dialect.compile_pattern(record["pattern"])
@@ -329,6 +350,36 @@ def run_evaluate(
     if dump_matches:
         _write_json(dump_matches, match_log)
     return payload
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+# What evaluation reads from a product record: key -> (description, check).
+_PRODUCT_RECORD_SCHEMA = {
+    "ioc_id": ("a string", _is_str),
+    "pattern": ("a string", _is_str),
+    "capture_groups": (
+        "a list of strings",
+        lambda v: isinstance(v, list) and all(map(_is_str, v)),
+    ),
+    "normalized": ("a string", _is_str),
+    "score": (
+        "a number",
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    ),
+}
+
+
+def _check_product_record(record, where: str) -> None:
+    if not isinstance(record, dict):
+        raise ConfigError(f"{where}: not an object")
+    for key, (what, ok) in _PRODUCT_RECORD_SCHEMA.items():
+        if key not in record:
+            raise ConfigError(f"{where}: missing {key!r}")
+        if not ok(record[key]):
+            raise ConfigError(f"{where}: {key!r} must be {what}")
 
 
 def run_ablation(config: PipelineConfig, mode: str, truths_path: str | Path,

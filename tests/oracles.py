@@ -7,6 +7,8 @@ package's own code paths.
 
 from __future__ import annotations
 
+import re
+
 
 def brute_force_longest_run(
     components: list[str], names: set[str], edges: set[tuple[str, str]]
@@ -245,3 +247,27 @@ def recount_score(
             n_wc += 1
 
     return n_cg, n_wc
+
+
+def reference_matches(pattern: str, truths) -> list[int]:
+    """Indices of the truths whose normalized text the pattern finds, by
+    plain ``re.search`` over every truth: no prefilter, no analysis."""
+    return [i for i, t in enumerate(truths) if re.search(pattern, t.normalized)]
+
+
+def reference_levenshtein(a: str, b: str) -> int:
+    """Character-level edit distance by the O(len(a) * len(b)) row DP."""
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            cost = 0 if ca == cb else 1
+            current.append(
+                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
+            )
+        previous = current
+    return previous[-1]

@@ -276,16 +276,15 @@ def _metric_fixture(store):
 def test_criterion_6_metric_fixtures(store):
     products, truths = _metric_fixture(store)
 
-    hits = hit_rate([(p["ioc_id"], p["pattern"]) for p in products], truths)
+    rows = [fpr(p["pattern"], p["capture_groups"], truths) for p in products]
+    hits = hit_rate([row.matched_indices for row in rows], truths)
     ok = hits.total == 12 and len(hits.matched_indices) == 8
     ok = ok and hits.rate == pytest.approx(8 / 12)
     ok = ok and hits.unmatched_by_kind == {
         "file_path": 2, "registry_key": 1, "command_line": 1,
     }
 
-    values = {}
-    for p in products:
-        values[p["ioc_id"]] = fpr(p["pattern"], p["capture_groups"], truths).value
+    values = {p["ioc_id"]: row.value for p, row in zip(products, rows)}
     ok = ok and values == {"R0": 0.0, "R1": 0.0, "R2": 0.0, "R3": 0.5}
     ok = ok and mean_fpr([v for v in values.values()]) == pytest.approx(0.125)
 

@@ -82,6 +82,19 @@ class TestTokenize:
         with pytest.raises(DialectError, match="group extension"):
             tokenize(r"(?P<x>a)")
 
+    def test_verbose_flag_rejected(self):
+        # under (?x) the space and '#' in "a b#c" would not be literal
+        with pytest.raises(DialectError, match="group extension"):
+            tokenize("(?x)a b#c")
+        assert kinds("(?ims)a") == ["flags", "literal"]
+
+    @pytest.mark.parametrize("pattern", ["ab{,2}c", "a{,}"])
+    def test_brace_quantifier_without_lower_bound_rejected(self, pattern):
+        # Python reads {,n} as a quantifier, other engines as literal text
+        with pytest.raises(DialectError, match="lower bound") as err:
+            tokenize(pattern)
+        assert err.value.offset == pattern.index("{")
+
 
 class TestValidate:
     def test_unbalanced_open(self):
@@ -116,6 +129,20 @@ class TestValidate:
     )
     def test_single_level_repetition_accepted(self, pattern):
         validate(tokenize(pattern))
+
+    @pytest.mark.parametrize(
+        "pattern", [r"(?:a|a)+$", r"(a|ab)*c", r"(?:ab|cd){2,}", r"(?:x(?:a|b))*?"]
+    )
+    def test_repeated_group_with_alternation_rejected(self, pattern):
+        with pytest.raises(DialectError, match="alternation inside a repeated group"):
+            analyze(pattern)
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [r"(?:K|zz)", r"(?:ab|cd)?", r"K|x", r"(ab)+(?:cd)?", r"(?:a|b)(c)+", r"(?:ab|cd){1}"],
+    )
+    def test_alternation_outside_repetition_accepted(self, pattern):
+        analyze(pattern)
 
     def test_unbalanced_open_names_the_unclosed_group(self):
         with pytest.raises(DialectError) as err:

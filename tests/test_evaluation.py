@@ -1,11 +1,15 @@
 import json
+import random
+import statistics
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ioc2regex.evaluation import (
     EvaluationReport,
     GroundTruthError,
+    GroundTruthString,
     UndefinedMetricError,
     evaluate_products,
     fpr,
@@ -18,6 +22,9 @@ from ioc2regex.evaluation import (
     similarity,
     structural_similarity,
 )
+from ioc2regex.normalize import IocKind
+
+from oracles import reference_levenshtein, reference_matches
 
 
 def truth(text, kind, groups, dataset="ds", store=None):
@@ -36,13 +43,17 @@ def certutil_truths(store):
     ]
 
 
+def hits(patterns, truths):
+    return hit_rate([fpr(p, (), truths).matched_indices for p in patterns], truths)
+
+
 class TestHitRate:
     def test_every_truth_matched(self, store):
         truths = [
             truth(r"c:\windows\temp\a.exe", "file_path", ["windows", "temp"], store=store),
             truth(r"c:\windows\temp\b.exe", "file_path", ["windows", "temp"], store=store),
         ]
-        res = hit_rate([("r1", r"(?i).*windows\\temp\\.*")], truths)
+        res = hits([r"(?i).*windows\\temp\\.*"], truths)
         assert res.rate == 1.0
         assert res.matched_indices == {0, 1}
 
@@ -52,7 +63,7 @@ class TestHitRate:
             truth(r"HKCU\Software\Classes", "registry_key", ["hkcu", "software", "classes"], store=store),
             truth("cmd /c ping", "command_line", ["cmd", "/c"], store=store),
         ]
-        res = hit_rate([("r1", r"(?i).*windows\\temp\\.*")], truths)
+        res = hits([r"(?i).*windows\\temp\\.*"], truths)
         assert res.rate == pytest.approx(1 / 3)
         assert res.unmatched_by_kind == {
             "file_path": 0,
@@ -62,13 +73,12 @@ class TestHitRate:
 
     def test_empty_truths_error(self):
         with pytest.raises(UndefinedMetricError):
-            hit_rate([("r1", ".*")], [])
+            hit_rate([], [])
 
     def test_monotone_in_regexes(self, store, certutil_truths):
-        one = hit_rate([("r1", r"(?i).*windows\\system32\\.*")], certutil_truths)
-        two = hit_rate(
-            [("r1", r"(?i).*windows\\system32\\.*"), ("r2", r"(?i).*desktop.*")],
-            certutil_truths,
+        one = hits([r"(?i).*windows\\system32\\.*"], certutil_truths)
+        two = hits(
+            [r"(?i).*windows\\system32\\.*", r"(?i).*desktop.*"], certutil_truths
         )
         assert two.rate >= one.rate
         assert one.matched_indices <= two.matched_indices
@@ -108,6 +118,92 @@ class TestFpr:
         ]:
             value = fpr(pattern, groups, certutil_truths).value
             assert value is None or 0.0 <= value <= 1.0
+
+
+def raw_truth(text, groups=()):
+    """A truth matched on its text as given, with no normalization."""
+    return GroundTruthString(text, IocKind.OTHER, frozenset(groups), "ds", normalized=text)
+
+
+# Letters re.IGNORECASE matches to each other: beside the ASCII pairs, dotless
+# i, dotted capital I, long s, the Kelvin sign and sharp s, which str.lower()
+# does not map to their ASCII partners.
+FOLD_GROUPS = ("iIıİ", "sSſ", "kK\u212a", "ß\u1e9e")
+TRICKY = "ıİſ\u212aß"
+LITERAL_CHARS = "aiksKIS" + TRICKY
+
+
+def spellings(ch: str) -> str:
+    return next((g for g in FOLD_GROUPS if ch in g), ch + ch.swapcase())
+
+
+@st.composite
+def dialect_patterns(draw):
+    run = st.text(LITERAL_CHARS, min_size=1, max_size=3)
+    element = st.one_of(
+        run,  # a required run
+        run.map(lambda r: rf"\\{r}\."),  # escapes join the run
+        run.map(lambda r: f"(?:{r})?"),  # optional
+        st.tuples(run, run).map(lambda rs: f"(?:{rs[0]}|{rs[1]})"),  # alternation
+        st.tuples(run, st.sampled_from(["+", "*", "?", "{1,3}", "{2}"])).map(
+            lambda rq: rq[0] + rq[1]
+        ),  # a quantified literal (its last character)
+        run.map(lambda r: f"({r})+"),  # a repeated group: still required
+        st.sampled_from([".*", ".", "[a-k]+", r"\w"]),
+    )
+    body = "".join(draw(st.lists(element, min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        body += "|" + draw(run)
+    return draw(st.sampled_from(["", "(?i)"])) + body
+
+
+def texts_for(pattern: str):
+    """Random texts, and respellings of the pattern's letters (case variants,
+    dropped letters) that come close to matching it."""
+    letters = [c for c in pattern.removeprefix("(?i)") if c.isalpha() or c == "\\"]
+    respelled = st.tuples(*(st.sampled_from([*spellings(c), ""]) for c in letters))
+    return st.one_of(
+        st.text("aiksKIS\\.xz" + TRICKY, max_size=12), respelled.map("".join)
+    )
+
+
+class TestMatchRows:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        pattern=dialect_patterns(),
+        data=st.data(),
+        groups=st.lists(st.frozensets(st.sampled_from("ab"))),
+    )
+    def test_rows_equal_plain_search(self, pattern, data, groups):
+        bodies = data.draw(st.lists(texts_for(pattern), min_size=1, max_size=8))
+        truths = [
+            raw_truth(text, groups[i] if i < len(groups) else ())
+            for i, text in enumerate(bodies)
+        ]
+        source = ["a"]
+        expected = reference_matches(pattern, truths)
+        res = fpr(pattern, source, truths)
+        assert res.matched_indices == expected
+        assert res.false_positive_indices == [
+            i for i in expected if truths[i].capture_groups != frozenset(source)
+        ]
+
+    @pytest.mark.parametrize(
+        "pattern, text",
+        [
+            (r"(?i).*windows.*", "C:\\w\u0131ndows\\x"),  # dotless i
+            (r"(?i).*start.*", "C:\\\u017ftart"),  # long s
+            (r"(?i)kill", "\u212aill"),  # Kelvin sign
+            ("(?i)\u0130x", "ix"),  # dotted capital I, a non-ASCII run
+        ],
+    )
+    def test_case_insensitive_matches_beyond_str_lower(self, pattern, text):
+        assert fpr(pattern, [], [raw_truth(text)]).matched_indices == [0]
+
+    def test_required_literal_missing_means_no_match(self):
+        truths = [raw_truth("abc"), raw_truth("ABC"), raw_truth("xbc")]
+        assert fpr("a.c", [], truths).matched_indices == [0]
+        assert fpr("(?i)a.c", [], truths).matched_indices == [0, 1]
 
 
 class TestMeanFpr:
@@ -150,6 +246,15 @@ class TestSimilarity:
         assert levenshtein("kitten", "sitting") == 3
         assert levenshtein("flaw", "lawn") == 2
 
+    def test_levenshtein_equals_reference_dp(self):
+        rng = random.Random(0)
+        pairs = [("", ""), ("", "x" * 70), ("y" * 130, ""), ("a" * 65, "a" * 64)]
+        for _ in range(400):
+            sizes = [rng.choice([0, 1, 5, 63, 64, 65, 150]) for _ in "ab"]
+            pairs.append(tuple("".join(rng.choice("abcı") for _ in range(n)) for n in sizes))
+        for a, b in pairs:
+            assert levenshtein(a, b) == reference_levenshtein(a, b), (a, b)
+
 
 class TestStructuralSimilarity:
     def test_identical_patterns(self):
@@ -184,10 +289,11 @@ class TestScoreDistribution:
     def test_twenty_values_match_reference_quantiles(self):
         values = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4]
         stats = score_distribution(values)
-        assert stats.q1 == pytest.approx(np.percentile(values, 25))
-        assert stats.median == pytest.approx(np.percentile(values, 50))
-        assert stats.q3 == pytest.approx(np.percentile(values, 75))
-        assert stats.mean == pytest.approx(np.mean(values))
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        assert stats.q1 == pytest.approx(q1)
+        assert stats.median == pytest.approx(median)
+        assert stats.q3 == pytest.approx(q3)
+        assert stats.mean == pytest.approx(statistics.fmean(values))
 
     def test_empty_error(self):
         with pytest.raises(UndefinedMetricError):

@@ -251,7 +251,15 @@ class TestWorkflow:
         assert "boom" in trace.attempts[0].diagnostic
         assert trace.restarts == 1
 
-    def test_nested_repetition_fed_back_for_repair(self, path_annotation):
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (r"(?i).*(?:\w+\\)+11\.bat", "nested repetition"),
+            (r"(?i).*(?:users\\|public\\)+11\.bat", "alternation inside a repeated group"),
+        ],
+        ids=["nested-repetition", "repeated-alternation"],
+    )
+    def test_backtracking_form_fed_back_for_repair(self, path_annotation, bad, error):
         prompts = []
 
         class Recording(ScriptedBackend):
@@ -259,14 +267,14 @@ class TestWorkflow:
                 prompts.append(prompt)
                 return super().propose(annotation, prompt)
 
-        nested = r"(?i).*(?:\w+\\)+11\.bat"
-        backend = Recording([nested, GOOD_PATH_PATTERN])
+        assert re.search(bad, path_annotation.record.normalized)  # valid Python re
+        backend = Recording([bad, GOOD_PATH_PATTERN])
         pattern, trace = generate(path_annotation, backend, rng_seed=0)
         assert pattern == GOOD_PATH_PATTERN
         first = trace.attempts[0]
-        assert (first.pattern, first.verdict) == (nested, "fail")
-        assert "nested repetition" in first.diagnostic
-        assert f"pattern: {nested}" in prompts[1]
+        assert (first.pattern, first.verdict) == (bad, "fail")
+        assert error in first.diagnostic
+        assert f"pattern: {bad}" in prompts[1]
         assert first.diagnostic in prompts[1]
 
     def test_loop_and_call_bounds(self, path_annotation):

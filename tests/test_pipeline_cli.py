@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from ioc2regex import pipeline
 from ioc2regex.cli import main
+from ioc2regex.evaluation import load_truths, score_distribution
+from ioc2regex.generation import TemplateBackend
 from ioc2regex.pipeline import (
     ConfigError,
     PipelineConfig,
@@ -13,6 +16,8 @@ from ioc2regex.pipeline import (
     run_generate,
     unfiltered_annotation,
 )
+
+from oracles import reference_levenshtein, reference_matches
 
 DATA = Path(__file__).parent / "data"
 
@@ -29,6 +34,12 @@ REPORT_KEYS = {
 def write_json(path, payload):
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return str(path)
+
+
+def product_record(ioc_id="hand-edited", pattern="abc", **overrides):
+    """A product record with every key evaluate reads."""
+    return {"ioc_id": ioc_id, "pattern": pattern, "capture_groups": ["abc"],
+            "normalized": "abc", "score": 1, **overrides}
 
 
 @pytest.fixture
@@ -188,6 +199,34 @@ class TestRunGenerate:
         summary = run_generate(cfg)
         assert summary["failed"] == 2
 
+    def test_internal_error_costs_one_indicator(self, tmp_path, monkeypatch):
+        iocs = write_json(
+            tmp_path / "iocs.json",
+            [r"C:\Users\Public\11.bat", r"C:\Windows\Temp\x.exe", "cmd /c whoami"],
+        )
+        cfg = base_config(tmp_path, iocs)
+        run_generate(cfg)
+        clean = json.loads(Path(cfg.output_path).read_text())
+
+        class Faulty(TemplateBackend):
+            def propose(self, annotation, prompt):
+                if annotation.record.source_id == "ioc-0001":
+                    raise ValueError("boom")
+                return super().propose(annotation, prompt)
+
+        monkeypatch.setattr(pipeline, "make_backend", lambda config: Faulty())
+        summary = run_generate(cfg)
+        faulty = json.loads(Path(cfg.output_path).read_text())
+        assert summary["failed"] == 1
+        assert faulty["rejections"] == clean["rejections"] + [
+            {"ioc_id": "ioc-0001", "raw": r"C:\Windows\Temp\x.exe",
+             "kind": "file_path", "reason": "internal error: ValueError: boom"}
+        ]
+        assert faulty["records"] == [
+            r for r in clean["records"] if r["ioc_id"] != "ioc-0001"
+        ]
+        assert len(faulty["records"]) == 2
+
     def test_validation_errors(self, tmp_path):
         with pytest.raises(ConfigError):
             run_generate(base_config(tmp_path, str(tmp_path / "missing.json")))
@@ -296,15 +335,58 @@ class TestRunEvaluate:
         assert report["hit_rate"] == 0.0
         assert report["mean_fpr"] is None
 
-    @pytest.mark.parametrize("pattern", [r"(?P<n>x)", r"(a+)+$"])
+    @pytest.mark.parametrize("pattern", [r"(?P<n>x)", r"(a+)+$", r"(?:a|a)+$"])
     def test_product_pattern_outside_dialect(self, tmp_path, pattern):
         products = write_json(
-            tmp_path / "products.json",
-            {"records": [{"ioc_id": "hand-edited", "pattern": pattern}]},
+            tmp_path / "products.json", {"records": [product_record(pattern=pattern)]}
         )
         truths = write_json(tmp_path / "t.json", [])
         with pytest.raises(ConfigError, match="'hand-edited'"):
             run_evaluate(products, truths, tmp_path / "r.json")
+
+    @pytest.mark.parametrize(
+        "record, problem",
+        [
+            ({k: v for k, v in product_record().items() if k != "pattern"},
+             "missing 'pattern'"),
+            ({k: v for k, v in product_record().items() if k != "score"},
+             "missing 'score'"),
+            (product_record(ioc_id=7), "'ioc_id' must be a string"),
+            (product_record(pattern=None), "'pattern' must be a string"),
+            (product_record(normalized=["abc"]), "'normalized' must be a string"),
+            (product_record(score="2"), "'score' must be a number"),
+            (product_record(score=True), "'score' must be a number"),
+            (product_record(capture_groups="abc"), "'capture_groups' must be a list"),
+            (product_record(capture_groups=[1]), "'capture_groups' must be a list"),
+            ("abc", "not an object"),
+        ],
+    )
+    def test_product_record_schema(self, tmp_path, record, problem):
+        # record 0 is outside the dialect: every record's schema is checked first
+        products = write_json(
+            tmp_path / "products.json",
+            {"records": [product_record(pattern="(a+)+"), record]},
+        )
+        truths = write_json(tmp_path / "t.json", [])
+        with pytest.raises(ConfigError, match=f"record 1: {problem}"):
+            run_evaluate(products, truths, tmp_path / "r.json")
+
+    def test_three_datasets_equal_nested_loop_reference(self, tmp_path, store):
+        entries = json.loads((DATA / "e2e_truths.json").read_text(encoding="utf-8"))
+        for i, entry in enumerate(entries):
+            entry["dataset_id"] = f"part-{i % 3}"
+        truths_path = write_json(tmp_path / "truths.json", entries)
+        cfg = base_config(tmp_path, str(DATA / "e2e_iocs.json"), seed=7)
+        run_generate(cfg)
+        records = json.loads(Path(cfg.output_path).read_text())["records"]
+        dump = tmp_path / "matches.json"
+        payload = run_evaluate(cfg.output_path, truths_path, tmp_path / "r.json",
+                               dump_matches=dump)
+        reports, matches = reference_reports(records, load_truths(truths_path, store))
+        assert [r["dataset_id"] for r in reports] == ["part-0", "part-1", "part-2"]
+        assert payload == {"reports": reports}
+        assert json.loads(dump.read_text()) == matches
+        assert any(m["false_positives"] for m in matches)
 
     def test_bad_product_file(self, tmp_path):
         bad = write_json(tmp_path / "bad.json", {"nope": []})
@@ -391,8 +473,7 @@ class TestCli:
 
     def test_exit_code_1_on_product_outside_dialect(self, tmp_path, caplog):
         products = write_json(
-            tmp_path / "products.json",
-            {"records": [{"ioc_id": "hand-edited", "pattern": "(a+)+$"}]},
+            tmp_path / "products.json", {"records": [product_record(pattern="(a+)+$")]}
         )
         truths = write_json(tmp_path / "t.json", [])
         rc = main(
@@ -407,6 +488,23 @@ class TestCli:
         assert "'hand-edited'" in caplog.text
         assert "nested repetition" in caplog.text
         assert not (tmp_path / "report.json").exists()
+
+    def test_exit_code_1_on_product_record_without_pattern(self, tmp_path, caplog):
+        record = product_record()
+        del record["pattern"]
+        products = write_json(tmp_path / "products.json", {"records": [record]})
+        truths = write_json(tmp_path / "t.json", [])
+        rc = main(
+            [
+                "evaluate",
+                "--products", products,
+                "--truths", truths,
+                "--output", str(tmp_path / "report.json"),
+            ]
+        )
+        assert rc == 1
+        assert "record 0: missing 'pattern'" in caplog.text
+        assert "unexpected failure" not in caplog.text
 
     def test_exit_code_1_on_missing_input(self, tmp_path):
         rc = main(
@@ -502,3 +600,50 @@ class TestGoldenFiles:
         run_evaluate(cfg.output_path, truths, tmp_path / "report.json")
         got_report = (tmp_path / "report.json").read_text(encoding="utf-8")
         assert got_report == (DATA / "golden_report.json").read_text(encoding="utf-8")
+
+
+def reference_reports(records, truths):
+    """Per-dataset reports and the match dump by plain nested loops."""
+    reports, matches = [], []
+    for ds in sorted({t.dataset_id for t in truths}):
+        subset = [t for t in truths if t.dataset_id == ds]
+        hit, per_regex, values, matching = set(), [], [], []
+        for rec in records:
+            groups = frozenset(g.casefold() for g in rec["capture_groups"])
+            matched = reference_matches(rec["pattern"], subset)
+            false_pos = [i for i in matched if subset[i].capture_groups != groups]
+            hit.update(matched)
+            value = len(false_pos) / len(matched) if matched else None
+            per_regex.append([rec["ioc_id"], value])
+            if matched:
+                values.append(value)
+                matching.append(rec)
+            matches.append({
+                "ioc_id": rec["ioc_id"],
+                "matched": [subset[i].text for i in matched],
+                "false_positives": [subset[i].text for i in false_pos],
+            })
+        unmatched = {"command_line": 0, "file_path": 0, "registry_key": 0}
+        for i, t in enumerate(subset):
+            if i not in hit:
+                unmatched[t.kind.value] += 1
+        sims = [
+            1.0 - reference_levenshtein(r["pattern"], r["normalized"])
+            / max(len(r["pattern"]), len(r["normalized"]))
+            for r in matching
+        ]
+        reports.append({
+            "dataset_id": ds,
+            "total": len(subset),
+            "matched": len(hit),
+            "hit_rate": len(hit) / len(subset),
+            "unmatched_by_kind": unmatched,
+            "per_regex_fpr": per_regex,
+            "mean_fpr": sum(values) / len(values) if values else None,
+            "score_stats": (
+                score_distribution([r["score"] for r in matching]).to_dict()
+                if matching else None
+            ),
+            "similarity_stats": score_distribution(sims).to_dict() if sims else None,
+        })
+    return reports, matches
