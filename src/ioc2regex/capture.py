@@ -76,8 +76,9 @@ def find_path_groups(record: IocRecord, store: KnowledgeStore) -> GroupAnnotatio
 
     The scan works on the compacted list V of components present in the store
     (in original order); a component missing from the store therefore does not
-    break a run if the graph says its neighbours are parent/child.  Ties on
-    run length go to the earliest run.
+    break a run if the graph says its neighbours are parent/child.  One scan
+    keeps the current run and the longest so far; ties on run length go to
+    the earliest run.
     """
     if record.kind not in (IocKind.FILE_PATH, IocKind.REGISTRY_KEY):
         raise ValueError(f"find_path_groups got kind {record.kind.value!r}")
@@ -86,15 +87,13 @@ def find_path_groups(record: IocRecord, store: KnowledgeStore) -> GroupAnnotatio
     components = record.components
     v = [(i, comp) for i, comp in enumerate(components) if store.contains(forest, comp)]
 
-    best: list[tuple[int, str]] = []
-    for start in range(len(v)):
-        run = [v[start]]
-        j = start
-        while j < len(v) - 1 and store.adjacent(forest, v[j][1], v[j + 1][1]):
-            run.append(v[j + 1])
-            j += 1
-        if len(run) > len(best):
-            best = run
+    start = best_start = best_end = 0
+    for j in range(len(v)):
+        if j and not store.adjacent(forest, v[j - 1][1], v[j][1]):
+            start = j
+        if j + 1 - start > best_end - best_start:
+            best_start, best_end = start, j + 1
+    best = v[best_start:best_end]
 
     labels = [DISCARD] * len(components)
     for idx, _comp in best:

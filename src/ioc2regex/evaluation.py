@@ -38,6 +38,10 @@ class GroundTruthError(ValueError):
     """A ground-truth file entry violates the schema or its invariants."""
 
 
+class ProductPatternError(ValueError):
+    """A product record's pattern is outside the dialect."""
+
+
 @dataclass
 class GroundTruthString:
     text: str
@@ -363,8 +367,16 @@ def _evaluate(
 
     Each regex is matched once against all truths; its row is then split by
     dataset, so every report and ``match_log`` entry reads the same rows.
+    A pattern outside the dialect raises ProductPatternError.
     """
-    rows = [fpr(p["pattern"], p["capture_groups"], truths) for p in products]
+    rows = []
+    for p in products:
+        try:
+            rows.append(fpr(p["pattern"], p["capture_groups"], truths))
+        except dialect.DialectError as exc:
+            raise ProductPatternError(
+                f"pattern of {p['ioc_id']!r} is outside the dialect: {exc}"
+            ) from exc
     similarities: dict[int, float] = {}
     reports = []
     for ds, members in datasets.items():

@@ -5,14 +5,17 @@ three gates in order: a match debug check against the source indicator, an
 audit that every keep component appears literally on every match path (not in
 an alternation branch or a group that may match zero times) while no discard
 component appears literally anywhere, and an over-generalization probe with
-ten seeded random strings.  A failing debug or audit feeds a diagnostic back
-to the backend for up to ten attempts per stage; an over-general pattern (or
-an exhausted stage) restarts the whole workflow, up to a configurable number
-of passes.
+ten seeded random strings.  The probe rejects a pattern only when it matches
+all ten, so it draws and searches the strings one at a time and stops at the
+first one the pattern misses; the verdict is that of checking all ten.  A
+failing debug or audit feeds a diagnostic back to the backend for up to ten
+attempts per stage; an over-general pattern (or an exhausted stage) restarts
+the whole workflow, up to a configurable number of passes.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
@@ -20,7 +23,7 @@ import re
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import dialect
 from .capture import GroupAnnotation
@@ -174,28 +177,37 @@ class OvergenResult:
 
     def describe(self) -> str:
         if self.ok:
-            return f"over-generalization probe ok ({len(self.matched)}/{len(self.probes)} random strings matched)"
+            return (
+                f"over-generalization probe ok (probe {len(self.probes)} of "
+                f"{RANDOM_PROBE_COUNT} unmatched)"
+            )
         return (
             "pattern is overly generic: it matches all "
             f"{len(self.probes)} random probe strings"
         )
 
 
+def _probe_stream(
+    rng_seed: int, keep_components: list[str] | tuple[str, ...] = ()
+) -> Iterator[str]:
+    """Seeded random strings (8-64 printable non-whitespace chars) that
+    contain no keep component, by rejection sampling; endless."""
+    rng = random.Random(rng_seed)
+    folded = [c.casefold() for c in keep_components if c]
+    while True:
+        length = rng.randint(8, 64)
+        candidate = "".join(rng.choice(_PROBE_ALPHABET) for _ in range(length))
+        if not any(comp in candidate.casefold() for comp in folded):
+            yield candidate
+
+
 def random_probe_strings(
     rng_seed: int, keep_components: list[str] | tuple[str, ...] = ()
 ) -> list[str]:
-    """Ten seeded random strings (8-64 printable non-whitespace chars) that
-    contain no keep component, by rejection sampling."""
-    rng = random.Random(rng_seed)
-    folded = [c.casefold() for c in keep_components if c]
-    probes: list[str] = []
-    while len(probes) < RANDOM_PROBE_COUNT:
-        length = rng.randint(8, 64)
-        candidate = "".join(rng.choice(_PROBE_ALPHABET) for _ in range(length))
-        if any(comp in candidate.casefold() for comp in folded):
-            continue
-        probes.append(candidate)
-    return probes
+    """The ten probe strings of a seed: the first ten of its probe stream."""
+    return list(
+        itertools.islice(_probe_stream(rng_seed, keep_components), RANDOM_PROBE_COUNT)
+    )
 
 
 def overgen_check(
@@ -203,11 +215,21 @@ def overgen_check(
     rng_seed: int,
     keep_components: list[str] | tuple[str, ...] = (),
 ) -> OvergenResult:
-    """Fail only when the pattern matches every one of the ten random strings."""
-    rx = dialect.analyze(pattern).regex
-    probes = random_probe_strings(rng_seed, keep_components)
-    matched = [s for s in probes if rx.search(s) is not None]
-    return OvergenResult(ok=len(matched) < len(probes), probes=probes, matched=matched)
+    """Fail only when the pattern matches every one of the ten random strings.
+
+    The strings are drawn one at a time, and the check passes at the first
+    one the pattern does not match; a passing result holds only the strings
+    drawn up to that one.
+    """
+    search = dialect.analyze(pattern).regex.search
+    probes: list[str] = []
+    for probe in itertools.islice(
+        _probe_stream(rng_seed, keep_components), RANDOM_PROBE_COUNT
+    ):
+        probes.append(probe)
+        if search(probe) is None:
+            return OvergenResult(ok=True, probes=probes, matched=probes[:-1])
+    return OvergenResult(ok=False, probes=probes, matched=list(probes))
 
 
 # -- prompt construction -------------------------------------------------
@@ -513,11 +535,14 @@ def generate(
             continue
 
         if validate_groups:
+            debugged = pattern
 
             def audit(p: str):
-                regression = debug_check(p, target)
-                if not regression.ok:
-                    return regression
+                # A pattern fed back by the audit must still match the indicator.
+                if p != debugged:
+                    regression = debug_check(p, target)
+                    if not regression.ok:
+                        return regression
                 return noncapture_check(p, annotation)
 
             if not run_stage(STAGE_NONCAPTURE, audit):

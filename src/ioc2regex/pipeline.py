@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import dialect, evaluation
+from . import evaluation
 from .capture import GroupAnnotation, annotate, KEEP
 from .generation import (
     GeneratorBackend,
@@ -333,18 +333,13 @@ def run_evaluate(
         raise ConfigError(f"{products_path}: not a product file (missing 'records')")
     for i, record in enumerate(product["records"]):
         _check_product_record(record, f"{products_path}: record {i}")
-    for record in product["records"]:
-        try:
-            dialect.compile_pattern(record["pattern"])
-        except dialect.DialectError as exc:
-            raise ConfigError(
-                f"{products_path}: pattern of {record['ioc_id']!r} is outside the"
-                f" dialect: {exc}"
-            ) from exc
     truths = evaluation.load_truths(truths_path, store)
 
     match_log: list | None = [] if dump_matches else None
-    reports = evaluation.evaluate_by_dataset(product["records"], truths, match_log)
+    try:
+        reports = evaluation.evaluate_by_dataset(product["records"], truths, match_log)
+    except evaluation.ProductPatternError as exc:
+        raise ConfigError(f"{products_path}: {exc}") from exc
     payload = {"reports": [r.to_dict() for r in reports]}
     _write_json(output_path, payload)
     if dump_matches:

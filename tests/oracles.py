@@ -271,3 +271,12 @@ def reference_levenshtein(a: str, b: str) -> int:
             )
         previous = current
     return previous[-1]
+
+
+def reference_overgen_ok(pattern: str, seed: int, keeps) -> bool:
+    """The over-generalization verdict by its definition: the pattern passes
+    unless plain ``re.search`` finds every one of the seed's ten probes."""
+    from ioc2regex.generation import random_probe_strings
+
+    probes = random_probe_strings(seed, keeps)
+    return not all(re.search(pattern, probe) for probe in probes)

@@ -56,6 +56,20 @@ class TestPathGroups:
         ann = find_path_groups(path_record(["A", "B", "D", "E"]), store)
         assert ann.capture_sequences == [["A", "B"]]
 
+    def test_one_adjacency_query_per_neighbouring_pair(self, monkeypatch):
+        store = tiny_store(paths=["A/B/C", "D/E/F"])
+        pairs = []
+        adjacent = store.adjacent
+
+        def counting(forest, parent, child):
+            pairs.append((parent, child))
+            return adjacent(forest, parent, child)
+
+        monkeypatch.setattr(store, "adjacent", counting)
+        ann = find_path_groups(path_record(["A", "B", "C", "D", "E", "F"]), store)
+        assert ann.capture_sequences == [["A", "B", "C"]]
+        assert pairs == [("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("E", "F")]
+
     def test_gap_bridged_when_graph_links_neighbours(self):
         # "mid" is unknown to the store, but A->B holds in the graph, so the
         # compacted scan joins them across the gap.

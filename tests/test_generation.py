@@ -2,8 +2,10 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ioc2regex import annotate, make_record
+from ioc2regex import annotate, generation, make_record
 from ioc2regex.capture import GroupAnnotation
 from ioc2regex.generation import (
     BackendError,
@@ -20,6 +22,7 @@ from ioc2regex.generation import (
     single_shot,
 )
 from ioc2regex.normalize import IocKind, IocRecord
+from oracles import reference_overgen_ok
 
 GOLDEN = Path(__file__).parent / "data" / "golden_prompt.txt"
 
@@ -98,6 +101,13 @@ class TestNoncaptureCheck:
             noncapture_check(".*", ann)
 
 
+PROBE_KEEPS = ["Users", "Public", "schtasks", "/create", "abc", "Q", "7"]
+PROBE_PATTERNS = [
+    ".*", "(?i).+", "template", "[a-z]", r"\d", "[A-Z]{2}", r"(?i)[a-f]{3}", r"\w{5}",
+    "[!-/]", r"(?i).*Users\\Public.*",
+]
+
+
 class TestOvergenCheck:
     def test_universal_pattern_fails(self):
         res = overgen_check(".*", 0)
@@ -127,6 +137,39 @@ class TestOvergenCheck:
     def test_deterministic(self):
         assert random_probe_strings(5) == random_probe_strings(5)
         assert random_probe_strings(5) != random_probe_strings(6)
+
+    def test_stops_at_first_unmatched_probe(self):
+        probes = random_probe_strings(0)
+        pattern = "|".join(re.escape(s) for s in probes[:3])
+        res = overgen_check(pattern, 0)
+        assert res.ok
+        assert res.probes == probes[:4]
+        assert res.matched == probes[:3]
+        assert res.describe() == "over-generalization probe ok (probe 4 of 10 unmatched)"
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32),
+        keeps=st.lists(st.sampled_from(PROBE_KEEPS), max_size=3),
+        shape=st.one_of(st.sampled_from(PROBE_PATTERNS), st.integers(0, 10)),
+    )
+    def test_lazy_verdict_equals_ten_probe_reference(self, seed, keeps, shape):
+        probes = random_probe_strings(seed, keeps)
+        if shape == "template":
+            pattern = "(?i).*" + "\\\\".join(map(re.escape, keeps)) + ".*"
+        elif isinstance(shape, int):  # alternation of the first j probes
+            pattern = "|".join(re.escape(s) for s in probes[:shape])
+        else:
+            pattern = shape
+        res = overgen_check(pattern, seed, keeps)
+        assert res.ok == reference_overgen_ok(pattern, seed, keeps)
+        assert res.probes == probes[: len(res.probes)]
+        if res.ok:
+            assert res.matched == res.probes[:-1]
+            assert all(re.search(pattern, s) for s in res.matched)
+            assert not re.search(pattern, res.probes[-1])
+        else:
+            assert res.probes == res.matched == probes
 
 
 class TestBuildPrompt:
@@ -310,6 +353,33 @@ class TestWorkflow:
         ann = GroupAnnotation(record=rec, labels=["discard"], capture_sequences=[])
         with pytest.raises(ValueError):
             generate(ann, TemplateBackend())
+
+    def test_first_try_valid_candidate_debugged_once(self, path_annotation, monkeypatch):
+        calls = []
+
+        def counting(pattern, target):
+            calls.append(pattern)
+            return debug_check(pattern, target)
+
+        monkeypatch.setattr(generation, "debug_check", counting)
+        pattern, trace = generate(path_annotation, TemplateBackend(), rng_seed=0)
+        assert pattern is not None
+        assert calls == [pattern]
+        assert [(a.stage, a.verdict) for a in trace.attempts] == [
+            ("debug", "pass"), ("noncapture", "pass"), ("overgen", "pass"),
+        ]
+
+    def test_audit_feedback_pattern_debugged_again(self, path_annotation):
+        # passes the debug stage, fails the audit (no keep literal), then the
+        # audit's feedback yields a pattern that no longer matches the indicator
+        backend = ScriptedBackend([".*", "nomatch", GOOD_PATH_PATTERN])
+        pattern, trace = generate(path_annotation, backend, rng_seed=0)
+        assert pattern == GOOD_PATH_PATTERN
+        audits = [a for a in trace.attempts if a.stage == "noncapture"]
+        assert [(a.pattern, a.verdict) for a in audits] == [
+            (".*", "fail"), ("nomatch", "fail"), (GOOD_PATH_PATTERN, "pass"),
+        ]
+        assert "does not match the indicator" in audits[1].diagnostic
 
 
 class TestSingleShot:

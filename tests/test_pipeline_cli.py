@@ -1,9 +1,10 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from ioc2regex import pipeline
+from ioc2regex import dialect, pipeline
 from ioc2regex.cli import main
 from ioc2regex.evaluation import load_truths, score_distribution
 from ioc2regex.generation import TemplateBackend
@@ -387,6 +388,25 @@ class TestRunEvaluate:
         assert payload == {"reports": reports}
         assert json.loads(dump.read_text()) == matches
         assert any(m["false_positives"] for m in matches)
+
+    def test_each_product_pattern_analyzed_once(self, tmp_path, monkeypatch):
+        # more distinct patterns than the analysis cache holds
+        patterns = [rf"(?i).*\\users\\dir{i}\\.*" for i in range(100)]
+        products = write_json(
+            tmp_path / "products.json",
+            {"records": [product_record(f"p{i}", p) for i, p in enumerate(patterns)]},
+        )
+        calls = Counter()
+        tokenize = dialect.tokenize
+
+        def counting(pattern):
+            calls[pattern] += 1
+            return tokenize(pattern)
+
+        dialect.analyze.cache_clear()
+        monkeypatch.setattr(dialect, "tokenize", counting)
+        run_evaluate(products, str(DATA / "e2e_truths.json"), tmp_path / "r.json")
+        assert calls == Counter(patterns)
 
     def test_bad_product_file(self, tmp_path):
         bad = write_json(tmp_path / "bad.json", {"nope": []})
