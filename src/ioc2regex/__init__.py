@@ -3,7 +3,6 @@
 from .capture import (
     GroupAnnotation,
     annotate,
-    filter_false_positives,
     find_command_groups,
     find_path_groups,
 )

@@ -5,7 +5,7 @@ the command/parameter sequence scan for command lines.  Components inside a
 found sequence are labeled ``keep`` (they must appear literally in the final
 regex); everything else is ``discard`` (mutable, must be generalized over).
 Records with no keep components at all are treated as extraction false
-positives and filtered out.
+positives: the pipeline rejects them before generation.
 """
 
 from __future__ import annotations
@@ -153,16 +153,3 @@ def annotate(record: IocRecord, store: KnowledgeStore) -> GroupAnnotation:
         return find_path_groups(record, store)
     raise ValueError(f"cannot annotate record of kind {record.kind.value!r}")
 
-
-def filter_false_positives(
-    annotations: list[GroupAnnotation],
-) -> tuple[list[GroupAnnotation], list[tuple[GroupAnnotation, str]]]:
-    """Split annotations into (kept, rejected); rejected carry a reason."""
-    kept: list[GroupAnnotation] = []
-    rejected: list[tuple[GroupAnnotation, str]] = []
-    for ann in annotations:
-        if ann.has_capture_groups:
-            kept.append(ann)
-        else:
-            rejected.append((ann, "no capture group"))
-    return kept, rejected

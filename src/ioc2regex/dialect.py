@@ -281,11 +281,35 @@ class LiteralRun:
 
 @dataclass(frozen=True)
 class Analysis:
-    """One pattern's tokens, compiled regex and literal runs."""
+    """One pattern's tokens, compiled regex, literal runs and wildcard units.
+
+    The wildcard units and anchor spans are worked out on first use, since
+    only the grader reads them.
+    """
 
     tokens: tuple[Token, ...]
     regex: re.Pattern
     runs: tuple[LiteralRun, ...]
+
+    @functools.cached_property
+    def wildcards(self) -> tuple[tuple[int, int, str], ...]:
+        """The pattern's ``wildcard_units``."""
+        return tuple(wildcard_units(self.tokens))
+
+    @functools.cached_property
+    def anchors(self) -> frozenset[tuple[int, int]]:
+        """Spans of a leading and a trailing bare ``.*``, which only say that
+        the pattern may match anywhere in a string."""
+        body = [t for t in self.tokens if t.kind != FLAGS]
+        spans: set[tuple[int, int]] = set()
+        if len(body) >= 2:
+            first, second = body[0], body[1]
+            if first.kind == DOT and second.kind == QUANT and second.text == "*":
+                spans.add((first.pos, second.end))
+            before, last = body[-2], body[-1]
+            if before.kind == DOT and last.kind == QUANT and last.text == "*":
+                spans.add((before.pos, last.end))
+        return frozenset(spans)
 
 
 @functools.lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)

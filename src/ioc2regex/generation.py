@@ -7,10 +7,17 @@ an alternation branch or a group that may match zero times) while no discard
 component appears literally anywhere, and an over-generalization probe with
 ten seeded random strings.  The probe rejects a pattern only when it matches
 all ten, so it draws and searches the strings one at a time and stops at the
-first one the pattern misses; the verdict is that of checking all ten.  A
-failing debug or audit feeds a diagnostic back to the backend for up to ten
+first one the pattern misses; the verdict is that of checking all ten.  The
+probe strings are ASCII and hold no keep component, so a pattern with a
+required ASCII literal run that contains a keep (case-folded) can match none
+of them: the probe passes it without drawing a string, with the same verdict.
+A failing debug or audit feeds a diagnostic back to the backend for up to ten
 attempts per stage; an over-general pattern (or an exhausted stage) restarts
 the whole workflow, up to a configurable number of passes.
+
+The debug and audit results and the opening prompts depend only on the
+pattern and the indicator, so one ``IndicatorMemo`` computes each of them
+once for all the workflow runs of an indicator.
 """
 
 from __future__ import annotations
@@ -65,19 +72,16 @@ class DebugResult:
         )
 
 
-def _probe_tokens(tokens: Sequence[dialect.Token]) -> list[dialect.Token]:
+def _probe_tokens(tokens: Sequence[dialect.Token]) -> Iterator[dialect.Token]:
     """Per-character granularity for literal tokens, so the failing point
-    inside a literal run can be named."""
-    out: list[dialect.Token] = []
+    inside a literal run can be named; lazy, since the prefix scan usually
+    stops early."""
     for tok in tokens:
         if tok.kind == dialect.LITERAL and len(tok.text) > 1:
-            out.extend(
-                dialect.Token(dialect.LITERAL, c, tok.pos + j)
-                for j, c in enumerate(tok.text)
-            )
+            for j, c in enumerate(tok.text):
+                yield dialect.Token(dialect.LITERAL, c, tok.pos + j)
         else:
-            out.append(tok)
-    return out
+            yield tok
 
 
 def debug_check(pattern: str, target: str) -> DebugResult:
@@ -90,12 +94,13 @@ def debug_check(pattern: str, target: str) -> DebugResult:
     if analysis.regex.search(target) is not None:
         return DebugResult(ok=True)
 
-    tokens = _probe_tokens(analysis.tokens)
+    # The scan always ends at a failing prefix: the last token's prefix is
+    # the whole pattern, which does not match.
     matched_prefix = ""
     target_offset = 0
-    failing = tokens[0].text if tokens else ""
+    failing = ""
     depth = 0
-    for k, tok in enumerate(tokens):
+    for tok in _probe_tokens(analysis.tokens):
         if tok.kind == dialect.GROUP_OPEN:
             depth += 1
         elif tok.kind == dialect.GROUP_CLOSE:
@@ -108,13 +113,11 @@ def debug_check(pattern: str, target: str) -> DebugResult:
         except re.error:
             continue
         m = rx_prefix.search(target)
-        if m is not None:
-            matched_prefix = prefix
-            target_offset = m.end()
-            failing = tokens[k + 1].text if k + 1 < len(tokens) else ""
-        else:
+        if m is None:
             failing = tok.text
             break
+        matched_prefix = prefix
+        target_offset = m.end()
     return DebugResult(
         ok=False,
         matched_prefix=matched_prefix,
@@ -176,6 +179,11 @@ class OvergenResult:
     matched: list[str] = field(default_factory=list)
 
     def describe(self) -> str:
+        if self.ok and not self.probes:
+            return (
+                "over-generalization probe ok (no probe drawn: every match "
+                "holds a keep component)"
+            )
         if self.ok:
             return (
                 f"over-generalization probe ok (probe {len(self.probes)} of "
@@ -217,11 +225,22 @@ def overgen_check(
 ) -> OvergenResult:
     """Fail only when the pattern matches every one of the ten random strings.
 
-    The strings are drawn one at a time, and the check passes at the first
-    one the pattern does not match; a passing result holds only the strings
-    drawn up to that one.
+    When a required literal run is ASCII and contains a non-empty keep
+    component (both case-folded), every match holds that keep, and the
+    ASCII probes hold none, so the check passes with no probe drawn.  A
+    non-ASCII run does not count: ``(?i)ı`` matches ``i``, which no
+    case-folded ``ı`` finds.  Otherwise the strings are drawn one at a time,
+    and the check passes at the first one the pattern does not match; a
+    passing result holds only the strings drawn up to that one.
     """
-    search = dialect.analyze(pattern).regex.search
+    analysis = dialect.analyze(pattern)
+    folded = [comp.casefold() for comp in keep_components if comp]
+    for run in analysis.runs:
+        if run.required and run.text.isascii():
+            text = run.text.casefold()
+            if any(comp in text for comp in folded):
+                return OvergenResult(ok=True)
+    search = analysis.regex.search
     probes: list[str] = []
     for probe in itertools.islice(
         _probe_stream(rng_seed, keep_components), RANDOM_PROBE_COUNT
@@ -465,6 +484,37 @@ class WorkflowTrace:
         }
 
 
+class IndicatorMemo:
+    """The pure results of one indicator's workflow runs, each computed once:
+    the debug and audit verdicts per pattern and the opening prompt per
+    restart.  Make one per indicator and pass it to each ``generate`` call."""
+
+    def __init__(self, annotation: GroupAnnotation):
+        self.annotation = annotation
+        self._debug: dict[str, DebugResult] = {}
+        self._noncapture: dict[str, NoncaptureResult] = {}
+        self._prompts: dict[int, str] = {}
+
+    def debug(self, pattern: str) -> DebugResult:
+        if pattern not in self._debug:
+            self._debug[pattern] = debug_check(
+                pattern, self.annotation.record.normalized
+            )
+        return self._debug[pattern]
+
+    def noncapture(self, pattern: str) -> NoncaptureResult:
+        if pattern not in self._noncapture:
+            self._noncapture[pattern] = noncapture_check(pattern, self.annotation)
+        return self._noncapture[pattern]
+
+    def opening_prompt(self, restart: int) -> str:
+        if restart not in self._prompts:
+            self._prompts[restart] = build_prompt(
+                self.annotation, prior_failures=restart
+            )
+        return self._prompts[restart]
+
+
 def generate(
     annotation: GroupAnnotation,
     backend: GeneratorBackend,
@@ -472,22 +522,25 @@ def generate(
     max_iterations: int = 10,
     restart_cap: int = 5,
     validate_groups: bool = True,
+    memo: IndicatorMemo | None = None,
 ) -> tuple[str | None, WorkflowTrace]:
     """Run the staged workflow; returns the first pattern passing all gates.
 
     Per workflow pass, each of the debug and group-audit stages checks at most
     ``max_iterations`` candidates before forcing a restart; the whole workflow
-    runs at most ``restart_cap`` passes.
+    runs at most ``restart_cap`` passes.  ``memo`` must belong to
+    ``annotation``; without one, the call makes its own.
     """
     if not annotation.has_capture_groups:
         raise ValueError("generate() requires an annotation with capture groups")
-    target = annotation.record.normalized
+    if memo is None:
+        memo = IndicatorMemo(annotation)
     keeps = annotation.keep_components
     trace = WorkflowTrace()
 
     for restart in range(restart_cap):
         trace.restarts = restart
-        prompt = build_prompt(annotation, prior_failures=restart)
+        prompt = memo.opening_prompt(restart)
         try:
             pattern = backend.propose(annotation, prompt)
         except BackendError as exc:
@@ -531,19 +584,15 @@ def generate(
                     return False
             return False
 
-        if not run_stage(STAGE_DEBUG, lambda p: debug_check(p, target)):
+        if not run_stage(STAGE_DEBUG, memo.debug):
             continue
 
         if validate_groups:
-            debugged = pattern
 
             def audit(p: str):
                 # A pattern fed back by the audit must still match the indicator.
-                if p != debugged:
-                    regression = debug_check(p, target)
-                    if not regression.ok:
-                        return regression
-                return noncapture_check(p, annotation)
+                regression = memo.debug(p)
+                return regression if not regression.ok else memo.noncapture(p)
 
             if not run_stage(STAGE_NONCAPTURE, audit):
                 continue

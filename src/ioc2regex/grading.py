@@ -9,8 +9,7 @@ treated as search anchors and not penalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 from . import dialect, generation
 from .capture import GroupAnnotation
@@ -43,27 +42,6 @@ class RegexCandidate:
         }
 
 
-def _anchor_exempt_spans(tokens: Sequence[dialect.Token]) -> set[tuple[int, int]]:
-    """Spans of the leading and trailing bare ``.*`` anchors, if present."""
-    spans: set[tuple[int, int]] = set()
-    body = [t for t in tokens if t.kind != dialect.FLAGS]
-    if (
-        len(body) >= 2
-        and body[0].kind == dialect.DOT
-        and body[1].kind == dialect.QUANT
-        and body[1].text == "*"
-    ):
-        spans.add((body[0].pos, body[1].end))
-    if (
-        len(body) >= 2
-        and body[-1].kind == dialect.QUANT
-        and body[-1].text == "*"
-        and body[-2].kind == dialect.DOT
-    ):
-        spans.add((body[-2].pos, body[-1].end))
-    return spans
-
-
 def grade(
     pattern: str,
     annotation: GroupAnnotation,
@@ -91,10 +69,9 @@ def grade(
                 start = idx + 1
         n_cg += counted
 
-    exempt = _anchor_exempt_spans(analysis.tokens)
     n_wc = sum(
-        1 for start, end, _text in dialect.wildcard_units(analysis.tokens)
-        if (start, end) not in exempt
+        1 for start, end, _text in analysis.wildcards
+        if (start, end) not in analysis.anchors
     )
 
     # stray literal content: uncovered non-glue stretches of each run
@@ -127,9 +104,12 @@ def select_best(
 ) -> tuple[RegexCandidate | None, list[RegexCandidate]]:
     """Run the workflow ``k`` times and keep the top-scoring graded candidate.
 
-    Ties break toward the shorter pattern, then lexicographic order.  Returns
-    (best or None, all graded candidates).
+    The runs share one ``generation.IndicatorMemo``, and each distinct
+    pattern is graded once.  Ties break toward the shorter pattern, then
+    lexicographic order.  Returns (best or None, all graded candidates).
     """
+    memo = generation.IndicatorMemo(annotation)
+    grades: dict[str, RegexCandidate] = {}
     candidates: list[RegexCandidate] = []
     for i in range(k):
         if workflow == "single_shot":
@@ -142,12 +122,13 @@ def select_best(
                 max_iterations=max_iterations,
                 restart_cap=restart_cap,
                 validate_groups=validate_groups,
+                memo=memo,
             )
         if pattern is None:
             continue
-        candidate = grade(pattern, annotation)
-        candidate.trace_ref = f"run-{i}"
-        candidates.append(candidate)
+        if pattern not in grades:
+            grades[pattern] = grade(pattern, annotation)
+        candidates.append(replace(grades[pattern], trace_ref=f"run-{i}"))
 
     if not candidates:
         return None, []

@@ -280,3 +280,58 @@ def reference_overgen_ok(pattern: str, seed: int, keeps) -> bool:
 
     probes = random_probe_strings(seed, keeps)
     return not all(re.search(pattern, probe) for probe in probes)
+
+
+def reference_debug_check(pattern: str, target: str):
+    """The debug diagnostic with every literal split into characters before
+    the prefix scan starts (the eager form); same fields, same text."""
+    from ioc2regex import dialect
+    from ioc2regex.generation import DebugResult
+
+    try:
+        tokens = dialect.tokenize(pattern)
+        dialect.validate(tokens)
+    except dialect.DialectError as exc:
+        return DebugResult(ok=False, syntax_error=str(exc))
+    if re.search(pattern, target):
+        return DebugResult(ok=True)
+
+    split: list = []
+    for tok in tokens:
+        if tok.kind == dialect.LITERAL and len(tok.text) > 1:
+            split.extend(
+                dialect.Token(dialect.LITERAL, c, tok.pos + j)
+                for j, c in enumerate(tok.text)
+            )
+        else:
+            split.append(tok)
+    matched_prefix = ""
+    target_offset = 0
+    failing = split[0].text if split else ""
+    depth = 0
+    for k, tok in enumerate(split):
+        if tok.kind == dialect.GROUP_OPEN:
+            depth += 1
+        elif tok.kind == dialect.GROUP_CLOSE:
+            depth -= 1
+        if depth != 0:
+            continue
+        prefix = pattern[: tok.end]
+        try:
+            rx_prefix = re.compile(prefix)
+        except re.error:
+            continue
+        m = rx_prefix.search(target)
+        if m is not None:
+            matched_prefix = prefix
+            target_offset = m.end()
+            failing = split[k + 1].text if k + 1 < len(split) else ""
+        else:
+            failing = tok.text
+            break
+    return DebugResult(
+        ok=False,
+        matched_prefix=matched_prefix,
+        failing_token=failing,
+        target_offset=target_offset,
+    )

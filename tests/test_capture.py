@@ -7,7 +7,6 @@ from ioc2regex.capture import (
     DISCARD,
     KEEP,
     annotate,
-    filter_false_positives,
     find_command_groups,
     find_path_groups,
 )
@@ -139,24 +138,6 @@ class TestCommandGroups:
 
     def test_quoted_values_absent_from_store_are_discard(self, schtasks_annotation):
         assert "SYSTEM" in schtasks_annotation.discard_components
-
-
-class TestFilter:
-    def test_kept_and_rejected(self, store, path_annotation):
-        empty = find_path_groups(path_record(["zzz"]), store)
-        kept, rejected = filter_false_positives([path_annotation, empty])
-        assert kept == [path_annotation]
-        assert rejected == [(empty, "no capture group")]
-
-    def test_empty_input(self):
-        assert filter_false_positives([]) == ([], [])
-
-    def test_order_preserved(self, store):
-        anns = [
-            find_path_groups(path_record(["Users", str(i)]), store) for i in range(5)
-        ]
-        kept, _ = filter_false_positives(anns)
-        assert kept == anns
 
 
 def random_path_instance(rng):

@@ -1,14 +1,18 @@
 import re
+import signal
+import string
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ioc2regex import annotate, generation, make_record
+from ioc2regex import annotate, generation, grading, make_record
 from ioc2regex.capture import GroupAnnotation
 from ioc2regex.generation import (
     BackendError,
+    IndicatorMemo,
     RemoteBackend,
     ScriptedBackend,
     TemplateBackend,
@@ -22,11 +26,31 @@ from ioc2regex.generation import (
     single_shot,
 )
 from ioc2regex.normalize import IocKind, IocRecord
-from oracles import reference_overgen_ok
+from oracles import reference_debug_check, reference_overgen_ok
 
 GOLDEN = Path(__file__).parent / "data" / "golden_prompt.txt"
 
 GOOD_PATH_PATTERN = r"(?i).*Users\\Public\\.*"
+
+# Emissions shaped like the benchmark's scripted bad ones: syntax errors,
+# literal chains that match no indicator, over-broad patterns; plus forms
+# whose prefix matches are not monotone (``xa*y``, a top-level ``|``).
+BAD_EMISSIONS = [
+    "(?i).*(unclosed", "[a-z", "\\", "*lead", r"(?i).*\q", "(?P<n>x)",
+    ".*", "(?i).+", ".+", r"(?i).*\\.*",
+    r"(?i).*Windows\\System32\\drivers\\qzxv\.exe",
+    r"(?i).*Users\\Public\\Documents\\tmp42\.exe",
+    r"(?i).*schtasks.*/create.*/tn.*nothere",
+    "Users/Public", "xa*y", r"Users\\Pub|lic/11", r"C:\\Users\\(Pub|Priv)x",
+    r"(?i)^c:\\users\\public\\[0-9]+\.exe$", r"(?:Users)\\Nope\\.*",
+]
+DEBUG_ALPHABET = "abx.\\/"
+DEBUG_ELEMENTS = st.one_of(
+    st.text(DEBUG_ALPHABET, min_size=1, max_size=4).map(re.escape),
+    st.sampled_from(
+        [".*", "a*", "x+", "b?", "(?:ab|x)", "(ab)", "[a-c]+", "|", "^", "$", "(", ")"]
+    ),
+)
 
 
 class TestDebugCheck:
@@ -44,6 +68,26 @@ class TestDebugCheck:
         res = debug_check("(unclosed", "anything")
         assert not res.ok
         assert "syntax error at offset" in res.describe()
+
+    def test_bad_emission_diagnostics_equal_eager_reference(
+        self, path_record, schtasks_record
+    ):
+        for target in (path_record.normalized, schtasks_record.normalized):
+            for pattern in BAD_EMISSIONS:
+                res = debug_check(pattern, target)
+                ref = reference_debug_check(pattern, target)
+                assert res == ref, pattern
+                assert res.describe() == ref.describe(), pattern
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        elements=st.lists(DEBUG_ELEMENTS, max_size=6),
+        target=st.text(DEBUG_ALPHABET, max_size=10),
+    )
+    def test_diagnostic_equals_eager_reference(self, elements, target):
+        pattern = "".join(elements)
+        res = debug_check(pattern, target)
+        assert res == reference_debug_check(pattern, target)
 
     def test_agrees_with_engine(self, path_record, schtasks_record):
         patterns = [
@@ -108,6 +152,46 @@ PROBE_PATTERNS = [
 ]
 
 
+def audited(pattern, keeps):
+    """An annotation whose keeps the pattern passes the group audit with."""
+    rec = IocRecord(raw="x", kind=IocKind.FILE_PATH, normalized="x", components=list(keeps))
+    ann = GroupAnnotation(
+        record=rec, labels=["keep"] * len(keeps), capture_sequences=[list(keeps)]
+    )
+    assert noncapture_check(pattern, ann).ok, pattern
+    return ann
+
+
+@contextmanager
+def hard_timeout(seconds):
+    """Abort the block with TimeoutError after ``seconds`` of wall time."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"took more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# (pattern, keeps, whether the probe must run): a run that is not ASCII never
+# decides the verdict statically, since (?i) matches ASCII letters to it.
+FOLDING_CASES = [
+    ("(?i).*\u017ftart.*", ["\u017ftart"], True),  # long s
+    ("(?i).*\u017ftart.*", ["start"], True),
+    ("(?i).*start.*", ["\u017ftart"], False),
+    ("(?i).*\u212aey.*", ["\u212aey"], True),  # Kelvin sign
+    ("(?i).*key.*", ["\u212aey"], False),
+    ("(?i).*s.*", ["\u017f"], False),
+    ("(?i).*\u0131.*", ["\u0131"], True),  # dotless i
+    ("(?i).*w\u0131ndows.*", ["w\u0131ndows"], True),
+]
+
+
 class TestOvergenCheck:
     def test_universal_pattern_fails(self):
         res = overgen_check(".*", 0)
@@ -118,6 +202,42 @@ class TestOvergenCheck:
         res = overgen_check(r"(?i).*Users\\Public.*", 0, ["Users", "Public"])
         assert res.ok
         assert res.matched == []
+
+    def test_required_ascii_keep_decides_without_a_probe(self):
+        res = overgen_check(r"(?i).*Users\\Public.*", 0, ["Users", "Public"])
+        assert res == generation.OvergenResult(ok=True)
+        assert res.describe() == (
+            "over-generalization probe ok (no probe drawn: every match holds a"
+            " keep component)"
+        )
+
+    def test_dotless_i_keep_still_fails(self):
+        # a rule that also accepted non-ASCII runs would pass this pattern
+        res = overgen_check("(?i).*\u0131.*", 1596, ["\u0131"])
+        assert not res.ok
+        assert len(res.probes) == len(res.matched) == 10
+
+    def test_empty_keep_never_decides(self):
+        res = overgen_check("(?i).*q.*", 0, ["", "Users"])
+        assert res.probes
+        assert res.ok == reference_overgen_ok("(?i).*q.*", 0, ["", "Users"])
+
+    @pytest.mark.parametrize("pattern, keeps, probed", FOLDING_CASES)
+    def test_folding_keeps_match_reference(self, pattern, keeps, probed):
+        audited(pattern, keeps)
+        for seed in (0, 1, 7, 1596):
+            res = overgen_check(pattern, seed, keeps)
+            assert res.ok == reference_overgen_ok(pattern, seed, keeps), seed
+            assert bool(res.probes) == probed, seed
+
+    def test_many_one_letter_keeps_decided_fast(self):
+        # under -CR every component is a keep; rejection sampling ten probes
+        # that avoid all 26 letters takes seconds
+        keeps = list(string.ascii_lowercase)
+        pattern = "(?i).*" + "\\\\".join(keeps) + ".*"
+        with hard_timeout(1.0):
+            res = overgen_check(pattern, 0, keeps)
+        assert res.ok and res.probes == []
 
     def test_nine_of_ten_passes(self):
         probes = random_probe_strings(0)
@@ -164,7 +284,10 @@ class TestOvergenCheck:
         res = overgen_check(pattern, seed, keeps)
         assert res.ok == reference_overgen_ok(pattern, seed, keeps)
         assert res.probes == probes[: len(res.probes)]
-        if res.ok:
+        if res.ok and not res.probes:  # decided without drawing a probe
+            assert res.matched == []
+            assert not any(re.search(pattern, s) for s in probes)
+        elif res.ok:
             assert res.matched == res.probes[:-1]
             assert all(re.search(pattern, s) for s in res.matched)
             assert not re.search(pattern, res.probes[-1])
@@ -380,6 +503,57 @@ class TestWorkflow:
             (".*", "fail"), ("nomatch", "fail"), (GOOD_PATH_PATTERN, "pass"),
         ]
         assert "does not match the indicator" in audits[1].diagnostic
+
+
+class TestIndicatorMemo:
+    def test_best_of_five_runs_each_pure_gate_once(
+        self, path_annotation, schtasks_annotation, monkeypatch
+    ):
+        calls = {"debug": 0, "noncapture": 0, "grade": 0}
+        runs = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def recording(annotation, backend, **kwargs):
+            result = generate(annotation, backend, **kwargs)
+            runs.append((kwargs["rng_seed"], result))
+            return result
+
+        monkeypatch.setattr(generation, "debug_check", counting("debug", debug_check))
+        monkeypatch.setattr(
+            generation, "noncapture_check", counting("noncapture", noncapture_check)
+        )
+        monkeypatch.setattr(grading, "grade", counting("grade", grading.grade))
+        monkeypatch.setattr(generation, "generate", recording)
+        for ann in (path_annotation, schtasks_annotation):
+            calls.update(debug=0, noncapture=0, grade=0)
+            runs.clear()
+            best, candidates = grading.select_best(ann, TemplateBackend(), k=5, rng_seed=3)
+            assert calls == {"debug": 1, "noncapture": 1, "grade": 1}
+            assert [c.trace_ref for c in candidates] == [f"run-{i}" for i in range(5)]
+            assert len({id(c) for c in candidates}) == 5
+            assert [seed for seed, _ in runs] == [3, 4, 5, 6, 7]
+            for seed, (pattern, trace) in runs:
+                fresh_pattern, fresh_trace = generate(
+                    ann, TemplateBackend(), rng_seed=seed, memo=IndicatorMemo(ann)
+                )
+                assert pattern == fresh_pattern == best.pattern
+                assert trace.to_dict() == fresh_trace.to_dict()
+
+    def test_shared_memo_repair_runs_append_the_same_attempts(self, path_annotation):
+        script = ["(bad", ".*", "nomatch", "Users/Public", GOOD_PATH_PATTERN]
+        memo = IndicatorMemo(path_annotation)
+        for seed in range(3):
+            shared = generate(
+                path_annotation, ScriptedBackend(script), rng_seed=seed, memo=memo
+            )
+            fresh = generate(path_annotation, ScriptedBackend(script), rng_seed=seed)
+            assert shared[0] == fresh[0] == GOOD_PATH_PATTERN
+            assert shared[1].to_dict() == fresh[1].to_dict()
 
 
 class TestSingleShot:
