@@ -152,14 +152,14 @@ PROBE_PATTERNS = [
 ]
 
 
-def audited(pattern, keeps):
-    """An annotation whose keeps the pattern passes the group audit with."""
+def assert_passes_audit(pattern, keeps):
+    """The pattern passes the group audit of an indicator whose components
+    are all ``keeps``."""
     rec = IocRecord(raw="x", kind=IocKind.FILE_PATH, normalized="x", components=list(keeps))
     ann = GroupAnnotation(
         record=rec, labels=["keep"] * len(keeps), capture_sequences=[list(keeps)]
     )
     assert noncapture_check(pattern, ann).ok, pattern
-    return ann
 
 
 @contextmanager
@@ -224,7 +224,7 @@ class TestOvergenCheck:
 
     @pytest.mark.parametrize("pattern, keeps, probed", FOLDING_CASES)
     def test_folding_keeps_match_reference(self, pattern, keeps, probed):
-        audited(pattern, keeps)
+        assert_passes_audit(pattern, keeps)
         for seed in (0, 1, 7, 1596):
             res = overgen_check(pattern, seed, keeps)
             assert res.ok == reference_overgen_ok(pattern, seed, keeps), seed
