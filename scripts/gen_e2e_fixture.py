@@ -18,7 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from ioc2regex import annotate, default_store, make_record
-from ioc2regex.evaluation import evaluate_products, make_truth
+from ioc2regex.evaluation import evaluate_by_dataset, make_truth
 from ioc2regex.generation import TemplateBackend
 from ioc2regex.grading import select_best
 
@@ -180,7 +180,7 @@ def verify(iocs: list[dict], truths: list[dict]) -> None:
             }
         )
     loaded = [make_truth(t, store) for t in truths]
-    report = evaluate_products(products, loaded, DATASET)
+    [report] = evaluate_by_dataset(products, loaded)
     print(f"IOCs: {len(iocs)}  truths: {len(truths)}")
     print(f"hit rate: {report.hit_rate:.3f}  mean FPR: {report.mean_fpr:.4f}")
     offenders = [(rid, v) for rid, v in report.per_regex_fpr if v]

@@ -21,7 +21,7 @@ import functools
 import json
 import math
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,14 +55,6 @@ class GroundTruthString:
         """The normalized text lowercased, or None unless it is all ASCII."""
         return self.normalized.lower() if self.normalized.isascii() else None
 
-    def to_dict(self) -> dict:
-        return {
-            "text": self.text,
-            "kind": self.kind.value,
-            "capture_groups": sorted(self.capture_groups),
-            "dataset_id": self.dataset_id,
-        }
-
 
 def load_truths(
     path: str | Path, store: KnowledgeStore | None = None
@@ -93,6 +85,8 @@ def make_truth(
         raise GroundTruthError(f"{where}: 'text' must be a non-empty string")
     if not isinstance(groups, list) or not all(isinstance(g, str) for g in groups):
         raise GroundTruthError(f"{where}: 'capture_groups' must be a list of strings")
+    if not isinstance(dataset_id, str):
+        raise GroundTruthError(f"{where}: 'dataset_id' must be a string")
 
     normalized = text.strip()
     if kind is not IocKind.OTHER:
@@ -330,45 +324,23 @@ class EvaluationReport:
         }
 
 
-def evaluate_products(
-    products: list[dict],
-    truths: list[GroundTruthString],
-    dataset_id: str = "default",
-    match_log: list | None = None,
-) -> EvaluationReport:
-    """Full per-dataset report for a list of product records.
-
-    Each product record needs ``ioc_id``, ``pattern``, ``capture_groups``,
-    ``normalized`` and ``score``.  Score and similarity distributions cover
-    only regexes that matched at least one truth.
-    """
-    return _evaluate(products, truths, {dataset_id: range(len(truths))}, match_log)[0]
-
-
 def evaluate_by_dataset(
     products: list[dict],
     truths: list[GroundTruthString],
     match_log: list | None = None,
 ) -> list[EvaluationReport]:
-    """One report per dataset_id found in the truth set, sorted by id."""
+    """One report per dataset_id found in the truth set, sorted by id.
+
+    Each product record needs ``ioc_id``, ``pattern``, ``capture_groups``,
+    ``normalized`` and ``score``.  Score and similarity distributions cover
+    only regexes that matched at least one truth.  Each regex is matched
+    once against all truths; its row is then split by dataset, so every
+    report and ``match_log`` entry reads the same rows.  A pattern outside
+    the dialect raises ProductPatternError.
+    """
     datasets: dict[str, list[int]] = {}
     for i, truth in enumerate(truths):
         datasets.setdefault(truth.dataset_id, []).append(i)
-    return _evaluate(products, truths, dict(sorted(datasets.items())), match_log)
-
-
-def _evaluate(
-    products: list[dict],
-    truths: list[GroundTruthString],
-    datasets: dict[str, Sequence[int]],
-    match_log: list | None,
-) -> list[EvaluationReport]:
-    """Reports for ``datasets`` (id -> indices of its truths), in order.
-
-    Each regex is matched once against all truths; its row is then split by
-    dataset, so every report and ``match_log`` entry reads the same rows.
-    A pattern outside the dialect raises ProductPatternError.
-    """
     rows = []
     for p in products:
         try:
@@ -379,7 +351,7 @@ def _evaluate(
             ) from exc
     similarities: dict[int, float] = {}
     reports = []
-    for ds, members in datasets.items():
+    for ds, members in sorted(datasets.items()):
         local = {g: n for n, g in enumerate(members)}
         ds_rows = [
             _fpr_result(

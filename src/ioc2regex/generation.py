@@ -366,12 +366,21 @@ class ScriptedBackend(GeneratorBackend):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
+        """A replay file holds a JSON list of strings, or an object whose
+        ``emissions`` is one; anything else raises ValueError."""
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        emissions = data.get("emissions") if isinstance(data, dict) else data
+        if not isinstance(emissions, list) or not all(
+            isinstance(e, str) for e in emissions
+        ):
+            raise ValueError(
+                "expected a list of strings or an object whose 'emissions' is one"
+            )
         if isinstance(data, list):
             return cls(data)
         fallback = TemplateBackend() if data.get("fallback") == "template" else None
         return cls(
-            data["emissions"],
+            emissions,
             per_record=bool(data.get("per_record", False)),
             fallback=fallback,
         )
@@ -453,21 +462,11 @@ class Attempt:
     verdict: str  # "pass" | "fail" | "error"
     diagnostic: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "restart": self.restart,
-            "stage": self.stage,
-            "pattern": self.pattern,
-            "verdict": self.verdict,
-            "diagnostic": self.diagnostic,
-        }
-
 
 @dataclass
 class WorkflowTrace:
     attempts: list[Attempt] = field(default_factory=list)
     restarts: int = 0
-    final: str | None = None
 
     def stage_counts(self, restart: int) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -475,13 +474,6 @@ class WorkflowTrace:
             if att.restart == restart:
                 counts[att.stage] = counts.get(att.stage, 0) + 1
         return counts
-
-    def to_dict(self) -> dict:
-        return {
-            "attempts": [a.to_dict() for a in self.attempts],
-            "restarts": self.restarts,
-            "final": self.final,
-        }
 
 
 class IndicatorMemo:
@@ -608,7 +600,6 @@ def generate(
             )
         )
         if overgen.ok:
-            trace.final = pattern
             return pattern, trace
 
     return None, trace
@@ -637,5 +628,4 @@ def single_shot(
         trace.attempts.append(Attempt(0, STAGE_DEBUG, pattern, "fail", str(exc)))
         return None, trace
     trace.attempts.append(Attempt(0, STAGE_DEBUG, pattern, "pass", "single shot"))
-    trace.final = pattern
     return pattern, trace

@@ -1,15 +1,16 @@
 """Score candidate patterns and pick the best of several generation runs.
 
-The score rewards each keep component that appears in a required literal run
-(literally on every match path, not in an alternation branch or a group that
-may match zero times) and penalizes wildcard constructs and stray literal runs
-that belong to no keep component.  One leading and one trailing bare ``.*`` are
-treated as search anchors and not penalized.
+The score is ``n_cg - n_wc``.  ``n_cg`` counts the keep components that
+appear in a required literal run (literally on every match path, not in an
+alternation branch or a group that may match zero times).  ``n_wc`` counts
+wildcard constructs and stray literal stretches of at least three non-glue
+characters that belong to no keep component.  One leading and one trailing
+bare ``.*`` are treated as search anchors and not penalized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import dialect, generation
 from .capture import GroupAnnotation
@@ -17,39 +18,23 @@ from .capture import GroupAnnotation
 # Characters treated as glue between components rather than content.
 _GLUE_CHARS = frozenset({"\\", "/", " ", "\t"})
 
-DEFAULT_FOREIGN_RUN_MIN = 3
+_FOREIGN_RUN_MIN = 3
 
 
 class GradingError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegexCandidate:
     pattern: str
     n_cg: int
     n_wc: int
     score: int
-    trace_ref: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "pattern": self.pattern,
-            "n_cg": self.n_cg,
-            "n_wc": self.n_wc,
-            "score": self.score,
-            "trace_ref": self.trace_ref,
-        }
 
 
-def grade(
-    pattern: str,
-    annotation: GroupAnnotation,
-    alpha: int = 1,
-    beta: int = 1,
-    foreign_run_min: int = DEFAULT_FOREIGN_RUN_MIN,
-) -> RegexCandidate:
-    """Score = alpha * n_cg - beta * n_wc for one candidate pattern."""
+def grade(pattern: str, annotation: GroupAnnotation) -> RegexCandidate:
+    """Score = n_cg - n_wc for one candidate pattern."""
     try:
         analysis = dialect.analyze(pattern)
     except dialect.DialectError as exc:
@@ -79,17 +64,15 @@ def grade(
         stretch = 0
         for ci, char in enumerate(run.text):
             if ci in marks or char in _GLUE_CHARS:
-                if stretch >= foreign_run_min:
+                if stretch >= _FOREIGN_RUN_MIN:
                     n_wc += 1
                 stretch = 0
             else:
                 stretch += 1
-        if stretch >= foreign_run_min:
+        if stretch >= _FOREIGN_RUN_MIN:
             n_wc += 1
 
-    return RegexCandidate(
-        pattern=pattern, n_cg=n_cg, n_wc=n_wc, score=alpha * n_cg - beta * n_wc
-    )
+    return RegexCandidate(pattern=pattern, n_cg=n_cg, n_wc=n_wc, score=n_cg - n_wc)
 
 
 def select_best(
@@ -105,8 +88,9 @@ def select_best(
     """Run the workflow ``k`` times and keep the top-scoring graded candidate.
 
     The runs share one ``generation.IndicatorMemo``, and each distinct
-    pattern is graded once.  Ties break toward the shorter pattern, then
-    lexicographic order.  Returns (best or None, all graded candidates).
+    pattern is graded once: runs that yield the same pattern share its
+    candidate.  Ties break toward the shorter pattern, then lexicographic
+    order.  Returns (best or None, one graded candidate per successful run).
     """
     memo = generation.IndicatorMemo(annotation)
     grades: dict[str, RegexCandidate] = {}
@@ -128,7 +112,7 @@ def select_best(
             continue
         if pattern not in grades:
             grades[pattern] = grade(pattern, annotation)
-        candidates.append(replace(grades[pattern], trace_ref=f"run-{i}"))
+        candidates.append(grades[pattern])
 
     if not candidates:
         return None, []

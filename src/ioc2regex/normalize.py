@@ -64,15 +64,6 @@ class IocRecord:
     components: list[str] = field(default_factory=list)
     source_id: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "raw": self.raw,
-            "kind": self.kind.value,
-            "normalized": self.normalized,
-            "components": list(self.components),
-            "source_id": self.source_id,
-        }
-
 
 # -- data tables -------------------------------------------------------
 

@@ -1,11 +1,11 @@
 """Batch orchestration: raw indicator lists in, graded regex products out.
 
 Stages per indicator: classify/preprocess/segment, capture-group finding,
-false-positive filtering, k-candidate generation with grading, then optional
-evaluation against ground-truth files.  Ablation modes disable the
-capture-finding step ("-CR"), the reasoning workflow ("C-R"), or both
-("-C-R").  All file artifacts are JSON with sorted keys so identical
-config + seed + deterministic backend reproduce byte-identical outputs.
+k-candidate generation with grading, then optional evaluation against
+ground-truth files.  Ablation modes disable the capture-finding step
+("-CR"), the reasoning workflow ("C-R"), or both ("-C-R").  All file
+artifacts are JSON with sorted keys so identical config + seed +
+deterministic backend reproduce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -96,7 +96,10 @@ def make_backend(config: PipelineConfig) -> GeneratorBackend:
     if config.backend == "template":
         return TemplateBackend()
     if config.backend == "scripted":
-        return ScriptedBackend.from_file(config.replay_path)
+        try:
+            return ScriptedBackend.from_file(config.replay_path)
+        except ValueError as exc:  # malformed JSON included
+            raise ConfigError(f"{config.replay_path}: {exc}") from exc
     return RemoteBackend(
         endpoint=config.endpoint,
         model=config.model,
@@ -199,13 +202,7 @@ def _generate_one(
             "raw": raw,
             "reason": "classified other",
             "annotation": {
-                "raw": raw,
-                "kind": record.kind.value,
-                "normalized": record.normalized,
-                "source_id": source_id,
-                "components": [],
-                "labels": [],
-                "capture_sequences": [],
+                **GroupAnnotation(record).to_dict(),
                 "rejection_reason": "classified other",
             },
         }
@@ -333,7 +330,10 @@ def run_evaluate(
         raise ConfigError(f"{products_path}: not a product file (missing 'records')")
     for i, record in enumerate(product["records"]):
         _check_product_record(record, f"{products_path}: record {i}")
-    truths = evaluation.load_truths(truths_path, store)
+    try:
+        truths = evaluation.load_truths(truths_path, store)
+    except evaluation.GroundTruthError as exc:
+        raise ConfigError(str(exc)) from exc
 
     match_log: list | None = [] if dump_matches else None
     try:

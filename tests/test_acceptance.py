@@ -14,7 +14,7 @@ import pytest
 from ioc2regex import annotate, make_record
 from ioc2regex.capture import find_command_groups, find_path_groups
 from ioc2regex.evaluation import (
-    evaluate_products,
+    evaluate_by_dataset,
     fpr,
     hit_rate,
     make_truth,
@@ -288,7 +288,7 @@ def test_criterion_6_metric_fixtures(store):
     ok = ok and values == {"R0": 0.0, "R1": 0.0, "R2": 0.0, "R3": 0.5}
     ok = ok and mean_fpr([v for v in values.values()]) == pytest.approx(0.125)
 
-    report6 = evaluate_products(products, truths, "fix6")
+    [report6] = evaluate_by_dataset(products, truths)
     stats = report6.score_stats
     ok = ok and (stats.minimum, stats.q1, stats.median, stats.q3, stats.maximum, stats.mean) == (
         1.0, 1.75, 2.0, 2.25, 3.0, 2.0,

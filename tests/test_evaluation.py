@@ -11,7 +11,7 @@ from ioc2regex.evaluation import (
     GroundTruthError,
     GroundTruthString,
     UndefinedMetricError,
-    evaluate_products,
+    evaluate_by_dataset,
     fpr,
     hit_rate,
     levenshtein,
@@ -327,6 +327,17 @@ class TestGroundTruthLoading:
         with pytest.raises(GroundTruthError, match="does not appear"):
             truth(r"c:\windows\a.exe", "file_path", ["system32"], store=store)
 
+    def test_non_string_dataset_id_rejected(self, store, tmp_path):
+        entry = {"text": r"c:\windows\a.exe", "kind": "file_path",
+                 "capture_groups": ["windows"]}
+        f = tmp_path / "truths.json"
+        f.write_text(json.dumps([{**entry, "dataset_id": "a"},
+                                 {**entry, "dataset_id": 1}]))
+        with pytest.raises(
+            GroundTruthError, match=r"truths\.json\[1\]: 'dataset_id' must be a string"
+        ):
+            load_truths(f, store)
+
     def test_groups_checked_after_normalization(self, store):
         # %TEMP% expands to ...AppData\Local\Temp, so "temp" does appear
         t = truth(r"%TEMP%\x.exe", "file_path", ["temp"], store=store)
@@ -353,7 +364,7 @@ class TestEvaluateProducts:
         ]
 
     def test_report_shape(self, store, certutil_truths):
-        report = evaluate_products(self.make_products(), certutil_truths, "ds")
+        [report] = evaluate_by_dataset(self.make_products(), certutil_truths)
         assert isinstance(report, EvaluationReport)
         assert report.total == 3
         assert report.matched == 2
@@ -373,7 +384,7 @@ class TestEvaluateProducts:
                 "score": 0,
             }
         ]
-        report = evaluate_products(products, certutil_truths, "ds")
+        [report] = evaluate_by_dataset(products, certutil_truths)
         assert report.hit_rate == 0.0
         assert report.mean_fpr is None
         assert report.score_stats is None

@@ -364,7 +364,6 @@ class TestWorkflow:
             path_annotation, backend, rng_seed=0, restart_cap=5
         )
         assert pattern is None
-        assert trace.final is None
         assert trace.restarts == 4  # five passes, four returns to the start
         # ".*" matches the indicator, so it dies in the group audit: it carries
         # no keep literal; it never reaches the overgen stage
@@ -461,7 +460,7 @@ class TestWorkflow:
             generate(path_annotation, TemplateBackend(), rng_seed=42) for _ in range(2)
         ]
         assert runs[0][0] == runs[1][0]
-        assert runs[0][1].to_dict() == runs[1][1].to_dict()
+        assert runs[0][1] == runs[1][1]
 
     def test_final_pattern_invariants(self, path_annotation, schtasks_annotation):
         for ann in (path_annotation, schtasks_annotation):
@@ -534,15 +533,15 @@ class TestIndicatorMemo:
             runs.clear()
             best, candidates = grading.select_best(ann, TemplateBackend(), k=5, rng_seed=3)
             assert calls == {"debug": 1, "noncapture": 1, "grade": 1}
-            assert [c.trace_ref for c in candidates] == [f"run-{i}" for i in range(5)]
-            assert len({id(c) for c in candidates}) == 5
+            assert len(candidates) == 5
+            assert all(c is best for c in candidates)
             assert [seed for seed, _ in runs] == [3, 4, 5, 6, 7]
             for seed, (pattern, trace) in runs:
                 fresh_pattern, fresh_trace = generate(
                     ann, TemplateBackend(), rng_seed=seed, memo=IndicatorMemo(ann)
                 )
                 assert pattern == fresh_pattern == best.pattern
-                assert trace.to_dict() == fresh_trace.to_dict()
+                assert trace == fresh_trace
 
     def test_shared_memo_repair_runs_append_the_same_attempts(self, path_annotation):
         script = ["(bad", ".*", "nomatch", "Users/Public", GOOD_PATH_PATTERN]
@@ -553,14 +552,14 @@ class TestIndicatorMemo:
             )
             fresh = generate(path_annotation, ScriptedBackend(script), rng_seed=seed)
             assert shared[0] == fresh[0] == GOOD_PATH_PATTERN
-            assert shared[1].to_dict() == fresh[1].to_dict()
+            assert shared[1] == fresh[1]
 
 
 class TestSingleShot:
     def test_non_compiling_yields_nothing(self, path_annotation):
         pattern, trace = single_shot(path_annotation, ScriptedBackend(["(broken"]))
         assert pattern is None
-        assert trace.final is None
+        assert [(a.verdict, a.pattern) for a in trace.attempts] == [("fail", "(broken")]
 
     def test_compiling_emission_accepted_unvalidated(self, path_annotation):
         # single shot skips the debug/audit/overgen loops entirely

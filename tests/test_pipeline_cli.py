@@ -526,6 +526,46 @@ class TestCli:
         assert "record 0: missing 'pattern'" in caplog.text
         assert "unexpected failure" not in caplog.text
 
+    def test_exit_code_1_on_bad_truth_file(self, tmp_path, caplog):
+        products = write_json(tmp_path / "products.json", {"records": [product_record()]})
+        truths = write_json(
+            tmp_path / "t.json",
+            [{"text": r"c:\windows\a.exe", "kind": "file_path",
+              "capture_groups": ["system32"]}],
+        )
+        rc = main(
+            [
+                "evaluate",
+                "--products", products,
+                "--truths", truths,
+                "--output", str(tmp_path / "report.json"),
+            ]
+        )
+        assert rc == 1
+        assert "t.json[0]: capture group 'system32' does not appear" in caplog.text
+        assert "unexpected failure" not in caplog.text
+
+    @pytest.mark.parametrize(
+        "replay",
+        [{"per_record": True}, "(?i).*", {"emissions": [5]}],
+        ids=["no-emissions", "string", "non-string-emission"],
+    )
+    def test_exit_code_1_on_malformed_replay(self, tmp_path, fig1_input, caplog, replay):
+        path = write_json(tmp_path / "replay.json", replay)
+        rc = main(
+            [
+                "generate",
+                "--input", fig1_input,
+                "--output", str(tmp_path / "o.json"),
+                "--backend", "scripted",
+                "--replay", path,
+            ]
+        )
+        assert rc == 1
+        assert f"{path}: expected a list of strings" in caplog.text
+        assert "unexpected failure" not in caplog.text
+        assert not (tmp_path / "o.json").exists()
+
     def test_exit_code_1_on_missing_input(self, tmp_path):
         rc = main(
             ["generate", "--input", str(tmp_path / "nope.json"),
