@@ -57,20 +57,30 @@ class GroundTruthString:
 
 
 def load_truths(
-    path: str | Path, store: KnowledgeStore | None = None
+    path: str | Path,
+    store: KnowledgeStore | None = None,
+    expansions: dict | None = None,
+    registry_roots: dict | None = None,
 ) -> list[GroundTruthString]:
-    """Read a ground-truth JSON file and normalize each entry for matching."""
+    """Read a ground-truth JSON file and normalize each entry for matching,
+    with the given expansion and registry-root tables (default: bundled)."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, list):
         raise GroundTruthError(f"{path}: expected a JSON list of truth records")
     truths = []
     for i, entry in enumerate(data):
-        truths.append(make_truth(entry, store, where=f"{path}[{i}]"))
+        truths.append(
+            make_truth(entry, store, f"{path}[{i}]", expansions, registry_roots)
+        )
     return truths
 
 
 def make_truth(
-    entry: dict, store: KnowledgeStore | None = None, where: str = "<record>"
+    entry: dict,
+    store: KnowledgeStore | None = None,
+    where: str = "<record>",
+    expansions: dict | None = None,
+    registry_roots: dict | None = None,
 ) -> GroundTruthString:
     if not isinstance(entry, dict):
         raise GroundTruthError(f"{where}: not an object")
@@ -90,7 +100,9 @@ def make_truth(
 
     normalized = text.strip()
     if kind is not IocKind.OTHER:
-        normalized = preprocess(text, kind, store=store)
+        normalized = preprocess(
+            text, kind, store=store, expansions=expansions, registry_roots=registry_roots
+        )
     folded = frozenset(g.casefold() for g in groups)
     for g in folded:
         if g not in normalized.casefold():

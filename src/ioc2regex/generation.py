@@ -11,17 +11,19 @@ first one the pattern misses; the verdict is that of checking all ten.  The
 probe strings are ASCII and hold no keep component, so a pattern with a
 required ASCII literal run that contains a keep (case-folded) can match none
 of them: the probe passes it without drawing a string, with the same verdict.
-A failing debug or audit feeds a diagnostic back to the backend for up to ten
-attempts per stage; an over-general pattern (or an exhausted stage) restarts
-the whole workflow, up to a configurable number of passes.
+``generate`` runs the gates as one stage list: debug and the audit get up to
+``max_iterations`` (ten) attempts, each failure but the last fed back to the
+backend; the probe gets one.  A stage's last failure or a backend error
+restarts the whole workflow, up to a configurable number of passes.
 
 The debug and audit results and the opening prompts depend only on the
-pattern and the indicator, so one ``IndicatorMemo`` computes each of them
+pattern and the indicator, so one ``IndicatorMemo`` caches each of them
 once for all the workflow runs of an indicator.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -367,7 +369,8 @@ class ScriptedBackend(GeneratorBackend):
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
         """A replay file holds a JSON list of strings, or an object whose
-        ``emissions`` is one; anything else raises ValueError."""
+        ``emissions`` is one, with an optional boolean ``per_record`` and a
+        ``fallback`` of null or ``"template"``; anything else raises ValueError."""
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         emissions = data.get("emissions") if isinstance(data, dict) else data
         if not isinstance(emissions, list) or not all(
@@ -378,12 +381,13 @@ class ScriptedBackend(GeneratorBackend):
             )
         if isinstance(data, list):
             return cls(data)
-        fallback = TemplateBackend() if data.get("fallback") == "template" else None
-        return cls(
-            emissions,
-            per_record=bool(data.get("per_record", False)),
-            fallback=fallback,
-        )
+        per_record = data.get("per_record", False)
+        if not isinstance(per_record, bool):
+            raise ValueError("'per_record' must be true or false")
+        if data.get("fallback") not in (None, "template"):
+            raise ValueError("'fallback' must be null or \"template\"")
+        fallback = TemplateBackend() if data.get("fallback") else None
+        return cls(emissions, per_record=per_record, fallback=fallback)
 
     def propose(self, annotation: GroupAnnotation, prompt: str) -> str:
         self.calls += 1
@@ -479,32 +483,33 @@ class WorkflowTrace:
 class IndicatorMemo:
     """The pure results of one indicator's workflow runs, each computed once:
     the debug and audit verdicts per pattern and the opening prompt per
-    restart.  Make one per indicator and pass it to each ``generate`` call."""
+    restart.  Make one per indicator and pass it to each ``generate`` call.
+    Each cache looks up the function it wraps at call time, so a patched
+    module attribute takes effect."""
 
     def __init__(self, annotation: GroupAnnotation):
-        self.annotation = annotation
-        self._debug: dict[str, DebugResult] = {}
-        self._noncapture: dict[str, NoncaptureResult] = {}
-        self._prompts: dict[int, str] = {}
+        target = annotation.record.normalized
+        self.debug = functools.cache(lambda pattern: debug_check(pattern, target))
+        self.noncapture = functools.cache(
+            lambda pattern: noncapture_check(pattern, annotation)
+        )
+        self.opening_prompt = functools.cache(
+            lambda restart: build_prompt(annotation, prior_failures=restart)
+        )
 
-    def debug(self, pattern: str) -> DebugResult:
-        if pattern not in self._debug:
-            self._debug[pattern] = debug_check(
-                pattern, self.annotation.record.normalized
-            )
-        return self._debug[pattern]
 
-    def noncapture(self, pattern: str) -> NoncaptureResult:
-        if pattern not in self._noncapture:
-            self._noncapture[pattern] = noncapture_check(pattern, self.annotation)
-        return self._noncapture[pattern]
-
-    def opening_prompt(self, restart: int) -> str:
-        if restart not in self._prompts:
-            self._prompts[restart] = build_prompt(
-                self.annotation, prior_failures=restart
-            )
-        return self._prompts[restart]
+def _propose(
+    backend: GeneratorBackend, annotation: GroupAnnotation, prompt: str,
+    trace: WorkflowTrace, restart: int, stage: str, pattern: str = "",
+) -> str | None:
+    """One backend call.  A ``BackendError`` becomes an ``error`` attempt of
+    ``stage`` on ``pattern`` (the candidate the prompt was about) and None."""
+    try:
+        return backend.propose(annotation, prompt)
+    except BackendError as exc:
+        error = f"backend error: {exc}"
+        trace.attempts.append(Attempt(restart, stage, pattern, "error", error))
+        return None
 
 
 def generate(
@@ -518,90 +523,53 @@ def generate(
 ) -> tuple[str | None, WorkflowTrace]:
     """Run the staged workflow; returns the first pattern passing all gates.
 
-    Per workflow pass, each of the debug and group-audit stages checks at most
-    ``max_iterations`` candidates before forcing a restart; the whole workflow
-    runs at most ``restart_cap`` passes.  ``memo`` must belong to
-    ``annotation``; without one, the call makes its own.
+    Each pass runs the stages (debug, the group audit if ``validate_groups``,
+    overgen) in order; each of the first two checks at most ``max_iterations``
+    candidates.  The whole workflow runs at most ``restart_cap`` passes.
+    ``memo`` must belong to ``annotation``; without one, the call makes its own.
     """
     if not annotation.has_capture_groups:
         raise ValueError("generate() requires an annotation with capture groups")
     if memo is None:
         memo = IndicatorMemo(annotation)
     keeps = annotation.keep_components
-    trace = WorkflowTrace()
 
+    def audit(pattern: str):
+        # A pattern fed back by the audit must still match the indicator.
+        regression = memo.debug(pattern)
+        return regression if not regression.ok else memo.noncapture(pattern)
+
+    stages = [(STAGE_DEBUG, memo.debug, max_iterations)]
+    if validate_groups:
+        stages.append((STAGE_NONCAPTURE, audit, max_iterations))
+    stages.append((STAGE_OVERGEN, lambda p: overgen_check(p, rng_seed, keeps), 1))
+
+    trace = WorkflowTrace()
     for restart in range(restart_cap):
         trace.restarts = restart
-        prompt = memo.opening_prompt(restart)
-        try:
-            pattern = backend.propose(annotation, prompt)
-        except BackendError as exc:
-            trace.attempts.append(
-                Attempt(restart, STAGE_DEBUG, "", "error", f"backend error: {exc}")
-            )
+        opening = memo.opening_prompt(restart)
+        pattern = _propose(backend, annotation, opening, trace, restart, STAGE_DEBUG)
+        if pattern is None:
             continue
-
-        def run_stage(stage: str, checker) -> bool:
-            """True when the stage passed; False forces a restart."""
-            nonlocal pattern
-            for attempt_no in range(max_iterations):
-                result = checker(pattern)
-                trace.attempts.append(
-                    Attempt(
-                        restart,
-                        stage,
-                        pattern,
-                        "pass" if result.ok else "fail",
-                        result.describe(),
-                    )
+        for stage, check, attempts in stages:
+            ok = False
+            for attempt in range(1, attempts + 1):
+                result = check(pattern)
+                ok, diagnostic = result.ok, result.describe()
+                verdict = "pass" if ok else "fail"
+                trace.attempts.append(Attempt(restart, stage, pattern, verdict, diagnostic))
+                if ok or attempt == attempts:
+                    break
+                feedback = build_prompt(annotation, pattern, diagnostic, restart)
+                pattern = _propose(
+                    backend, annotation, feedback, trace, restart, stage, pattern
                 )
-                if result.ok:
-                    return True
-                if attempt_no == max_iterations - 1:
-                    return False
-                feedback = build_prompt(
-                    annotation,
-                    previous_pattern=pattern,
-                    diagnostic=result.describe(),
-                    prior_failures=restart,
-                )
-                try:
-                    pattern = backend.propose(annotation, feedback)
-                except BackendError as exc:
-                    trace.attempts.append(
-                        Attempt(
-                            restart, stage, pattern, "error", f"backend error: {exc}"
-                        )
-                    )
-                    return False
-            return False
-
-        if not run_stage(STAGE_DEBUG, memo.debug):
-            continue
-
-        if validate_groups:
-
-            def audit(p: str):
-                # A pattern fed back by the audit must still match the indicator.
-                regression = memo.debug(p)
-                return regression if not regression.ok else memo.noncapture(p)
-
-            if not run_stage(STAGE_NONCAPTURE, audit):
-                continue
-
-        overgen = overgen_check(pattern, rng_seed, keeps)
-        trace.attempts.append(
-            Attempt(
-                restart,
-                STAGE_OVERGEN,
-                pattern,
-                "pass" if overgen.ok else "fail",
-                overgen.describe(),
-            )
-        )
-        if overgen.ok:
+                if pattern is None:
+                    break
+            if not ok:
+                break
+        else:
             return pattern, trace
-
     return None, trace
 
 
@@ -614,13 +582,8 @@ def single_shot(
     to repair it.
     """
     trace = WorkflowTrace()
-    prompt = build_prompt(annotation)
-    try:
-        pattern = backend.propose(annotation, prompt)
-    except BackendError as exc:
-        trace.attempts.append(
-            Attempt(0, STAGE_DEBUG, "", "error", f"backend error: {exc}")
-        )
+    pattern = _propose(backend, annotation, build_prompt(annotation), trace, 0, STAGE_DEBUG)
+    if pattern is None:
         return None, trace
     try:
         dialect.compile_pattern(pattern)

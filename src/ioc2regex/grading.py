@@ -10,6 +10,7 @@ bare ``.*`` are treated as search anchors and not penalized.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import dialect, generation
@@ -93,7 +94,7 @@ def select_best(
     order.  Returns (best or None, one graded candidate per successful run).
     """
     memo = generation.IndicatorMemo(annotation)
-    grades: dict[str, RegexCandidate] = {}
+    grades = functools.cache(lambda pattern: grade(pattern, annotation))
     candidates: list[RegexCandidate] = []
     for i in range(k):
         if workflow == "single_shot":
@@ -108,11 +109,8 @@ def select_best(
                 validate_groups=validate_groups,
                 memo=memo,
             )
-        if pattern is None:
-            continue
-        if pattern not in grades:
-            grades[pattern] = grade(pattern, annotation)
-        candidates.append(grades[pattern])
+        if pattern is not None:
+            candidates.append(grades(pattern))
 
     if not candidates:
         return None, []

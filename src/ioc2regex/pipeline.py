@@ -322,8 +322,11 @@ def run_evaluate(
     output_path: str | Path,
     kb_paths: list[str] | None = None,
     dump_matches: str | Path = "",
+    expansions: dict | None = None,
+    registry_roots: dict | None = None,
 ) -> dict:
-    """Score a product file against a ground-truth file; write the report."""
+    """Score a product file against a ground-truth file; write the report.
+    The truths are normalized with the given tables (default: bundled)."""
     store = KnowledgeStore.ingest(list(kb_paths)) if kb_paths else default_store()
     product = json.loads(Path(products_path).read_text(encoding="utf-8"))
     if not isinstance(product, dict) or not isinstance(product.get("records"), list):
@@ -331,7 +334,7 @@ def run_evaluate(
     for i, record in enumerate(product["records"]):
         _check_product_record(record, f"{products_path}: record {i}")
     try:
-        truths = evaluation.load_truths(truths_path, store)
+        truths = evaluation.load_truths(truths_path, store, expansions, registry_roots)
     except evaluation.GroundTruthError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -379,13 +382,16 @@ def _check_product_record(record, where: str) -> None:
 
 def run_ablation(config: PipelineConfig, mode: str, truths_path: str | Path,
                  report_path: str | Path) -> dict:
-    """Generate under an ablation mode, then evaluate the products normally."""
+    """Generate under an ablation mode, then evaluate the products normally,
+    normalizing the truths with the tables the indicators were normalized with."""
     if mode not in ABLATION_MODES:
         raise ConfigError(f"unknown ablation mode {mode!r}")
     config.ablation = mode
     run_generate(config)
+    expansions, registry_roots = load_tables(config)
     return run_evaluate(
-        config.output_path, truths_path, report_path, kb_paths=config.kb_paths
+        config.output_path, truths_path, report_path, kb_paths=config.kb_paths,
+        expansions=expansions, registry_roots=registry_roots,
     )
 
 

@@ -335,3 +335,82 @@ def reference_debug_check(pattern: str, target: str):
         failing_token=failing,
         target_offset=target_offset,
     )
+
+
+def reference_generate(
+    annotation,
+    backend,
+    rng_seed: int = 0,
+    max_iterations: int = 10,
+    restart_cap: int = 5,
+    validate_groups: bool = True,
+):
+    """The staged workflow with each gate in its own block: a retry loop for
+    debug and for the audit, then one over-generalization check.  Every check
+    is called directly, with no memo.  Returns (pattern or None, trace)."""
+    from ioc2regex.generation import (
+        Attempt,
+        BackendError,
+        WorkflowTrace,
+        build_prompt,
+        debug_check,
+        noncapture_check,
+        overgen_check,
+    )
+
+    target = annotation.record.normalized
+    trace = WorkflowTrace()
+
+    def record(restart, stage, pattern, result):
+        verdict = "pass" if result.ok else "fail"
+        trace.attempts.append(Attempt(restart, stage, pattern, verdict, result.describe()))
+
+    def audit(pattern):
+        regression = debug_check(pattern, target)
+        return regression if not regression.ok else noncapture_check(pattern, annotation)
+
+    for restart in range(restart_cap):
+        trace.restarts = restart
+        try:
+            pattern = backend.propose(
+                annotation, build_prompt(annotation, prior_failures=restart)
+            )
+        except BackendError as exc:
+            trace.attempts.append(
+                Attempt(restart, "debug", "", "error", f"backend error: {exc}")
+            )
+            continue
+
+        def run_stage(stage, checker):
+            nonlocal pattern
+            for attempt_no in range(max_iterations):
+                result = checker(pattern)
+                record(restart, stage, pattern, result)
+                if result.ok:
+                    return True
+                if attempt_no == max_iterations - 1:
+                    return False
+                feedback = build_prompt(
+                    annotation,
+                    previous_pattern=pattern,
+                    diagnostic=result.describe(),
+                    prior_failures=restart,
+                )
+                try:
+                    pattern = backend.propose(annotation, feedback)
+                except BackendError as exc:
+                    trace.attempts.append(
+                        Attempt(restart, stage, pattern, "error", f"backend error: {exc}")
+                    )
+                    return False
+            return False
+
+        if not run_stage("debug", lambda p: debug_check(p, target)):
+            continue
+        if validate_groups and not run_stage("noncapture", audit):
+            continue
+        overgen = overgen_check(pattern, rng_seed, annotation.keep_components)
+        record(restart, "overgen", pattern, overgen)
+        if overgen.ok:
+            return pattern, trace
+    return None, trace

@@ -26,7 +26,7 @@ from ioc2regex.generation import (
     single_shot,
 )
 from ioc2regex.normalize import IocKind, IocRecord
-from oracles import reference_debug_check, reference_overgen_ok
+from oracles import reference_debug_check, reference_generate, reference_overgen_ok
 
 GOLDEN = Path(__file__).parent / "data" / "golden_prompt.txt"
 
@@ -555,11 +555,95 @@ class TestIndicatorMemo:
             assert shared[1] == fresh[1]
 
 
+ERROR_MARK = "<backend error>"
+DISCARD_LITERAL_PATTERN = r"(?i).*Users\\Public\\11\.bat"
+WORKFLOW_EMISSIONS = [
+    GOOD_PATH_PATTERN, "(bad", "nomatch", ".*", DISCARD_LITERAL_PATTERN, ERROR_MARK,
+]
+
+
+class ErringScript(ScriptedBackend):
+    """A scripted backend that records its prompts and raises
+    ``BackendError`` for ``ERROR_MARK``."""
+
+    def __init__(self, emissions):
+        super().__init__(emissions)
+        self.prompts = []
+
+    def propose(self, annotation, prompt):
+        self.prompts.append(prompt)
+        pattern = super().propose(annotation, prompt)
+        if pattern == ERROR_MARK:
+            raise BackendError("scripted failure")
+        return pattern
+
+
+class TestStageLoop:
+    """``generate`` against the stage-by-stage reference workflow."""
+
+    @given(
+        script=st.lists(st.sampled_from(WORKFLOW_EMISSIONS), min_size=1, max_size=8),
+        validate_groups=st.booleans(),
+        max_iterations=st.integers(1, 3),
+        restart_cap=st.integers(1, 3),
+        shared_memo=st.booleans(),
+        seed=st.integers(0, 3),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    def test_equals_reference_workflow(
+        self, path_annotation, script, validate_groups, max_iterations, restart_cap,
+        shared_memo, seed,
+    ):
+        memo = IndicatorMemo(path_annotation) if shared_memo else None
+        caps = dict(max_iterations=max_iterations, restart_cap=restart_cap,
+                    validate_groups=validate_groups)
+        for rng_seed in (seed, seed + 1):  # a shared memo is warm on the second run
+            backend, reference = ErringScript(script), ErringScript(script)
+            got = generate(path_annotation, backend, rng_seed=rng_seed, memo=memo, **caps)
+            want = reference_generate(path_annotation, reference, rng_seed=rng_seed, **caps)
+            assert got == want
+            assert backend.prompts == reference.prompts
+
+    def test_feedback_backend_error_ends_the_pass(self, path_annotation):
+        backend = ErringScript(["(bad", ERROR_MARK, GOOD_PATH_PATTERN])
+        pattern, trace = generate(path_annotation, backend, rng_seed=0)
+        assert pattern == GOOD_PATH_PATTERN
+        assert [(a.restart, a.stage, a.pattern, a.verdict) for a in trace.attempts] == [
+            (0, "debug", "(bad", "fail"),
+            (0, "debug", "(bad", "error"),
+            (1, "debug", GOOD_PATH_PATTERN, "pass"),
+            (1, "noncapture", GOOD_PATH_PATTERN, "pass"),
+            (1, "overgen", GOOD_PATH_PATTERN, "pass"),
+        ]
+        assert trace.attempts[1].diagnostic == "backend error: scripted failure"
+
+    def test_exhausted_audit_restarts_without_overgen(self, path_annotation):
+        backend = ScriptedBackend([".*", DISCARD_LITERAL_PATTERN, GOOD_PATH_PATTERN])
+        pattern, trace = generate(path_annotation, backend, rng_seed=0, max_iterations=2)
+        assert pattern == GOOD_PATH_PATTERN
+        assert [(a.restart, a.stage, a.pattern, a.verdict) for a in trace.attempts] == [
+            (0, "debug", ".*", "pass"),
+            (0, "noncapture", ".*", "fail"),
+            (0, "noncapture", DISCARD_LITERAL_PATTERN, "fail"),
+            (1, "debug", GOOD_PATH_PATTERN, "pass"),
+            (1, "noncapture", GOOD_PATH_PATTERN, "pass"),
+            (1, "overgen", GOOD_PATH_PATTERN, "pass"),
+        ]
+        assert "mutable components still present" in trace.attempts[2].diagnostic
+
+
 class TestSingleShot:
     def test_non_compiling_yields_nothing(self, path_annotation):
         pattern, trace = single_shot(path_annotation, ScriptedBackend(["(broken"]))
         assert pattern is None
         assert [(a.verdict, a.pattern) for a in trace.attempts] == [("fail", "(broken")]
+
+    def test_backend_error_recorded(self, path_annotation):
+        pattern, trace = single_shot(path_annotation, ErringScript([ERROR_MARK]))
+        assert pattern is None
+        assert trace.attempts == [
+            generation.Attempt(0, "debug", "", "error", "backend error: scripted failure")
+        ]
 
     def test_compiling_emission_accepted_unvalidated(self, path_annotation):
         # single shot skips the debug/audit/overgen loops entirely

@@ -566,6 +566,34 @@ class TestCli:
         assert "unexpected failure" not in caplog.text
         assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ({"per_record": "false"}, "'per_record' must be true or false"),
+            ({"per_record": 1}, "'per_record' must be true or false"),
+            ({"fallback": "templat"}, "'fallback' must be null or \"template\""),
+            ({"fallback": True}, "'fallback' must be null or \"template\""),
+        ],
+        ids=["string-per-record", "number-per-record", "misspelt-fallback",
+             "boolean-fallback"],
+    )
+    def test_exit_code_1_on_bad_replay_option(
+        self, tmp_path, fig1_input, caplog, option, message
+    ):
+        path = write_json(tmp_path / "replay.json", {"emissions": ["x"], **option})
+        rc = main(
+            [
+                "generate",
+                "--input", fig1_input,
+                "--output", str(tmp_path / "o.json"),
+                "--backend", "scripted",
+                "--replay", path,
+            ]
+        )
+        assert rc == 1
+        assert f"{path}: {message}" in caplog.text
+        assert not (tmp_path / "o.json").exists()
+
     def test_exit_code_1_on_missing_input(self, tmp_path):
         rc = main(
             ["generate", "--input", str(tmp_path / "nope.json"),
@@ -625,6 +653,36 @@ class TestCli:
         )
         assert rc == 0
         assert (tmp_path / "r.json").exists()
+
+    def test_ablate_normalizes_truths_with_its_expansion_table(self, tmp_path):
+        table = write_json(tmp_path / "expansions.json", {"%APPDIR%": "C:\\Windows"})
+        inp = write_json(tmp_path / "iocs.json", [r"%APPDIR%\Temp\other.exe"])
+        truths = write_json(
+            tmp_path / "truths.json",
+            [
+                {
+                    "text": r"%APPDIR%\Temp\other.exe",
+                    "kind": "file_path",
+                    "capture_groups": ["windows", "temp"],
+                    "dataset_id": "abl",
+                }
+            ],
+        )
+        rc = main(
+            [
+                "ablate",
+                "--mode=-CR",
+                "--input", inp,
+                "--output", str(tmp_path / "p.json"),
+                "--expansions", table,
+                "--truths", truths,
+                "--report", str(tmp_path / "r.json"),
+            ]
+        )
+        assert rc == 0
+        (report,) = json.loads((tmp_path / "r.json").read_text())["reports"]
+        # the -CR pattern holds every component of C:\Windows\Temp\other.exe
+        assert report["hit_rate"] == 1.0
 
 
 class TestGoldenFiles:
