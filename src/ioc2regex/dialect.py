@@ -15,10 +15,21 @@ verbose flag ``(?x)`` and a brace quantifier without a lower bound
 match something else.
 
 ``analyze`` tokenizes, validates and compiles a pattern once and caches the
-result; the validation gates and the grader all read that one analysis.  Its
-literal runs carry the one rule for what a pattern guarantees: a run is
-*required* when it is literally on every match path, not in an alternation
-branch or a group that may match zero times.
+result, or the ``DialectError`` it raised; the validation gates and the
+grader all read that one analysis.  Its literal runs carry the one rule for
+what a pattern guarantees: a run is *required* when it is literally on every
+match path, not in an alternation branch or a group that may match zero
+times.
+
+``Analysis.search`` is the one search entry point, and returns exactly what
+``regex.search`` returns.  It tries offset 0 only (``regex.match``) when the
+pattern, after its flags, opens with ``.`` under an unbounded quantifier
+(``*``, ``+`` or ``{m,}``, lazy or not), has no top-level ``|``, and the text
+holds no ``\n`` or the pattern sets ``(?s)``.  The dialect has no
+backreferences and no lookbehind, so the leading ``.`` run of a match found
+at any offset can be stretched back to offset 0, and ``search`` tries offset
+0 first with the same backtracking as ``match``.  Without the rule, a miss
+costs one attempt per offset, each of which may scan the rest of the text.
 """
 
 from __future__ import annotations
@@ -69,6 +80,7 @@ class DialectError(ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"syntax error at offset {offset}: {message}")
+        self.message = message
         self.offset = offset
 
 
@@ -283,6 +295,9 @@ class LiteralRun:
 class Analysis:
     """One pattern's tokens, compiled regex, literal runs and wildcard units.
 
+    ``leading_wildcard`` is the pattern's half of the offset-0 rule in the
+    module docstring: after its flags, the pattern opens with ``.`` under an
+    unbounded quantifier and has no top-level ``|``.
     The wildcard units and anchor spans are worked out on first use, since
     only the grader reads them.
     """
@@ -290,6 +305,23 @@ class Analysis:
     tokens: tuple[Token, ...]
     regex: re.Pattern
     runs: tuple[LiteralRun, ...]
+    leading_wildcard: bool
+
+    def at_offset_0(self, text: str) -> bool:
+        """Whether a search of ``text`` finds a match at offset 0 or none
+        (the module docstring gives the rule).  This also holds for the
+        flags-only and the flags-and-``.`` prefixes, and for every other
+        top-level token prefix of the pattern."""
+        return self.leading_wildcard and (
+            "\n" not in text or bool(self.regex.flags & re.DOTALL)
+        )
+
+    def search(self, text: str) -> re.Match | None:
+        """Exactly ``self.regex.search(text)``: the same None, span and
+        groups, found at offset 0 only when ``at_offset_0(text)``."""
+        if self.at_offset_0(text):
+            return self.regex.match(text)
+        return self.regex.search(text)
 
     @functools.cached_property
     def wildcards(self) -> tuple[tuple[int, int, str], ...]:
@@ -312,16 +344,53 @@ class Analysis:
         return frozenset(spans)
 
 
+def _leading_wildcard(tokens: Sequence[Token]) -> bool:
+    """After the flags, a ``.`` under an unbounded quantifier comes first,
+    and no ``|`` sits at the top level."""
+    body = tokens[1:] if tokens and tokens[0].kind == FLAGS else tokens
+    if len(body) < 2 or body[0].kind != DOT or body[1].kind != QUANT:
+        return False
+    if _quantifier_bounds(body[1].text)[1] is not None:
+        return False
+    depth = 0
+    for tok in body:
+        if tok.kind == GROUP_OPEN:
+            depth += 1
+        elif tok.kind == GROUP_CLOSE:
+            depth -= 1
+        elif tok.kind == ALT and depth == 0:
+            return False
+    return True
+
+
 @functools.lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)
-def analyze(pattern: str) -> Analysis:
-    """Tokenize, validate and compile a pattern; raises DialectError."""
-    tokens = tuple(tokenize(pattern))
-    validate(tokens)
+def _analysis_or_error(pattern: str) -> Analysis | tuple[str, int]:
+    """The pattern's analysis, or the message and offset of its DialectError."""
+    try:
+        tokens = tuple(tokenize(pattern))
+        validate(tokens)
+    except DialectError as exc:
+        return exc.message, exc.offset
     try:
         regex = re.compile(pattern)
     except re.error as exc:  # pragma: no cover - dialect validation is stricter
-        raise DialectError(exc.msg, exc.pos or 0) from exc
-    return Analysis(tokens, regex, tuple(literal_runs(tokens)))
+        return exc.msg, exc.pos or 0
+    return Analysis(tokens, regex, tuple(literal_runs(tokens)), _leading_wildcard(tokens))
+
+
+def analyze(pattern: str) -> Analysis:
+    """Tokenize, validate and compile a pattern; raises DialectError.
+
+    The outcome is cached: a repeated invalid pattern raises a new
+    DialectError with the same message and offset, without tokenizing it
+    again.  ``analyze.cache_clear()`` empties the cache."""
+    outcome = _analysis_or_error(pattern)
+    if isinstance(outcome, Analysis):
+        return outcome
+    raise DialectError(*outcome)
+
+
+analyze.cache_clear = _analysis_or_error.cache_clear
 
 
 def compile_pattern(pattern: str) -> re.Pattern:

@@ -12,7 +12,11 @@ required literal runs (``dialect.analyze``); a truth missing one cannot match
 and is skipped unsearched.  A ``(?i)`` regex compares only its ASCII runs,
 lowercased, and only against ASCII truths, because ``re.IGNORECASE`` also
 matches ASCII letters to some non-ASCII ones (``i`` to ``ı``, ``s`` to ``ſ``,
-``k`` to the Kelvin sign) that ``str.lower`` does not map.
+``k`` to the Kelvin sign) that ``str.lower`` does not map.  Each search is
+``dialect.Analysis.search``: a regex that opens with ``.`` under an unbounded
+quantifier (``*``, ``+``, ``{m,}``) and has no top-level ``|`` is tried at
+offset 0 only, on a truth with no ``\n`` or under ``(?s)``, which finds
+exactly what a search of every offset finds.
 """
 
 from __future__ import annotations
@@ -174,7 +178,7 @@ def fpr(
     the truths as the module docstring describes.
     """
     analysis = dialect.analyze(pattern)
-    search = analysis.regex.search
+    search = analysis.search
     required = [run.text for run in analysis.runs if run.required]
     if analysis.regex.flags & re.IGNORECASE:
         required = [text.lower() for text in required if text.isascii()]

@@ -16,14 +16,18 @@ of them: the probe passes it without drawing a string, with the same verdict.
 backend; the probe gets one.  A stage's last failure or a backend error
 restarts the whole workflow, up to a configurable number of passes.
 
-The debug and audit results and the opening prompts depend only on the
-pattern and the indicator, so one ``IndicatorMemo`` caches each of them
-once for all the workflow runs of an indicator.
+The gates search with ``dialect.Analysis.search``, and the debug
+diagnostic's prefix scan by the same rule: a pattern that opens with an
+unbounded ``.`` run is tried at offset 0 only (see ``dialect``).
+
+The debug and audit results depend only on the pattern and the indicator,
+and every prompt opens with the same indicator head, so one
+``IndicatorMemo`` computes each of them once for all the workflow runs of an
+indicator.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import os
@@ -93,11 +97,13 @@ def debug_check(pattern: str, target: str) -> DebugResult:
         analysis = dialect.analyze(pattern)
     except dialect.DialectError as exc:
         return DebugResult(ok=False, syntax_error=str(exc))
-    if analysis.regex.search(target) is not None:
+    if analysis.search(target) is not None:
         return DebugResult(ok=True)
 
     # The scan always ends at a failing prefix: the last token's prefix is
-    # the whole pattern, which does not match.
+    # the whole pattern, which does not match.  Each prefix searches the
+    # way the whole pattern does (``Analysis.at_offset_0``).
+    at_offset_0 = analysis.at_offset_0(target)
     matched_prefix = ""
     target_offset = 0
     failing = ""
@@ -114,7 +120,7 @@ def debug_check(pattern: str, target: str) -> DebugResult:
             rx_prefix = re.compile(prefix)
         except re.error:
             continue
-        m = rx_prefix.search(target)
+        m = (rx_prefix.match if at_offset_0 else rx_prefix.search)(target)
         if m is None:
             failing = tok.text
             break
@@ -242,7 +248,7 @@ def overgen_check(
             text = run.text.casefold()
             if any(comp in text for comp in folded):
                 return OvergenResult(ok=True)
-    search = analysis.regex.search
+    search = analysis.search
     probes: list[str] = []
     for probe in itertools.islice(
         _probe_stream(rng_seed, keep_components), RANDOM_PROBE_COUNT
@@ -263,6 +269,14 @@ def build_prompt(
     prior_failures: int = 0,
 ) -> str:
     """Deterministic prompt text for a backend; byte-stable for golden tests."""
+    return _prompt_head(annotation) + _prompt_tail(
+        previous_pattern, diagnostic, prior_failures
+    )
+
+
+def _prompt_head(annotation: GroupAnnotation) -> str:
+    """The part of every prompt for an indicator that no attempt changes:
+    the indicator, its keep and discard components and the dialect rules."""
     rec = annotation.record
     lines = [
         "Generate one regular expression for the following indicator string.",
@@ -278,6 +292,12 @@ def build_prompt(
     lines += [f"  - {comp}" for comp in discards] if discards else ["  (none)"]
     lines += ["", "Allowed regex syntax:"]
     lines += [f"  {rule}" for rule in dialect.DIALECT_RULES]
+    return "\n".join(lines)
+
+
+def _prompt_tail(previous_pattern: str, diagnostic: str, prior_failures: int) -> str:
+    """The per-attempt rest of a prompt, to append to its head."""
+    lines = [""]
     if prior_failures:
         lines += [
             "",
@@ -482,20 +502,35 @@ class WorkflowTrace:
 
 class IndicatorMemo:
     """The pure results of one indicator's workflow runs, each computed once:
-    the debug and audit verdicts per pattern and the opening prompt per
-    restart.  Make one per indicator and pass it to each ``generate`` call.
-    Each cache looks up the function it wraps at call time, so a patched
-    module attribute takes effect."""
+    the debug and audit verdicts per pattern and the prompt head.  Make one
+    per indicator and pass it to each ``generate`` call.  Each verdict looks
+    up the check it caches at call time, so a patched module attribute takes
+    effect."""
 
     def __init__(self, annotation: GroupAnnotation):
-        target = annotation.record.normalized
-        self.debug = functools.cache(lambda pattern: debug_check(pattern, target))
-        self.noncapture = functools.cache(
-            lambda pattern: noncapture_check(pattern, annotation)
-        )
-        self.opening_prompt = functools.cache(
-            lambda restart: build_prompt(annotation, prior_failures=restart)
-        )
+        self.annotation = annotation
+        self.head = _prompt_head(annotation)
+        self._debug: dict[str, DebugResult] = {}
+        self._noncapture: dict[str, NoncaptureResult] = {}
+
+    def debug(self, pattern: str) -> DebugResult:
+        result = self._debug.get(pattern)
+        if result is None:
+            result = debug_check(pattern, self.annotation.record.normalized)
+            self._debug[pattern] = result
+        return result
+
+    def noncapture(self, pattern: str) -> NoncaptureResult:
+        result = self._noncapture.get(pattern)
+        if result is None:
+            result = noncapture_check(pattern, self.annotation)
+            self._noncapture[pattern] = result
+        return result
+
+    def prompt(self, previous_pattern: str = "", diagnostic: str = "",
+               prior_failures: int = 0) -> str:
+        """``build_prompt`` for this indicator."""
+        return self.head + _prompt_tail(previous_pattern, diagnostic, prior_failures)
 
 
 def _propose(
@@ -547,7 +582,7 @@ def generate(
     trace = WorkflowTrace()
     for restart in range(restart_cap):
         trace.restarts = restart
-        opening = memo.opening_prompt(restart)
+        opening = memo.prompt(prior_failures=restart)
         pattern = _propose(backend, annotation, opening, trace, restart, STAGE_DEBUG)
         if pattern is None:
             continue
@@ -560,7 +595,7 @@ def generate(
                 trace.attempts.append(Attempt(restart, stage, pattern, verdict, diagnostic))
                 if ok or attempt == attempts:
                     break
-                feedback = build_prompt(annotation, pattern, diagnostic, restart)
+                feedback = memo.prompt(pattern, diagnostic, restart)
                 pattern = _propose(
                     backend, annotation, feedback, trace, restart, stage, pattern
                 )

@@ -10,7 +10,6 @@ bare ``.*`` are treated as search anchors and not penalized.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from . import dialect, generation
@@ -94,7 +93,7 @@ def select_best(
     order.  Returns (best or None, one graded candidate per successful run).
     """
     memo = generation.IndicatorMemo(annotation)
-    grades = functools.cache(lambda pattern: grade(pattern, annotation))
+    grades: dict[str, RegexCandidate] = {}
     candidates: list[RegexCandidate] = []
     for i in range(k):
         if workflow == "single_shot":
@@ -110,7 +109,9 @@ def select_best(
                 memo=memo,
             )
         if pattern is not None:
-            candidates.append(grades(pattern))
+            if pattern not in grades:
+                grades[pattern] = grade(pattern, annotation)
+            candidates.append(grades[pattern])
 
     if not candidates:
         return None, []

@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ioc2regex import dialect
 from ioc2regex.dialect import (
@@ -223,6 +227,87 @@ class TestAnalyze:
     def test_invalid_pattern_raises(self):
         with pytest.raises(DialectError, match="nested repetition"):
             analyze("(a+)+$")
+
+    def test_invalid_pattern_tokenized_once(self, monkeypatch):
+        pattern = "(?i).*(unclosed"
+        calls = []
+        tokenize_ = dialect.tokenize
+
+        def counting(text):
+            calls.append(text)
+            return tokenize_(text)
+
+        monkeypatch.setattr(dialect, "tokenize", counting)
+        analyze.cache_clear()
+        errors = []
+        for _ in range(3):
+            with pytest.raises(DialectError) as info:
+                analyze(pattern)
+            errors.append(info.value)
+        assert calls == [pattern]
+        assert len({id(e) for e in errors}) == 3  # a fresh error each time
+        assert {(str(e), e.offset) for e in errors} == {
+            ("syntax error at offset 6: unbalanced '('", 6)
+        }
+
+
+# Leading constructs the offset-0 rule takes (unbounded, lazy or not) and
+# ones it must leave to a full search (bounded, inside a group, none).
+SEARCH_LEADS = [
+    ".*", ".*?", ".+", ".+?", ".{2,}", ".{2,}?", ".{0,3}", "(?:.*)", "(.*)", "",
+]
+SEARCH_ATOMS = [
+    "a", "b", "x", ".", "b?", "a+", "[ab]", "(a)", "(b+)", r"\s", "^", "$", ".*",
+    "(?:a|b)",
+]
+
+
+class TestSearch:
+    """``Analysis.search`` against a plain search of every offset."""
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(
+        flags=st.sampled_from(["", "(?i)", "(?s)", "(?m)", "(?is)", "(?ms)"]),
+        lead=st.sampled_from(SEARCH_LEADS),
+        atoms=st.lists(st.sampled_from(SEARCH_ATOMS), max_size=4),
+        alternative=st.sampled_from(["", "|a", "|b$", "|^x"]),
+        text=st.text("abxB \n", max_size=12),
+    )
+    @example(flags="(?m)", lead=".*?", atoms=["b", "$"], alternative="", text="xa\n \nxb")
+    @example(flags="", lead=".{0,3}", atoms=["b"], alternative="", text="xxxxb")
+    def test_equals_regex_search(self, flags, lead, atoms, alternative, text):
+        pattern = flags + lead + "".join(atoms) + alternative
+        try:
+            analysis = analyze(pattern)
+        except DialectError:
+            assume(False)
+        got, want = analysis.search(text), analysis.regex.search(text)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.span() == want.span()
+            assert got.groups() == want.groups()
+
+    @pytest.mark.parametrize(
+        "pattern, text, at_offset_0",
+        [
+            (".*a", "xa", True),
+            ("(?i).*?a", "xa", True),
+            (".+a", "xa", True),
+            (".{2,}a", "xxa", True),
+            (".*(?:a|b)", "xa", True),
+            (".{0,3}a", "xa", False),
+            ("(?:.*)a", "xa", False),
+            (".*a|b", "xa", False),
+            ("a.*", "xa", False),
+            (".*a", "x\na", False),
+            ("(?s).*a", "x\na", True),
+            ("(?m).*a$", "x\na", False),
+        ],
+    )
+    def test_offset_0_conditions(self, pattern, text, at_offset_0):
+        analysis = analyze(pattern)
+        assert analysis.at_offset_0(text) is at_offset_0
+        assert analysis.search(text).span() == re.search(pattern, text).span()
 
 
 class TestWildcardUnits:

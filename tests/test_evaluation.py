@@ -25,6 +25,7 @@ from ioc2regex.evaluation import (
 from ioc2regex.normalize import IocKind
 
 from oracles import reference_levenshtein, reference_matches
+from test_generation import ADVERSARIAL_PATH, ADVERSARIAL_PATTERN, hard_timeout
 
 
 def truth(text, kind, groups, dataset="ds", store=None):
@@ -163,7 +164,7 @@ def texts_for(pattern: str):
     letters = [c for c in pattern.removeprefix("(?i)") if c.isalpha() or c == "\\"]
     respelled = st.tuples(*(st.sampled_from([*spellings(c), ""]) for c in letters))
     return st.one_of(
-        st.text("aiksKIS\\.xz" + TRICKY, max_size=12), respelled.map("".join)
+        st.text("aiksKIS\\.xz\n" + TRICKY, max_size=12), respelled.map("".join)
     )
 
 
@@ -199,6 +200,18 @@ class TestMatchRows:
     )
     def test_case_insensitive_matches_beyond_str_lower(self, pattern, text):
         assert fpr(pattern, [], [raw_truth(text)]).matched_indices == [0]
+
+    @pytest.mark.parametrize(
+        "pattern, text",
+        [(".*k", "x\nk"), ("(?m).*?k$", "xa\n \nxk"), ("(?s).+k", "x\nk")],
+    )
+    def test_match_after_a_line_break(self, pattern, text):
+        assert fpr(pattern, [], [raw_truth(text)]).matched_indices == [0]
+
+    def test_leading_wildcard_miss_past_the_prefilter_is_fast(self):
+        truth = raw_truth(ADVERSARIAL_PATH)  # holds both required runs, \ and .exe
+        with hard_timeout(0.5):
+            assert fpr(ADVERSARIAL_PATTERN, [], [truth]).matched_indices == []
 
     def test_required_literal_missing_means_no_match(self):
         truths = [raw_truth("abc"), raw_truth("ABC"), raw_truth("xbc")]

@@ -5,7 +5,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ioc2regex import annotate, generation, grading, make_record
@@ -81,13 +81,22 @@ class TestDebugCheck:
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(
+        flags=st.sampled_from(["", "(?s)", "(?m)"]),
         elements=st.lists(DEBUG_ELEMENTS, max_size=6),
-        target=st.text(DEBUG_ALPHABET, max_size=10),
+        target=st.text(DEBUG_ALPHABET + "\n", max_size=10),
     )
-    def test_diagnostic_equals_eager_reference(self, elements, target):
-        pattern = "".join(elements)
+    @example(flags="(?m)", elements=[".*", "b", "$"], target="xa\n\nxb")
+    def test_diagnostic_equals_eager_reference(self, flags, elements, target):
+        pattern = flags + "".join(elements)
         res = debug_check(pattern, target)
         assert res == reference_debug_check(pattern, target)
+
+    def test_leading_wildcard_miss_on_long_path_is_fast(self):
+        # a search from every offset would redo the backtracking at each one
+        with hard_timeout(0.5):
+            res = debug_check(ADVERSARIAL_PATTERN, ADVERSARIAL_PATH)
+        assert not res.ok
+        assert res.failing_token == r"\."
 
     def test_agrees_with_engine(self, path_record, schtasks_record):
         patterns = [
@@ -160,6 +169,12 @@ def assert_passes_audit(pattern, keeps):
         record=rec, labels=["keep"] * len(keeps), capture_sequences=[list(keeps)]
     )
     assert noncapture_check(pattern, ann).ok, pattern
+
+
+# Five overlapping ``.*`` runs against a 122-character path with 38
+# backslashes whose only ``.exe`` follows the first one: no match.
+ADVERSARIAL_PATTERN = r"(?i).*\\.*\\.*\\.*\\.*\\.*\.exe"
+ADVERSARIAL_PATH = ("c:\\setup.exe\\" + "ab\\" * 40)[:122]
 
 
 @contextmanager
