@@ -12,14 +12,15 @@ that contains ``|`` at any depth may not be repeated either (``(?:a|a)+`` and
 backtracking): both backtrack exponentially on near-miss inputs.  The
 verbose flag ``(?x)`` and a brace quantifier without a lower bound
 (``{,n}``) are rejected, because they would make text that reads as literal
-match something else.
+match something else.  A brace bound may not exceed 65,535, PCRE's limit
+(``re`` itself cannot compile one from 2**32 - 1).
 
-``analyze`` tokenizes, validates and compiles a pattern once and caches the
-result, or the ``DialectError`` it raised; the validation gates and the
-grader all read that one analysis.  Its literal runs carry the one rule for
-what a pattern guarantees: a run is *required* when it is literally on every
-match path, not in an alternation branch or a group that may match zero
-times.
+``analyze`` tokenizes a pattern, decides in one walk of its tokens
+(``structure``) whether it is valid and which of its literal runs are
+required, compiles it, and caches the result, or the ``DialectError`` it
+raised; the validation gates and the grader all read that one analysis.  A
+run is *required* when it is literally on every match path, not in an
+alternation branch or a group that may match zero times.
 
 ``Analysis.search`` is the one search entry point, and returns exactly what
 ``regex.search`` returns.  It tries offset 0 only (``regex.match``) when the
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,6 +58,7 @@ _FLAGS_RE = re.compile(r"\(\?[ims]+\)")
 _BRACE_QUANT_RE = re.compile(r"\{\d+(,\d*)?\}")
 # Python reads these as {0,n} and {0,}; other engines as literal text.
 _BRACE_NO_LOW_RE = re.compile(r"\{,\d*\}")
+_MAX_BOUND = 65535  # the largest brace bound
 
 # Analyses kept for reuse; one indicator's k workflows mostly repeat patterns.
 _ANALYSIS_CACHE_SIZE = 64
@@ -184,11 +187,7 @@ def tokenize(pattern: str) -> list[Token]:
             i += 1
         elif ch in "*+?":
             flush()
-            text = ch
-            if ch != "?" and i + 1 < n and pattern[i + 1] == "?":
-                text = pattern[i : i + 2]
-            elif ch == "?" and i + 1 < n and pattern[i + 1] == "?":
-                text = "??"
+            text = pattern[i : i + 2] if pattern.startswith("?", i + 1) else ch
             push_quant(text, i)
             i += len(text)
         elif ch == "{":
@@ -231,52 +230,95 @@ def _quantifier_bounds(text: str) -> tuple[int, int | None]:
     return int(low), int(high) if high else None
 
 
-def _repeats(text: str) -> bool:
-    high = _quantifier_bounds(text)[1]
-    return high is None or high > 1
+@dataclass(slots=True)
+class _Group:
+    """What ``structure`` keeps about one open group."""
+
+    pos: int  # offset of its '('
+    first_run: int  # index of its first literal run
+    alt: bool = False  # a '|' at its own level
+    alt_any: bool = False  # a '|' at any depth
+    repeats: bool = False  # a repeating quantifier at any depth
 
 
-def validate(tokens: Sequence[Token]) -> None:
-    """Structural checks: quantifier placement, balanced groups, and no
-    repeated group that itself contains a repeating quantifier or a ``|``."""
-    # per open group: (open pos, enclosing level's repeats_inside, alt_inside)
-    opened: list[tuple[int, bool, bool]] = []
-    repeats_inside = False  # the current level holds a repeating quantifier
-    alt_inside = False  # the current level holds a '|'
-    closed_repeats_inside = closed_alt_inside = False  # the group just closed
+def structure(tokens: Sequence[Token]) -> tuple[tuple[LiteralRun, ...], bool]:
+    """Validate a token stream and find its literal runs, in one walk.
+
+    Returns the maximal literal runs, with unescaped text, and whether a
+    ``|`` sits at the top level; raises DialectError outside the dialect.  A
+    quantified atom is in no run, and any other non-literal token ends one.
+    """
+    texts: list[str] = []
+    required: list[bool] = []
+    current: list[str] = []
+    stack = [_Group(0, 0)]  # the open groups, the top level first
+    closed = stack[0]  # the group the last ')' closed
     prev: Token | None = None
+
+    def flush() -> None:
+        if current:
+            texts.append("".join(current))
+            required.append(True)
+            current.clear()
+
+    def not_required(first: int) -> None:
+        required[first:] = [False] * (len(texts) - first)
+
     for tok in tokens:
-        if tok.kind == QUANT:
+        if tok.kind == LITERAL:
+            current.append(tok.text)
+        elif tok.kind == ESCAPE:
+            current.append(tok.text[1])
+        elif tok.kind == QUANT:
             if prev is None or prev.kind not in _QUANTIFIABLE:
                 raise DialectError("quantifier has nothing to repeat", tok.pos)
-            if _repeats(tok.text):
-                if prev.kind == GROUP_CLOSE and closed_repeats_inside:
+            try:
+                low, high = _quantifier_bounds(tok.text)
+                too_large = max(low, high or 0) > _MAX_BOUND
+            except ValueError:  # int() refuses a bound of over 4,300 digits
+                too_large = True
+            if too_large:
+                raise DialectError(f"repetition bound above {_MAX_BOUND}", tok.pos)
+            repeats = high is None or high > 1
+            if prev.kind == GROUP_CLOSE:
+                if repeats and closed.repeats:
                     raise DialectError(
                         "nested repetition: a repeated group may not contain"
                         " a repeating quantifier",
                         tok.pos,
                     )
-                if prev.kind == GROUP_CLOSE and closed_alt_inside:
+                if repeats and closed.alt_any:
                     raise DialectError(
                         "alternation inside a repeated group; use a character class",
                         tok.pos,
                     )
-                repeats_inside = True
-        elif tok.kind == ALT:
-            alt_inside = True
-        elif tok.kind == GROUP_OPEN:
-            opened.append((tok.pos, repeats_inside, alt_inside))
-            repeats_inside = alt_inside = False
-        elif tok.kind == GROUP_CLOSE:
-            if not opened:
-                raise DialectError("unbalanced ')'", tok.pos)
-            closed_repeats_inside, closed_alt_inside = repeats_inside, alt_inside
-            _pos, outer_repeats, outer_alt = opened.pop()
-            repeats_inside = outer_repeats or repeats_inside
-            alt_inside = outer_alt or alt_inside
+                if low == 0:
+                    not_required(closed.first_run)
+            elif prev.kind in (LITERAL, ESCAPE):
+                current.pop()  # a quantified atom may not occur verbatim
+                flush()
+            stack[-1].repeats |= repeats
+        else:
+            flush()
+            if tok.kind == GROUP_OPEN:
+                stack.append(_Group(tok.pos, len(texts)))
+            elif tok.kind == ALT:
+                stack[-1].alt = stack[-1].alt_any = True
+            elif tok.kind == GROUP_CLOSE:
+                if len(stack) == 1:
+                    raise DialectError("unbalanced ')'", tok.pos)
+                closed = stack.pop()
+                if closed.alt:
+                    not_required(closed.first_run)
+                stack[-1].alt_any |= closed.alt_any
+                stack[-1].repeats |= closed.repeats
         prev = tok
-    if opened:
-        raise DialectError("unbalanced '('", opened[-1][0])
+    if len(stack) > 1:
+        raise DialectError("unbalanced '('", stack[-1].pos)
+    flush()
+    if stack[0].alt:
+        not_required(0)
+    return tuple(map(LiteralRun, texts, required)), stack[0].alt
 
 
 @dataclass(frozen=True)
@@ -345,22 +387,11 @@ class Analysis:
 
 
 def _leading_wildcard(tokens: Sequence[Token]) -> bool:
-    """After the flags, a ``.`` under an unbounded quantifier comes first,
-    and no ``|`` sits at the top level."""
+    """After the flags, a ``.`` under an unbounded quantifier comes first."""
     body = tokens[1:] if tokens and tokens[0].kind == FLAGS else tokens
-    if len(body) < 2 or body[0].kind != DOT or body[1].kind != QUANT:
-        return False
-    if _quantifier_bounds(body[1].text)[1] is not None:
-        return False
-    depth = 0
-    for tok in body:
-        if tok.kind == GROUP_OPEN:
-            depth += 1
-        elif tok.kind == GROUP_CLOSE:
-            depth -= 1
-        elif tok.kind == ALT and depth == 0:
-            return False
-    return True
+    return len(body) >= 2 and body[0].kind == DOT and body[1].kind == QUANT and (
+        _quantifier_bounds(body[1].text)[1] is None
+    )
 
 
 @functools.lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)
@@ -368,14 +399,14 @@ def _analysis_or_error(pattern: str) -> Analysis | tuple[str, int]:
     """The pattern's analysis, or the message and offset of its DialectError."""
     try:
         tokens = tuple(tokenize(pattern))
-        validate(tokens)
+        runs, top_level_alt = structure(tokens)
     except DialectError as exc:
         return exc.message, exc.offset
     try:
         regex = re.compile(pattern)
-    except re.error as exc:  # pragma: no cover - dialect validation is stricter
+    except re.error as exc:  # e.g. a{3,1} or [z-a]
         return exc.msg, exc.pos or 0
-    return Analysis(tokens, regex, tuple(literal_runs(tokens)), _leading_wildcard(tokens))
+    return Analysis(tokens, regex, runs, not top_level_alt and _leading_wildcard(tokens))
 
 
 def analyze(pattern: str) -> Analysis:
@@ -396,53 +427,6 @@ analyze.cache_clear = _analysis_or_error.cache_clear
 def compile_pattern(pattern: str) -> re.Pattern:
     """Validate a pattern against the dialect, then compile it."""
     return analyze(pattern).regex
-
-
-# -- analyses over the token stream -------------------------------------
-
-
-def literal_runs(tokens: Sequence[Token]) -> list[LiteralRun]:
-    """Maximal literal character runs of a validated token stream, with
-    unescaped text.
-
-    A quantified atom is excluded (it is not guaranteed to occur verbatim),
-    and any non-literal token breaks the run.  A run is not required when a
-    ``|`` sits at its own or any enclosing level, or when it lies in a group
-    quantified by ``?``, ``*``, ``{0,n}`` or ``{0,}`` (lazy or not).
-    """
-    texts: list[str] = []
-    optional: list[bool] = []
-    current: list[str] = []
-    levels: list[list] = [[0, False]]  # per open level: [first run index, has '|']
-
-    def flush() -> None:
-        if current:
-            texts.append("".join(current))
-            optional.append(False)
-            current.clear()
-
-    for k, tok in enumerate(tokens):
-        nxt = tokens[k + 1] if k + 1 < len(tokens) else None
-        quantified = nxt is not None and nxt.kind == QUANT
-        if tok.kind == LITERAL and not quantified:
-            current.append(tok.text)
-        elif tok.kind == ESCAPE and not quantified:
-            current.append(tok.text[1])
-        else:
-            flush()
-            if tok.kind == GROUP_OPEN:
-                levels.append([len(texts), False])
-            elif tok.kind == ALT:
-                levels[-1][1] = True
-            elif tok.kind == GROUP_CLOSE:
-                first, alternated = levels.pop()
-                skippable = quantified and _quantifier_bounds(nxt.text)[0] == 0
-                if alternated or skippable:
-                    optional[first:] = [True] * (len(texts) - first)
-    flush()
-    if levels[0][1]:
-        optional = [True] * len(texts)
-    return [LiteralRun(text, not opt) for text, opt in zip(texts, optional)]
 
 
 def wildcard_units(tokens: Sequence[Token]) -> list[tuple[int, int, str]]:
@@ -470,34 +454,20 @@ def wildcard_units(tokens: Sequence[Token]) -> list[tuple[int, int, str]]:
     return units
 
 
-FEATURE_NAMES = (
-    "groups",
-    "classes",
-    "wildcards",
-    "anchors",
-    "quantifiers",
-    "alternations",
-    "escapes",
-)
+# Structural features, in vector order, and the token kinds each one counts.
+_FEATURES = {
+    "groups": (GROUP_OPEN,),
+    "classes": (CLASS,),
+    "wildcards": (DOT, CLASS_ESCAPE),
+    "anchors": (ANCHOR,),
+    "quantifiers": (QUANT,),
+    "alternations": (ALT,),
+    "escapes": (ESCAPE,),
+}
+FEATURE_NAMES = tuple(_FEATURES)
 
 
 def feature_vector(pattern: str) -> tuple[int, ...]:
     """Structural feature counts in FEATURE_NAMES order."""
-    tokens = tokenize(pattern)
-    counts = {name: 0 for name in FEATURE_NAMES}
-    for tok in tokens:
-        if tok.kind == GROUP_OPEN:
-            counts["groups"] += 1
-        elif tok.kind == CLASS:
-            counts["classes"] += 1
-        elif tok.kind in (DOT, CLASS_ESCAPE):
-            counts["wildcards"] += 1
-        elif tok.kind == ANCHOR:
-            counts["anchors"] += 1
-        elif tok.kind == QUANT:
-            counts["quantifiers"] += 1
-        elif tok.kind == ALT:
-            counts["alternations"] += 1
-        if tok.kind == ESCAPE:
-            counts["escapes"] += 1
-    return tuple(counts[name] for name in FEATURE_NAMES)
+    kinds = Counter(tok.kind for tok in tokenize(pattern))
+    return tuple(sum(kinds[k] for k in _FEATURES[name]) for name in FEATURE_NAMES)

@@ -354,15 +354,19 @@ def _is_str(value) -> bool:
     return isinstance(value, str)
 
 
+def _is_nonempty_str(value) -> bool:
+    return isinstance(value, str) and value != ""
+
+
 # What evaluation reads from a product record: key -> (description, check).
 _PRODUCT_RECORD_SCHEMA = {
     "ioc_id": ("a string", _is_str),
-    "pattern": ("a string", _is_str),
+    "pattern": ("a string of one or more characters", _is_nonempty_str),
     "capture_groups": (
         "a list of strings",
         lambda v: isinstance(v, list) and all(map(_is_str, v)),
     ),
-    "normalized": ("a string", _is_str),
+    "normalized": ("a string of one or more characters", _is_nonempty_str),
     "score": (
         "a number",
         lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),

@@ -282,6 +282,116 @@ def reference_overgen_ok(pattern: str, seed: int, keeps) -> bool:
     return not all(re.search(pattern, probe) for probe in probes)
 
 
+def _reference_bounds(text: str) -> tuple[int, int | None]:
+    q = text.rstrip("?") or "?"
+    if q in ("?", "*", "+"):
+        return {"?": (0, 1), "*": (0, None), "+": (1, None)}[q]
+    low, comma, high = q[1:-1].partition(",")
+    if not comma:
+        return int(low), int(low)
+    return int(low), int(high) if high else None
+
+
+def reference_structure(tokens):
+    """Validity, literal runs and the leading-wildcard flag of a token stream
+    from three separate scans, each with its own record of group nesting:
+    a validator, a literal-run scan and a top-level ``|`` scan.  Returns
+    (runs, leading_wildcard) or raises DialectError."""
+    from ioc2regex import dialect as d
+
+    # 1. validation: quantifier placement, balance, star height, '|' under repetition
+    opened = []
+    repeats_inside = alt_inside = False
+    closed_repeats_inside = closed_alt_inside = False
+    prev = None
+    for tok in tokens:
+        if tok.kind == d.QUANT:
+            if prev is None or prev.kind not in (
+                d.LITERAL, d.ESCAPE, d.CLASS_ESCAPE, d.CLASS, d.DOT, d.GROUP_CLOSE
+            ):
+                raise d.DialectError("quantifier has nothing to repeat", tok.pos)
+            high = _reference_bounds(tok.text)[1]
+            if high is None or high > 1:
+                if prev.kind == d.GROUP_CLOSE and closed_repeats_inside:
+                    raise d.DialectError(
+                        "nested repetition: a repeated group may not contain"
+                        " a repeating quantifier",
+                        tok.pos,
+                    )
+                if prev.kind == d.GROUP_CLOSE and closed_alt_inside:
+                    raise d.DialectError(
+                        "alternation inside a repeated group; use a character class",
+                        tok.pos,
+                    )
+                repeats_inside = True
+        elif tok.kind == d.ALT:
+            alt_inside = True
+        elif tok.kind == d.GROUP_OPEN:
+            opened.append((tok.pos, repeats_inside, alt_inside))
+            repeats_inside = alt_inside = False
+        elif tok.kind == d.GROUP_CLOSE:
+            if not opened:
+                raise d.DialectError("unbalanced ')'", tok.pos)
+            closed_repeats_inside, closed_alt_inside = repeats_inside, alt_inside
+            _pos, outer_repeats, outer_alt = opened.pop()
+            repeats_inside = outer_repeats or repeats_inside
+            alt_inside = outer_alt or alt_inside
+        prev = tok
+    if opened:
+        raise d.DialectError("unbalanced '('", opened[-1][0])
+
+    # 2. literal runs, each level remembering its first run and its own '|'
+    texts, optional, current = [], [], []
+    levels = [[0, False]]
+
+    def flush():
+        if current:
+            texts.append("".join(current))
+            optional.append(False)
+            current.clear()
+
+    for k, tok in enumerate(tokens):
+        nxt = tokens[k + 1] if k + 1 < len(tokens) else None
+        quantified = nxt is not None and nxt.kind == d.QUANT
+        if tok.kind == d.LITERAL and not quantified:
+            current.append(tok.text)
+        elif tok.kind == d.ESCAPE and not quantified:
+            current.append(tok.text[1])
+        else:
+            flush()
+            if tok.kind == d.GROUP_OPEN:
+                levels.append([len(texts), False])
+            elif tok.kind == d.ALT:
+                levels[-1][1] = True
+            elif tok.kind == d.GROUP_CLOSE:
+                first, alternated = levels.pop()
+                skippable = quantified and _reference_bounds(nxt.text)[0] == 0
+                if alternated or skippable:
+                    optional[first:] = [True] * (len(texts) - first)
+    flush()
+    if levels[0][1]:
+        optional = [True] * len(texts)
+    runs = [d.LiteralRun(text, not opt) for text, opt in zip(texts, optional)]
+
+    # 3. leading wildcard: '.' under an unbounded quantifier, no top-level '|'
+    body = tokens[1:] if tokens and tokens[0].kind == d.FLAGS else tokens
+    leading = (
+        len(body) >= 2
+        and body[0].kind == d.DOT
+        and body[1].kind == d.QUANT
+        and _reference_bounds(body[1].text)[1] is None
+    )
+    depth = 0
+    for tok in body if leading else ():
+        if tok.kind == d.GROUP_OPEN:
+            depth += 1
+        elif tok.kind == d.GROUP_CLOSE:
+            depth -= 1
+        elif tok.kind == d.ALT and depth == 0:
+            leading = False
+    return runs, leading
+
+
 def reference_debug_check(pattern: str, target: str):
     """The debug diagnostic with every literal split into characters before
     the prefix scan starts (the eager form); same fields, same text."""
@@ -289,8 +399,7 @@ def reference_debug_check(pattern: str, target: str):
     from ioc2regex.generation import DebugResult
 
     try:
-        tokens = dialect.tokenize(pattern)
-        dialect.validate(tokens)
+        tokens = dialect.analyze(pattern).tokens
     except dialect.DialectError as exc:
         return DebugResult(ok=False, syntax_error=str(exc))
     if re.search(pattern, target):

@@ -12,15 +12,19 @@ from ioc2regex.dialect import (
     analyze,
     compile_pattern,
     feature_vector,
-    literal_runs,
+    structure,
     tokenize,
-    validate,
     wildcard_units,
 )
+from oracles import reference_structure
 
 
 def kinds(pattern):
     return [t.kind for t in tokenize(pattern)]
+
+
+def runs_of(pattern):
+    return list(structure(tokenize(pattern))[0])
 
 
 class TestTokenize:
@@ -103,22 +107,22 @@ class TestTokenize:
 class TestValidate:
     def test_unbalanced_open(self):
         with pytest.raises(DialectError, match="unbalanced"):
-            validate(tokenize("(unclosed"))
+            structure(tokenize("(unclosed"))
 
     def test_unbalanced_close(self):
         with pytest.raises(DialectError, match="unbalanced"):
-            validate(tokenize("a)b"))
+            structure(tokenize("a)b"))
 
     def test_leading_quantifier(self):
         with pytest.raises(DialectError, match="nothing to repeat"):
-            validate(tokenize("*a"))
+            structure(tokenize("*a"))
 
     def test_double_quantifier(self):
         with pytest.raises(DialectError, match="nothing to repeat"):
-            validate(tokenize("a**"))
+            structure(tokenize("a**"))
 
     def test_quantified_group_ok(self):
-        validate(tokenize("(ab)+(?:cd)?"))
+        structure(tokenize("(ab)+(?:cd)?"))
 
     @pytest.mark.parametrize(
         "pattern",
@@ -126,13 +130,13 @@ class TestValidate:
     )
     def test_repeated_group_with_repeating_quantifier_rejected(self, pattern):
         with pytest.raises(DialectError, match="nested repetition"):
-            validate(tokenize(pattern))
+            structure(tokenize(pattern))
 
     @pytest.mark.parametrize(
         "pattern", [r"(a+)?", r"(a+){0,1}", r"(a?)+", r"(a{1,1})*", r"(a+)b+"]
     )
     def test_single_level_repetition_accepted(self, pattern):
-        validate(tokenize(pattern))
+        structure(tokenize(pattern))
 
     @pytest.mark.parametrize(
         "pattern", [r"(?:a|a)+$", r"(a|ab)*c", r"(?:ab|cd){2,}", r"(?:x(?:a|b))*?"]
@@ -148,9 +152,40 @@ class TestValidate:
     def test_alternation_outside_repetition_accepted(self, pattern):
         analyze(pattern)
 
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            "a{4294967296}", "a{65536}", "a{1,65536}", "a{65536,}", "x(?:ab){2,70000}?",
+            pytest.param("a{" + "0" * 5000 + "1}", id="a{0 x 5000, 1}"),
+        ],
+    )
+    def test_brace_bound_above_limit_rejected(self, pattern):
+        # re raises OverflowError from 2**32 - 1 on, and int() ValueError
+        # for a bound of over 4,300 digits
+        with pytest.raises(DialectError, match="repetition bound above 65535") as err:
+            analyze(pattern)
+        assert err.value.offset == pattern.index("{")
+
+    @pytest.mark.parametrize("pattern", ["a{65535}", "a{0,65535}", "a{65535,}"])
+    def test_brace_bound_at_limit_accepted(self, pattern):
+        analyze(pattern)
+
+    @pytest.mark.parametrize(
+        "pattern, message, offset",
+        [
+            ("a{3,1}", "min repeat greater than max repeat", 2),
+            ("[z-a]", "bad character range z-a", 1),
+        ],
+    )
+    def test_rejected_by_re_compile(self, pattern, message, offset):
+        structure(tokenize(pattern))
+        with pytest.raises(DialectError) as err:
+            analyze(pattern)
+        assert (err.value.message, err.value.offset) == (message, offset)
+
     def test_unbalanced_open_names_the_unclosed_group(self):
         with pytest.raises(DialectError) as err:
-            validate(tokenize("(a(b)"))
+            structure(tokenize("(a(b)"))
         assert err.value.offset == 0
 
     def test_compile_pattern_matches_re(self):
@@ -160,19 +195,19 @@ class TestValidate:
 
 class TestLiteralRuns:
     def test_escapes_join_runs(self):
-        runs = literal_runs(tokenize(r"Users\\Public"))
+        runs = runs_of(r"Users\\Public")
         assert [r.text for r in runs] == ["Users\\Public"]
 
     def test_non_literals_break_runs(self):
-        runs = literal_runs(tokenize(r"ab.cd(ef)gh"))
+        runs = runs_of(r"ab.cd(ef)gh")
         assert [r.text for r in runs] == ["ab", "cd", "ef", "gh"]
 
     def test_quantified_atom_excluded(self):
-        runs = literal_runs(tokenize("abc*d"))
+        runs = runs_of("abc*d")
         assert [r.text for r in runs] == ["ab", "d"]
 
     def test_plain_and_repeated_groups_required(self):
-        runs = literal_runs(tokenize(r"ab(cd)(?:ef)+(?:gh){1,3}"))
+        runs = runs_of(r"ab(cd)(?:ef)+(?:gh){1,3}")
         assert runs == [
             LiteralRun("ab", True),
             LiteralRun("cd", True),
@@ -184,13 +219,13 @@ class TestLiteralRuns:
         "quant", ["?", "??", "*", "*?", "{0,2}", "{0,}", "{0}"]
     )
     def test_zero_repeat_group_not_required(self, quant):
-        assert literal_runs(tokenize("x(?:K)" + quant)) == [
+        assert runs_of("x(?:K)" + quant) == [
             LiteralRun("x", True),
             LiteralRun("K", False),
         ]
 
     def test_alternation_branch_not_required(self):
-        runs = literal_runs(tokenize("x(?:K|zz)y"))
+        runs = runs_of("x(?:K|zz)y")
         assert runs == [
             LiteralRun("x", True),
             LiteralRun("K", False),
@@ -199,10 +234,10 @@ class TestLiteralRuns:
         ]
 
     def test_top_level_alternation_nothing_required(self):
-        assert [r.required for r in literal_runs(tokenize("ab|cd"))] == [False, False]
+        assert [r.required for r in runs_of("ab|cd")] == [False, False]
 
     def test_enclosing_group_decides(self):
-        runs = literal_runs(tokenize("((?:K)+z)?w(a|(?:b))"))
+        runs = runs_of("((?:K)+z)?w(a|(?:b))")
         assert runs == [
             LiteralRun("K", False),
             LiteralRun("z", False),
@@ -210,6 +245,55 @@ class TestLiteralRuns:
             LiteralRun("a", False),
             LiteralRun("b", False),
         ]
+
+
+# Token soup for the comparison with the three separate scans.
+STRUCTURE_SOUP = [
+    "a", "K", "zz", r"\\", r"\.", ".", r"\w", "[ab]", "(", "(?:", ")", "|",
+    "*", "+", "?", "??", "*?", "{0,2}", "{2,}", "{3}", "^", "$",
+]
+GROUP_QUANTS = ["", "*", "+", "?", "??", "*?", "{0,2}", "{2,}", "{3}"]
+
+# Soup tokens, stray brackets and quantifiers included, strung together and
+# also wrapped in quantified groups, so that valid nesting is drawn often.
+soup_patterns = st.recursive(
+    st.sampled_from(STRUCTURE_SOUP),
+    lambda inner: st.lists(inner, min_size=2, max_size=3).map("".join)
+    | st.tuples(st.sampled_from(["(", "(?:"]), inner, st.sampled_from(GROUP_QUANTS)).map(
+        lambda t: f"{t[0]}{t[1]}){t[2]}"
+    ),
+    max_leaves=12,
+)
+
+
+class TestStructure:
+    """``analyze`` against a validator, a literal-run scan and a top-level
+    ``|`` scan that each keep their own record of group nesting."""
+
+    @staticmethod
+    def outcome(pattern, decide):
+        try:
+            return decide(pattern)
+        except DialectError as exc:
+            return exc.message, exc.offset
+
+    @settings(derandomize=True, deadline=None, max_examples=1000)
+    @given(prefix=st.sampled_from(["", "(?i).*"]), soup=soup_patterns)
+    @example(prefix="", soup="(((?:a|K)))+")  # '|' three groups down
+    @example(prefix="(?i).*", soup="(x(?:(zz|K)a))*?|K")
+    @example(prefix="", soup="((?:K)+z)?w(a|(?:b))")
+    def test_equals_reference_scans(self, prefix, soup):
+        def analyzed(pattern):
+            analysis = analyze(pattern)
+            return list(analysis.runs), analysis.leading_wildcard
+
+        def reference(pattern):
+            outcome = reference_structure(tokenize(pattern))
+            re.compile(pattern)
+            return outcome
+
+        pattern = prefix + soup
+        assert self.outcome(pattern, analyzed) == self.outcome(pattern, reference)
 
 
 class TestAnalyze:

@@ -200,6 +200,19 @@ class TestRunGenerate:
         summary = run_generate(cfg)
         assert summary["failed"] == 2
 
+    def test_unbounded_brace_emission_is_repaired(self, tmp_path, fig1_input):
+        # re cannot compile either bound; the dialect rejects both, so the
+        # debug loop feeds them back and the template fallback repairs them
+        emissions = ["a{4294967296}", "a{" + "9" * 5000 + "}"]
+        replay = write_json(
+            tmp_path / "replay.json", {"emissions": emissions, "fallback": "template"}
+        )
+        cfg = base_config(
+            tmp_path, fig1_input, backend="scripted", replay_path=replay, candidates=1
+        )
+        summary = run_generate(cfg)
+        assert (summary["generated"], summary["failed"]) == (2, 0)
+
     def test_internal_error_costs_one_indicator(self, tmp_path, monkeypatch):
         iocs = write_json(
             tmp_path / "iocs.json",
@@ -336,7 +349,9 @@ class TestRunEvaluate:
         assert report["hit_rate"] == 0.0
         assert report["mean_fpr"] is None
 
-    @pytest.mark.parametrize("pattern", [r"(?P<n>x)", r"(a+)+$", r"(?:a|a)+$"])
+    @pytest.mark.parametrize(
+        "pattern", [r"(?P<n>x)", r"(a+)+$", r"(?:a|a)+$", "a{4294967296}"]
+    )
     def test_product_pattern_outside_dialect(self, tmp_path, pattern):
         products = write_json(
             tmp_path / "products.json", {"records": [product_record(pattern=pattern)]}
@@ -360,6 +375,8 @@ class TestRunEvaluate:
             (product_record(capture_groups="abc"), "'capture_groups' must be a list"),
             (product_record(capture_groups=[1]), "'capture_groups' must be a list"),
             ("abc", "not an object"),
+            (product_record(pattern=""), "'pattern' must be a string of one or more"),
+            (product_record(normalized=""), "'normalized' must be a string of one or more"),
         ],
     )
     def test_product_record_schema(self, tmp_path, record, problem):
