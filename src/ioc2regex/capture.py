@@ -10,6 +10,7 @@ positives: the pipeline rejects them before generation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .knowledge import (
@@ -27,13 +28,16 @@ DISCARD = "discard"
 
 @dataclass
 class GroupAnnotation:
-    """Per-component keep/discard labels plus the extracted capture sequences."""
+    """Per-component keep/discard labels plus the extracted capture sequences.
+
+    Nothing changes an annotation once it is made, so its keep and discard
+    components are worked out once, on first use."""
 
     record: IocRecord
     labels: list[str] = field(default_factory=list)
     capture_sequences: list[list[str]] = field(default_factory=list)
 
-    @property
+    @functools.cached_property
     def keep_components(self) -> list[str]:
         """Unique keep components in first-seen order, original casing."""
         out: list[str] = []
@@ -45,7 +49,7 @@ class GroupAnnotation:
                     out.append(comp)
         return out
 
-    @property
+    @functools.cached_property
     def discard_components(self) -> list[str]:
         out: list[str] = []
         seen = {c.casefold() for c in self.keep_components}

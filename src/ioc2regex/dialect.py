@@ -17,10 +17,14 @@ match something else.  A brace bound may not exceed 65,535, PCRE's limit
 
 ``analyze`` tokenizes a pattern, decides in one walk of its tokens
 (``structure``) whether it is valid and which of its literal runs are
-required, compiles it, and caches the result, or the ``DialectError`` it
-raised; the validation gates and the grader all read that one analysis.  A
-run is *required* when it is literally on every match path, not in an
-alternation branch or a group that may match zero times.
+required, and caches the result, or the ``DialectError`` it raised; the
+validation gates and the grader all read that one analysis.  A run is
+*required* when it is literally on every match path, not in an alternation
+branch or a group that may match zero times.  ``Analysis.regex`` is compiled
+on first use.  ``analyze`` compiles every pattern outside the find-chain
+shape below at once, so an ``re.error`` is still a ``DialectError``; a
+find-chain pattern always compiles, and is compiled only if a search needs
+it.
 
 ``Analysis.search`` is the one search entry point, and returns exactly what
 ``regex.search`` returns.  It tries offset 0 only (``regex.match``) when the
@@ -31,6 +35,20 @@ backreferences and no lookbehind, so the leading ``.`` run of a match found
 at any offset can be stretched back to offset 0, and ``search`` tries offset
 0 first with the same backtracking as ``match``.  Without the rule, a miss
 costs one attempt per offset, each of which may scan the rest of the text.
+
+``Analysis.matches`` says only whether ``search`` finds a match.  When the
+pattern's body, after its flags, is only literal runs and ``.`` under ``*``
+or ``*?`` (the *find-chain* shape, ``(?i).*K1.*K2.*``), and the text holds no
+``\n`` or the pattern sets ``(?s)``, the pattern matches exactly when its
+runs occur in the text in order without overlapping.  A greedy leftmost
+``str.find`` chain decides that in one pass over the text (the automaton
+simulation of Cox, "Regular Expression Matching Can Be Simple And Fast",
+2007, reduced to literals and ``.*``), where backtracking takes time of the
+order of the text length to the number of ``.*``.  Under ``(?i)`` the chain
+runs only when the runs and the text are all ASCII, lowercased, because
+``re.IGNORECASE`` also matches ASCII letters to some non-ASCII ones (``i``
+to ``ı``, ``s`` to ``ſ``, ``k`` to the Kelvin sign).  Any other pattern or
+text is decided by ``search``.
 """
 
 from __future__ import annotations
@@ -335,28 +353,40 @@ class LiteralRun:
 
 @dataclass(frozen=True)
 class Analysis:
-    """One pattern's tokens, compiled regex, literal runs and wildcard units.
+    """One pattern's tokens, literal runs and wildcard units, and its regex.
 
     ``leading_wildcard`` is the pattern's half of the offset-0 rule in the
     module docstring: after its flags, the pattern opens with ``.`` under an
-    unbounded quantifier and has no top-level ``|``.
-    The wildcard units and anchor spans are worked out on first use, since
-    only the grader reads them.
+    unbounded quantifier and has no top-level ``|``.  ``chain`` holds the
+    runs ``matches`` finds in order, lowercased under ``(?i)``, for a pattern
+    of the find-chain shape; it is None for any other pattern, and under
+    ``(?i)`` when a run is not ASCII.
+    The regex, the wildcard units and the anchor spans are worked out on
+    first use.
     """
 
+    pattern: str
     tokens: tuple[Token, ...]
-    regex: re.Pattern
     runs: tuple[LiteralRun, ...]
     leading_wildcard: bool
+    chain: tuple[str, ...] | None
+
+    @functools.cached_property
+    def regex(self) -> re.Pattern:
+        return re.compile(self.pattern)
+
+    @functools.cached_property
+    def flags(self) -> str:
+        """The letters of the inline flags token, e.g. ``"i"``."""
+        has_flags = self.tokens and self.tokens[0].kind == FLAGS
+        return self.tokens[0].text[2:-1] if has_flags else ""
 
     def at_offset_0(self, text: str) -> bool:
         """Whether a search of ``text`` finds a match at offset 0 or none
         (the module docstring gives the rule).  This also holds for the
         flags-only and the flags-and-``.`` prefixes, and for every other
         top-level token prefix of the pattern."""
-        return self.leading_wildcard and (
-            "\n" not in text or bool(self.regex.flags & re.DOTALL)
-        )
+        return self.leading_wildcard and ("\n" not in text or "s" in self.flags)
 
     def search(self, text: str) -> re.Match | None:
         """Exactly ``self.regex.search(text)``: the same None, span and
@@ -364,6 +394,30 @@ class Analysis:
         if self.at_offset_0(text):
             return self.regex.match(text)
         return self.regex.search(text)
+
+    def chain_text(self, text: str) -> str | None:
+        """The text the find chain searches for ``chain``, lowercased under
+        ``(?i)``; None when the module docstring's find-chain rule does not
+        apply to this pattern and text."""
+        if self.chain is None or ("\n" in text and "s" not in self.flags):
+            return None
+        if "i" in self.flags:
+            return text.lower() if text.isascii() else None
+        return text
+
+    def matches(self, text: str) -> bool:
+        """Exactly ``self.search(text) is not None``; by a ``str.find``
+        chain when the module docstring's find-chain rule applies."""
+        hay = self.chain_text(text)
+        if hay is None:
+            return self.search(text) is not None
+        pos = 0
+        for run in self.chain:
+            pos = hay.find(run, pos)
+            if pos < 0:
+                return False
+            pos += len(run)
+        return True
 
     @functools.cached_property
     def wildcards(self) -> tuple[tuple[int, int, str], ...]:
@@ -394,6 +448,26 @@ def _leading_wildcard(tokens: Sequence[Token]) -> bool:
     )
 
 
+def _chain(tokens: Sequence[Token], runs: Sequence[LiteralRun]) -> tuple[str, ...] | None:
+    """The runs of a find-chain pattern, as ``Analysis.chain`` holds them."""
+    body = tokens[1:] if tokens and tokens[0].kind == FLAGS else tokens
+    for k, tok in enumerate(body):
+        if tok.kind == QUANT:
+            if tok.text not in ("*", "*?") or body[k - 1].kind != DOT:
+                return None
+        elif tok.kind == DOT:
+            if k + 1 == len(body) or body[k + 1].kind != QUANT:
+                return None
+        elif tok.kind not in (LITERAL, ESCAPE):
+            return None
+    texts = tuple(run.text for run in runs)
+    if body is not tokens and "i" in tokens[0].text:
+        if not all(map(str.isascii, texts)):
+            return None
+        return tuple(text.lower() for text in texts)
+    return texts
+
+
 @functools.lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)
 def _analysis_or_error(pattern: str) -> Analysis | tuple[str, int]:
     """The pattern's analysis, or the message and offset of its DialectError."""
@@ -402,15 +476,18 @@ def _analysis_or_error(pattern: str) -> Analysis | tuple[str, int]:
         runs, top_level_alt = structure(tokens)
     except DialectError as exc:
         return exc.message, exc.offset
-    try:
-        regex = re.compile(pattern)
-    except re.error as exc:  # e.g. a{3,1} or [z-a]
-        return exc.msg, exc.pos or 0
-    return Analysis(tokens, regex, runs, not top_level_alt and _leading_wildcard(tokens))
+    leading = not top_level_alt and _leading_wildcard(tokens)
+    analysis = Analysis(pattern, tokens, runs, leading, _chain(tokens, runs))
+    if analysis.chain is None:
+        try:
+            analysis.regex  # compile now: an re.error is a DialectError
+        except re.error as exc:  # e.g. a{3,1} or [z-a]
+            return exc.msg, exc.pos or 0
+    return analysis
 
 
 def analyze(pattern: str) -> Analysis:
-    """Tokenize, validate and compile a pattern; raises DialectError.
+    """Tokenize and validate a pattern; raises DialectError.
 
     The outcome is cached: a repeated invalid pattern raises a new
     DialectError with the same message and offset, without tokenizing it

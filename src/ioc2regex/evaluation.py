@@ -12,11 +12,13 @@ required literal runs (``dialect.analyze``); a truth missing one cannot match
 and is skipped unsearched.  A ``(?i)`` regex compares only its ASCII runs,
 lowercased, and only against ASCII truths, because ``re.IGNORECASE`` also
 matches ASCII letters to some non-ASCII ones (``i`` to ``ı``, ``s`` to ``ſ``,
-``k`` to the Kelvin sign) that ``str.lower`` does not map.  Each search is
-``dialect.Analysis.search``: a regex that opens with ``.`` under an unbounded
-quantifier (``*``, ``+``, ``{m,}``) and has no top-level ``|`` is tried at
-offset 0 only, on a truth with no ``\n`` or under ``(?s)``, which finds
-exactly what a search of every offset finds.
+``k`` to the Kelvin sign) that ``str.lower`` does not map.  Each truth is
+then decided by ``dialect.Analysis.matches``: a regex of literal runs and
+``.*`` only (the template's shape) by a ``str.find`` chain over the truth,
+without compiling it, and any other regex by a search, tried at offset 0
+only when it opens with ``.`` under an unbounded quantifier (``*``, ``+``,
+``{m,}``) and has no top-level ``|``, on a truth with no ``\n`` or under
+``(?s)``.  Either way the row is exactly that of ``re.search``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -178,9 +179,9 @@ def fpr(
     the truths as the module docstring describes.
     """
     analysis = dialect.analyze(pattern)
-    search = analysis.search
+    matches = analysis.matches
     required = [run.text for run in analysis.runs if run.required]
-    if analysis.regex.flags & re.IGNORECASE:
+    if "i" in analysis.flags:
         required = [text.lower() for text in required if text.isascii()]
         hays = [t.ascii_lower for t in truths]
     else:
@@ -188,7 +189,7 @@ def fpr(
     candidates: Iterable[int] = range(len(truths))
     for lit in sorted(required, key=len, reverse=True):  # longest: likely rarest
         candidates = [i for i in candidates if hays[i] is None or lit in hays[i]]
-    matched = [i for i in candidates if search(truths[i].normalized)]
+    matched = [i for i in candidates if matches(truths[i].normalized)]
     g_k = frozenset(g.casefold() for g in source_groups)
     return _fpr_result(matched, [i for i in matched if truths[i].capture_groups != g_k])
 

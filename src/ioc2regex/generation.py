@@ -11,19 +11,30 @@ first one the pattern misses; the verdict is that of checking all ten.  The
 probe strings are ASCII and hold no keep component, so a pattern with a
 required ASCII literal run that contains a keep (case-folded) can match none
 of them: the probe passes it without drawing a string, with the same verdict.
+The strings are drawn by rejection; after 1,000 rejected draws in a row the
+rest are drawn without the one-character keeps, and when every probe
+character is a one-character keep, no probe string exists and the probe
+passes without drawing one.
 ``generate`` runs the gates as one stage list: debug and the audit get up to
 ``max_iterations`` (ten) attempts, each failure but the last fed back to the
 backend; the probe gets one.  A stage's last failure or a backend error
 restarts the whole workflow, up to a configurable number of passes.
 
-The gates search with ``dialect.Analysis.search``, and the debug
-diagnostic's prefix scan by the same rule: a pattern that opens with an
-unbounded ``.`` run is tried at offset 0 only (see ``dialect``).
+The gates decide "match or not" with ``dialect.Analysis.matches``: a
+pattern of literal runs and ``.*`` is decided by a ``str.find`` chain,
+without compiling it (see ``dialect``).  The debug diagnostic's prefix scan of a
+failing pattern searches with ``re``, by the rule of ``Analysis.search``: a
+pattern that opens with an unbounded ``.`` run is tried at offset 0 only.
 
 The debug and audit results depend only on the pattern and the indicator,
 and every prompt opens with the same indicator head, so one
 ``IndicatorMemo`` computes each of them once for all the workflow runs of an
 indicator.
+
+A backend whose ``deterministic`` attribute is true answers a prompt the same
+way every time.  The run's seed reaches the workflow only through the probe,
+so when no over-generalization check of a run drew a probe, a run with any
+other seed takes the same path: ``grading.select_best`` reuses it.
 """
 
 from __future__ import annotations
@@ -48,6 +59,10 @@ STAGE_OVERGEN = "overgen"
 
 RANDOM_PROBE_COUNT = 10
 _PROBE_ALPHABET = "".join(c for c in string.printable if not c.isspace())
+# Rejected draws in a row after which the one-character keeps leave the alphabet.
+_PROBE_REJECTS = 1000
+_HOLDS_KEEP = "every match holds a keep component"
+_NO_PROBE_ALPHABET = "every probe character is a keep component"
 
 
 class BackendError(RuntimeError):
@@ -97,13 +112,17 @@ def debug_check(pattern: str, target: str) -> DebugResult:
         analysis = dialect.analyze(pattern)
     except dialect.DialectError as exc:
         return DebugResult(ok=False, syntax_error=str(exc))
-    if analysis.search(target) is not None:
+    if analysis.matches(target):
         return DebugResult(ok=True)
 
     # The scan always ends at a failing prefix: the last token's prefix is
     # the whole pattern, which does not match.  Each prefix searches the
-    # way the whole pattern does (``Analysis.at_offset_0``).
+    # way the whole pattern does (``Analysis.at_offset_0``).  Where the
+    # find chain decides the pattern, it also names the failing prefix, so
+    # ``re`` searches only prefixes that match.
     at_offset_0 = analysis.at_offset_0(target)
+    hay = analysis.chain_text(target)
+    fail_pos = -1 if hay is None else _chain_failure(analysis, hay)
     matched_prefix = ""
     target_offset = 0
     failing = ""
@@ -115,6 +134,9 @@ def debug_check(pattern: str, target: str) -> DebugResult:
             depth -= 1
         if depth != 0:
             continue
+        if tok.pos == fail_pos:
+            failing = tok.text
+            break
         prefix = pattern[: tok.end]
         try:
             rx_prefix = re.compile(prefix)
@@ -132,6 +154,29 @@ def debug_check(pattern: str, target: str) -> DebugResult:
         failing_token=failing,
         target_offset=target_offset,
     )
+
+
+def _chain_failure(analysis: dialect.Analysis, hay: str) -> int:
+    """The offset of the token that ends the first top-level prefix of a
+    find-chain pattern not to match ``hay`` (``Analysis.chain_text``).  A
+    prefix matches when its runs, the last one maybe cut short, occur in
+    order, and a character follows where a ``.`` ends it."""
+    lower = "i" in analysis.flags
+    pos = 0  # where the current run may start: past the one before it
+    run = ""
+    for tok in analysis.tokens:
+        if tok.kind == dialect.DOT:
+            pos = hay.find(run, pos) + len(run)
+            run = ""
+            if pos == len(hay):
+                return tok.pos
+        elif tok.kind in (dialect.LITERAL, dialect.ESCAPE):
+            chars = tok.text[1:] if tok.kind == dialect.ESCAPE else tok.text
+            for j, c in enumerate(chars):
+                run += c.lower() if lower else c
+                if hay.find(run, pos) < 0:
+                    return tok.pos if tok.kind == dialect.ESCAPE else tok.pos + j
+    return -1
 
 
 @dataclass
@@ -185,13 +230,11 @@ class OvergenResult:
     ok: bool
     probes: list[str] = field(default_factory=list)
     matched: list[str] = field(default_factory=list)
+    unprobed: str = _HOLDS_KEEP  # why a pass with no probe drew none
 
     def describe(self) -> str:
         if self.ok and not self.probes:
-            return (
-                "over-generalization probe ok (no probe drawn: every match "
-                "holds a keep component)"
-            )
+            return f"over-generalization probe ok (no probe drawn: {self.unprobed})"
         if self.ok:
             return (
                 f"over-generalization probe ok (probe {len(self.probes)} of "
@@ -203,27 +246,67 @@ class OvergenResult:
         )
 
 
+def _folded_keeps(keep_components) -> list[str]:
+    return [c.casefold() for c in keep_components if c]
+
+
+def _probe_alphabet(folded: list[str]) -> str:
+    """The probe alphabet without the one-character keeps (case-folded)."""
+    return "".join(c for c in _PROBE_ALPHABET if c.casefold() not in folded)
+
+
 def _probe_stream(
     rng_seed: int, keep_components: list[str] | tuple[str, ...] = ()
 ) -> Iterator[str]:
     """Seeded random strings (8-64 printable non-whitespace chars) that
-    contain no keep component, by rejection sampling; endless."""
+    contain no keep component, by rejection sampling.  After
+    ``_PROBE_REJECTS`` rejected draws in a row, the rest are drawn without
+    the one-character keeps; the stream ends there if that leaves no
+    character, and is endless otherwise."""
     rng = random.Random(rng_seed)
-    folded = [c.casefold() for c in keep_components if c]
+    folded = _folded_keeps(keep_components)
+    alphabet = _PROBE_ALPHABET
+    rejects = 0
     while True:
         length = rng.randint(8, 64)
-        candidate = "".join(rng.choice(_PROBE_ALPHABET) for _ in range(length))
+        candidate = "".join(rng.choice(alphabet) for _ in range(length))
         if not any(comp in candidate.casefold() for comp in folded):
+            rejects = 0
             yield candidate
+        elif (rejects := rejects + 1) == _PROBE_REJECTS:
+            alphabet = _probe_alphabet(folded)
+            if not alphabet:
+                return
 
 
 def random_probe_strings(
     rng_seed: int, keep_components: list[str] | tuple[str, ...] = ()
 ) -> list[str]:
-    """The ten probe strings of a seed: the first ten of its probe stream."""
+    """The ten probe strings of a seed: the first ten of its probe stream
+    (fewer when it ends)."""
     return list(
         itertools.islice(_probe_stream(rng_seed, keep_components), RANDOM_PROBE_COUNT)
     )
+
+
+def unprobed_pass(
+    pattern: str, keep_components: list[str] | tuple[str, ...] = ()
+) -> str:
+    """Why ``overgen_check`` passes ``pattern`` without drawing a probe, for
+    every seed; "" when it draws probes.
+
+    A required literal run that is ASCII and contains a non-empty keep
+    component (both case-folded) puts that keep in every match, and the
+    ASCII probes hold none.  A non-ASCII run does not count: ``(?i)ı``
+    matches ``i``, which no case-folded ``ı`` finds.  When every probe
+    character is a one-character keep, no probe string exists."""
+    folded = _folded_keeps(keep_components)
+    for run in dialect.analyze(pattern).runs:
+        if run.required and run.text.isascii():
+            text = run.text.casefold()
+            if any(comp in text for comp in folded):
+                return _HOLDS_KEEP
+    return "" if _probe_alphabet(folded) else _NO_PROBE_ALPHABET
 
 
 def overgen_check(
@@ -233,28 +316,21 @@ def overgen_check(
 ) -> OvergenResult:
     """Fail only when the pattern matches every one of the ten random strings.
 
-    When a required literal run is ASCII and contains a non-empty keep
-    component (both case-folded), every match holds that keep, and the
-    ASCII probes hold none, so the check passes with no probe drawn.  A
-    non-ASCII run does not count: ``(?i)ı`` matches ``i``, which no
-    case-folded ``ı`` finds.  Otherwise the strings are drawn one at a time,
-    and the check passes at the first one the pattern does not match; a
-    passing result holds only the strings drawn up to that one.
+    The check passes with no probe drawn when ``unprobed_pass`` says why.
+    Otherwise the strings are drawn one at a time, and the check passes at
+    the first one the pattern does not match; a passing result holds only
+    the strings drawn up to that one.
     """
-    analysis = dialect.analyze(pattern)
-    folded = [comp.casefold() for comp in keep_components if comp]
-    for run in analysis.runs:
-        if run.required and run.text.isascii():
-            text = run.text.casefold()
-            if any(comp in text for comp in folded):
-                return OvergenResult(ok=True)
-    search = analysis.search
+    unprobed = unprobed_pass(pattern, keep_components)
+    if unprobed:
+        return OvergenResult(ok=True, unprobed=unprobed)
+    matches = dialect.analyze(pattern).matches
     probes: list[str] = []
     for probe in itertools.islice(
         _probe_stream(rng_seed, keep_components), RANDOM_PROBE_COUNT
     ):
         probes.append(probe)
-        if search(probe) is None:
+        if not matches(probe):
             return OvergenResult(ok=True, probes=probes, matched=probes[:-1])
     return OvergenResult(ok=False, probes=probes, matched=list(probes))
 
@@ -318,9 +394,13 @@ def _prompt_tail(previous_pattern: str, diagnostic: str, prior_failures: int) ->
 
 
 class GeneratorBackend:
-    """One candidate pattern per call, from (annotation, prompt)."""
+    """One candidate pattern per call, from (annotation, prompt).
+
+    ``deterministic`` says that ``propose`` is a pure function of
+    (annotation, prompt): the same reply, or the same error, every call."""
 
     kind = "abstract"
+    deterministic = False
 
     def propose(self, annotation: GroupAnnotation, prompt: str) -> str:
         raise NotImplementedError
@@ -356,6 +436,7 @@ class TemplateBackend(GeneratorBackend):
     """Offline deterministic backend emitting the template pattern."""
 
     kind = "template_fallback"
+    deterministic = True
 
     def propose(self, annotation: GroupAnnotation, prompt: str) -> str:
         return render_template(annotation)
@@ -614,7 +695,7 @@ def single_shot(
     """Ablation variant: one backend call, no validation loops.
 
     A non-compiling emission yields no pattern since there is no debug loop
-    to repair it.
+    to repair it.  The run draws no probe, so its seed never matters.
     """
     trace = WorkflowTrace()
     pattern = _propose(backend, annotation, build_prompt(annotation), trace, 0, STAGE_DEBUG)

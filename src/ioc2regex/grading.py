@@ -6,6 +6,15 @@ alternation branch or a group that may match zero times).  ``n_wc`` counts
 wildcard constructs and stray literal stretches of at least three non-glue
 characters that belong to no keep component.  One leading and one trailing
 bare ``.*`` are treated as search anchors and not penalized.
+
+``select_best`` runs the workflow ``k`` times with seeds ``rng_seed + i``.
+The seed reaches a run only through the over-generalization probe, so when
+the backend is deterministic and the first run drew no probe (every one of
+its overgen attempts passed by ``generation.unprobed_pass``; a
+``single_shot`` run has none), every other run would take the same path:
+the first run stands for all ``k``, and the workflow, its backend calls and
+the probe gate run once per indicator.  A run that drew a probe keeps ``k``
+separately seeded runs.
 """
 
 from __future__ import annotations
@@ -85,29 +94,44 @@ def select_best(
     validate_groups: bool = True,
     workflow: str = "full",
 ) -> tuple[RegexCandidate | None, list[RegexCandidate]]:
-    """Run the workflow ``k`` times and keep the top-scoring graded candidate.
+    """Run the workflow ``k`` (at least one) times and keep the top-scoring
+    graded candidate.
 
     The runs share one ``generation.IndicatorMemo``, and each distinct
     pattern is graded once: runs that yield the same pattern share its
-    candidate.  Ties break toward the shorter pattern, then lexicographic
-    order.  Returns (best or None, one graded candidate per successful run).
+    candidate.  A deterministic backend's first run stands for all ``k``
+    when it drew no probe (module docstring).  Ties break toward the
+    shorter pattern, then lexicographic order.  Returns (best or None, one
+    graded candidate per successful run).
     """
     memo = generation.IndicatorMemo(annotation)
+
+    def run(i: int) -> tuple[str | None, generation.WorkflowTrace]:
+        if workflow == "single_shot":
+            return generation.single_shot(annotation, backend)
+        return generation.generate(
+            annotation,
+            backend,
+            rng_seed=rng_seed + i,
+            max_iterations=max_iterations,
+            restart_cap=restart_cap,
+            validate_groups=validate_groups,
+            memo=memo,
+        )
+
+    first, trace = run(0)
+    if backend.deterministic and all(
+        generation.unprobed_pass(attempt.pattern, annotation.keep_components)
+        for attempt in trace.attempts
+        if attempt.stage == generation.STAGE_OVERGEN
+    ):
+        patterns = [first] * k
+    else:
+        patterns = [first] + [run(i)[0] for i in range(1, k)]
+
     grades: dict[str, RegexCandidate] = {}
     candidates: list[RegexCandidate] = []
-    for i in range(k):
-        if workflow == "single_shot":
-            pattern, trace = generation.single_shot(annotation, backend)
-        else:
-            pattern, trace = generation.generate(
-                annotation,
-                backend,
-                rng_seed=rng_seed + i,
-                max_iterations=max_iterations,
-                restart_cap=restart_cap,
-                validate_groups=validate_groups,
-                memo=memo,
-            )
+    for pattern in patterns:
         if pattern is not None:
             if pattern not in grades:
                 grades[pattern] = grade(pattern, annotation)

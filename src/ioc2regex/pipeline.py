@@ -306,6 +306,10 @@ def run_generate(config: PipelineConfig) -> dict:
         "candidates": config.candidates,
         "ablation": config.ablation or "full",
     }
+    # Tables other than the bundled ones, for evaluate to normalize truths with.
+    for key, table in (("expansions", expansions), ("registry_roots", registry_roots)):
+        if table is not None:
+            summary[key] = table
     product = {"records": records, "rejections": rejections, "summary": summary}
     _write_json(config.output_path, product)
     logger.info(
@@ -322,17 +326,20 @@ def run_evaluate(
     output_path: str | Path,
     kb_paths: list[str] | None = None,
     dump_matches: str | Path = "",
-    expansions: dict | None = None,
-    registry_roots: dict | None = None,
 ) -> dict:
     """Score a product file against a ground-truth file; write the report.
-    The truths are normalized with the given tables (default: bundled)."""
+    The truths are normalized with the expansion and registry-root tables
+    the product's summary records, else with the bundled ones."""
     store = KnowledgeStore.ingest(list(kb_paths)) if kb_paths else default_store()
     product = json.loads(Path(products_path).read_text(encoding="utf-8"))
     if not isinstance(product, dict) or not isinstance(product.get("records"), list):
         raise ConfigError(f"{products_path}: not a product file (missing 'records')")
     for i, record in enumerate(product["records"]):
         _check_product_record(record, f"{products_path}: record {i}")
+    summary = product.get("summary")
+    summary = summary if isinstance(summary, dict) else {}
+    expansions = _recorded_table(summary, "expansions", products_path)
+    registry_roots = _recorded_table(summary, "registry_roots", products_path)
     try:
         truths = evaluation.load_truths(truths_path, store, expansions, registry_roots)
     except evaluation.GroundTruthError as exc:
@@ -374,6 +381,15 @@ _PRODUCT_RECORD_SCHEMA = {
 }
 
 
+def _recorded_table(summary: dict, key: str, where) -> dict | None:
+    table = summary.get(key)
+    if table is not None and not (
+        isinstance(table, dict) and all(map(_is_str, table.values()))
+    ):
+        raise ConfigError(f"{where}: summary {key!r} must map strings to strings")
+    return table
+
+
 def _check_product_record(record, where: str) -> None:
     if not isinstance(record, dict):
         raise ConfigError(f"{where}: not an object")
@@ -387,15 +403,13 @@ def _check_product_record(record, where: str) -> None:
 def run_ablation(config: PipelineConfig, mode: str, truths_path: str | Path,
                  report_path: str | Path) -> dict:
     """Generate under an ablation mode, then evaluate the products normally,
-    normalizing the truths with the tables the indicators were normalized with."""
+    normalizing the truths with the tables the products record."""
     if mode not in ABLATION_MODES:
         raise ConfigError(f"unknown ablation mode {mode!r}")
     config.ablation = mode
     run_generate(config)
-    expansions, registry_roots = load_tables(config)
     return run_evaluate(
-        config.output_path, truths_path, report_path, kb_paths=config.kb_paths,
-        expansions=expansions, registry_roots=registry_roots,
+        config.output_path, truths_path, report_path, kb_paths=config.kb_paths
     )
 
 

@@ -282,6 +282,25 @@ def reference_overgen_ok(pattern: str, seed: int, keeps) -> bool:
     return not all(re.search(pattern, probe) for probe in probes)
 
 
+def reference_probe_strings(seed: int, keeps, count: int = 10) -> list[str]:
+    """The first ``count`` probe strings by plain rejection sampling: seeded
+    strings of 8-64 printable non-whitespace characters, redrawn while one
+    holds a keep (case-folded)."""
+    import random
+    import string
+
+    alphabet = "".join(c for c in string.printable if not c.isspace())
+    rng = random.Random(seed)
+    folded = [k.casefold() for k in keeps if k]
+    out = []
+    while len(out) < count:
+        length = rng.randint(8, 64)
+        candidate = "".join(rng.choice(alphabet) for _ in range(length))
+        if not any(k in candidate.casefold() for k in folded):
+            out.append(candidate)
+    return out
+
+
 def _reference_bounds(text: str) -> tuple[int, int | None]:
     q = text.rstrip("?") or "?"
     if q in ("?", "*", "+"):

@@ -394,6 +394,101 @@ class TestSearch:
         assert analysis.search(text).span() == re.search(pattern, text).span()
 
 
+# Atoms of find-chain patterns, and atoms that take a pattern out of the shape.
+CHAIN_ATOMS = ["a", "k", "s", "i", "ab", "K", r"\.", ".*", ".*?"]
+OTHER_ATOMS = [".", ".+", "a*", "[ks]", "(a)", "^", "$", "|", r"\s", "\u0131"]
+# Letters (?i) matches beyond str.lower: dotless i, dotted capital I, long s,
+# the Kelvin sign.
+MATCH_TEXT = "aksiAKS.\n\u0131\u0130\u017f\u212a"
+# Literal characters that stay literal in the dialect, and the characters an
+# escape may take: ASCII punctuation, non-ASCII symbols, space, line break.
+CHAIN_LITERALS = list("aZ09{},]#-%:/ ") + ["{1,", "{2", "\u20ac", "\u00e9", "\u0131"]
+ESCAPABLE = st.characters(blacklist_categories=("L", "N", "Cs"))
+
+
+class TestMatches:
+    """``Analysis.matches`` against ``re.search``, and the find-chain shape."""
+
+    @settings(derandomize=True, deadline=None, max_examples=1000)
+    @given(
+        flags=st.sampled_from(["", "(?i)", "(?s)", "(?is)", "(?m)"]),
+        atoms=st.one_of(
+            st.lists(st.sampled_from(CHAIN_ATOMS), max_size=5),
+            st.lists(st.sampled_from(CHAIN_ATOMS + OTHER_ATOMS), max_size=5),
+        ),
+        text=st.text(MATCH_TEXT, max_size=10),
+    )
+    @example(flags="(?i)", atoms=[".*", "k", ".*"], text="\u212a")
+    @example(flags="(?i)", atoms=["s"], text="x\u017f")
+    @example(flags="(?i)", atoms=[".*?", "i", ".*"], text="\u0131")
+    @example(flags="", atoms=[".*", "a", ".*"], text="\na")
+    @example(flags="", atoms=["a", ".*", "k"], text="a\nk")
+    @example(flags="(?s)", atoms=[".*", "a", ".*?", "k"], text="a\nk")
+    def test_equals_regex_search(self, flags, atoms, text):
+        pattern = flags + "".join(atoms)
+        try:
+            analysis = analyze(pattern)
+        except DialectError:
+            assume(False)
+        assert analysis.matches(text) == (re.search(pattern, text) is not None)
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(
+        flags=st.sampled_from(["", "(?i)", "(?s)", "(?ims)"]),
+        atoms=st.lists(
+            st.one_of(
+                st.sampled_from(CHAIN_LITERALS + [".*", ".*?"]),
+                ESCAPABLE.map(lambda c: "\\" + c),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_compile_free_acceptance_compiles(self, flags, atoms):
+        pattern = flags + "".join(atoms)
+        try:
+            analysis = analyze(pattern)
+        except DialectError:
+            assume(False)
+        if analysis.chain is not None:  # accepted without re.compile
+            assert re.compile(pattern).pattern == pattern
+
+    @pytest.mark.parametrize(
+        "pattern, chain",
+        [
+            ("(?i).*-enc.*-nop.*-w.*", ("-enc", "-nop", "-w")),
+            (r"(?i).*Users\\Public\\.*", ("users\\public\\",)),
+            ("(?s).*?a.*B", ("a", "B")),
+            ("ab", ("ab",)),
+            ("(?i)", ()),
+            ("(?i).*\u0131.*", None),  # (?i) and a non-ASCII run
+            (".+a", None),
+            ("a.", None),
+            (".*a?", None),
+            (".{0,}a", None),
+            ("^.*a", None),
+            (".*a|b", None),
+            ("[a].*", None),
+        ],
+    )
+    def test_chain_shape(self, pattern, chain):
+        assert analyze(pattern).chain == chain
+
+    def test_chain_decided_without_compiling(self):
+        pattern = "(?i).*-enc.*-nop.*-w.*"
+        analyze.cache_clear()
+        analysis = analyze(pattern)
+        assert not analysis.matches("-w " + "-enc x -nop y " * 800)
+        assert analysis.matches("-ENC x -Nop y -W")
+        assert "regex" not in vars(analysis)
+        assert analysis.regex.pattern == pattern  # compiled on first use
+        assert analysis.matches("-enc x -nop y -w\n")  # a line break: re decides
+
+    def test_error_of_a_compiled_pattern_raised_by_analyze(self):
+        analyze.cache_clear()
+        with pytest.raises(DialectError, match="bad character range"):
+            analyze("[z-a].*")
+
+
 class TestWildcardUnits:
     def test_dot_and_quant_merge(self):
         units = wildcard_units(tokenize(".*a.+b."))

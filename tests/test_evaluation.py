@@ -25,7 +25,13 @@ from ioc2regex.evaluation import (
 from ioc2regex.normalize import IocKind
 
 from oracles import reference_levenshtein, reference_matches
-from test_generation import ADVERSARIAL_PATH, ADVERSARIAL_PATTERN, hard_timeout
+from test_generation import (
+    ADVERSARIAL_PATH,
+    ADVERSARIAL_PATTERN,
+    CHAIN_PATTERN,
+    CHAIN_TEXT,
+    hard_timeout,
+)
 
 
 def truth(text, kind, groups, dataset="ds", store=None):
@@ -212,6 +218,11 @@ class TestMatchRows:
         truth = raw_truth(ADVERSARIAL_PATH)  # holds both required runs, \ and .exe
         with hard_timeout(0.5):
             assert fpr(ADVERSARIAL_PATTERN, [], [truth]).matched_indices == []
+
+    def test_find_chain_miss_past_the_prefilter_is_fast(self):
+        truth = raw_truth(CHAIN_TEXT)  # holds -enc, -nop and -w, out of order
+        with hard_timeout(0.5):
+            assert fpr(CHAIN_PATTERN, [], [truth]).matched_indices == []
 
     def test_required_literal_missing_means_no_match(self):
         truths = [raw_truth("abc"), raw_truth("ABC"), raw_truth("xbc")]

@@ -26,11 +26,22 @@ from ioc2regex.generation import (
     single_shot,
 )
 from ioc2regex.normalize import IocKind, IocRecord
-from oracles import reference_debug_check, reference_generate, reference_overgen_ok
+from oracles import (
+    reference_debug_check,
+    reference_generate,
+    reference_overgen_ok,
+    reference_probe_strings,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_prompt.txt"
 
 GOOD_PATH_PATTERN = r"(?i).*Users\\Public\\.*"
+
+# Three ``.*`` and a text of 11,203 characters that holds every literal, but
+# ``-w`` only before the others: backtracking takes seconds to miss it.
+CHAIN_PATTERN = "(?i).*-enc.*-nop.*-w.*"
+CHAIN_TEXT = "-w " + "-enc x -nop y " * 800
+
 
 # Emissions shaped like the benchmark's scripted bad ones: syntax errors,
 # literal chains that match no indicator, over-broad patterns; plus forms
@@ -86,6 +97,8 @@ class TestDebugCheck:
         target=st.text(DEBUG_ALPHABET + "\n", max_size=10),
     )
     @example(flags="(?m)", elements=[".*", "b", "$"], target="xa\n\nxb")
+    @example(flags="", elements=[".*", "a", ".*", "b"], target="xa")  # fails at "."
+    @example(flags="(?i)", elements=["A", ".*", "b"], target="a\nb")  # a line break
     def test_diagnostic_equals_eager_reference(self, flags, elements, target):
         pattern = flags + "".join(elements)
         res = debug_check(pattern, target)
@@ -97,6 +110,20 @@ class TestDebugCheck:
             res = debug_check(ADVERSARIAL_PATTERN, ADVERSARIAL_PATH)
         assert not res.ok
         assert res.failing_token == r"\."
+
+    @pytest.mark.parametrize(
+        "pattern, target, prefix, failing",
+        [
+            (CHAIN_PATTERN, CHAIN_TEXT, "(?i).*-enc.*-nop.*-", "w"),
+            # -w only at the very end: the prefix ending in its "." fails
+            ("(?i).*-enc.*-nop.*-w.*x", CHAIN_TEXT[3:] + "-w", "(?i).*-enc.*-nop.*-w", "."),
+        ],
+    )
+    def test_find_chain_miss_on_long_text_is_fast(self, pattern, target, prefix, failing):
+        with hard_timeout(0.5):
+            res = debug_check(pattern, target)
+        assert (res.ok, res.matched_prefix, res.failing_token) == (False, prefix, failing)
+        assert res.target_offset == re.match(prefix, target).end()
 
     def test_agrees_with_engine(self, path_record, schtasks_record):
         patterns = [
@@ -253,6 +280,44 @@ class TestOvergenCheck:
         with hard_timeout(1.0):
             res = overgen_check(pattern, 0, keeps)
         assert res.ok and res.probes == []
+
+    def test_keeps_only_under_wildcards_bounded(self):
+        # no run holds a keep, so the probe runs; rejection sampling ten
+        # strings that avoid all 26 letters took 3.2 s
+        keeps = list(string.ascii_lowercase)
+        with hard_timeout(0.5):
+            res = overgen_check("(?i).*[a-z]?.*", 0, keeps)
+            probes = random_probe_strings(0, keeps)
+        assert res.ok == reference_overgen_ok("(?i).*[a-z]?.*", 0, keeps)
+        assert not res.ok  # it matches every string
+        assert len(probes) == 10
+        assert not any(c in probe.casefold() for probe in probes for c in keeps)
+
+    def test_every_probe_character_a_keep_passes_unprobed(self):
+        keeps = list(generation._PROBE_ALPHABET)
+        with hard_timeout(0.5):
+            res = overgen_check(".*", 0, keeps)
+            probes = random_probe_strings(0, keeps)
+        assert res.ok and res.probes == [] and probes == []
+        assert res.describe() == (
+            "over-generalization probe ok (no probe drawn: every probe"
+            " character is a keep component)"
+        )
+
+    @pytest.mark.parametrize(
+        "keeps", [[], ["abc", "Q"], ["Users", "Public"], list("aeiou"), ["\u212a", "7"]]
+    )
+    def test_stream_unchanged_below_the_redraw_bound(self, keeps):
+        # none of these seeds rejects 1,000 draws in a row
+        for seed in range(20):
+            assert random_probe_strings(seed, keeps) == reference_probe_strings(seed, keeps)
+
+    def test_bound_counts_rejects_in_a_row(self):
+        # with 12 one-letter keeps these seeds reject 1,043 to 1,981 draws in
+        # all, but at most 766 in a row
+        keeps = list("abcdefghijkl")
+        for seed in range(6):
+            assert random_probe_strings(seed, keeps) == reference_probe_strings(seed, keeps)
 
     def test_nine_of_ten_passes(self):
         probes = random_probe_strings(0)
@@ -550,10 +615,13 @@ class TestIndicatorMemo:
             assert calls == {"debug": 1, "noncapture": 1, "grade": 1}
             assert len(candidates) == 5
             assert all(c is best for c in candidates)
-            assert [seed for seed, _ in runs] == [3, 4, 5, 6, 7]
-            for seed, (pattern, trace) in runs:
+            # the template backend is deterministic and its run drew no
+            # probe, so one workflow run stands for all five
+            ((seed, (pattern, trace)),) = runs
+            assert seed == 3
+            for other in range(3, 8):
                 fresh_pattern, fresh_trace = generate(
-                    ann, TemplateBackend(), rng_seed=seed, memo=IndicatorMemo(ann)
+                    ann, TemplateBackend(), rng_seed=other, memo=IndicatorMemo(ann)
                 )
                 assert pattern == fresh_pattern == best.pattern
                 assert trace == fresh_trace

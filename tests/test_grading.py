@@ -4,8 +4,14 @@ import string
 
 import pytest
 
+from ioc2regex import generation
 from ioc2regex.capture import GroupAnnotation
-from ioc2regex.generation import ScriptedBackend, TemplateBackend
+from ioc2regex.generation import (
+    GeneratorBackend,
+    ScriptedBackend,
+    TemplateBackend,
+    overgen_check,
+)
 from ioc2regex.grading import GradingError, grade, select_best
 from ioc2regex.normalize import IocKind, IocRecord
 
@@ -29,6 +35,19 @@ def annotation_for(components, keep_mask, kind=IocKind.FILE_PATH):
     return GroupAnnotation(
         record=rec, labels=labels, capture_sequences=[seq] if seq else []
     )
+
+
+def record_runs(monkeypatch, name):
+    """Record the ``rng_seed`` of every call of ``generation.<name>``."""
+    seeds = []
+    fn = getattr(generation, name)
+
+    def recording(*args, **kwargs):
+        seeds.append(kwargs.get("rng_seed"))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(generation, name, recording)
+    return seeds
 
 
 class TestGrade:
@@ -247,6 +266,49 @@ class TestSelectBest:
         assert len({c.pattern for c in candidates}) == 1
         assert best.pattern == candidates[0].pattern
         assert len(candidates) == 5
+
+    def test_seed_free_deterministic_run_stands_for_all(
+        self, path_annotation, monkeypatch
+    ):
+        seeds = record_runs(monkeypatch, "generate")
+        best, candidates = select_best(path_annotation, TemplateBackend(), k=5, rng_seed=3)
+        assert seeds == [3]
+        assert candidates == [best] * 5
+
+    def test_scripted_backend_still_runs_k_times(self, path_annotation, monkeypatch):
+        seeds = record_runs(monkeypatch, "generate")
+        backend = ScriptedBackend([r"(?i).*Users\\Public\\.*"])  # stateful
+        _best, candidates = select_best(path_annotation, backend, k=5, rng_seed=3)
+        assert seeds == [3, 4, 5, 6, 7]
+        assert backend.calls == 5 and len(candidates) == 5
+
+    def test_run_that_drew_a_probe_still_runs_k_times(self, path_annotation, monkeypatch):
+        pattern = r"(?i).*Pub[l]ic.*"  # no run holds a keep: the probe runs
+
+        class Fixed(GeneratorBackend):
+            deterministic = True
+
+            def propose(self, annotation, prompt):
+                return pattern
+
+        assert overgen_check(pattern, 3, path_annotation.keep_components).probes
+        seeds = record_runs(monkeypatch, "generate")
+        _best, candidates = select_best(
+            path_annotation, Fixed(), k=5, rng_seed=3, validate_groups=False
+        )
+        assert seeds == [3, 4, 5, 6, 7]
+        assert [c.pattern for c in candidates] == [pattern] * 5
+
+    @pytest.mark.parametrize("deterministic, runs", [(True, 1), (False, 5)])
+    def test_single_shot_runs_once_for_a_deterministic_backend(
+        self, path_annotation, monkeypatch, deterministic, runs
+    ):
+        calls = record_runs(monkeypatch, "single_shot")
+        backend = TemplateBackend()
+        backend.deterministic = deterministic
+        best, candidates = select_best(path_annotation, backend, k=5, workflow="single_shot")
+        assert len(calls) == runs
+        assert candidates == [best] * 5
 
     def test_best_score_at_least_every_candidate(self, path_annotation):
         backend = ScriptedBackend(

@@ -702,6 +702,40 @@ class TestCli:
         assert report["hit_rate"] == 1.0
 
 
+    def test_evaluate_normalizes_truths_with_the_tables_generate_used(self, tmp_path):
+        table = write_json(tmp_path / "expansions.json", {"%APPDIR%": "C:\\Windows"})
+        inp = write_json(tmp_path / "iocs.json", [r"%APPDIR%\Temp\other.exe"])
+        truths = write_json(
+            tmp_path / "truths.json",
+            [
+                {
+                    "text": r"%APPDIR%\Temp\other.exe",
+                    "kind": "file_path",
+                    "capture_groups": ["windows", "temp"],
+                }
+            ],
+        )
+        products = str(tmp_path / "p.json")
+        assert main(["generate", "--input", inp, "--output", products,
+                     "--expansions", table]) == 0
+        summary = json.loads(Path(products).read_text())["summary"]
+        assert summary["expansions"] == {"%APPDIR%": "C:\\Windows"}
+        assert "registry_roots" not in summary  # the bundled map: not recorded
+        rc = main(["evaluate", "--products", products, "--truths", truths,
+                   "--output", str(tmp_path / "r.json")])
+        assert rc == 0
+        (report,) = json.loads((tmp_path / "r.json").read_text())["reports"]
+        assert report["hit_rate"] == 1.0
+
+    @pytest.mark.parametrize("table", [["x"], {"%A%": 1}, "C:"])
+    def test_malformed_recorded_table_is_config_error(self, tmp_path, table):
+        product = {"records": [], "summary": {"expansions": table}}
+        products = write_json(tmp_path / "p.json", product)
+        truths = write_json(tmp_path / "t.json", [])
+        with pytest.raises(ConfigError, match="summary 'expansions' must map strings"):
+            run_evaluate(products, truths, tmp_path / "r.json")
+
+
 class TestGoldenFiles:
     """Byte-frozen product/report pair for the Fig. 1 indicators."""
 
