@@ -16,39 +16,54 @@ match something else.  A brace bound may not exceed 65,535, PCRE's limit
 (``re`` itself cannot compile one from 2**32 - 1).
 
 ``analyze`` tokenizes a pattern, decides in one walk of its tokens
-(``structure``) whether it is valid and which of its literal runs are
-required, and caches the result, or the ``DialectError`` it raised; the
-validation gates and the grader all read that one analysis.  A run is
-*required* when it is literally on every match path, not in an alternation
-branch or a group that may match zero times.  ``Analysis.regex`` is compiled
-on first use.  ``analyze`` compiles every pattern outside the find-chain
-shape below at once, so an ``re.error`` is still a ``DialectError``; a
-find-chain pattern always compiles, and is compiled only if a search needs
-it.
+(``structure``) whether it is valid, which of its literal runs are required,
+and the two shapes the match rules below look for, and caches the result,
+or the ``DialectError`` it raised; the validation gates, the grader and the
+evaluation all read that one analysis.  A run is *required* when it is
+literally on every match path, not in an alternation branch or a group that
+may match zero times.  ``Analysis.regex`` is compiled on first use.
+``analyze`` compiles every pattern outside the find-chain shape at once, so
+an ``re.error`` is still a ``DialectError``; a find-chain pattern always
+compiles, and is compiled only if a search needs it.
 
-``Analysis.search`` is the one search entry point, and returns exactly what
-``regex.search`` returns.  It tries offset 0 only (``regex.match``) when the
-pattern, after its flags, opens with ``.`` under an unbounded quantifier
-(``*``, ``+`` or ``{m,}``, lazy or not), has no top-level ``|``, and the text
-holds no ``\n`` or the pattern sets ``(?s)``.  The dialect has no
-backreferences and no lookbehind, so the leading ``.`` run of a match found
-at any offset can be stretched back to offset 0, and ``search`` tries offset
-0 first with the same backtracking as ``match``.  Without the rule, a miss
-costs one attempt per offset, each of which may scan the rest of the text.
+Match rules.  ``Analysis.matches`` says exactly whether ``re.search`` finds a
+match, and ``Analysis.explain`` says why it does not; both follow these
+rules, which hold for every pattern in the dialect.
 
-``Analysis.matches`` says only whether ``search`` finds a match.  When the
-pattern's body, after its flags, is only literal runs and ``.`` under ``*``
-or ``*?`` (the *find-chain* shape, ``(?i).*K1.*K2.*``), and the text holds no
-``\n`` or the pattern sets ``(?s)``, the pattern matches exactly when its
-runs occur in the text in order without overlapping.  A greedy leftmost
-``str.find`` chain decides that in one pass over the text (the automaton
-simulation of Cox, "Regular Expression Matching Can Be Simple And Fast",
-2007, reduced to literals and ``.*``), where backtracking takes time of the
-order of the text length to the number of ``.*``.  Under ``(?i)`` the chain
-runs only when the runs and the text are all ASCII, lowercased, because
-``re.IGNORECASE`` also matches ASCII letters to some non-ASCII ones (``i``
-to ``ı``, ``s`` to ``ſ``, ``k`` to the Kelvin sign).  Any other pattern or
-text is decided by ``search``.
+- Offset 0.  When the pattern, after its flags, opens with ``.`` under an
+  unbounded quantifier (``*``, ``+`` or ``{m,}``, lazy or not; the *leading
+  wildcard*), has no top-level ``|``, and the text holds no ``\n`` or the
+  pattern sets ``(?s)``, a search tries offset 0 only (``regex.match``).
+  The dialect has no backreferences and no lookbehind, so the leading ``.``
+  run of a match found at any offset can be stretched back to offset 0, and
+  ``re.search`` tries offset 0 first with the same backtracking as
+  ``match``.  Without the rule, a miss costs one attempt per offset, each of
+  which may scan the rest of the text.
+- Find chain.  When the pattern's body, after its flags, is only literal
+  runs and ``.`` under ``*`` or ``*?`` (the *find-chain* shape,
+  ``(?i).*K1.*K2.*``), and the text holds no ``\n`` or the pattern sets
+  ``(?s)``, the pattern matches exactly when its runs occur in the text in
+  order without overlapping.  A greedy leftmost ``str.find`` chain decides
+  that in one pass over the text (the automaton simulation of Cox, "Regular
+  Expression Matching Can Be Simple And Fast", 2007, reduced to literals and
+  ``.*``), where backtracking takes time of the order of the text length to
+  the number of ``.*``.  Any other pattern or text is decided by a search.
+- ``(?i)`` and ASCII.  ``re.IGNORECASE`` also matches ASCII letters to some
+  non-ASCII ones (``i`` to ``ı``, ``s`` to ``ſ``, ``k`` to the Kelvin sign),
+  which ``str.lower`` does not map, so lowercase comparison stands for
+  ``(?i)`` only where both sides are ASCII.  ``fold(text)`` is the text
+  lowercased when it is all ASCII, else None; ``Analysis.needles`` are the
+  pattern's required runs that are ASCII, lowercased, in pattern order.
+  Under ``(?i)`` the find chain is the needles, searched in the text's
+  fold, and applies only when every run is ASCII and the text folds.
+  Whatever the flags, a text whose fold lacks a needle cannot match: the
+  evaluation's prefilter and the probe's unprobed pass read the needles.
+
+``explain`` is lazy and runs only on a miss.  It searches growing top-level
+token prefixes of the pattern, with literal runs split into characters, by
+the offset-0 rule of the whole pattern; under the find-chain rule it
+rejects a prefix by ``str.find``, so ``re`` searches only prefixes that
+match.
 """
 
 from __future__ import annotations
@@ -83,6 +98,8 @@ _ANALYSIS_CACHE_SIZE = 64
 
 # Tokens a quantifier may follow.
 _QUANTIFIABLE = frozenset({LITERAL, ESCAPE, CLASS_ESCAPE, CLASS, DOT, GROUP_CLOSE})
+# Tokens of a find-chain pattern besides the quantifiers of its dots.
+_CHAIN_KINDS = frozenset({FLAGS, LITERAL, ESCAPE, DOT})
 
 DIALECT_RULES = (
     "- optional leading (?i) for case-insensitive matching",
@@ -259,12 +276,16 @@ class _Group:
     repeats: bool = False  # a repeating quantifier at any depth
 
 
-def structure(tokens: Sequence[Token]) -> tuple[tuple[LiteralRun, ...], bool]:
+def structure(
+    tokens: Sequence[Token],
+) -> tuple[tuple[LiteralRun, ...], bool, bool]:
     """Validate a token stream and find its literal runs, in one walk.
 
-    Returns the maximal literal runs, with unescaped text, and whether a
-    ``|`` sits at the top level; raises DialectError outside the dialect.  A
-    quantified atom is in no run, and any other non-literal token ends one.
+    Returns the maximal literal runs, with unescaped text; whether the
+    pattern opens with a leading wildcard, its half of the offset-0 rule;
+    and whether it has the find-chain shape (both in the module docstring).
+    Raises DialectError outside the dialect.  A quantified atom is in no
+    run, and any other non-literal token ends one.
     """
     texts: list[str] = []
     required: list[bool] = []
@@ -272,6 +293,9 @@ def structure(tokens: Sequence[Token]) -> tuple[tuple[LiteralRun, ...], bool]:
     stack = [_Group(0, 0)]  # the open groups, the top level first
     closed = stack[0]  # the group the last ')' closed
     prev: Token | None = None
+    second = 2 if tokens and tokens[0].kind == FLAGS else 1  # index of the 2nd body token
+    leading = False
+    chain = True
 
     def flush() -> None:
         if current:
@@ -282,7 +306,9 @@ def structure(tokens: Sequence[Token]) -> tuple[tuple[LiteralRun, ...], bool]:
     def not_required(first: int) -> None:
         required[first:] = [False] * (len(texts) - first)
 
-    for tok in tokens:
+    for k, tok in enumerate(tokens):
+        if tok.kind != QUANT:
+            chain &= tok.kind in _CHAIN_KINDS and (prev is None or prev.kind != DOT)
         if tok.kind == LITERAL:
             current.append(tok.text)
         elif tok.kind == ESCAPE:
@@ -298,6 +324,8 @@ def structure(tokens: Sequence[Token]) -> tuple[tuple[LiteralRun, ...], bool]:
             if too_large:
                 raise DialectError(f"repetition bound above {_MAX_BOUND}", tok.pos)
             repeats = high is None or high > 1
+            chain &= prev.kind == DOT and tok.text in ("*", "*?")
+            leading |= k == second and prev.kind == DOT and high is None
             if prev.kind == GROUP_CLOSE:
                 if repeats and closed.repeats:
                     raise DialectError(
@@ -336,7 +364,9 @@ def structure(tokens: Sequence[Token]) -> tuple[tuple[LiteralRun, ...], bool]:
     flush()
     if stack[0].alt:
         not_required(0)
-    return tuple(map(LiteralRun, texts, required)), stack[0].alt
+    chain &= prev is None or prev.kind != DOT
+    runs = tuple(map(LiteralRun, texts, required))
+    return runs, leading and not stack[0].alt, chain
 
 
 @dataclass(frozen=True)
@@ -351,16 +381,22 @@ class LiteralRun:
     required: bool
 
 
+def fold(text: str) -> str | None:
+    """The text lowercased when it is all ASCII, else None: the one form in
+    which lowercase comparison stands for ``(?i)`` (module docstring)."""
+    return text.lower() if text.isascii() else None
+
+
 @dataclass(frozen=True)
 class Analysis:
     """One pattern's tokens, literal runs and wildcard units, and its regex.
 
+    ``flags`` holds the letters of the inline flags token, e.g. ``"i"``.
     ``leading_wildcard`` is the pattern's half of the offset-0 rule in the
-    module docstring: after its flags, the pattern opens with ``.`` under an
-    unbounded quantifier and has no top-level ``|``.  ``chain`` holds the
-    runs ``matches`` finds in order, lowercased under ``(?i)``, for a pattern
-    of the find-chain shape; it is None for any other pattern, and under
-    ``(?i)`` when a run is not ASCII.
+    module docstring.  ``needles`` are the ``fold`` of the required runs
+    that are ASCII, in pattern order.  ``chain`` holds the runs ``matches``
+    finds in order, for a pattern of the find-chain shape: under ``(?i)``
+    the needles, when every run is ASCII.  It is None for any other pattern.
     The regex, the wildcard units and the anchor spans are worked out on
     first use.
     """
@@ -368,49 +404,35 @@ class Analysis:
     pattern: str
     tokens: tuple[Token, ...]
     runs: tuple[LiteralRun, ...]
+    flags: str
     leading_wildcard: bool
+    needles: tuple[str, ...]
     chain: tuple[str, ...] | None
 
     @functools.cached_property
     def regex(self) -> re.Pattern:
         return re.compile(self.pattern)
 
-    @functools.cached_property
-    def flags(self) -> str:
-        """The letters of the inline flags token, e.g. ``"i"``."""
-        has_flags = self.tokens and self.tokens[0].kind == FLAGS
-        return self.tokens[0].text[2:-1] if has_flags else ""
-
-    def at_offset_0(self, text: str) -> bool:
+    def _at_offset_0(self, text: str) -> bool:
         """Whether a search of ``text`` finds a match at offset 0 or none
-        (the module docstring gives the rule).  This also holds for the
-        flags-only and the flags-and-``.`` prefixes, and for every other
+        (the module docstring's offset-0 rule).  This also holds for every
         top-level token prefix of the pattern."""
         return self.leading_wildcard and ("\n" not in text or "s" in self.flags)
 
-    def search(self, text: str) -> re.Match | None:
-        """Exactly ``self.regex.search(text)``: the same None, span and
-        groups, found at offset 0 only when ``at_offset_0(text)``."""
-        if self.at_offset_0(text):
-            return self.regex.match(text)
-        return self.regex.search(text)
-
-    def chain_text(self, text: str) -> str | None:
-        """The text the find chain searches for ``chain``, lowercased under
-        ``(?i)``; None when the module docstring's find-chain rule does not
-        apply to this pattern and text."""
+    def _hay(self, text: str) -> str | None:
+        """The text the find chain searches for ``chain``, folded under
+        ``(?i)``; None when the find-chain rule does not apply."""
         if self.chain is None or ("\n" in text and "s" not in self.flags):
             return None
-        if "i" in self.flags:
-            return text.lower() if text.isascii() else None
-        return text
+        return fold(text) if "i" in self.flags else text
 
     def matches(self, text: str) -> bool:
-        """Exactly ``self.search(text) is not None``; by a ``str.find``
-        chain when the module docstring's find-chain rule applies."""
-        hay = self.chain_text(text)
+        """Exactly ``self.regex.search(text) is not None``, by the module
+        docstring's match rules."""
+        hay = self._hay(text)
         if hay is None:
-            return self.search(text) is not None
+            rx = self.regex
+            return (rx.match if self._at_offset_0(text) else rx.search)(text) is not None
         pos = 0
         for run in self.chain:
             pos = hay.find(run, pos)
@@ -418,6 +440,47 @@ class Analysis:
                 return False
             pos += len(run)
         return True
+
+    def explain(self, text: str) -> tuple[str, int, str] | None:
+        """None when the pattern matches ``text``.  Otherwise the longest
+        compilable top-level token prefix of the pattern that matches, the
+        end offset of its match in ``text``, and the first failing token,
+        by the scan the module docstring describes.  A find-chain prefix
+        matches when its runs, the last one maybe cut short, occur in order,
+        and a character follows where a ``.`` ends it.  The scan always ends
+        at a failing prefix: the last one is the whole pattern."""
+        if self.matches(text):
+            return None
+        hay = self._hay(text)
+        offset_0 = self._at_offset_0(text)
+        matched, offset = "", 0
+        # the chain's current run, its characters in the prefix, where it may start
+        run = cut = pos = depth = 0
+        for tok in self.tokens:
+            depth += (tok.kind == GROUP_OPEN) - (tok.kind == GROUP_CLOSE)
+            if depth:
+                continue
+            for j, piece in enumerate(tok.text if tok.kind == LITERAL else (tok.text,)):
+                if hay is not None and tok.kind == DOT:
+                    if cut:
+                        pos = hay.find(self.chain[run], pos) + cut  # past the run
+                        run, cut = run + 1, 0
+                    if pos == len(hay):
+                        return matched, offset, piece
+                elif hay is not None and tok.kind in (LITERAL, ESCAPE):
+                    cut += 1
+                    if hay.find(self.chain[run][:cut], pos) < 0:
+                        return matched, offset, piece
+                end = tok.pos + j + len(piece)
+                try:
+                    rx = re.compile(self.pattern[:end])
+                except re.error:
+                    continue
+                m = (rx.match if offset_0 else rx.search)(text)
+                if m is None:
+                    return matched, offset, piece
+                matched, offset = self.pattern[:end], m.end()
+        return matched, offset, ""
 
     @functools.cached_property
     def wildcards(self) -> tuple[tuple[int, int, str], ...]:
@@ -440,45 +503,21 @@ class Analysis:
         return frozenset(spans)
 
 
-def _leading_wildcard(tokens: Sequence[Token]) -> bool:
-    """After the flags, a ``.`` under an unbounded quantifier comes first."""
-    body = tokens[1:] if tokens and tokens[0].kind == FLAGS else tokens
-    return len(body) >= 2 and body[0].kind == DOT and body[1].kind == QUANT and (
-        _quantifier_bounds(body[1].text)[1] is None
-    )
-
-
-def _chain(tokens: Sequence[Token], runs: Sequence[LiteralRun]) -> tuple[str, ...] | None:
-    """The runs of a find-chain pattern, as ``Analysis.chain`` holds them."""
-    body = tokens[1:] if tokens and tokens[0].kind == FLAGS else tokens
-    for k, tok in enumerate(body):
-        if tok.kind == QUANT:
-            if tok.text not in ("*", "*?") or body[k - 1].kind != DOT:
-                return None
-        elif tok.kind == DOT:
-            if k + 1 == len(body) or body[k + 1].kind != QUANT:
-                return None
-        elif tok.kind not in (LITERAL, ESCAPE):
-            return None
-    texts = tuple(run.text for run in runs)
-    if body is not tokens and "i" in tokens[0].text:
-        if not all(map(str.isascii, texts)):
-            return None
-        return tuple(text.lower() for text in texts)
-    return texts
-
-
 @functools.lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)
 def _analysis_or_error(pattern: str) -> Analysis | tuple[str, int]:
     """The pattern's analysis, or the message and offset of its DialectError."""
     try:
         tokens = tuple(tokenize(pattern))
-        runs, top_level_alt = structure(tokens)
+        runs, leading, chain_shape = structure(tokens)
     except DialectError as exc:
         return exc.message, exc.offset
-    leading = not top_level_alt and _leading_wildcard(tokens)
-    analysis = Analysis(pattern, tokens, runs, leading, _chain(tokens, runs))
-    if analysis.chain is None:
+    flags = tokens[0].text[2:-1] if tokens and tokens[0].kind == FLAGS else ""
+    needles = tuple(f for r in runs if r.required and (f := fold(r.text)) is not None)
+    chain = tuple(r.text for r in runs) if chain_shape else None
+    if chain is not None and "i" in flags:
+        chain = needles if len(needles) == len(chain) else None
+    analysis = Analysis(pattern, tokens, runs, flags, leading, needles, chain)
+    if chain is None:
         try:
             analysis.regex  # compile now: an re.error is a DialectError
         except re.error as exc:  # e.g. a{3,1} or [z-a]

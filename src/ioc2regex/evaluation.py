@@ -7,18 +7,11 @@ pattern/indicator edit-distance similarity, score distributions, and a
 structural feature-vector comparison between patterns.
 
 Every metric derives from one match row per regex (``fpr``): the truths it
-finds.  A row is built by one search per truth that holds all of the regex's
-required literal runs (``dialect.analyze``); a truth missing one cannot match
-and is skipped unsearched.  A ``(?i)`` regex compares only its ASCII runs,
-lowercased, and only against ASCII truths, because ``re.IGNORECASE`` also
-matches ASCII letters to some non-ASCII ones (``i`` to ``ı``, ``s`` to ``ſ``,
-``k`` to the Kelvin sign) that ``str.lower`` does not map.  Each truth is
-then decided by ``dialect.Analysis.matches``: a regex of literal runs and
-``.*`` only (the template's shape) by a ``str.find`` chain over the truth,
-without compiling it, and any other regex by a search, tried at offset 0
-only when it opens with ``.`` under an unbounded quantifier (``*``, ``+``,
-``{m,}``) and has no top-level ``|``, on a truth with no ``\n`` or under
-``(?s)``.  Either way the row is exactly that of ``re.search``.
+finds.  A row is built by one ``dialect.Analysis.matches`` per truth whose
+``dialect.fold`` holds all of the regex's needles, or that does not fold; a
+truth whose fold lacks one cannot match and is skipped unsearched.
+``dialect`` states these match rules; the row is exactly that of
+``re.search``.
 """
 
 from __future__ import annotations
@@ -56,9 +49,9 @@ class GroundTruthString:
     normalized: str = ""
 
     @functools.cached_property
-    def ascii_lower(self) -> str | None:
-        """The normalized text lowercased, or None unless it is all ASCII."""
-        return self.normalized.lower() if self.normalized.isascii() else None
+    def fold(self) -> str | None:
+        """``dialect.fold`` of the normalized text."""
+        return dialect.fold(self.normalized)
 
 
 def load_truths(
@@ -175,20 +168,15 @@ def fpr(
     matches, the fraction whose annotated capture groups differ from the
     source indicator's; None if it matches nothing.
 
-    ``pattern`` must be in the dialect; its required literal runs prefilter
-    the truths as the module docstring describes.
+    ``pattern`` must be in the dialect; its needles prefilter the truths as
+    the module docstring describes.
     """
     analysis = dialect.analyze(pattern)
     matches = analysis.matches
-    required = [run.text for run in analysis.runs if run.required]
-    if "i" in analysis.flags:
-        required = [text.lower() for text in required if text.isascii()]
-        hays = [t.ascii_lower for t in truths]
-    else:
-        hays = [t.normalized for t in truths]
+    hays = [t.fold for t in truths]
     candidates: Iterable[int] = range(len(truths))
-    for lit in sorted(required, key=len, reverse=True):  # longest: likely rarest
-        candidates = [i for i in candidates if hays[i] is None or lit in hays[i]]
+    for needle in sorted(analysis.needles, key=len, reverse=True):  # longest: rarest
+        candidates = [i for i in candidates if hays[i] is None or needle in hays[i]]
     matched = [i for i in candidates if matches(truths[i].normalized)]
     g_k = frozenset(g.casefold() for g in source_groups)
     return _fpr_result(matched, [i for i in matched if truths[i].capture_groups != g_k])

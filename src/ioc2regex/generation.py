@@ -8,23 +8,23 @@ component appears literally anywhere, and an over-generalization probe with
 ten seeded random strings.  The probe rejects a pattern only when it matches
 all ten, so it draws and searches the strings one at a time and stops at the
 first one the pattern misses; the verdict is that of checking all ten.  The
-probe strings are ASCII and hold no keep component, so a pattern with a
-required ASCII literal run that contains a keep (case-folded) can match none
-of them: the probe passes it without drawing a string, with the same verdict.
+probe strings are ASCII and hold no keep component, so a pattern one of
+whose needles (``dialect.Analysis.needles``) contains a keep (case-folded)
+can match none of them: the probe passes it without drawing a string, with
+the same verdict.
 The strings are drawn by rejection; after 1,000 rejected draws in a row the
 rest are drawn without the one-character keeps, and when every probe
 character is a one-character keep, no probe string exists and the probe
 passes without drawing one.
 ``generate`` runs the gates as one stage list: debug and the audit get up to
 ``max_iterations`` (ten) attempts, each failure but the last fed back to the
-backend; the probe gets one.  A stage's last failure or a backend error
-restarts the whole workflow, up to a configurable number of passes.
+backend; the probe gets one.  A stage's last failure or a backend error (an
+empty reply is one) restarts the whole workflow, up to a configurable number
+of passes.
 
-The gates decide "match or not" with ``dialect.Analysis.matches``: a
-pattern of literal runs and ``.*`` is decided by a ``str.find`` chain,
-without compiling it (see ``dialect``).  The debug diagnostic's prefix scan of a
-failing pattern searches with ``re``, by the rule of ``Analysis.search``: a
-pattern that opens with an unbounded ``.`` run is tried at offset 0 only.
+The gates decide "match or not", and the debug diagnostic explains a miss,
+by the match rules of ``dialect`` (``Analysis.matches`` and
+``Analysis.explain``).
 
 The debug and audit results depend only on the pattern and the indicator,
 and every prompt opens with the same indicator head, so one
@@ -47,7 +47,7 @@ import re
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from . import dialect
 from .capture import GroupAnnotation
@@ -93,90 +93,21 @@ class DebugResult:
         )
 
 
-def _probe_tokens(tokens: Sequence[dialect.Token]) -> Iterator[dialect.Token]:
-    """Per-character granularity for literal tokens, so the failing point
-    inside a literal run can be named; lazy, since the prefix scan usually
-    stops early."""
-    for tok in tokens:
-        if tok.kind == dialect.LITERAL and len(tok.text) > 1:
-            for j, c in enumerate(tok.text):
-                yield dialect.Token(dialect.LITERAL, c, tok.pos + j)
-        else:
-            yield tok
-
-
 def debug_check(pattern: str, target: str) -> DebugResult:
     """Does the pattern match the indicator?  On failure, report the longest
-    compilable token-prefix that still matches and the first failing token."""
+    compilable token-prefix that still matches and the first failing token
+    (``dialect.Analysis.explain``)."""
     try:
         analysis = dialect.analyze(pattern)
     except dialect.DialectError as exc:
         return DebugResult(ok=False, syntax_error=str(exc))
-    if analysis.matches(target):
+    miss = analysis.explain(target)
+    if miss is None:
         return DebugResult(ok=True)
-
-    # The scan always ends at a failing prefix: the last token's prefix is
-    # the whole pattern, which does not match.  Each prefix searches the
-    # way the whole pattern does (``Analysis.at_offset_0``).  Where the
-    # find chain decides the pattern, it also names the failing prefix, so
-    # ``re`` searches only prefixes that match.
-    at_offset_0 = analysis.at_offset_0(target)
-    hay = analysis.chain_text(target)
-    fail_pos = -1 if hay is None else _chain_failure(analysis, hay)
-    matched_prefix = ""
-    target_offset = 0
-    failing = ""
-    depth = 0
-    for tok in _probe_tokens(analysis.tokens):
-        if tok.kind == dialect.GROUP_OPEN:
-            depth += 1
-        elif tok.kind == dialect.GROUP_CLOSE:
-            depth -= 1
-        if depth != 0:
-            continue
-        if tok.pos == fail_pos:
-            failing = tok.text
-            break
-        prefix = pattern[: tok.end]
-        try:
-            rx_prefix = re.compile(prefix)
-        except re.error:
-            continue
-        m = (rx_prefix.match if at_offset_0 else rx_prefix.search)(target)
-        if m is None:
-            failing = tok.text
-            break
-        matched_prefix = prefix
-        target_offset = m.end()
+    prefix, offset, failing = miss
     return DebugResult(
-        ok=False,
-        matched_prefix=matched_prefix,
-        failing_token=failing,
-        target_offset=target_offset,
+        ok=False, matched_prefix=prefix, failing_token=failing, target_offset=offset
     )
-
-
-def _chain_failure(analysis: dialect.Analysis, hay: str) -> int:
-    """The offset of the token that ends the first top-level prefix of a
-    find-chain pattern not to match ``hay`` (``Analysis.chain_text``).  A
-    prefix matches when its runs, the last one maybe cut short, occur in
-    order, and a character follows where a ``.`` ends it."""
-    lower = "i" in analysis.flags
-    pos = 0  # where the current run may start: past the one before it
-    run = ""
-    for tok in analysis.tokens:
-        if tok.kind == dialect.DOT:
-            pos = hay.find(run, pos) + len(run)
-            run = ""
-            if pos == len(hay):
-                return tok.pos
-        elif tok.kind in (dialect.LITERAL, dialect.ESCAPE):
-            chars = tok.text[1:] if tok.kind == dialect.ESCAPE else tok.text
-            for j, c in enumerate(chars):
-                run += c.lower() if lower else c
-                if hay.find(run, pos) < 0:
-                    return tok.pos if tok.kind == dialect.ESCAPE else tok.pos + j
-    return -1
 
 
 @dataclass
@@ -295,17 +226,14 @@ def unprobed_pass(
     """Why ``overgen_check`` passes ``pattern`` without drawing a probe, for
     every seed; "" when it draws probes.
 
-    A required literal run that is ASCII and contains a non-empty keep
-    component (both case-folded) puts that keep in every match, and the
-    ASCII probes hold none.  A non-ASCII run does not count: ``(?i)ı``
-    matches ``i``, which no case-folded ``ı`` finds.  When every probe
-    character is a one-character keep, no probe string exists."""
+    A needle of the pattern (``dialect.Analysis.needles``) that contains a
+    non-empty keep component (case-folded) puts that keep in every match,
+    and the ASCII probes hold none.  When every probe character is a
+    one-character keep, no probe string exists."""
     folded = _folded_keeps(keep_components)
-    for run in dialect.analyze(pattern).runs:
-        if run.required and run.text.isascii():
-            text = run.text.casefold()
-            if any(comp in text for comp in folded):
-                return _HOLDS_KEEP
+    needles = dialect.analyze(pattern).needles
+    if any(comp in needle for needle in needles for comp in folded):
+        return _HOLDS_KEEP
     return "" if _probe_alphabet(folded) else _NO_PROBE_ALPHABET
 
 
@@ -573,13 +501,6 @@ class WorkflowTrace:
     attempts: list[Attempt] = field(default_factory=list)
     restarts: int = 0
 
-    def stage_counts(self, restart: int) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for att in self.attempts:
-            if att.restart == restart:
-                counts[att.stage] = counts.get(att.stage, 0) + 1
-        return counts
-
 
 class IndicatorMemo:
     """The pure results of one indicator's workflow runs, each computed once:
@@ -618,14 +539,19 @@ def _propose(
     backend: GeneratorBackend, annotation: GroupAnnotation, prompt: str,
     trace: WorkflowTrace, restart: int, stage: str, pattern: str = "",
 ) -> str | None:
-    """One backend call.  A ``BackendError`` becomes an ``error`` attempt of
-    ``stage`` on ``pattern`` (the candidate the prompt was about) and None."""
+    """One backend call.  A ``BackendError`` or an empty reply becomes an
+    ``error`` attempt of ``stage`` on ``pattern`` (the candidate the prompt
+    was about) and None."""
     try:
-        return backend.propose(annotation, prompt)
+        reply = backend.propose(annotation, prompt)
     except BackendError as exc:
         error = f"backend error: {exc}"
-        trace.attempts.append(Attempt(restart, stage, pattern, "error", error))
-        return None
+    else:
+        if reply:
+            return reply
+        error = "backend error: empty pattern"
+    trace.attempts.append(Attempt(restart, stage, pattern, "error", error))
+    return None
 
 
 def generate(
@@ -694,8 +620,9 @@ def single_shot(
 ) -> tuple[str | None, WorkflowTrace]:
     """Ablation variant: one backend call, no validation loops.
 
-    A non-compiling emission yields no pattern since there is no debug loop
-    to repair it.  The run draws no probe, so its seed never matters.
+    A non-compiling emission, like an empty reply or a backend error, yields
+    no pattern, since there is no debug loop to repair it.  The run draws no
+    probe, so its seed never matters.
     """
     trace = WorkflowTrace()
     pattern = _propose(backend, annotation, build_prompt(annotation), trace, 0, STAGE_DEBUG)

@@ -78,16 +78,33 @@ def _default_registry_roots() -> dict:
     return load_registry_roots(_DATA_DIR / "registry_roots.json")
 
 
+def check_table(table, where: str) -> dict:
+    """``table`` when it is an object that maps strings to strings; else a
+    ValueError that names ``where``."""
+    if not isinstance(table, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in table.items()
+    ):
+        raise ValueError(f"{where} must map strings to strings")
+    return table
+
+
+def _load_table(path: str | Path) -> dict:
+    """A JSON table file, checked by ``check_table``; ValueError names the file."""
+    try:
+        table = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # malformed JSON or UTF-8
+        raise ValueError(f"{path}: {exc}") from exc
+    return check_table(table, str(path))
+
+
 def load_expansions(path: str | Path) -> dict:
     """Environment-variable table: ``{"%VAR%": "expansion"}``, keys uppercased."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {k.upper(): v for k, v in data.items()}
+    return {k.upper(): v for k, v in _load_table(path).items()}
 
 
 def load_registry_roots(path: str | Path) -> dict:
     """Root abbreviation map: ``{"HKEY_CURRENT_USER": "HKCU"}``, keys case-folded."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {k.casefold(): v for k, v in data.items()}
+    return {k.casefold(): v for k, v in _load_table(path).items()}
 
 
 def _registry_markers(registry_roots: dict) -> frozenset[str]:

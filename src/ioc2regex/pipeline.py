@@ -31,6 +31,7 @@ from .normalize import (
     IocKind,
     IocRecord,
     TokenizationError,
+    check_table,
     load_expansions,
     load_registry_roots,
     make_record,
@@ -115,14 +116,19 @@ def load_store(config: PipelineConfig) -> KnowledgeStore:
 
 
 def load_tables(config: PipelineConfig) -> tuple[dict | None, dict | None]:
-    expansions = (
-        load_expansions(config.expansions_path) if config.expansions_path else None
-    )
-    roots = (
-        load_registry_roots(config.registry_roots_path)
-        if config.registry_roots_path
-        else None
-    )
+    """The expansion and registry-root tables the config names, or None; a
+    malformed one is a ConfigError that names its file."""
+    try:
+        expansions = (
+            load_expansions(config.expansions_path) if config.expansions_path else None
+        )
+        roots = (
+            load_registry_roots(config.registry_roots_path)
+            if config.registry_roots_path
+            else None
+        )
+    except ValueError as exc:  # malformed JSON included
+        raise ConfigError(str(exc)) from exc
     return expansions, roots
 
 
@@ -383,11 +389,10 @@ _PRODUCT_RECORD_SCHEMA = {
 
 def _recorded_table(summary: dict, key: str, where) -> dict | None:
     table = summary.get(key)
-    if table is not None and not (
-        isinstance(table, dict) and all(map(_is_str, table.values()))
-    ):
-        raise ConfigError(f"{where}: summary {key!r} must map strings to strings")
-    return table
+    try:
+        return None if table is None else check_table(table, f"{where}: summary {key!r}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _check_product_record(record, where: str) -> None:

@@ -7,6 +7,7 @@ lines on the terminal.
 import json
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -177,7 +178,8 @@ def test_criterion_4_workflow_guarantees(store):
         )
 
         for restart in range(cap):
-            for stage, count in trace.stage_counts(restart).items():
+            stages = Counter(a.stage for a in trace.attempts if a.restart == restart)
+            for stage, count in stages.items():
                 if count > iters:
                     violations.append((case, "loop cap", stage, count))
         if trace.restarts > cap:

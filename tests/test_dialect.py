@@ -16,7 +16,8 @@ from ioc2regex.dialect import (
     tokenize,
     wildcard_units,
 )
-from oracles import reference_structure
+from ioc2regex.generation import debug_check
+from oracles import reference_debug_check, reference_structure
 
 
 def kinds(pattern):
@@ -347,7 +348,9 @@ SEARCH_ATOMS = [
 
 
 class TestSearch:
-    """``Analysis.search`` against a plain search of every offset."""
+    """The offset-0 rule where it acts: ``Analysis.matches`` against
+    ``re.search``, and the debug diagnostic, which searches each pattern
+    prefix by the rule, against a reference that searches every offset."""
 
     @settings(derandomize=True, deadline=None, max_examples=500)
     @given(
@@ -365,11 +368,8 @@ class TestSearch:
             analysis = analyze(pattern)
         except DialectError:
             assume(False)
-        got, want = analysis.search(text), analysis.regex.search(text)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert got.span() == want.span()
-            assert got.groups() == want.groups()
+        assert analysis.matches(text) == (re.search(pattern, text) is not None)
+        assert debug_check(pattern, text) == reference_debug_check(pattern, text)
 
     @pytest.mark.parametrize(
         "pattern, text, at_offset_0",
@@ -390,8 +390,9 @@ class TestSearch:
     )
     def test_offset_0_conditions(self, pattern, text, at_offset_0):
         analysis = analyze(pattern)
-        assert analysis.at_offset_0(text) is at_offset_0
-        assert analysis.search(text).span() == re.search(pattern, text).span()
+        assert analysis._at_offset_0(text) is at_offset_0
+        assert analysis.matches(text)
+        assert debug_check(pattern, text).ok
 
 
 # Atoms of find-chain patterns, and atoms that take a pattern out of the shape.

@@ -3,7 +3,7 @@ import random
 import statistics
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ioc2regex.evaluation import (
@@ -177,12 +177,17 @@ def texts_for(pattern: str):
 class TestMatchRows:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(
-        pattern=dialect_patterns(),
-        data=st.data(),
+        case=dialect_patterns().flatmap(
+            lambda p: st.tuples(st.just(p), st.lists(texts_for(p), min_size=1, max_size=8))
+        ),
         groups=st.lists(st.frozensets(st.sampled_from("ab"))),
     )
-    def test_rows_equal_plain_search(self, pattern, data, groups):
-        bodies = data.draw(st.lists(texts_for(pattern), min_size=1, max_size=8))
+    # the prefilter compares a case-sensitive pattern's needles without case
+    @example(case=("Users", ["users", "xUsers"]), groups=[])
+    # and leaves its non-ASCII runs, and every non-ASCII truth, to the match
+    @example(case=("k\u0131", ["k\u0131", "K\u0131", "k\u0130", "kI"]), groups=[])
+    def test_rows_equal_plain_search(self, case, groups):
+        pattern, bodies = case
         truths = [
             raw_truth(text, groups[i] if i < len(groups) else ())
             for i, text in enumerate(bodies)

@@ -1,6 +1,7 @@
 import re
 import signal
 import string
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -469,14 +470,14 @@ class TestWorkflow:
         )
         assert pattern == GOOD_PATH_PATTERN
         assert trace.restarts == 0
-        assert trace.stage_counts(0)["debug"] == 10
+        assert Counter(a.stage for a in trace.attempts if a.restart == 0)["debug"] == 10
 
     def test_correct_after_restart(self, path_annotation):
         backend = ScriptedBackend(["(bad"] * 10 + [GOOD_PATH_PATTERN])
         pattern, trace = generate(path_annotation, backend, rng_seed=0)
         assert pattern == GOOD_PATH_PATTERN
         assert trace.restarts == 1
-        assert trace.stage_counts(0) == {"debug": 10}
+        assert Counter(a.stage for a in trace.attempts if a.restart == 0) == {"debug": 10}
 
     def test_backend_error_recorded_and_restarts(self, path_annotation):
         class Flaky(ScriptedBackend):
@@ -530,7 +531,8 @@ class TestWorkflow:
         )
         assert pattern is None
         for restart in range(cap):
-            for stage, count in trace.stage_counts(restart).items():
+            stages = Counter(a.stage for a in trace.attempts if a.restart == restart)
+            for stage, count in stages.items():
                 assert count <= iters, (restart, stage)
         assert trace.restarts <= cap
         assert backend.calls <= cap * (1 + iters + iters) + cap
@@ -700,6 +702,20 @@ class TestStageLoop:
         ]
         assert trace.attempts[1].diagnostic == "backend error: scripted failure"
 
+    def test_empty_reply_restarts_the_workflow(self, path_annotation):
+        backend = ScriptedBackend(["", "(bad", "", GOOD_PATH_PATTERN])
+        pattern, trace = generate(path_annotation, backend, rng_seed=0)
+        assert pattern == GOOD_PATH_PATTERN
+        assert [(a.restart, a.stage, a.pattern, a.verdict) for a in trace.attempts] == [
+            (0, "debug", "", "error"),
+            (1, "debug", "(bad", "fail"),
+            (1, "debug", "(bad", "error"),
+            (2, "debug", GOOD_PATH_PATTERN, "pass"),
+            (2, "noncapture", GOOD_PATH_PATTERN, "pass"),
+            (2, "overgen", GOOD_PATH_PATTERN, "pass"),
+        ]
+        assert trace.attempts[2].diagnostic == "backend error: empty pattern"
+
     def test_exhausted_audit_restarts_without_overgen(self, path_annotation):
         backend = ScriptedBackend([".*", DISCARD_LITERAL_PATTERN, GOOD_PATH_PATTERN])
         pattern, trace = generate(path_annotation, backend, rng_seed=0, max_iterations=2)
@@ -726,6 +742,13 @@ class TestSingleShot:
         assert pattern is None
         assert trace.attempts == [
             generation.Attempt(0, "debug", "", "error", "backend error: scripted failure")
+        ]
+
+    def test_empty_reply_is_backend_error(self, path_annotation):
+        pattern, trace = single_shot(path_annotation, ScriptedBackend([""]))
+        assert pattern is None
+        assert trace.attempts == [
+            generation.Attempt(0, "debug", "", "error", "backend error: empty pattern")
         ]
 
     def test_compiling_emission_accepted_unvalidated(self, path_annotation):
@@ -785,3 +808,21 @@ class TestRemoteBackend:
         assert [a.verdict for a in trace.attempts] == ["error", "error"]
         assert "not a JSON object" in trace.attempts[0].diagnostic
         assert trace.restarts == 1
+
+    def test_whitespace_reply_is_an_empty_pattern(self, path_annotation, monkeypatch):
+        import requests
+
+        class BlankReply:
+            def raise_for_status(self):
+                pass
+
+            def json(self):
+                return {"pattern": " \n"}
+
+        monkeypatch.setattr(requests, "post", lambda *args, **kwargs: BlankReply())
+        backend = RemoteBackend(endpoint="http://127.0.0.1:9/none")
+        pattern, trace = single_shot(path_annotation, backend)
+        assert pattern is None
+        assert [(a.verdict, a.diagnostic) for a in trace.attempts] == [
+            ("error", "backend error: empty pattern")
+        ]

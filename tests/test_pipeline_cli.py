@@ -727,6 +727,64 @@ class TestCli:
         (report,) = json.loads((tmp_path / "r.json").read_text())["reports"]
         assert report["hit_rate"] == 1.0
 
+    def test_ablate_single_shot_of_an_empty_reply_fails_one_indicator(
+        self, tmp_path, caplog
+    ):
+        inp = write_json(tmp_path / "iocs.json", [r"C:\Users\Public\z.bat"])
+        replay = write_json(tmp_path / "replay.json", [""])
+        truths = write_json(
+            tmp_path / "truths.json",
+            [{"text": r"C:\Users\Public\z.bat", "kind": "file_path",
+              "capture_groups": ["users", "public"]}],
+        )
+        products = tmp_path / "p.json"
+        rc = main(
+            [
+                "ablate",
+                "--mode", "C-R",
+                "--backend", "scripted",
+                "--replay", replay,
+                "--input", inp,
+                "--output", str(products),
+                "--truths", truths,
+                "--report", str(tmp_path / "r.json"),
+            ]
+        )
+        assert rc == 0
+        assert "unexpected failure" not in caplog.text
+        product = json.loads(products.read_text())
+        assert product["records"] == []
+        assert [r["reason"] for r in product["rejections"]] == ["generation failed"]
+        (report,) = json.loads((tmp_path / "r.json").read_text())["reports"]
+        assert report["hit_rate"] == 0.0
+
+    @pytest.mark.parametrize(
+        "option, table",
+        [
+            ("--expansions", ["a"]),
+            ("--expansions", {"%APPDATA%": 5}),
+            ("--registry-roots", {"hkey_local_machine": 7}),
+            ("--expansions", "{broken"),
+        ],
+        ids=["list", "number-expansion", "number-root", "malformed-json"],
+    )
+    def test_exit_code_1_on_malformed_table(self, tmp_path, caplog, option, table):
+        inp = write_json(
+            tmp_path / "iocs.json",
+            [r"%APPDATA%\Temp\x.exe", r"HKEY_LOCAL_MACHINE\Software\Run\x"],
+        )
+        path = tmp_path / "table.json"
+        if isinstance(table, str):
+            path.write_text(table, encoding="utf-8")
+        else:
+            write_json(path, table)
+        rc = main(["generate", "--input", inp, "--output", str(tmp_path / "o.json"),
+                   option, str(path)])
+        assert rc == 1
+        assert f"{path}" in caplog.text
+        assert "unexpected failure" not in caplog.text
+        assert not (tmp_path / "o.json").exists()
+
     @pytest.mark.parametrize("table", [["x"], {"%A%": 1}, "C:"])
     def test_malformed_recorded_table_is_config_error(self, tmp_path, table):
         product = {"records": [], "summary": {"expansions": table}}
