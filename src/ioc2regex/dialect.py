@@ -57,7 +57,8 @@ rules, which hold for every pattern in the dialect.
   Under ``(?i)`` the find chain is the needles, searched in the text's
   fold, and applies only when every run is ASCII and the text folds.
   Whatever the flags, a text whose fold lacks a needle cannot match: the
-  evaluation's prefilter and the probe's unprobed pass read the needles.
+  probe's unprobed pass and, under ``(?i)``, the evaluation's prefilter
+  read the needles.
 
 ``explain`` is lazy and runs only on a miss.  It searches growing top-level
 token prefixes of the pattern, with literal runs split into characters, by

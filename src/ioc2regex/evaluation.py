@@ -7,9 +7,11 @@ pattern/indicator edit-distance similarity, score distributions, and a
 structural feature-vector comparison between patterns.
 
 Every metric derives from one match row per regex (``fpr``): the truths it
-finds.  A row is built by one ``dialect.Analysis.matches`` per truth whose
-``dialect.fold`` holds all of the regex's needles, or that does not fold; a
-truth whose fold lacks one cannot match and is skipped unsearched.
+finds.  A row is built by one ``dialect.Analysis.matches`` per truth that
+holds all of the regex's required literal runs; a truth missing one cannot
+match and is skipped unsearched.  A ``(?i)`` regex compares its needles
+with each truth's ``dialect.fold`` and passes a truth that does not fold;
+any other regex compares its runs exactly with the normalized text.
 ``dialect`` states these match rules; the row is exactly that of
 ``re.search``.
 """
@@ -168,14 +170,18 @@ def fpr(
     matches, the fraction whose annotated capture groups differ from the
     source indicator's; None if it matches nothing.
 
-    ``pattern`` must be in the dialect; its needles prefilter the truths as
-    the module docstring describes.
+    ``pattern`` must be in the dialect; its required runs prefilter the
+    truths as the module docstring describes.
     """
     analysis = dialect.analyze(pattern)
     matches = analysis.matches
-    hays = [t.fold for t in truths]
+    if "i" in analysis.flags:
+        needles, hays = analysis.needles, [t.fold for t in truths]
+    else:
+        needles = tuple(run.text for run in analysis.runs if run.required)
+        hays = [t.normalized for t in truths]
     candidates: Iterable[int] = range(len(truths))
-    for needle in sorted(analysis.needles, key=len, reverse=True):  # longest: rarest
+    for needle in sorted(needles, key=len, reverse=True):  # longest: rarest
         candidates = [i for i in candidates if hays[i] is None or needle in hays[i]]
     matched = [i for i in candidates if matches(truths[i].normalized)]
     g_k = frozenset(g.casefold() for g in source_groups)

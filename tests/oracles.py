@@ -508,6 +508,11 @@ def reference_generate(
                 Attempt(restart, "debug", "", "error", f"backend error: {exc}")
             )
             continue
+        if pattern == "":
+            trace.attempts.append(
+                Attempt(restart, "debug", "", "error", "backend error: empty pattern")
+            )
+            continue
 
         def run_stage(stage, checker):
             nonlocal pattern
@@ -525,12 +530,18 @@ def reference_generate(
                     prior_failures=restart,
                 )
                 try:
-                    pattern = backend.propose(annotation, feedback)
+                    reply = backend.propose(annotation, feedback)
                 except BackendError as exc:
                     trace.attempts.append(
                         Attempt(restart, stage, pattern, "error", f"backend error: {exc}")
                     )
                     return False
+                if reply == "":
+                    trace.attempts.append(
+                        Attempt(restart, stage, pattern, "error", "backend error: empty pattern")
+                    )
+                    return False
+                pattern = reply
             return False
 
         if not run_stage("debug", lambda p: debug_check(p, target)):

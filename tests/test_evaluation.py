@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ioc2regex import dialect
 from ioc2regex.evaluation import (
     EvaluationReport,
     GroundTruthError,
@@ -182,9 +183,9 @@ class TestMatchRows:
         ),
         groups=st.lists(st.frozensets(st.sampled_from("ab"))),
     )
-    # the prefilter compares a case-sensitive pattern's needles without case
+    # the prefilter compares a case-sensitive pattern's runs exactly
     @example(case=("Users", ["users", "xUsers"]), groups=[])
-    # and leaves its non-ASCII runs, and every non-ASCII truth, to the match
+    # non-ASCII runs included, against non-ASCII truths too
     @example(case=("k\u0131", ["k\u0131", "K\u0131", "k\u0130", "kI"]), groups=[])
     def test_rows_equal_plain_search(self, case, groups):
         pattern, bodies = case
@@ -233,6 +234,14 @@ class TestMatchRows:
         truths = [raw_truth("abc"), raw_truth("ABC"), raw_truth("xbc")]
         assert fpr("a.c", [], truths).matched_indices == [0]
         assert fpr("(?i)a.c", [], truths).matched_indices == [0, 1]
+
+    def test_case_sensitive_prefilter_compares_runs_exactly(self, monkeypatch):
+        # a truth that differs only in case, or is not ASCII, is not searched
+        searched = []
+        monkeypatch.setattr(dialect.Analysis, "matches", lambda self, text: searched.append(text))
+        truths = [raw_truth("users\\x"), raw_truth("Users\\xé"), raw_truth("USERSé")]
+        fpr("Users[\\\\/]", [], truths)
+        assert searched == ["Users\\xé"]
 
 
 class TestMeanFpr:

@@ -643,7 +643,7 @@ class TestIndicatorMemo:
 ERROR_MARK = "<backend error>"
 DISCARD_LITERAL_PATTERN = r"(?i).*Users\\Public\\11\.bat"
 WORKFLOW_EMISSIONS = [
-    GOOD_PATH_PATTERN, "(bad", "nomatch", ".*", DISCARD_LITERAL_PATTERN, ERROR_MARK,
+    GOOD_PATH_PATTERN, "(bad", "nomatch", ".*", DISCARD_LITERAL_PATTERN, ERROR_MARK, "",
 ]
 
 
