@@ -126,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
             store = KnowledgeStore.ingest(args.files)
             print(json.dumps(store.stats(), indent=2, sort_keys=True))
             return 0
-    except (ConfigError, KnowledgeBaseError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, KnowledgeBaseError, OSError) as exc:
         logger.error("%s", exc)
         return 1
     except Exception as exc:  # noqa: BLE001 - fatal, but with a readable message

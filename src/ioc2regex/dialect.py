@@ -60,11 +60,15 @@ rules, which hold for every pattern in the dialect.
   probe's unprobed pass and, under ``(?i)``, the evaluation's prefilter
   read the needles.
 
-``explain`` is lazy and runs only on a miss.  It searches growing top-level
-token prefixes of the pattern, with literal runs split into characters, by
-the offset-0 rule of the whole pattern; under the find-chain rule it
-rejects a prefix by ``str.find``, so ``re`` searches only prefixes that
-match.
+``explain`` is lazy and runs only on a miss.  It finds the longest top-level
+token prefix of the pattern, with literal runs split into characters, that
+matches, and the token after it.  Under the find-chain rule ``str.find``
+decides every prefix: one search per run, from the end of the run before,
+up to the first missing run, then a bisection over that run's prefixes
+(one occurs wherever a longer one does); a ``.`` fails where the run
+before it ends the text.  One ``re`` call on the matched prefix, by the
+offset-0 rule of the whole pattern, gives its end offset.  Any other
+pattern or text is scanned prefix by prefix, each one searched by ``re``.
 """
 
 from __future__ import annotations
@@ -446,32 +450,23 @@ class Analysis:
         """None when the pattern matches ``text``.  Otherwise the longest
         compilable top-level token prefix of the pattern that matches, the
         end offset of its match in ``text``, and the first failing token,
-        by the scan the module docstring describes.  A find-chain prefix
-        matches when its runs, the last one maybe cut short, occur in order,
-        and a character follows where a ``.`` ends it.  The scan always ends
-        at a failing prefix: the last one is the whole pattern."""
+        as the module docstring describes: by ``str.find`` under the
+        find-chain rule, else by searching each prefix in turn.  The scan
+        always ends at a failing prefix: the last one is the whole
+        pattern."""
         if self.matches(text):
             return None
         hay = self._hay(text)
+        if hay is not None:
+            return self._explain_chain(text, hay)
         offset_0 = self._at_offset_0(text)
         matched, offset = "", 0
-        # the chain's current run, its characters in the prefix, where it may start
-        run = cut = pos = depth = 0
+        depth = 0
         for tok in self.tokens:
             depth += (tok.kind == GROUP_OPEN) - (tok.kind == GROUP_CLOSE)
             if depth:
                 continue
             for j, piece in enumerate(tok.text if tok.kind == LITERAL else (tok.text,)):
-                if hay is not None and tok.kind == DOT:
-                    if cut:
-                        pos = hay.find(self.chain[run], pos) + cut  # past the run
-                        run, cut = run + 1, 0
-                    if pos == len(hay):
-                        return matched, offset, piece
-                elif hay is not None and tok.kind in (LITERAL, ESCAPE):
-                    cut += 1
-                    if hay.find(self.chain[run][:cut], pos) < 0:
-                        return matched, offset, piece
                 end = tok.pos + j + len(piece)
                 try:
                     rx = re.compile(self.pattern[:end])
@@ -482,6 +477,49 @@ class Analysis:
                     return matched, offset, piece
                 matched, offset = self.pattern[:end], m.end()
         return matched, offset, ""
+
+    def _explain_chain(self, text: str, hay: str) -> tuple[str, int, str]:
+        """``explain`` of a miss under the find-chain rule, where ``hay`` is
+        ``_hay(text)``; the runs are found, and the failing token named, by
+        ``str.find`` alone."""
+        ends = [0]  # 0, then the end of each run of the leftmost chain found
+        for run in self.chain:
+            at = hay.find(run, ends[-1])
+            if at < 0:
+                break
+            ends.append(at + len(run))
+        # the longest prefix of the first missing run that occurs after the
+        # runs found; a prefix occurs wherever a longer one does
+        found = len(ends) - 1
+        missing = self.chain[found]
+        low, high = 0, len(missing)
+        while high - low > 1:
+            mid = (low + high) // 2
+            if hay.find(missing[:mid], ends[-1]) < 0:
+                high = mid
+            else:
+                low = mid
+        # one walk to the failing token: a "." with nothing left to match,
+        # else the character after that prefix
+        done = cut = 0  # runs the walk has passed, characters of the next one
+        for tok in self.tokens:
+            if tok.kind == DOT:
+                done, cut = done + (cut > 0), 0
+                if ends[done] == len(hay):
+                    end, failing = tok.pos, tok.text
+                    break
+            elif tok.kind in (LITERAL, ESCAPE):
+                pieces = tok.text if tok.kind == LITERAL else (tok.text,)
+                if done == found and cut + len(pieces) > low:
+                    end, failing = tok.pos + low - cut, pieces[low - cut]
+                    break
+                cut += len(pieces)
+        matched = self.pattern[:end]
+        if not matched:
+            return "", 0, failing
+        rx = re.compile(matched)
+        m = (rx.match if self._at_offset_0(text) else rx.search)(text)
+        return matched, m.end(), failing
 
     @functools.cached_property
     def wildcards(self) -> tuple[tuple[int, int, str], ...]:

@@ -64,7 +64,10 @@ def load_truths(
 ) -> list[GroundTruthString]:
     """Read a ground-truth JSON file and normalize each entry for matching,
     with the given expansion and registry-root tables (default: bundled)."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # malformed JSON or UTF-8
+        raise GroundTruthError(f"{path}: {exc}") from exc
     if not isinstance(data, list):
         raise GroundTruthError(f"{path}: expected a JSON list of truth records")
     truths = []

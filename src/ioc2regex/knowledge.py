@@ -133,7 +133,7 @@ class KnowledgeStore:
             path = Path(path)
             try:
                 raw = path.read_text(encoding="utf-8")
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise KnowledgeBaseError(f"cannot read file: {exc}", str(path)) from exc
             try:
                 data = json.loads(raw)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -132,9 +133,18 @@ def load_tables(config: PipelineConfig) -> tuple[dict | None, dict | None]:
     return expansions, roots
 
 
+def _read_json(path: str | Path):
+    """A JSON file's content; malformed JSON or UTF-8 is a ConfigError that
+    names the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def load_iocs(path: str | Path) -> list[tuple[str, str]]:
     """Input list: JSON array of strings or ``{"text", "source_id"}`` objects."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = _read_json(path)
     if not isinstance(data, list):
         raise ConfigError(f"{path}: expected a JSON list")
     out: list[tuple[str, str]] = []
@@ -337,7 +347,7 @@ def run_evaluate(
     The truths are normalized with the expansion and registry-root tables
     the product's summary records, else with the bundled ones."""
     store = KnowledgeStore.ingest(list(kb_paths)) if kb_paths else default_store()
-    product = json.loads(Path(products_path).read_text(encoding="utf-8"))
+    product = _read_json(products_path)
     if not isinstance(product, dict) or not isinstance(product.get("records"), list):
         raise ConfigError(f"{products_path}: not a product file (missing 'records')")
     for i, record in enumerate(product["records"]):
@@ -371,6 +381,18 @@ def _is_nonempty_str(value) -> bool:
     return isinstance(value, str) and value != ""
 
 
+def _is_finite_number(value) -> bool:
+    """A number that is a finite float: not NaN or an infinity, which
+    ``json.loads`` reads but JSON lacks, nor an integer too large for the
+    score statistics."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 # What evaluation reads from a product record: key -> (description, check).
 _PRODUCT_RECORD_SCHEMA = {
     "ioc_id": ("a string", _is_str),
@@ -381,8 +403,8 @@ _PRODUCT_RECORD_SCHEMA = {
     ),
     "normalized": ("a string of one or more characters", _is_nonempty_str),
     "score": (
-        "a number",
-        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+        "a number in the float range, not NaN or an infinity",
+        _is_finite_number,
     ),
 }
 

@@ -18,6 +18,7 @@ from ioc2regex.dialect import (
 )
 from ioc2regex.generation import debug_check
 from oracles import reference_debug_check, reference_structure
+from test_generation import hard_timeout
 
 
 def kinds(pattern):
@@ -488,6 +489,83 @@ class TestMatches:
         analyze.cache_clear()
         with pytest.raises(DialectError, match="bad character range"):
             analyze("[z-a].*")
+
+
+# Literal atoms of find-chain runs: CHAIN_ATOMS without the wildcards,
+# CHAIN_LITERALS and an escaped backslash.
+RUN_ATOMS = [a for a in CHAIN_ATOMS if a[0] != "."] + CHAIN_LITERALS + ["\\\\"]
+
+
+@st.composite
+def chain_cases(draw):
+    """A find-chain pattern whose runs have three or more characters, and a
+    text of the runs' own characters, whole runs and their prefixes (either
+    case), a line break and ``ı``."""
+    flags = draw(st.sampled_from(["", "(?i)", "(?s)", "(?is)"]))
+    run = st.lists(st.sampled_from(RUN_ATOMS), min_size=3, max_size=5).map("".join)
+    parts = draw(st.lists(st.one_of(run, st.sampled_from([".*", ".*?"])), max_size=5))
+    pattern = flags + "".join(parts)
+    try:
+        analysis = analyze(pattern)
+    except DialectError:
+        assume(False)
+    assume(analysis.chain)  # a chain with no runs matches every text
+    runs = [r.text for r in analysis.runs]
+    pieces = sorted(
+        {c for r in runs for c in r}
+        | {r[:k] for r in runs for k in range(2, len(r))}
+        | {"\n", "\u0131"}
+    )
+    word = st.one_of(st.sampled_from(runs), st.sampled_from(pieces))
+    words = draw(st.lists(word, max_size=8))
+    return pattern, "".join(w.upper() if draw(st.booleans()) else w for w in words)
+
+
+class TestExplainChain:
+    """``Analysis.explain`` of a find-chain miss, by ``str.find`` per run and
+    one ``re`` call, against the reference that searches every prefix."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(case=chain_cases())
+    @example(case=("(?i).*abK.*:", "xxABk"))  # a "." after a run that ends the text
+    @example(case=(".*abka", "a ab abk"))  # "ab" occurs only after the first "a"
+    @example(case=("(?i).*abk.*ab:", "AB:abk"))  # "ab:" occurs only before "abk"
+    @example(case=(".*ka-.*ab:", "ab ka- a"))  # "ab" too
+    @example(case=(r".*ab\\k", "ab/k"))  # a failing escape
+    @example(case=(r"(?s).*ab\.k", "ab\nk"))  # and another
+    @example(case=("(?s).*?abc.*?k", "abc\nab"))  # lazy: the offset ends at "abc"
+    @example(case=("abc.*k", "xxabcab"))  # no leading wildcard: offset by search
+    @example(case=("(?i).*abc", ""))  # the empty text
+    @example(case=("abc", ""))
+    def test_equals_reference(self, case):
+        pattern, text = case
+        assert debug_check(pattern, text) == reference_debug_check(pattern, text)
+
+    def test_one_re_call_for_a_deep_prefix(self, monkeypatch):
+        pattern = r"(?i).*Users\\Public\\Documents\\Reports\\2024\\q4.*\.exe"
+        text = r"C:\Users\Public\Documents\Reports\2024\Q4\summary.docx"
+        ref = reference_debug_check(pattern, text)
+        analysis = analyze(pattern)
+        compile_ = dialect.re.compile
+        calls = []
+        monkeypatch.setattr(
+            dialect.re, "compile", lambda *args: calls.append(args) or compile_(*args)
+        )
+        miss = analysis.explain(text)
+        monkeypatch.undo()
+        assert miss == (ref.matched_prefix, ref.target_offset, ref.failing_token)
+        assert len(ref.matched_prefix) >= 40
+        assert len(calls) <= 1
+
+    def test_deep_first_run_in_a_long_text_is_fast(self):
+        body = "".join(f"k{i:02d}" for i in range(20))  # 60 characters
+        pattern = f"(?i).*{body}z.*"
+        text = "x" * 5000 + body + "y" * 4940
+        assert len(text) == 10_000
+        with hard_timeout(0.5):
+            res = debug_check(pattern, text)
+        assert (res.matched_prefix, res.failing_token) == (f"(?i).*{body}", "z")
+        assert res.target_offset == 5060
 
 
 class TestWildcardUnits:

@@ -46,7 +46,8 @@ CHAIN_TEXT = "-w " + "-enc x -nop y " * 800
 
 # Emissions shaped like the benchmark's scripted bad ones: syntax errors,
 # literal chains that match no indicator, over-broad patterns; plus forms
-# whose prefix matches are not monotone (``xa*y``, a top-level ``|``).
+# whose prefix matches are not monotone (``xa*y``, a top-level ``|``) and
+# chains that miss deep into an indicator.
 BAD_EMISSIONS = [
     "(?i).*(unclosed", "[a-z", "\\", "*lead", r"(?i).*\q", "(?P<n>x)",
     ".*", "(?i).+", ".+", r"(?i).*\\.*",
@@ -55,6 +56,8 @@ BAD_EMISSIONS = [
     r"(?i).*schtasks.*/create.*/tn.*nothere",
     "Users/Public", "xa*y", r"Users\\Pub|lic/11", r"C:\\Users\\(Pub|Priv)x",
     r"(?i)^c:\\users\\public\\[0-9]+\.exe$", r"(?:Users)\\Nope\\.*",
+    # chains that share 20 or more characters with the Fig. 1 path
+    r"(?i).*C:\\Users\\Public\\11\.bax", r"C:\\Users\\Public\\11\.bat.*\\x",
 ]
 DEBUG_ALPHABET = "abx.\\/"
 DEBUG_ELEMENTS = st.one_of(

@@ -562,6 +562,73 @@ class TestCli:
         assert "t.json[0]: capture group 'system32' does not appear" in caplog.text
         assert "unexpected failure" not in caplog.text
 
+    @pytest.mark.parametrize("content", [b"not json\n", b"\xff\xfe[]"],
+                             ids=["not-json", "not-utf8"])
+    @pytest.mark.parametrize(
+        "command, broken",
+        [
+            ("generate", "iocs.json"),
+            ("evaluate", "products.json"),
+            ("evaluate", "truths.json"),
+            ("ablate", "iocs.json"),
+            ("ablate", "truths.json"),
+            ("kb-validate", "kb.json"),
+        ],
+    )
+    def test_exit_code_1_names_a_file_that_is_not_json(
+        self, tmp_path, caplog, command, broken, content
+    ):
+        files = {
+            "iocs.json": write_json(tmp_path / "iocs.json", [r"C:\Users\Public\z.bat"]),
+            "products.json": write_json(
+                tmp_path / "products.json", {"records": [product_record()]}
+            ),
+            "truths.json": write_json(tmp_path / "truths.json", []),
+            "kb.json": str(tmp_path / "kb.json"),
+        }
+        (tmp_path / broken).write_bytes(content)
+        out = str(tmp_path / "out.json")
+        args = {
+            "generate": ["--input", files["iocs.json"], "--output", out],
+            "evaluate": ["--products", files["products.json"],
+                         "--truths", files["truths.json"], "--output", out],
+            "ablate": ["--mode", "C-R", "--input", files["iocs.json"], "--output", out,
+                       "--truths", files["truths.json"],
+                       "--report", str(tmp_path / "r.json")],
+            "kb-validate": [files["kb.json"]],
+        }[command]
+        rc = main([command, *args])
+        assert rc == 1
+        assert [m for m in caplog.messages if m.startswith(f"{files[broken]}:")]
+        assert "unexpected failure" not in caplog.text
+
+    @pytest.mark.parametrize(
+        "score, written",
+        [
+            (float("nan"), "NaN"),
+            (float("inf"), "Infinity"),
+            (float("-inf"), "-Infinity"),
+            (10**400, "1" + "0" * 400),
+        ],
+        ids=["nan", "infinity", "minus-infinity", "beyond-float"],
+    )
+    def test_exit_code_1_on_non_finite_score(self, tmp_path, caplog, score, written):
+        record = product_record(score=score)
+        products = write_json(tmp_path / "products.json", {"records": [record]})
+        assert f'"score": {written}' in Path(products).read_text()
+        truths = write_json(tmp_path / "t.json", [])
+        rc = main(
+            [
+                "evaluate",
+                "--products", products,
+                "--truths", truths,
+                "--output", str(tmp_path / "report.json"),
+            ]
+        )
+        assert rc == 1
+        assert "record 0: 'score' must be a number in the float range" in caplog.text
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize(
         "replay",
         [{"per_record": True}, "(?i).*", {"emissions": [5]}],
