@@ -10,10 +10,12 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 
 from .knowledge import KnowledgeBaseError, KnowledgeStore
 from .pipeline import (
     ABLATION_MODES,
+    BACKENDS,
     ConfigError,
     PipelineConfig,
     run_evaluate,
@@ -25,54 +27,47 @@ logger = logging.getLogger("ioc2regex")
 
 
 def _add_generate_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", required=True, help="JSON list of raw IOC strings")
-    parser.add_argument("--output", required=True, help="product file to write")
-    parser.add_argument("--kb", action="append", default=[],
-                        help="knowledge-base definition file (repeatable; default: bundled)")
-    parser.add_argument("--expansions", default="",
-                        help="environment-variable expansion table override")
-    parser.add_argument("--registry-roots", default="",
-                        help="registry root abbreviation map override")
-    parser.add_argument("--backend", default="template",
-                        choices=["template", "scripted", "remote"])
-    parser.add_argument("--replay", default="", help="emission file for the scripted backend")
-    parser.add_argument("--endpoint", default="", help="remote backend URL")
-    parser.add_argument("--model", default="", help="remote backend model name")
-    parser.add_argument("--temperature", type=float, default=0.2)
-    parser.add_argument("--api-key-env", default="IOC2REGEX_API_KEY",
-                        help="environment variable holding the remote credential")
-    parser.add_argument("--candidates", "-k", type=int, default=5,
-                        help="candidate regexes per IOC (default 5)")
-    parser.add_argument("--max-iterations", type=int, default=10,
-                        help="per-loop attempt cap (default 10)")
-    parser.add_argument("--restart-cap", type=int, default=5,
-                        help="workflow restarts per IOC (default 5)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="indicator threads; only speeds up the remote backend")
-    parser.add_argument("--dump-annotations", default="",
-                        help="also write the per-IOC keep/discard annotation dump")
+    defaults = PipelineConfig()
+
+    def flag(field: str, *names: str, **kwargs) -> None:
+        """A flag stored under a config field, with that field's default."""
+        parser.add_argument(*names, dest=field, default=getattr(defaults, field), **kwargs)
+
+    flag("input_path", "--input", required=True, help="JSON list of raw IOC strings")
+    flag("output_path", "--output", required=True, help="product file to write")
+    flag("kb_paths", "--kb", action="append",
+         help="knowledge-base definition file (repeatable; default: bundled)")
+    flag("expansions_path", "--expansions",
+         help="environment-variable expansion table override")
+    flag("registry_roots_path", "--registry-roots",
+         help="registry root abbreviation map override")
+    flag("backend", "--backend", choices=BACKENDS,
+         help="candidate generator (default %(default)s)")
+    flag("replay_path", "--replay", help="emission file for the scripted backend")
+    flag("endpoint", "--endpoint", help="remote backend URL")
+    flag("model", "--model", help="remote backend model name")
+    flag("temperature", "--temperature", type=float,
+         help="remote backend sampling temperature (default %(default)s)")
+    flag("api_key_env", "--api-key-env",
+         help="environment variable holding the remote credential (default %(default)s)")
+    flag("candidates", "--candidates", "-k", type=int,
+         help="candidate regexes per IOC (default %(default)s)")
+    flag("max_iterations", "--max-iterations", type=int,
+         help="per-loop attempt cap (default %(default)s)")
+    flag("restart_cap", "--restart-cap", type=int,
+         help="workflow restarts per IOC (default %(default)s)")
+    flag("seed", "--seed", type=int,
+         help="base seed of the over-generalization probe (default %(default)s)")
+    flag("workers", "--workers", type=int,
+         help="indicator threads; only speeds up the remote backend (default %(default)s)")
+    flag("annotations_path", "--dump-annotations",
+         help="also write the per-IOC keep/discard annotation dump")
 
 
 def _config_from(args: argparse.Namespace) -> PipelineConfig:
+    """The config a generate or ablate command line sets, field by field."""
     return PipelineConfig(
-        input_path=args.input,
-        output_path=args.output,
-        kb_paths=args.kb,
-        expansions_path=args.expansions,
-        registry_roots_path=args.registry_roots,
-        backend=args.backend,
-        replay_path=args.replay,
-        endpoint=args.endpoint,
-        model=args.model,
-        temperature=args.temperature,
-        api_key_env=args.api_key_env,
-        candidates=args.candidates,
-        max_iterations=args.max_iterations,
-        restart_cap=args.restart_cap,
-        seed=args.seed,
-        workers=args.workers,
-        annotations_path=args.dump_annotations,
+        **{f.name: getattr(args, f.name) for f in fields(PipelineConfig) if hasattr(args, f.name)}
     )
 
 

@@ -394,7 +394,7 @@ def fold(text: str) -> str | None:
 
 @dataclass(frozen=True)
 class Analysis:
-    """One pattern's tokens, literal runs and wildcard units, and its regex.
+    """One pattern's tokens and literal runs, and its regex.
 
     ``flags`` holds the letters of the inline flags token, e.g. ``"i"``.
     ``leading_wildcard`` is the pattern's half of the offset-0 rule in the
@@ -402,8 +402,7 @@ class Analysis:
     that are ASCII, in pattern order.  ``chain`` holds the runs ``matches``
     finds in order, for a pattern of the find-chain shape: under ``(?i)``
     the needles, when every run is ASCII.  It is None for any other pattern.
-    The regex, the wildcard units and the anchor spans are worked out on
-    first use.
+    The regex is compiled on first use.
     """
 
     pattern: str
@@ -521,26 +520,6 @@ class Analysis:
         m = (rx.match if self._at_offset_0(text) else rx.search)(text)
         return matched, m.end(), failing
 
-    @functools.cached_property
-    def wildcards(self) -> tuple[tuple[int, int, str], ...]:
-        """The pattern's ``wildcard_units``."""
-        return tuple(wildcard_units(self.tokens))
-
-    @functools.cached_property
-    def anchors(self) -> frozenset[tuple[int, int]]:
-        """Spans of a leading and a trailing bare ``.*``, which only say that
-        the pattern may match anywhere in a string."""
-        body = [t for t in self.tokens if t.kind != FLAGS]
-        spans: set[tuple[int, int]] = set()
-        if len(body) >= 2:
-            first, second = body[0], body[1]
-            if first.kind == DOT and second.kind == QUANT and second.text == "*":
-                spans.add((first.pos, second.end))
-            before, last = body[-2], body[-1]
-            if before.kind == DOT and last.kind == QUANT and last.text == "*":
-                spans.add((before.pos, last.end))
-        return frozenset(spans)
-
 
 @functools.lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)
 def _analysis_or_error(pattern: str) -> Analysis | tuple[str, int]:
@@ -592,20 +571,10 @@ def wildcard_units(tokens: Sequence[Token]) -> list[tuple[int, int, str]]:
     single-character match and is not counted.
     """
     units: list[tuple[int, int, str]] = []
-    k = 0
-    while k < len(tokens):
-        tok = tokens[k]
-        nxt = tokens[k + 1] if k + 1 < len(tokens) else None
-        has_quant = nxt is not None and nxt.kind == QUANT
-        if tok.kind in (DOT, CLASS_ESCAPE):
-            end = nxt.end if has_quant else tok.end
-            units.append((tok.pos, end, tok.text + (nxt.text if has_quant else "")))
-            k += 2 if has_quant else 1
-        elif tok.kind == CLASS and has_quant:
-            units.append((tok.pos, nxt.end, tok.text + nxt.text))
-            k += 2
-        else:
-            k += 1
+    for tok, nxt in zip(tokens, [*tokens[1:], None]):
+        quant = nxt.text if nxt is not None and nxt.kind == QUANT else ""
+        if tok.kind in (DOT, CLASS_ESCAPE) or tok.kind == CLASS and quant:
+            units.append((tok.pos, tok.end + len(quant), tok.text + quant))
     return units
 
 

@@ -1,17 +1,18 @@
 """Iterative regex generation with staged validation.
 
 A pluggable backend proposes candidate patterns; each candidate runs through
-three gates in order: a match debug check against the source indicator, an
-audit that every keep component appears literally on every match path (not in
-an alternation branch or a group that may match zero times) while no discard
-component appears literally anywhere, and an over-generalization probe with
-ten seeded random strings.  The probe rejects a pattern only when it matches
-all ten, so it draws and searches the strings one at a time and stops at the
-first one the pattern misses; the verdict is that of checking all ten.  The
-probe strings are ASCII and hold no keep component, so a pattern one of
-whose needles (``dialect.Analysis.needles``) contains a keep (case-folded)
-can match none of them: the probe passes it without drawing a string, with
-the same verdict.
+three gates in order: a match debug check against the source indicator, a
+group audit that every keep component appears literally on every match path
+while no discard component appears in any literal run (``coverage``, by the
+coverage rule of ``grading``, which the score reads too), and an
+over-generalization probe with ten seeded random strings.  The probe
+rejects a pattern only when it matches all ten, so it draws and searches
+the strings one at a time and stops at the first one the pattern misses;
+the verdict is that of checking all ten.  The probe strings are ASCII and
+hold no keep component, so a pattern one of whose needles
+(``dialect.Analysis.needles``) contains a keep (case-folded) can match none
+of them: the probe passes it without drawing a string, with the same
+verdict.
 The strings are drawn by rejection; after 1,000 rejected draws in a row the
 rest are drawn without the one-character keeps, and when every probe
 character is a one-character keep, no probe string exists and the probe
@@ -115,6 +116,8 @@ class NoncaptureResult:
     ok: bool
     missing_keep: list[str] = field(default_factory=list)
     present_discard: list[str] = field(default_factory=list)
+    # per literal run, the (start, end) character spans of its keep occurrences
+    covered: list[list[tuple[int, int]]] = field(default_factory=list)
 
     def describe(self) -> str:
         if self.ok:
@@ -133,27 +136,50 @@ class NoncaptureResult:
         return "; ".join(parts)
 
 
-def noncapture_check(pattern: str, annotation: GroupAnnotation) -> NoncaptureResult:
-    """Every keep component must appear as a literal (escaping-normalized,
-    case-insensitive) substring of a required run, i.e. literally on every
-    match path; no discard component may appear in any literal run."""
-    keeps = annotation.keep_components
-    if not keeps:
-        raise ValueError("noncapture_check requires an annotation with keep components")
-    all_runs = dialect.analyze(pattern).runs
-    runs = [r.text.casefold() for r in all_runs]
-    required = [r.text.casefold() for r in all_runs if r.required]
-
-    missing = [
-        comp for comp in keeps if not any(comp.casefold() in run for run in required)
-    ]
+def coverage(pattern: str, annotation: GroupAnnotation) -> NoncaptureResult:
+    """What the pattern's literal runs pin of the annotation, by the coverage
+    rule of ``grading``: the keep components in no required run, the discard
+    components in some run, and per run the character spans of the keep
+    occurrences.  Text is compared case-folded; a span covers each run
+    character whose fold it touches.  Raises DialectError."""
+    runs = dialect.analyze(pattern).runs
+    folded = [run.text.casefold() for run in runs]
+    spans: list[list[tuple[int, int]]] = [[] for _ in runs]  # in the folds
+    missing = []
+    for comp in annotation.keep_components:
+        needle = comp.casefold()
+        pinned = False
+        for run, text, found in zip(runs, folded, spans):
+            at = text.find(needle)
+            while at != -1:
+                found.append((at, at + len(needle)))
+                pinned = pinned or run.required
+                at = text.find(needle, at + 1)
+        if not pinned:
+            missing.append(comp)
     present = [
         comp
         for comp in annotation.discard_components
-        if any(comp.casefold() in run for run in runs)
+        if any(comp.casefold() in text for text in folded)
     ]
-    return NoncaptureResult(ok=not missing and not present, missing_keep=missing,
-                            present_discard=present)
+    covered = [_unfold(run.text, found) for run, found in zip(runs, spans)]
+    return NoncaptureResult(not missing and not present, missing, present, covered)
+
+
+def _unfold(text: str, spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Non-empty spans of ``text.casefold()`` as spans of the characters of
+    ``text`` whose folds they touch, folding one character at a time."""
+    owner = [i for i, c in enumerate(text) for _ in c.casefold()]
+    return [(owner[start], owner[end - 1] + 1) for start, end in spans if end > start]
+
+
+def noncapture_check(pattern: str, annotation: GroupAnnotation) -> NoncaptureResult:
+    """Every keep component must be in a required run, i.e. literally on
+    every match path, and no discard component in any literal run
+    (``coverage``)."""
+    if not annotation.keep_components:
+        raise ValueError("noncapture_check requires an annotation with keep components")
+    return coverage(pattern, annotation)
 
 
 @dataclass

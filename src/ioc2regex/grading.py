@@ -1,11 +1,23 @@
 """Score candidate patterns and pick the best of several generation runs.
 
-The score is ``n_cg - n_wc``.  ``n_cg`` counts the keep components that
-appear in a required literal run (literally on every match path, not in an
-alternation branch or a group that may match zero times).  ``n_wc`` counts
-wildcard constructs and stray literal stretches of at least three non-glue
-characters that belong to no keep component.  One leading and one trailing
-bare ``.*`` are treated as search anchors and not penalized.
+The score is ``n_cg - n_wc``.  The coverage rule below decides what a
+pattern's literal runs pin of an indicator, for the group audit
+(``generation.noncapture_check``) and for the score alike; one function,
+``generation.coverage``, applies it.
+
+- A keep component counts when it is in a required literal run: literally
+  on every match path, not in an alternation branch or a group that may
+  match zero times.  ``n_cg`` counts those; the audit needs all of them.
+- A discard component is present when it is in any literal run; the audit
+  needs none.
+- ``n_wc`` counts wildcard constructs (``dialect.wildcard_units``) and stray
+  literals: stretches of three or more characters of a run that no keep
+  occurrence covers and that are not glue (``\\``, ``/``, space, tab).  One
+  leading and one trailing bare ``.*`` only say that the pattern may match
+  anywhere in a string, so they are exempt.
+- All comparisons are case-folded, with the marks of a keep occurrence on
+  the run's original characters (``ß``, which folds to ``ss``, is one
+  character).
 
 ``select_best`` runs the workflow ``k`` times with seeds ``rng_seed + i``.
 The seed reaches a run only through the over-generalization probe, so when
@@ -19,15 +31,15 @@ separately seeded runs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import dialect, generation
 from .capture import GroupAnnotation
 
-# Characters treated as glue between components rather than content.
-_GLUE_CHARS = frozenset({"\\", "/", " ", "\t"})
-
-_FOREIGN_RUN_MIN = 3
+# A stray literal: three or more characters that are not glue between
+# components (covered characters are made glue first).
+_STRAY_RE = re.compile(r"[^\\/ \t]{3,}")
 
 
 class GradingError(ValueError):
@@ -43,43 +55,26 @@ class RegexCandidate:
 
 
 def grade(pattern: str, annotation: GroupAnnotation) -> RegexCandidate:
-    """Score = n_cg - n_wc for one candidate pattern."""
+    """Score = n_cg - n_wc for one candidate pattern, by the coverage rule
+    (module docstring)."""
     try:
         analysis = dialect.analyze(pattern)
     except dialect.DialectError as exc:
         raise GradingError(f"cannot grade non-compiling pattern: {exc}") from exc
 
-    runs = [run.text.casefold() for run in analysis.runs]
-    n_cg = 0
-    covered: list[set[int]] = [set() for _ in runs]
-    for comp in annotation.keep_components:
-        comp = comp.casefold()
-        counted = False
-        for ri, text in enumerate(runs):
-            start = 0
-            while (idx := text.find(comp, start)) != -1:
-                covered[ri].update(range(idx, idx + len(comp)))
-                counted = counted or analysis.runs[ri].required
-                start = idx + 1
-        n_cg += counted
-
+    pinned = generation.coverage(pattern, annotation)
+    n_cg = len(annotation.keep_components) - len(pinned.missing_keep)
+    # a bare ".*" that opens or closes the body is exempt (module docstring)
+    head = next((t.pos for t in analysis.tokens if t.kind != dialect.FLAGS), 0)
     n_wc = sum(
-        1 for start, end, _text in analysis.wildcards
-        if (start, end) not in analysis.anchors
+        text != ".*" or head < start and end < len(pattern)
+        for start, end, text in dialect.wildcard_units(analysis.tokens)
     )
-
-    # stray literal content: uncovered non-glue stretches of each run
-    for run, marks in zip(analysis.runs, covered):
-        stretch = 0
-        for ci, char in enumerate(run.text):
-            if ci in marks or char in _GLUE_CHARS:
-                if stretch >= _FOREIGN_RUN_MIN:
-                    n_wc += 1
-                stretch = 0
-            else:
-                stretch += 1
-        if stretch >= _FOREIGN_RUN_MIN:
-            n_wc += 1
+    for run, spans in zip(analysis.runs, pinned.covered):
+        chars = list(run.text)
+        for start, end in spans:
+            chars[start:end] = "/" * (end - start)
+        n_wc += len(_STRAY_RE.findall("".join(chars)))
 
     return RegexCandidate(pattern=pattern, n_cg=n_cg, n_wc=n_wc, score=n_cg - n_wc)
 
@@ -94,8 +89,8 @@ def select_best(
     validate_groups: bool = True,
     workflow: str = "full",
 ) -> tuple[RegexCandidate | None, list[RegexCandidate]]:
-    """Run the workflow ``k`` (at least one) times and keep the top-scoring
-    graded candidate.
+    """Run the workflow ``k`` times and keep the top-scoring graded
+    candidate; a ``k`` below one is a ValueError.
 
     The runs share one ``generation.IndicatorMemo``, and each distinct
     pattern is graded once: runs that yield the same pattern share its
@@ -104,6 +99,8 @@ def select_best(
     shorter pattern, then lexicographic order.  Returns (best or None, one
     graded candidate per successful run).
     """
+    if k < 1:
+        raise ValueError("select_best() requires k >= 1")
     memo = generation.IndicatorMemo(annotation)
 
     def run(i: int) -> tuple[str | None, generation.WorkflowTrace]:

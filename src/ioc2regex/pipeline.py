@@ -41,6 +41,7 @@ from .normalize import (
 logger = logging.getLogger(__name__)
 
 ABLATION_MODES = ("-CR", "C-R", "-C-R")
+BACKENDS = ("template", "scripted", "remote")
 
 # deterministic gap between per-indicator base seeds
 _SEED_STRIDE = 1009
@@ -86,7 +87,7 @@ class PipelineConfig:
                   self.registry_roots_path, *self.kb_paths]:
             if p and not Path(p).exists():
                 raise ConfigError(f"file not found: {p}")
-        if self.backend not in ("template", "scripted", "remote"):
+        if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.backend == "scripted" and not self.replay_path:
             raise ConfigError("scripted backend needs --replay")
@@ -110,10 +111,9 @@ def make_backend(config: PipelineConfig) -> GeneratorBackend:
     )
 
 
-def load_store(config: PipelineConfig) -> KnowledgeStore:
-    if config.kb_paths:
-        return KnowledgeStore.ingest(list(config.kb_paths))
-    return default_store()
+def load_store(kb_paths: list[str] | None) -> KnowledgeStore:
+    """The knowledge store the files define, else the bundled one."""
+    return KnowledgeStore.ingest(list(kb_paths)) if kb_paths else default_store()
 
 
 def load_tables(config: PipelineConfig) -> tuple[dict | None, dict | None]:
@@ -278,7 +278,7 @@ def _generate_one(
 def run_generate(config: PipelineConfig) -> dict:
     """Process every input indicator; write the product file; return the summary."""
     config.validate()
-    store = load_store(config)
+    store = load_store(config.kb_paths)
     expansions, registry_roots = load_tables(config)
     backend = make_backend(config)
     iocs = load_iocs(config.input_path)
@@ -346,7 +346,7 @@ def run_evaluate(
     """Score a product file against a ground-truth file; write the report.
     The truths are normalized with the expansion and registry-root tables
     the product's summary records, else with the bundled ones."""
-    store = KnowledgeStore.ingest(list(kb_paths)) if kb_paths else default_store()
+    store = load_store(kb_paths)
     product = _read_json(products_path)
     if not isinstance(product, dict) or not isinstance(product.get("records"), list):
         raise ConfigError(f"{products_path}: not a product file (missing 'records')")

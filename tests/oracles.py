@@ -71,7 +71,8 @@ def recount_score(
     wildcard units are dots and class shorthands (with their quantifier) plus
     quantified classes, except one leading and one trailing bare '.*';
     leftover literal stretches of >= foreign_run_min non-glue characters each
-    count one penalty.
+    count one penalty.  Keeps are found in the case-folded run text, and each
+    occurrence covers the run characters its folded characters come from.
     """
     glue = {"\\", "/", " ", "\t"}
     class_escapes = set("wWsSdD")
@@ -188,11 +189,14 @@ def recount_score(
         found = False
         for ri, run in enumerate(runs):
             text = "".join(c for c, _s, _e in run).casefold()
+            # the run element each case-folded character comes from
+            owner = [k for k, (c, _s, _e) in enumerate(run) for _ in c.casefold()]
             at = 0
             while (hit := text.find(comp_f, at)) != -1:
-                covered[ri].update(range(hit, hit + len(comp_f)))
-                start = run[hit][1]
-                end = run[hit + len(comp_f) - 1][2]
+                hits = owner[hit : hit + len(comp_f)]
+                covered[ri].update(hits)
+                start = run[hits[0]][1]
+                end = run[hits[-1]][2]
                 if not off_some_path(start, end):
                     found = True
                 at = hit + 1

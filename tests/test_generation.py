@@ -178,6 +178,14 @@ class TestNoncaptureCheck:
         res = noncapture_check(r"(?i).*Users\\Public\\(?:11\.bat)?", path_annotation)
         assert res.present_discard == ["11.bat"]
 
+    def test_components_compared_case_folded(self):
+        from test_grading import annotation_for
+
+        ann = annotation_for(["Users", "Straße", "Evil.EXE"], [True, True, False])
+        assert noncapture_check(r"(?i).*USERS\\STRASSE\\.*", ann).ok
+        res = noncapture_check(r"(?i).*users\\strasse\\evil\.exe", ann)
+        assert (res.missing_keep, res.present_discard) == ([], ["Evil.EXE"])
+
     def test_empty_keep_set_rejected(self):
         rec = IocRecord(raw="x", kind=IocKind.FILE_PATH, normalized="x", components=["x"])
         ann = GroupAnnotation(record=rec, labels=["discard"], capture_sequences=[])

@@ -106,6 +106,30 @@ class TestGrade:
         cand = grade(r"Users.*Users.*Users", ann)
         assert cand.n_cg == 1
 
+    def test_overlapping_keep_occurrences_all_cover(self):
+        ann = annotation_for(["abcabc"], [True])
+        cand = grade("(?i).*ABCabcabc.*", ann)  # occurrences at 0 and 3
+        assert (cand.n_cg, cand.n_wc) == (1, 0)
+
+    @pytest.mark.parametrize("char", ["ß", "İ", "ﬁ"])  # each folds to two
+    @pytest.mark.parametrize(
+        "template, n_wc",
+        [
+            ("(?i).*x{c}abcde.*", 0),
+            ("(?i).*deabc{c}x.*", 0),
+            ("(?i).*x{c}abc{c}x.*", 0),
+            ("(?i).*{c}{c}abc{c}{c}.*", 0),
+            ("(?i).*{c}{c}{c}abcde.*", 1),
+            ("(?i).*x{c}abcd{c}{c}.*", 1),
+        ],
+    )
+    def test_stray_literal_marks_fall_on_the_run_characters(self, char, template, n_wc):
+        ann = annotation_for(["abc"], [True])
+        pattern = template.format(c=char)
+        cand = grade(pattern, ann)
+        assert (cand.n_cg, cand.n_wc) == (1, n_wc)
+        assert recount_score(pattern, ann.keep_components) == (1, n_wc)
+
 
 SYSTEM32_IOC = r"C:\Windows\System32\abcd.exe"
 HONEST_SYSTEM32 = r"(?i).*Windows\\System32\\[a-z]{4}\.exe"
@@ -160,10 +184,20 @@ class TestRequiredLiteralRule:
         assert len(matching) == 4  # all but the '|zz' branch
 
 
+# Non-ASCII literals whose case folding differs from ASCII lowercasing:
+# "ß" folds to "ss", "İ" to "i" plus a combining dot, "ſ" to "s" and the
+# Kelvin sign to "k".
+FOLDING = "ßİſ\u212a"
+LETTERS = string.ascii_lowercase + FOLDING
+
+
 def random_annotation_and_pattern(rng):
-    words = ["Users", "Public", "Windows", "System32", "Temp", "Run"]
+    words = [
+        "Users", "Public", "Windows", "System32", "Temp", "Run",
+        "Straße", "İmages", "ſetup", "\u212aeys",
+    ]
     keeps = rng.sample(words, rng.randint(1, 4))
-    discards = ["".join(rng.choices(string.ascii_lowercase, k=5)) for _ in range(2)]
+    discards = ["".join(rng.choices(LETTERS, k=5)) for _ in range(2)]
     components = keeps + discards
     rng.shuffle(components)
     mask = [c in keeps for c in components]
@@ -191,7 +225,7 @@ def random_annotation_and_pattern(rng):
             parts.append(body)
         parts.append(rng.choice([r"\\", ".*", r"\w+", "", r"[a-z]+", r"\d{1,3}"]))
     if rng.random() < 0.3:
-        parts.append("".join(rng.choices(string.ascii_lowercase, k=rng.randint(2, 6))))
+        parts.append("".join(rng.choices(LETTERS, k=rng.randint(2, 6))))
     if rng.random() < 0.8:
         parts.append(".*")
     if rng.random() < 0.05:
@@ -213,6 +247,33 @@ def test_score_matches_independent_recount():
         assert cand.score == n_cg - n_wc
         checked += 1
     assert checked >= 150
+
+
+def test_audit_and_grade_agree_on_keeps():
+    """The audit and the grader read one coverage: n_cg counts the keeps the
+    audit does not miss, an audited pattern pins every keep, and a pattern
+    the probe passes unprobed because every match holds a keep pins one."""
+    rng = random.Random(4321)
+    checked = audited = unprobed = 0
+    for _ in range(400):
+        ann, pattern = random_annotation_and_pattern(rng)
+        try:
+            cand = grade(pattern, ann)
+        except GradingError:
+            continue
+        keeps = ann.keep_components
+        audit = generation.noncapture_check(pattern, ann)
+        assert cand.n_cg == len(keeps) - len(audit.missing_keep), pattern
+        if audit.ok:
+            assert cand.n_cg == len(keeps), pattern
+            audited += 1
+        if generation.unprobed_pass(pattern, keeps) == generation._HOLDS_KEEP:
+            assert cand.n_cg >= 1, pattern
+            unprobed += 1
+        checked += 1
+    assert checked >= 300 and audited >= 30 and unprobed >= 100, (
+        checked, audited, unprobed
+    )
 
 
 class TestSelectBest:
@@ -309,6 +370,16 @@ class TestSelectBest:
         best, candidates = select_best(path_annotation, backend, k=5, workflow="single_shot")
         assert len(calls) == runs
         assert candidates == [best] * 5
+
+    @pytest.mark.parametrize(
+        "make_backend",
+        [TemplateBackend, lambda: ScriptedBackend([r"(?i).*Users\\Public\\.*"])],
+        ids=["template", "scripted"],
+    )
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_rejected(self, path_annotation, make_backend, k):
+        with pytest.raises(ValueError, match="k >= 1"):
+            select_best(path_annotation, make_backend(), k=k)
 
     def test_best_score_at_least_every_candidate(self, path_annotation):
         backend = ScriptedBackend(

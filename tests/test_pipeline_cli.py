@@ -1,10 +1,11 @@
+import argparse
 import json
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from ioc2regex import dialect, pipeline
+from ioc2regex import cli, dialect, pipeline
 from ioc2regex.cli import main
 from ioc2regex.evaluation import load_truths, score_distribution
 from ioc2regex.generation import TemplateBackend
@@ -483,6 +484,31 @@ class TestAblation:
 
 
 class TestCli:
+    def test_bare_generate_takes_every_config_default(self):
+        parser = argparse.ArgumentParser()
+        cli._add_generate_flags(parser)
+        args = parser.parse_args(["--input", "x", "--output", "y"])
+        assert cli._config_from(args) == PipelineConfig(input_path="x", output_path="y")
+
+    def test_every_generate_flag_sets_its_config_field(self):
+        parser = argparse.ArgumentParser()
+        cli._add_generate_flags(parser)
+        args = parser.parse_args([
+            "--input", "x", "--output", "y", "--kb", "k1", "--kb", "k2",
+            "--expansions", "e", "--registry-roots", "r", "--backend", "remote",
+            "--replay", "p", "--endpoint", "u", "--model", "m", "--temperature", "0.5",
+            "--api-key-env", "E", "-k", "2", "--max-iterations", "3",
+            "--restart-cap", "4", "--seed", "6", "--workers", "7",
+            "--dump-annotations", "a",
+        ])
+        assert cli._config_from(args) == PipelineConfig(
+            input_path="x", output_path="y", kb_paths=["k1", "k2"],
+            expansions_path="e", registry_roots_path="r", backend="remote",
+            replay_path="p", endpoint="u", model="m", temperature=0.5,
+            api_key_env="E", candidates=2, max_iterations=3, restart_cap=4,
+            seed=6, workers=7, annotations_path="a",
+        )
+
     def test_generate_evaluate_roundtrip(self, tmp_path, fig1_input, capsys):
         products = tmp_path / "products.json"
         truths = write_json(
