@@ -14,11 +14,28 @@ with each truth's ``dialect.fold`` and passes a truth that does not fold;
 any other regex compares its runs exactly with the normalized text.
 ``dialect`` states these match rules; the row is exactly that of
 ``re.search``.
+
+The prefilter reads one haystack per text form of a truth set
+(``TruthSet``), built once, not once per regex: the truths' texts joined
+with ``SEPARATOR``, the offset where each starts, and, for the folds, the
+truths that do not fold.  The regex's longest needle is found by a
+``str.find`` loop over the joined text; each hit is mapped to its truth by
+bisection over the offsets, and counts only if it ends inside that truth,
+so the prefilter passes exactly the truths that hold the needle whatever
+the separator is.  The scan resumes at the next truth.  The other needles
+are checked per candidate with ``in``.  A needle in no truth costs one
+scan of the joined text, about a fifth of an ``in`` per truth; a needle in
+many truths costs one find and one bisection per hit, two to four times an
+``in`` per truth (``\\`` in 201 of the benchmark's 447 truths: 90 to 160
+us, against 40 to 65 us for an ``in`` per truth, on a 2-core VM with
+Python 3.11).
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import json
 import math
 from collections.abc import Iterable
@@ -164,6 +181,65 @@ def _fpr_result(matched: list[int], false_pos: list[int]) -> FprResult:
     return FprResult(value, matched, false_pos)
 
 
+# Joins the truths' texts in a haystack; any character keeps the prefilter exact.
+SEPARATOR = "\x00"
+
+
+class _Haystack:
+    """One text form of a truth set: the texts (None for a truth not in this
+    form), their join with ``SEPARATOR``, the offset where each starts (and
+    one past the end), and the indices of the None texts."""
+
+    def __init__(self, texts: list[str | None]):
+        parts = [(t or "") + SEPARATOR for t in texts]
+        self.texts = texts
+        self.joined = "".join(parts)
+        self.starts = list(itertools.accumulate(map(len, parts), initial=0))
+        self.unformed = [i for i, t in enumerate(texts) if t is None]
+
+    def holding(self, needle: str) -> list[int]:
+        """The indices, ascending, of the texts that contain ``needle``."""
+        joined, starts = self.joined, self.starts
+        found = []
+        at = joined.find(needle)
+        while at >= 0:
+            i = bisect.bisect_right(starts, at) - 1
+            end = starts[i + 1]
+            if at + len(needle) < end:  # not into the separator or beyond
+                found.append(i)
+            at = joined.find(needle, end)
+        return found
+
+    def candidates(self, needles: tuple[str, ...]) -> Iterable[int]:
+        """The indices, ascending, of the truths whose text is None or holds
+        every needle; every truth when there is no needle."""
+        if not needles:
+            return range(len(self.texts))
+        longest, *rest = sorted(needles, key=len, reverse=True)  # longest: rarest
+        found = self.holding(longest)
+        if self.unformed:
+            found = sorted(found + self.unformed)
+        texts = self.texts
+        for needle in rest:
+            found = [i for i in found if texts[i] is None or needle in texts[i]]
+        return found
+
+
+class TruthSet(list):
+    """A list of truths with the prefilter's two haystacks (module
+    docstring), each built on first use: ``folded`` over the truths'
+    ``fold``s, read under ``(?i)``, and ``exact`` over their normalized
+    texts.  Do not change the list once a haystack is built."""
+
+    @functools.cached_property
+    def folded(self) -> _Haystack:
+        return _Haystack([t.fold for t in self])
+
+    @functools.cached_property
+    def exact(self) -> _Haystack:
+        return _Haystack([t.normalized for t in self])
+
+
 def fpr(
     pattern: str,
     source_groups: list[str] | frozenset[str],
@@ -174,19 +250,21 @@ def fpr(
     source indicator's; None if it matches nothing.
 
     ``pattern`` must be in the dialect; its required runs prefilter the
-    truths as the module docstring describes.
+    truths through one haystack per truth set, as the module docstring
+    describes: pass a ``TruthSet`` to build the haystacks once for many
+    regexes (a plain list gets its own).  A needle in many truths costs two
+    to four times an ``in`` per truth; a rare one far less.
     """
     analysis = dialect.analyze(pattern)
-    matches = analysis.matches
+    if not isinstance(truths, TruthSet):
+        truths = TruthSet(truths)
     if "i" in analysis.flags:
-        needles, hays = analysis.needles, [t.fold for t in truths]
+        needles, hay = analysis.needles, truths.folded
     else:
         needles = tuple(run.text for run in analysis.runs if run.required)
-        hays = [t.normalized for t in truths]
-    candidates: Iterable[int] = range(len(truths))
-    for needle in sorted(needles, key=len, reverse=True):  # longest: rarest
-        candidates = [i for i in candidates if hays[i] is None or needle in hays[i]]
-    matched = [i for i in candidates if matches(truths[i].normalized)]
+        hay = truths.exact
+    matches = analysis.matches
+    matched = [i for i in hay.candidates(needles) if matches(truths[i].normalized)]
     g_k = frozenset(g.casefold() for g in source_groups)
     return _fpr_result(matched, [i for i in matched if truths[i].capture_groups != g_k])
 
@@ -352,6 +430,7 @@ def evaluate_by_dataset(
     report and ``match_log`` entry reads the same rows.  A pattern outside
     the dialect raises ProductPatternError.
     """
+    truths = TruthSet(truths)  # one pair of haystacks for every regex
     datasets: dict[str, list[int]] = {}
     for i, truth in enumerate(truths):
         datasets.setdefault(truth.dataset_id, []).append(i)

@@ -460,6 +460,11 @@ class ScriptedBackend(GeneratorBackend):
         return self.emissions[-1]
 
 
+# The remote backend's defaults, which ``pipeline.PipelineConfig`` reads too.
+REMOTE_TEMPERATURE = 0.2
+REMOTE_API_KEY_ENV = "IOC2REGEX_API_KEY"
+
+
 class RemoteBackend(GeneratorBackend):
     """HTTP backend: POSTs the prompt, expects ``{"pattern": "..."}`` back.
 
@@ -472,8 +477,8 @@ class RemoteBackend(GeneratorBackend):
         self,
         endpoint: str,
         model: str = "",
-        temperature: float = 0.2,
-        api_key_env: str = "IOC2REGEX_API_KEY",
+        temperature: float = REMOTE_TEMPERATURE,
+        api_key_env: str = REMOTE_API_KEY_ENV,
         timeout: float = 60.0,
     ):
         self.endpoint = endpoint
@@ -533,7 +538,8 @@ class IndicatorMemo:
     the debug and audit verdicts per pattern and the prompt head.  Make one
     per indicator and pass it to each ``generate`` call.  Each verdict looks
     up the check it caches at call time, so a patched module attribute takes
-    effect."""
+    effect.  The audit's verdict is the pattern's ``coverage``; the
+    ``coverage`` method hands it to the score."""
 
     def __init__(self, annotation: GroupAnnotation):
         self.annotation = annotation
@@ -554,6 +560,12 @@ class IndicatorMemo:
             result = noncapture_check(pattern, self.annotation)
             self._noncapture[pattern] = result
         return result
+
+    def coverage(self, pattern: str) -> NoncaptureResult:
+        """The audit's result for the pattern if the audit ran on it, else
+        its ``coverage``, computed and not kept."""
+        result = self._noncapture.get(pattern)
+        return result if result is not None else coverage(pattern, self.annotation)
 
     def prompt(self, previous_pattern: str = "", diagnostic: str = "",
                prior_failures: int = 0) -> str:

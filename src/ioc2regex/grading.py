@@ -54,15 +54,22 @@ class RegexCandidate:
     score: int
 
 
-def grade(pattern: str, annotation: GroupAnnotation) -> RegexCandidate:
+def grade(
+    pattern: str,
+    annotation: GroupAnnotation,
+    pinned: generation.NoncaptureResult | None = None,
+) -> RegexCandidate:
     """Score = n_cg - n_wc for one candidate pattern, by the coverage rule
-    (module docstring)."""
+    (module docstring).  ``pinned`` is the pattern's ``generation.coverage``
+    of ``annotation`` when it is already known (the group audit's result),
+    else it is computed here."""
     try:
         analysis = dialect.analyze(pattern)
     except dialect.DialectError as exc:
         raise GradingError(f"cannot grade non-compiling pattern: {exc}") from exc
 
-    pinned = generation.coverage(pattern, annotation)
+    if pinned is None:
+        pinned = generation.coverage(pattern, annotation)
     n_cg = len(annotation.keep_components) - len(pinned.missing_keep)
     # a bare ".*" that opens or closes the body is exempt (module docstring)
     head = next((t.pos for t in analysis.tokens if t.kind != dialect.FLAGS), 0)
@@ -93,11 +100,12 @@ def select_best(
     candidate; a ``k`` below one is a ValueError.
 
     The runs share one ``generation.IndicatorMemo``, and each distinct
-    pattern is graded once: runs that yield the same pattern share its
-    candidate.  A deterministic backend's first run stands for all ``k``
-    when it drew no probe (module docstring).  Ties break toward the
-    shorter pattern, then lexicographic order.  Returns (best or None, one
-    graded candidate per successful run).
+    pattern is graded once, from the memo's coverage (the group audit's,
+    when it ran): runs that yield the same pattern share its candidate.  A
+    deterministic backend's first run stands for all ``k`` when it drew no
+    probe (module docstring).  Ties break toward the shorter pattern, then
+    lexicographic order.  Returns (best or None, one graded candidate per
+    successful run).
     """
     if k < 1:
         raise ValueError("select_best() requires k >= 1")
@@ -131,7 +139,7 @@ def select_best(
     for pattern in patterns:
         if pattern is not None:
             if pattern not in grades:
-                grades[pattern] = grade(pattern, annotation)
+                grades[pattern] = grade(pattern, annotation, memo.coverage(pattern))
             candidates.append(grades[pattern])
 
     if not candidates:

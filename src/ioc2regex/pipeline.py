@@ -20,6 +20,8 @@ from pathlib import Path
 from . import evaluation
 from .capture import GroupAnnotation, annotate, KEEP
 from .generation import (
+    REMOTE_API_KEY_ENV,
+    REMOTE_TEMPERATURE,
     GeneratorBackend,
     RemoteBackend,
     ScriptedBackend,
@@ -62,8 +64,8 @@ class PipelineConfig:
     replay_path: str = ""
     endpoint: str = ""
     model: str = ""
-    temperature: float = 0.2
-    api_key_env: str = "IOC2REGEX_API_KEY"
+    temperature: float = REMOTE_TEMPERATURE
+    api_key_env: str = REMOTE_API_KEY_ENV
     candidates: int = 5
     max_iterations: int = 10
     restart_cap: int = 5

@@ -259,6 +259,27 @@ def reference_matches(pattern: str, truths) -> list[int]:
     return [i for i, t in enumerate(truths) if re.search(pattern, t.normalized)]
 
 
+def reference_prefilter(pattern: str, truths) -> list[int]:
+    """Indices of the truths the evaluation's prefilter passes, one truth at
+    a time: every required run (``reference_structure``) in the normalized
+    text; under ``(?i)``, every ASCII run lowercased in the text lowercased,
+    and any text that is not ASCII."""
+    from ioc2regex import dialect as d
+
+    tokens = d.tokenize(pattern)
+    runs, _leading = reference_structure(tokens)
+    needles = [run.text for run in runs if run.required]
+    if tokens and tokens[0].kind == d.FLAGS and "i" in tokens[0].text:
+        needles = [n.lower() for n in needles if n.isascii()]
+        hays = [t.normalized.lower() if t.normalized.isascii() else None for t in truths]
+    else:
+        hays = [t.normalized for t in truths]
+    return [
+        i for i, hay in enumerate(hays)
+        if hay is None or all(needle in hay for needle in needles)
+    ]
+
+
 def reference_levenshtein(a: str, b: str) -> int:
     """Character-level edit distance by the O(len(a) * len(b)) row DP."""
     if not a:

@@ -1,6 +1,7 @@
 import json
 import random
 import statistics
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 from ioc2regex import dialect
 from ioc2regex.evaluation import (
+    SEPARATOR,
     EvaluationReport,
     GroundTruthError,
     GroundTruthString,
+    TruthSet,
     UndefinedMetricError,
     evaluate_by_dataset,
     fpr,
@@ -25,7 +28,7 @@ from ioc2regex.evaluation import (
 )
 from ioc2regex.normalize import IocKind
 
-from oracles import reference_levenshtein, reference_matches
+from oracles import reference_levenshtein, reference_matches, reference_prefilter
 from test_generation import (
     ADVERSARIAL_PATH,
     ADVERSARIAL_PATTERN,
@@ -166,27 +169,56 @@ def dialect_patterns(draw):
 
 
 def texts_for(pattern: str):
-    """Random texts, and respellings of the pattern's letters (case variants,
-    dropped letters) that come close to matching it."""
+    """Random texts, with the haystack separator among their characters,
+    and respellings of the pattern's letters (case variants, dropped
+    letters) that come close to matching it."""
     letters = [c for c in pattern.removeprefix("(?i)") if c.isalpha() or c == "\\"]
     respelled = st.tuples(*(st.sampled_from([*spellings(c), ""]) for c in letters))
     return st.one_of(
-        st.text("aiksKIS\\.xz\n" + TRICKY, max_size=12), respelled.map("".join)
+        st.text("aiksKIS\\.xz\n" + SEPARATOR + TRICKY, max_size=12),
+        respelled.map("".join),
     )
+
+
+PATTERN_AND_TEXTS = dialect_patterns().flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(texts_for(p), min_size=1, max_size=8))
+)
+# (pattern, truth texts) at the edges of the one-haystack prefilter
+HAYSTACK_EDGES = [
+    ("bc", ["ab", "cd", "xbc"]),  # in "ab" and "cd" joined; only the last holds it
+    (f"(?i)b{SEPARATOR}c", ["ab", "cd", f"b{SEPARATOR}C"]),  # across the separator
+    (f"a{SEPARATOR}", [SEPARATOR, f"a{SEPARATOR}", "a", "ba"]),  # separator last
+    (f"{SEPARATOR}.*x", [f"{SEPARATOR}{SEPARATOR}x", "x", SEPARATOR]),
+    ("(?i)ab.*c", ["abxABc", "c", "ab ab ab", "xxab"]),  # several times in one truth
+    ("(?i)ab.*c", ["ABABABAB", "abab c"]),  # overlapping occurrences
+    ("xyz", ["xy", "a", "bxyz"]),  # at the very end of the last truth
+    ("(?i)xyz", ["z", "aXYZ"]),
+    ("(?i)a.*b", ["", "ab", "", ""]),  # empty truth texts
+    ("a?", ["", ""]),  # no needle: every truth is a candidate
+    ("a", []),  # no truth
+    ("(?i)a", []),
+    ("(?i)kab", ["\u212aab", "KAB", "\u0131\u00df", "kab", "ab\u017f"]),  # non-ASCII
+    ("(?i)s.*ab", ["\u017fab", "S ab", "x", "\u017f", "sab\u0130"]),
+]
+
+
+def haystack_edges(**others):
+    """Every ``HAYSTACK_EDGES`` case as an explicit example of a property."""
+    def apply(test):
+        for case in HAYSTACK_EDGES:
+            test = example(case=case, **others)(test)
+        return test
+    return apply
 
 
 class TestMatchRows:
     @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(
-        case=dialect_patterns().flatmap(
-            lambda p: st.tuples(st.just(p), st.lists(texts_for(p), min_size=1, max_size=8))
-        ),
-        groups=st.lists(st.frozensets(st.sampled_from("ab"))),
-    )
+    @given(case=PATTERN_AND_TEXTS, groups=st.lists(st.frozensets(st.sampled_from("ab"))))
     # the prefilter compares a case-sensitive pattern's runs exactly
     @example(case=("Users", ["users", "xUsers"]), groups=[])
     # non-ASCII runs included, against non-ASCII truths too
     @example(case=("k\u0131", ["k\u0131", "K\u0131", "k\u0130", "kI"]), groups=[])
+    @haystack_edges(groups=[])
     def test_rows_equal_plain_search(self, case, groups):
         pattern, bodies = case
         truths = [
@@ -234,6 +266,33 @@ class TestMatchRows:
         truths = [raw_truth("abc"), raw_truth("ABC"), raw_truth("xbc")]
         assert fpr("a.c", [], truths).matched_indices == [0]
         assert fpr("(?i)a.c", [], truths).matched_indices == [0, 1]
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(case=PATTERN_AND_TEXTS)
+    @haystack_edges()
+    def test_matches_sees_exactly_the_prefiltered_truths(self, case):
+        # a looser prefilter would keep the rows right and cost more searches
+        pattern, bodies = case
+        truths = [raw_truth(text) for text in bodies]
+        searched = []
+        matches = dialect.Analysis.matches
+
+        def recording(analysis, text):
+            searched.append(text)
+            return matches(analysis, text)
+
+        with mock.patch.object(dialect.Analysis, "matches", recording):
+            fpr(pattern, [], truths)
+        assert searched == [bodies[i] for i in reference_prefilter(pattern, truths)]
+
+    def test_one_truth_set_serves_every_pattern(self):
+        bodies = ["abc", "ABC", "\u0131bc", "", "xabcx", "b"]
+        truths = [raw_truth(text) for text in bodies]
+        shared = TruthSet(truths)
+        for pattern in ["abc", "(?i)abc", "(?i)b", "b", "x?", "(?i).*c$"]:
+            assert fpr(pattern, [], shared).matched_indices == reference_matches(
+                pattern, truths
+            ), pattern
 
     def test_case_sensitive_prefilter_compares_runs_exactly(self, monkeypatch):
         # a truth that differs only in case, or is not ASCII, is not searched

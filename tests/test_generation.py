@@ -27,6 +27,7 @@ from ioc2regex.generation import (
     single_shot,
 )
 from ioc2regex.normalize import IocKind, IocRecord
+from ioc2regex.pipeline import PipelineConfig
 from oracles import (
     reference_debug_check,
     reference_generate,
@@ -794,6 +795,11 @@ class TestScriptedBackend:
 
 
 class TestRemoteBackend:
+    def test_defaults_agree_with_pipeline_config(self):
+        backend, config = RemoteBackend(endpoint="http://127.0.0.1:9/none"), PipelineConfig()
+        assert backend.temperature == config.temperature
+        assert backend.api_key_env == config.api_key_env
+
     def test_transport_failure_is_backend_error(self, path_annotation):
         backend = RemoteBackend(endpoint="http://127.0.0.1:9/none", timeout=0.2)
         with pytest.raises(BackendError):

@@ -360,6 +360,29 @@ class TestSelectBest:
         assert seeds == [3, 4, 5, 6, 7]
         assert [c.pattern for c in candidates] == [pattern] * 5
 
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"validate_groups": False}, {"workflow": "single_shot"}],
+        ids=["audited", "no-audit", "single-shot"],
+    )
+    def test_coverage_computed_once_per_shipped_pattern(
+        self, path_annotation, monkeypatch, options
+    ):
+        # the score reads the audit's coverage; with no audit, grading
+        # computes it once
+        calls = []
+        coverage = generation.coverage
+
+        def counting(pattern, annotation):
+            calls.append(pattern)
+            return coverage(pattern, annotation)
+
+        monkeypatch.setattr(generation, "coverage", counting)
+        best, candidates = select_best(path_annotation, TemplateBackend(), k=5, **options)
+        assert calls == [best.pattern]
+        assert candidates == [best] * 5
+        assert best == grade(best.pattern, path_annotation)
+
     @pytest.mark.parametrize("deterministic, runs", [(True, 1), (False, 5)])
     def test_single_shot_runs_once_for_a_deterministic_backend(
         self, path_annotation, monkeypatch, deterministic, runs
