@@ -124,8 +124,9 @@ def make_truth(
             text, kind, store=store, expansions=expansions, registry_roots=registry_roots
         )
     folded = frozenset(g.casefold() for g in groups)
+    haystack = normalized.casefold()
     for g in folded:
-        if g not in normalized.casefold():
+        if g not in haystack:
             raise GroundTruthError(
                 f"{where}: capture group {g!r} does not appear in the normalized text"
             )

@@ -116,8 +116,15 @@ class NoncaptureResult:
     ok: bool
     missing_keep: list[str] = field(default_factory=list)
     present_discard: list[str] = field(default_factory=list)
-    # per literal run, the (start, end) character spans of its keep occurrences
-    covered: list[list[tuple[int, int]]] = field(default_factory=list)
+    # per literal run, its text and the spans of its keep occurrences in its
+    # case fold
+    found: list[tuple[str, list[tuple[int, int]]]] = field(default_factory=list)
+
+    @property
+    def covered(self) -> list[list[tuple[int, int]]]:
+        """Per literal run, the (start, end) character spans of its keep
+        occurrences, unfolded on each read; only the grader reads them."""
+        return [_unfold(text, spans) for text, spans in self.found]
 
     def describe(self) -> str:
         if self.ok:
@@ -141,7 +148,8 @@ def coverage(pattern: str, annotation: GroupAnnotation) -> NoncaptureResult:
     rule of ``grading``: the keep components in no required run, the discard
     components in some run, and per run the character spans of the keep
     occurrences.  Text is compared case-folded; a span covers each run
-    character whose fold it touches.  Raises DialectError."""
+    character whose fold it touches, and is mapped back from the fold only
+    when read (``NoncaptureResult.covered``).  Raises DialectError."""
     runs = dialect.analyze(pattern).runs
     folded = [run.text.casefold() for run in runs]
     spans: list[list[tuple[int, int]]] = [[] for _ in runs]  # in the folds
@@ -162,8 +170,8 @@ def coverage(pattern: str, annotation: GroupAnnotation) -> NoncaptureResult:
         for comp in annotation.discard_components
         if any(comp.casefold() in text for text in folded)
     ]
-    covered = [_unfold(run.text, found) for run, found in zip(runs, spans)]
-    return NoncaptureResult(not missing and not present, missing, present, covered)
+    found = [(run.text, in_fold) for run, in_fold in zip(runs, spans)]
+    return NoncaptureResult(not missing and not present, missing, present, found)
 
 
 def _unfold(text: str, spans: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -1,9 +1,34 @@
-"""Classify raw indicator strings and normalize them into component lists.
+r"""Classify raw indicator strings and normalize them into component lists.
 
 Pipeline order per indicator: classify -> preprocess -> segment.  Preprocessing
 covers the four standardization cases seen in real threat-report strings:
 environment-variable expansion, username unification, registry-root
 abbreviation, and executable-extension stripping on known commands.
+
+Every pattern is compiled once, at import, and each rewrite runs only when
+its trigger can occur in the string.  Each skip is exact, not a heuristic:
+
+- Environment variables (``%NAME%``) are looked up only when ``"%"`` is in
+  the string.
+- The component after ``users`` is rewritten by a ``(?i)`` pattern that runs
+  only when the string's ``casefold()`` holds ``users``.  Every character
+  that ``(?i)`` matches to ``u``, ``s``, ``e`` or ``r`` (their ASCII cases
+  and ``ſ``, U+017F) folds to that letter.  The native children of ``Users``
+  are read only for a match.
+- Executable extensions on known commands: only the tokens that end in an
+  executable suffix under ``(?i)`` are matched, and each is then checked by
+  its ``casefold``.  A token whose fold ends in a suffix ends in it under
+  ``(?i)`` too: every character whose fold lies in a suffix folds to one
+  character that ``(?i)`` matches to it.  ``tests/test_normalize.py``
+  checks this premise and the one above at every code point.
+- The registry markers of the bundled root table are built once; a table the
+  caller passes is read on every call.
+
+Command lines split at whitespace and ``;`` outside double quotes, by one
+pattern whose ``\s`` stands for ``str.isspace``.  The two agree at every
+code point on Python 3.10 to 3.13 (``tests/test_normalize.py`` checks it);
+``re.ASCII`` would break this, since ``\x1c``-``\x1f`` are whitespace to
+both.
 """
 
 from __future__ import annotations
@@ -18,6 +43,7 @@ from pathlib import Path
 
 from .knowledge import (
     COMMAND_FOREST,
+    EXECUTABLE_EXTENSIONS,
     KnowledgeStore,
     strip_executable_extension,
 )
@@ -35,6 +61,25 @@ _BUILTIN_USERS_CHILDREN = frozenset(
 _ENV_VAR_RE = re.compile(r"%[A-Za-z_][A-Za-z0-9_()]*%")
 _DRIVE_PREFIX_RE = re.compile(r"^[A-Za-z]:[\\/]")
 _DELIMS_RE = re.compile(r"[\\/]+")
+_COMPONENT_RE = re.compile(r"[^\\/]+")
+_REGISTRY_HEAD_RE = re.compile(r"^([\\/]*)([^\\/]+)([\\/]?)")
+# "Users" and the component after it; in a command line a component also
+# ends at whitespace, ";" or a quote.
+_USERS_PREFIX = r"(?i)(?P<prefix>(?:^|[\\/\s\";])users[\\/])"
+_PATH_USERS_RE = re.compile(_USERS_PREFIX + r"(?P<comp>[^\\/]+)")
+_COMMAND_USERS_RE = re.compile(_USERS_PREFIX + r"(?P<comp>[^\\/\s;\"]+)")
+# A whole command-line token that ends in an executable suffix after at
+# least one character.  The lookbehind starts a match only where a
+# token starts, so each token is tried once.  No re.ASCII: "\s" must keep
+# \x1c-\x1f as whitespace, as str.isspace does.
+_EXECUTABLE_TOKEN_RE = re.compile(
+    r"(?<![^\s;])[^\s;]+?(?:"
+    + "|".join(re.escape(ext) for ext in EXECUTABLE_EXTENSIONS)
+    + r")(?![^\s;])",
+    re.IGNORECASE,
+)
+# One command-line token: quoted spans and runs of unquoted non-separators.
+_QUOTED_TOKEN_RE = re.compile(r'(?:"[^"]*"|[^\s;"]+)+')
 
 
 class IocKind(str, Enum):
@@ -114,6 +159,11 @@ def _registry_markers(registry_roots: dict) -> frozenset[str]:
     return frozenset(names)
 
 
+@lru_cache(maxsize=None)
+def _default_registry_markers() -> frozenset[str]:
+    return _registry_markers(_default_registry_roots())
+
+
 # -- classification ----------------------------------------------------
 
 
@@ -132,9 +182,13 @@ def classify(
     if not s:
         raise ClassificationError("cannot classify empty or whitespace-only string")
 
-    roots = registry_roots if registry_roots is not None else _default_registry_roots()
+    markers = (
+        _registry_markers(registry_roots)
+        if registry_roots is not None
+        else _default_registry_markers()
+    )
     first_component = _DELIMS_RE.split(s.lstrip("\\/"), maxsplit=1)[0].strip()
-    if first_component.casefold() in _registry_markers(roots):
+    if first_component.casefold() in markers:
         return IocKind.REGISTRY_KEY
 
     tokens = s.split()
@@ -147,7 +201,7 @@ def classify(
     if _DELIMS_RE.search(s):
         if _DRIVE_PREFIX_RE.match(s) or _ENV_VAR_RE.search(s):
             return IocKind.FILE_PATH
-        if len([c for c in _DELIMS_RE.split(s) if c]) >= 2:
+        if len(_COMPONENT_RE.findall(s)) >= 2:
             return IocKind.FILE_PATH
 
     return IocKind.OTHER
@@ -157,6 +211,9 @@ def classify(
 
 
 def _expand_env_vars(s: str, expansions: dict) -> str:
+    if "%" not in s:
+        return s
+
     def repl(m: re.Match) -> str:
         var = m.group(0)
         target = expansions.get(var.upper())
@@ -169,7 +226,7 @@ def _expand_env_vars(s: str, expansions: dict) -> str:
 
 
 def _rewrite_registry_root(s: str, registry_roots: dict) -> str:
-    m = re.match(r"^([\\/]*)([^\\/]+)([\\/]?)", s)
+    m = _REGISTRY_HEAD_RE.match(s)
     if not m:
         return s
     lead, first, _delim = m.group(1), m.group(2), m.group(3)
@@ -188,21 +245,15 @@ def _rewrite_registry_root(s: str, registry_roots: dict) -> str:
 
 def _normalize_usernames(s: str, kind: IocKind, store: KnowledgeStore | None) -> str:
     """Rewrite the component following ``Users`` to the uniform ``user`` token."""
-    native = set(_BUILTIN_USERS_CHILDREN)
-    if store is not None:
-        native |= store.path_children("users")
-
-    if kind is IocKind.COMMAND_LINE:
-        comp_chars = r"[^\\/\s;\"]+"
-    else:
-        comp_chars = r"[^\\/]+"
-    pattern = re.compile(
-        r"(?i)(?P<prefix>(?:^|[\\/\s\";])users[\\/])(?P<comp>" + comp_chars + ")"
-    )
+    if "users" not in s.casefold():
+        return s
+    pattern = _COMMAND_USERS_RE if kind is IocKind.COMMAND_LINE else _PATH_USERS_RE
 
     def repl(m: re.Match) -> str:
-        comp = m.group("comp")
-        if comp.strip().casefold() in native:
+        comp = m.group("comp").strip().casefold()
+        if comp in _BUILTIN_USERS_CHILDREN or (
+            store is not None and comp in store.path_children("users")
+        ):
             return m.group(0)
         return m.group("prefix") + "user"
 
@@ -220,7 +271,7 @@ def _strip_command_extensions(s: str, store: KnowledgeStore | None) -> str:
             return stripped
         return token
 
-    return re.sub(r"[^\s;]+", repl, s)
+    return _EXECUTABLE_TOKEN_RE.sub(repl, s)
 
 
 def preprocess(
@@ -252,30 +303,10 @@ def preprocess(
 
 
 def _tokenize_command_line(s: str) -> list[str]:
-    tokens: list[str] = []
-    current: list[str] = []
-    quote_start = -1
-    in_quote = False
-    for i, ch in enumerate(s):
-        if ch == '"':
-            if in_quote:
-                in_quote = False
-            else:
-                in_quote = True
-                quote_start = i
-        elif in_quote:
-            current.append(ch)
-        elif ch.isspace() or ch == ";":
-            if current:
-                tokens.append("".join(current))
-                current = []
-        else:
-            current.append(ch)
-    if in_quote:
-        raise TokenizationError("unterminated double quote", quote_start)
-    if current:
-        tokens.append("".join(current))
-    return tokens
+    if s.count('"') % 2:
+        raise TokenizationError("unterminated double quote", s.rindex('"'))
+    tokens = (t.replace('"', "") for t in _QUOTED_TOKEN_RE.findall(s))
+    return [t for t in tokens if t]
 
 
 def segment(normalized: str, kind: IocKind) -> list[str]:
@@ -284,7 +315,7 @@ def segment(normalized: str, kind: IocKind) -> list[str]:
         return []
     if kind is IocKind.COMMAND_LINE:
         return _tokenize_command_line(normalized)
-    return [c for c in _DELIMS_RE.split(normalized) if c]
+    return _COMPONENT_RE.findall(normalized)
 
 
 def make_record(

@@ -14,7 +14,7 @@ import json
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import evaluation
@@ -211,6 +211,9 @@ def _generate_one(
     config: PipelineConfig,
     backend: GeneratorBackend,
 ) -> dict:
+    """One classified indicator's outcome.  Its ``annotation`` is the
+    annotation and its rejection reason, which ``run_generate`` turns into
+    a dump entry only when ``--dump-annotations`` is given."""
     bypass_capture = config.ablation in ("-CR", "-C-R")
     single_shot = config.ablation in ("C-R", "-C-R")
     if record.kind is IocKind.OTHER:
@@ -219,10 +222,7 @@ def _generate_one(
             "ioc_id": source_id,
             "raw": raw,
             "reason": "classified other",
-            "annotation": {
-                **GroupAnnotation(record).to_dict(),
-                "rejection_reason": "classified other",
-            },
+            "annotation": (GroupAnnotation(record), "classified other"),
         }
 
     annotation = (
@@ -235,7 +235,7 @@ def _generate_one(
             "raw": raw,
             "kind": record.kind.value,
             "reason": "no capture group",
-            "annotation": {**annotation.to_dict(), "rejection_reason": "no capture group"},
+            "annotation": (annotation, "no capture group"),
         }
 
     best, candidates = select_best(
@@ -248,7 +248,6 @@ def _generate_one(
         validate_groups=not bypass_capture,
         workflow="single_shot" if single_shot else "full",
     )
-    annotation_dump = {**annotation.to_dict(), "rejection_reason": None}
     if best is None:
         return {
             "status": "failed",
@@ -256,11 +255,11 @@ def _generate_one(
             "raw": raw,
             "kind": record.kind.value,
             "reason": "generation failed",
-            "annotation": annotation_dump,
+            "annotation": (annotation, None),
         }
     return {
         "status": "generated",
-        "annotation": annotation_dump,
+        "annotation": (annotation, None),
         "record": {
             "ioc_id": source_id,
             "raw": record.raw,
@@ -311,7 +310,12 @@ def run_generate(config: PipelineConfig) -> dict:
     if config.annotations_path:
         _write_json(
             config.annotations_path,
-            [o["annotation"] for o in outcomes if "annotation" in o],
+            [
+                {**annotation.to_dict(), "rejection_reason": reason}
+                for annotation, reason in (
+                    o["annotation"] for o in outcomes if "annotation" in o
+                )
+            ],
         )
     summary = {
         "inputs": len(iocs),
@@ -432,11 +436,11 @@ def _check_product_record(record, where: str) -> None:
 def run_ablation(config: PipelineConfig, mode: str, truths_path: str | Path,
                  report_path: str | Path) -> dict:
     """Generate under an ablation mode, then evaluate the products normally,
-    normalizing the truths with the tables the products record."""
+    normalizing the truths with the tables the products record.  ``config``
+    itself is left as it is."""
     if mode not in ABLATION_MODES:
         raise ConfigError(f"unknown ablation mode {mode!r}")
-    config.ablation = mode
-    run_generate(config)
+    run_generate(replace(config, ablation=mode))
     return run_evaluate(
         config.output_path, truths_path, report_path, kb_paths=config.kb_paths
     )

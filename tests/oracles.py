@@ -578,3 +578,214 @@ def reference_generate(
         if overgen.ok:
             return pattern, trace
     return None, trace
+
+
+# -- normalize: the per-call helpers and the character-loop segmenter ------
+# Transcribed from the implementation that rebuilt its tables and patterns on
+# every call and ran every rewrite on every string; the package's compiled,
+# prefiltered normalize layer must agree with it on every input.
+
+_REF_ENV_VAR_RE = re.compile(r"%[A-Za-z_][A-Za-z0-9_()]*%")
+_REF_DRIVE_PREFIX_RE = re.compile(r"^[A-Za-z]:[\\/]")
+_REF_DELIMS_RE = re.compile(r"[\\/]+")
+_REF_BUILTIN_USERS_CHILDREN = frozenset(
+    {"public", "default", "user", "all users", "default user"}
+)
+
+
+def _ref_registry_markers(registry_roots: dict) -> frozenset[str]:
+    names = set(registry_roots)
+    names.update(v.casefold() for v in registry_roots.values())
+    names.add("registry")
+    return frozenset(names)
+
+
+def reference_classify(raw: str, store=None, registry_roots: dict | None = None):
+    from ioc2regex.knowledge import COMMAND_FOREST, strip_executable_extension
+    from ioc2regex.normalize import ClassificationError, IocKind, _default_registry_roots
+
+    s = raw.strip()
+    if not s:
+        raise ClassificationError("cannot classify empty or whitespace-only string")
+
+    roots = registry_roots if registry_roots is not None else _default_registry_roots()
+    first_component = _REF_DELIMS_RE.split(s.lstrip("\\/"), maxsplit=1)[0].strip()
+    if first_component.casefold() in _ref_registry_markers(roots):
+        return IocKind.REGISTRY_KEY
+
+    tokens = s.split()
+    first_token = strip_executable_extension(tokens[0])
+    if store is not None and store.contains(COMMAND_FOREST, first_token):
+        return IocKind.COMMAND_LINE
+    if len(tokens) > 1 and any(t.startswith(("/", "-")) for t in tokens):
+        return IocKind.COMMAND_LINE
+
+    if _REF_DELIMS_RE.search(s):
+        if _REF_DRIVE_PREFIX_RE.match(s) or _REF_ENV_VAR_RE.search(s):
+            return IocKind.FILE_PATH
+        if len([c for c in _REF_DELIMS_RE.split(s) if c]) >= 2:
+            return IocKind.FILE_PATH
+
+    return IocKind.OTHER
+
+
+def _ref_expand_env_vars(s: str, expansions: dict) -> str:
+    def repl(m: re.Match) -> str:
+        var = m.group(0)
+        target = expansions.get(var.upper())
+        if target is None:
+            return var
+        return target
+
+    return _REF_ENV_VAR_RE.sub(repl, s)
+
+
+def _ref_rewrite_registry_root(s: str, registry_roots: dict) -> str:
+    m = re.match(r"^([\\/]*)([^\\/]+)([\\/]?)", s)
+    if not m:
+        return s
+    lead, first, _delim = m.group(1), m.group(2), m.group(3)
+    folded = first.strip().casefold()
+    if folded == "registry":
+        rest = s[m.end(2) :].lstrip("\\/")
+        return rest
+    abbrev = registry_roots.get(folded)
+    if abbrev is not None:
+        return abbrev + s[m.end(2) :]
+    if lead:
+        return s[len(lead) :]
+    return s
+
+
+def _ref_normalize_usernames(s: str, kind, store) -> str:
+    from ioc2regex.normalize import IocKind
+
+    native = set(_REF_BUILTIN_USERS_CHILDREN)
+    if store is not None:
+        native |= store.path_children("users")
+
+    if kind is IocKind.COMMAND_LINE:
+        comp_chars = r"[^\\/\s;\"]+"
+    else:
+        comp_chars = r"[^\\/]+"
+    pattern = re.compile(
+        r"(?i)(?P<prefix>(?:^|[\\/\s\";])users[\\/])(?P<comp>" + comp_chars + ")"
+    )
+
+    def repl(m: re.Match) -> str:
+        comp = m.group("comp")
+        if comp.strip().casefold() in native:
+            return m.group(0)
+        return m.group("prefix") + "user"
+
+    return pattern.sub(repl, s)
+
+
+def _ref_strip_command_extensions(s: str, store) -> str:
+    from ioc2regex.knowledge import COMMAND_FOREST, strip_executable_extension
+
+    if store is None:
+        return s
+
+    def repl(m: re.Match) -> str:
+        token = m.group(0)
+        stripped = strip_executable_extension(token)
+        if stripped != token and store.contains(COMMAND_FOREST, stripped):
+            return stripped
+        return token
+
+    return re.sub(r"[^\s;]+", repl, s)
+
+
+def reference_preprocess(
+    raw: str,
+    kind,
+    store=None,
+    expansions: dict | None = None,
+    registry_roots: dict | None = None,
+) -> str:
+    from ioc2regex.normalize import (
+        IocKind,
+        _default_expansions,
+        _default_registry_roots,
+    )
+
+    if kind is IocKind.OTHER:
+        raise ValueError("preprocess requires a classified kind (not 'other')")
+    expansions = expansions if expansions is not None else _default_expansions()
+    registry_roots = (
+        registry_roots if registry_roots is not None else _default_registry_roots()
+    )
+
+    s = raw.strip()
+    s = _ref_expand_env_vars(s, expansions)
+    if kind is IocKind.REGISTRY_KEY:
+        s = _ref_rewrite_registry_root(s, registry_roots)
+    s = _ref_normalize_usernames(s, kind, store)
+    if kind is IocKind.COMMAND_LINE:
+        s = _ref_strip_command_extensions(s, store)
+    return s
+
+
+def _ref_tokenize_command_line(s: str) -> list[str]:
+    from ioc2regex.normalize import TokenizationError
+
+    tokens: list[str] = []
+    current: list[str] = []
+    quote_start = -1
+    in_quote = False
+    for i, ch in enumerate(s):
+        if ch == '"':
+            if in_quote:
+                in_quote = False
+            else:
+                in_quote = True
+                quote_start = i
+        elif in_quote:
+            current.append(ch)
+        elif ch.isspace() or ch == ";":
+            if current:
+                tokens.append("".join(current))
+                current = []
+        else:
+            current.append(ch)
+    if in_quote:
+        raise TokenizationError("unterminated double quote", quote_start)
+    if current:
+        tokens.append("".join(current))
+    return tokens
+
+
+def reference_segment(normalized: str, kind) -> list[str]:
+    from ioc2regex.normalize import IocKind
+
+    if kind is IocKind.OTHER:
+        return []
+    if kind is IocKind.COMMAND_LINE:
+        return _ref_tokenize_command_line(normalized)
+    return [c for c in _REF_DELIMS_RE.split(normalized) if c]
+
+
+def reference_make_record(
+    raw: str,
+    store=None,
+    source_id: str = "",
+    expansions: dict | None = None,
+    registry_roots: dict | None = None,
+):
+    from ioc2regex.normalize import IocKind, IocRecord
+
+    kind = reference_classify(raw, store, registry_roots=registry_roots)
+    if kind is IocKind.OTHER:
+        return IocRecord(raw=raw, kind=kind, normalized=raw.strip(), source_id=source_id)
+    normalized = reference_preprocess(
+        raw, kind, store=store, expansions=expansions, registry_roots=registry_roots
+    )
+    components = reference_segment(normalized, kind)
+    return IocRecord(
+        raw=raw,
+        kind=kind,
+        normalized=normalized,
+        components=components,
+        source_id=source_id,
+    )

@@ -187,6 +187,34 @@ class TestNoncaptureCheck:
         res = noncapture_check(r"(?i).*users\\strasse\\evil\.exe", ann)
         assert (res.missing_keep, res.present_discard) == ([], ["Evil.EXE"])
 
+    def test_spans_unfolded_only_when_read(self, path_annotation, monkeypatch):
+        unfolded = []
+        unfold = generation._unfold
+        monkeypatch.setattr(
+            generation, "_unfold",
+            lambda text, spans: unfolded.append(text) or unfold(text, spans),
+        )
+        pattern = r"(?i).*USERS\\Public\\.*"
+        res = noncapture_check(pattern, path_annotation)
+        assert res.ok and unfolded == []
+        assert res.covered == [[(0, 5), (6, 12)]]  # "USERS", "Public"
+        assert len(unfolded) == 1
+        # the grader alone computes the spans it reads
+        alone = grading.grade(pattern, path_annotation)
+        assert len(unfolded) == 2
+        assert alone == grading.grade(pattern, path_annotation, res)
+
+    @given(text=st.text("aB\\.\u00df\u0130\u017f\u212a", max_size=12), data=st.data())
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    def test_unfold_maps_fold_spans_to_the_characters(self, text, data):
+        # each character of the fold belongs to the character it came from
+        owner = [i for i, c in enumerate(text) for _ in c.casefold()]
+        bound = st.integers(0, len(owner))
+        spans = data.draw(st.lists(st.tuples(bound, bound).map(sorted), max_size=4))
+        assert generation._unfold(text, [tuple(s) for s in spans]) == [
+            (owner[start], owner[end - 1] + 1) for start, end in spans if end > start
+        ]
+
     def test_empty_keep_set_rejected(self):
         rec = IocRecord(raw="x", kind=IocKind.FILE_PATH, normalized="x", components=["x"])
         ann = GroupAnnotation(record=rec, labels=["discard"], capture_sequences=[])

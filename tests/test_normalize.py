@@ -1,10 +1,13 @@
 import logging
 import random
+import re
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ioc2regex.knowledge import EXECUTABLE_EXTENSIONS
 from ioc2regex.normalize import (
     ClassificationError,
     IocKind,
@@ -15,7 +18,13 @@ from ioc2regex.normalize import (
     segment,
 )
 
-from conftest import FIG1_SCHTASKS
+from conftest import FIG1_SCHTASKS, tiny_store
+from oracles import (
+    reference_classify,
+    reference_make_record,
+    reference_preprocess,
+    reference_segment,
+)
 
 
 class TestClassify:
@@ -234,3 +243,114 @@ class TestMakeRecord:
         assert rec.kind is IocKind.FILE_PATH
         assert rec.normalized == r"C:\Users\Public\11.bat"
         assert rec.components == ["C:", "Users", "Public", "11.bat"]
+
+
+# Pieces that reach each rewrite's trigger and the edges of its prefilter:
+# case-insensitive "users" (also through U+017F), characters whose case
+# folding changes length or maps onto ASCII, known and unknown variables,
+# executable suffixes in every case (also through U+017F), quotes,
+# separators and the ASCII and non-ASCII whitespace that str.isspace knows.
+NORMALIZE_FRAGMENTS = (
+    "users\\", "users/", "USERS\\", "USERS/", "uſers\\", "u", "ſ", "ers",
+    "\u212a", "İ", "ß", "%TEMP%", "%X%", "%", "cmd.exe", "x.EXE", ".exe",
+    "a.exe.exe", "p.pſ1", "p.PS1", '"', ";", " ", "\t", "\x1c", "\x1d", "\x1e",
+    "\x1f", "\u3000", "\n", "\\", "/", "C:", "HKEY_CURRENT_USER", "hklm",
+    "registry", "Public", "bob", "schtasks", "/c", "-x", "a",
+)
+CUSTOM_TABLES = (
+    {"%TEMP%": "C:\\Users\\ſam\\Temp", "%X%": 'users/"İ x.exe'},
+    {"hkey_current_user": "HKCU", "users": "U", "hklm": "HKEY_LOCAL_MACHINE"},
+)
+KINDS = (IocKind.FILE_PATH, IocKind.REGISTRY_KEY, IocKind.COMMAND_LINE)
+TINY_STORE = tiny_store(
+    paths=["C:/Users/bob", "Users/ſ"],
+    commands=[("cmd.exe", ["/c"]), ("a.exe.exe", []), ("p", ["-x"])],
+)
+
+
+def _outcome(fn, *args, **kwargs):
+    """``fn``'s value, or its error's type, message and offset."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+class TestAgainstReference:
+    """The compiled, prefiltered normalize layer against the per-call
+    helpers and the character-loop segmenter (``oracles``)."""
+
+    @pytest.mark.parametrize("store_name", ["bundled", "none", "tiny"])
+    @pytest.mark.parametrize("tables", [(None, None), CUSTOM_TABLES],
+                             ids=["default-tables", "custom-tables"])
+    @given(raw=st.lists(st.sampled_from(NORMALIZE_FRAGMENTS), max_size=12).map("".join))
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @example(raw='cmd "a b"c" d')
+    @example(raw="p.pſ1\x1ccmd.exe;x.EXE")
+    @example(raw="C:\\uſers\\bob\\a.exe")
+    def test_every_entry_point_agrees(self, store, store_name, tables, raw):
+        any_store = {"bundled": store, "none": None, "tiny": TINY_STORE}[store_name]
+        expansions, roots = tables
+        assert _outcome(classify, raw, any_store, registry_roots=roots) == _outcome(
+            reference_classify, raw, any_store, registry_roots=roots
+        )
+        for kind in KINDS:
+            ours = _outcome(preprocess, raw, kind, any_store, expansions, roots)
+            assert ours == reference_preprocess(raw, kind, any_store, expansions, roots)
+            for text in (raw, ours):
+                assert _outcome(segment, text, kind) == _outcome(
+                    reference_segment, text, kind
+                )
+        assert _outcome(make_record, raw, any_store, "id", expansions, roots) == (
+            _outcome(reference_make_record, raw, any_store, "id", expansions, roots)
+        )
+
+    def test_whitespace_class_is_isspace_at_every_code_point(self):
+        # The segmenter's premise: its "\s" separates exactly what
+        # str.isspace does.
+        space = re.compile(r"\s")
+        assert [
+            hex(i)
+            for i in range(sys.maxunicode + 1)
+            if bool(space.match(chr(i))) is not chr(i).isspace()
+        ] == []
+
+    def test_users_letters_fold_to_themselves_at_every_code_point(self):
+        # The username skip's premise: a character that (?i) matches to a
+        # letter of "users" folds to that letter, so a string whose
+        # casefold() lacks "users" cannot match the username pattern.
+        letters = re.compile("[user]", re.IGNORECASE)
+        assert [
+            (letter, hex(i))
+            for i in range(sys.maxunicode + 1)
+            if letters.fullmatch(chr(i))
+            for letter in "user"
+            if re.fullmatch(letter, chr(i), re.IGNORECASE)
+            and chr(i).casefold() != letter
+        ] == []
+
+    def test_suffix_folds_match_under_ignorecase_at_every_code_point(self):
+        # The extension pattern's premise: a token whose casefold() ends in
+        # an executable suffix ends in it under (?i).  A character whose
+        # fold is one suffix character matches it under (?i), and no fold
+        # of several characters can lie in a suffix or run into its start.
+        bad = []
+        for i in range(sys.maxunicode + 1):
+            fold = chr(i).casefold()
+            for ext in EXECUTABLE_EXTENSIONS:
+                if len(fold) == 1:
+                    if fold in ext and not re.fullmatch(
+                        re.escape(fold), chr(i), re.IGNORECASE
+                    ):
+                        bad.append((ext, hex(i)))
+                elif fold in ext or any(
+                    fold[-k:] == ext[:k] for k in range(1, len(fold))
+                ):
+                    bad.append((ext, hex(i)))
+        assert bad == []
+
+    def test_caller_registry_table_read_on_every_call(self):
+        roots = {}
+        assert classify("myroot\\Run", registry_roots=roots) is IocKind.FILE_PATH
+        roots["myroot"] = "MR"
+        assert classify("myroot\\Run", registry_roots=roots) is IocKind.REGISTRY_KEY

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from ioc2regex import cli, dialect, pipeline
+from ioc2regex.capture import GroupAnnotation
 from ioc2regex.cli import main
 from ioc2regex.evaluation import load_truths, score_distribution
 from ioc2regex.generation import TemplateBackend
@@ -162,6 +163,20 @@ class TestRunGenerate:
         }
         assert dump[0]["labels"] == ["discard", "keep", "keep", "discard"]
         assert dump[0]["rejection_reason"] is None
+
+    def test_annotations_built_only_for_the_dump(self, tmp_path, monkeypatch):
+        inp = write_json(
+            tmp_path / "iocs.json",
+            [r"C:\Users\Public\11.bat", "d41d8cd98f00b204e9800998ecf8427e",
+             r"Q:\none\here\x.y"],
+        )
+
+        def refuse(_self):
+            raise AssertionError("annotation dump built without --dump-annotations")
+
+        monkeypatch.setattr(GroupAnnotation, "to_dict", refuse)
+        summary = run_generate(base_config(tmp_path, inp))
+        assert (summary["generated"], summary["failed"]) == (1, 0)
 
     def test_annotation_dump_includes_rejections(self, tmp_path):
         inp = write_json(
@@ -481,6 +496,18 @@ class TestAblation:
         # and the all-component group set differs from the annotated one
         assert report["hit_rate"] == 1.0
         assert report["mean_fpr"] == 1.0
+
+    def test_run_ablation_leaves_the_config_alone(self, tmp_path):
+        inp = write_json(tmp_path / "iocs.json", [r"C:\Users\Public\uniq77.bat"])
+        truths = write_json(
+            tmp_path / "truths.json",
+            [{"text": r"C:\Users\Public\uniq77.bat", "kind": "file_path",
+              "capture_groups": ["users", "public"]}],
+        )
+        cfg = base_config(tmp_path, inp)
+        run_ablation(cfg, "-CR", truths, tmp_path / "report.json")
+        assert cfg.ablation == ""
+        assert run_generate(cfg)["ablation"] == "full"
 
 
 class TestCli:
