@@ -15,6 +15,13 @@ verbose flag ``(?x)`` and a brace quantifier without a lower bound
 match something else.  A brace bound may not exceed 65,535, PCRE's limit
 (``re`` itself cannot compile one from 2**32 - 1).
 
+``tokenize`` matches one scanner pattern at each offset of a pattern.  Its
+named alternatives are the token kinds, tried in order; a maximal literal
+run is one token, and a quantifier after it takes the run's last character.
+Where no alternative matches, the text there names the error.  A brace bound
+is made of the ASCII digits ``0-9`` only, as ``re`` and PCRE read it, so
+``a{٣}`` is that literal text, not ``a`` three times.
+
 ``analyze`` tokenizes a pattern, decides in one walk of its tokens
 (``structure``) whether it is valid, which of its literal runs are required,
 and the two shapes the match rules below look for, and caches the result,
@@ -91,11 +98,28 @@ ALT = "alt"
 QUANT = "quant"
 LITERAL = "literal"
 
-_CLASS_ESCAPE_CHARS = "wWsSdD"
-_FLAGS_RE = re.compile(r"\(\?[ims]+\)")
-_BRACE_QUANT_RE = re.compile(r"\{\d+(,\d*)?\}")
-# Python reads these as {0,n} and {0,}; other engines as literal text.
-_BRACE_NO_LOW_RE = re.compile(r"\{,\d*\}")
+# One alternative per token kind, named after it (module docstring).  A class
+# is matched up to its '[' only; ``_parse_class`` finds its end, since its
+# leading-']' rule needs an atomic group, which ``re`` lacks before Python
+# 3.11.  Nothing matches an unsupported escape, a dangling backslash, a group
+# extension, or {,n}, which Python reads as {0,n} and other engines as
+# literal text.
+_SCANNER = re.compile(
+    r"""
+    (?P<flags>\A\(\?[ims]+\))
+    | (?P<class_escape>\\[wWsSdD])
+    | (?P<escape>\\(?![^\W_])[\s\S])  # [^\W_] is str.isalnum
+    | (?P<class>\[)
+    | (?P<group_open>\((?:\?:|(?!\?)))
+    | (?P<group_close>\))
+    | (?P<dot>\.)
+    | (?P<anchor>[\^$])
+    | (?P<alt>\|)
+    | (?P<quant>(?:[*+?]|\{[0-9]+(?:,[0-9]*)?\})\??)
+    | (?P<literal>(?:[^\\\[().^$|*+?{]|\{(?![0-9]+(?:,[0-9]*)?\}|,[0-9]*\}))+)
+    """,
+    re.VERBOSE,
+)
 _MAX_BOUND = 65535  # the largest brace bound
 
 # Analyses kept for reuse; one indicator's k workflows mostly repeat patterns.
@@ -156,102 +180,30 @@ def _parse_class(pattern: str, start: int) -> int:
 def tokenize(pattern: str) -> list[Token]:
     """Split a pattern into dialect tokens; raises DialectError outside it."""
     tokens: list[Token] = []
-    literal_buf: list[str] = []
-    literal_pos = 0
-
-    def flush() -> None:
-        nonlocal literal_buf
-        if literal_buf:
-            tokens.append(Token(LITERAL, "".join(literal_buf), literal_pos))
-            literal_buf = []
-
-    def push_quant(text: str, pos: int) -> None:
-        # a quantifier binds to the last character of a literal run only
-        if tokens and tokens[-1].kind == LITERAL and len(tokens[-1].text) > 1:
-            prev = tokens.pop()
-            tokens.append(Token(LITERAL, prev.text[:-1], prev.pos))
-            tokens.append(Token(LITERAL, prev.text[-1], prev.pos + len(prev.text) - 1))
-        tokens.append(Token(QUANT, text, pos))
-
-    i = 0
-    n = len(pattern)
-    m = _FLAGS_RE.match(pattern)
-    if m:
-        tokens.append(Token(FLAGS, m.group(0), 0))
-        i = m.end()
-
-    while i < n:
-        ch = pattern[i]
-        if ch == "\\":
-            if i + 1 >= n:
-                raise DialectError("dangling backslash", i)
-            nxt = pattern[i + 1]
-            flush()
-            if nxt in _CLASS_ESCAPE_CHARS:
-                tokens.append(Token(CLASS_ESCAPE, pattern[i : i + 2], i))
-            elif not nxt.isalnum():
-                tokens.append(Token(ESCAPE, pattern[i : i + 2], i))
+    pos, n = 0, len(pattern)
+    while pos < n:
+        m = _SCANNER.match(pattern, pos)
+        if m is None:
+            if pattern.startswith("(?", pos):
+                message = "group extension not in dialect"
+            elif pattern[pos] == "{":
+                message = "brace quantifier needs a lower bound: {0,n}"
+            elif pos + 1 == n:
+                message = "dangling backslash"
             else:
-                raise DialectError(f"unsupported escape \\{nxt}", i)
-            i += 2
-        elif ch == "[":
-            flush()
-            end = _parse_class(pattern, i)
-            tokens.append(Token(CLASS, pattern[i:end], i))
-            i = end
-        elif ch == "(":
-            flush()
-            if pattern.startswith("(?:", i):
-                tokens.append(Token(GROUP_OPEN, "(?:", i))
-                i += 3
-            elif pattern.startswith("(?", i):
-                raise DialectError("group extension not in dialect", i)
-            else:
-                tokens.append(Token(GROUP_OPEN, "(", i))
-                i += 1
-        elif ch == ")":
-            flush()
-            tokens.append(Token(GROUP_CLOSE, ")", i))
-            i += 1
-        elif ch == ".":
-            flush()
-            tokens.append(Token(DOT, ".", i))
-            i += 1
-        elif ch in "^$":
-            flush()
-            tokens.append(Token(ANCHOR, ch, i))
-            i += 1
-        elif ch == "|":
-            flush()
-            tokens.append(Token(ALT, "|", i))
-            i += 1
-        elif ch in "*+?":
-            flush()
-            text = pattern[i : i + 2] if pattern.startswith("?", i + 1) else ch
-            push_quant(text, i)
-            i += len(text)
-        elif ch == "{":
-            qm = _BRACE_QUANT_RE.match(pattern, i)
-            if qm:
-                flush()
-                text = qm.group(0)
-                if qm.end() < n and pattern[qm.end()] == "?":
-                    text += "?"
-                push_quant(text, i)
-                i += len(text)
-            elif _BRACE_NO_LOW_RE.match(pattern, i):
-                raise DialectError("brace quantifier needs a lower bound: {0,n}", i)
-            else:
-                if not literal_buf:
-                    literal_pos = i
-                literal_buf.append(ch)
-                i += 1
-        else:
-            if not literal_buf:
-                literal_pos = i
-            literal_buf.append(ch)
-            i += 1
-    flush()
+                message = f"unsupported escape \\{pattern[pos + 1]}"
+            raise DialectError(message, pos)
+        kind, end = m.lastgroup, m.end()
+        if kind == CLASS:
+            end = _parse_class(pattern, pos)
+        elif kind == QUANT and tokens and tokens[-1].kind == LITERAL:
+            # a quantifier binds to the last character of a literal run only
+            run = tokens[-1]
+            if len(run.text) > 1:
+                tokens[-1] = Token(LITERAL, run.text[:-1], run.pos)
+                tokens.append(Token(LITERAL, run.text[-1], run.end - 1))
+        tokens.append(Token(kind, pattern[pos:end], pos))
+        pos = end
     return tokens
 
 

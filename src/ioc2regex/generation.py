@@ -666,16 +666,16 @@ def single_shot(
 ) -> tuple[str | None, WorkflowTrace]:
     """Ablation variant: one backend call, no validation loops.
 
-    A non-compiling emission, like an empty reply or a backend error, yields
-    no pattern, since there is no debug loop to repair it.  The run draws no
-    probe, so its seed never matters.
+    An emission ``dialect.analyze`` rejects, like an empty reply or a backend
+    error, yields no pattern, since there is no debug loop to repair it.  The
+    run draws no probe, so its seed never matters.
     """
     trace = WorkflowTrace()
     pattern = _propose(backend, annotation, build_prompt(annotation), trace, 0, STAGE_DEBUG)
     if pattern is None:
         return None, trace
     try:
-        dialect.compile_pattern(pattern)
+        dialect.analyze(pattern)
     except dialect.DialectError as exc:
         trace.attempts.append(Attempt(0, STAGE_DEBUG, pattern, "fail", str(exc)))
         return None, trace

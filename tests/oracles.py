@@ -9,6 +9,11 @@ from __future__ import annotations
 
 import re
 
+from ioc2regex.dialect import (
+    ALT, ANCHOR, CLASS, CLASS_ESCAPE, DOT, ESCAPE, FLAGS, GROUP_CLOSE,
+    GROUP_OPEN, LITERAL, QUANT, DialectError, Token,
+)
+
 
 def brute_force_longest_run(
     components: list[str], names: set[str], edges: set[tuple[str, str]]
@@ -324,6 +329,134 @@ def reference_probe_strings(seed: int, keeps, count: int = 10) -> list[str]:
         if not any(k in candidate.casefold() for k in folded):
             out.append(candidate)
     return out
+
+
+# The character-loop tokenizer that ``dialect.tokenize`` replaced, kept
+# verbatim as its differential oracle.  It reads brace bounds with ``\d``,
+# which also matches non-ASCII digits: the one place where it and ``re``
+# (and so ``dialect.tokenize``) disagree.
+_CLASS_ESCAPE_CHARS = "wWsSdD"
+_FLAGS_RE = re.compile(r"\(\?[ims]+\)")
+_BRACE_QUANT_RE = re.compile(r"\{\d+(,\d*)?\}")
+# Python reads these as {0,n} and {0,}; other engines as literal text.
+_BRACE_NO_LOW_RE = re.compile(r"\{,\d*\}")
+
+
+def _parse_class(pattern: str, start: int) -> int:
+    """Return the index one past the closing ``]`` of a class opened at start."""
+    i = start + 1
+    n = len(pattern)
+    if i < n and pattern[i] == "^":
+        i += 1
+    if i < n and pattern[i] == "]":
+        i += 1
+    while i < n and pattern[i] != "]":
+        i += 2 if pattern[i] == "\\" else 1
+    if i >= n:
+        raise DialectError("unterminated character class", start)
+    return i + 1
+
+
+def reference_tokenize(pattern: str):
+    """Split a pattern into dialect tokens; raises DialectError outside it."""
+    tokens: list[Token] = []
+    literal_buf: list[str] = []
+    literal_pos = 0
+
+    def flush() -> None:
+        nonlocal literal_buf
+        if literal_buf:
+            tokens.append(Token(LITERAL, "".join(literal_buf), literal_pos))
+            literal_buf = []
+
+    def push_quant(text: str, pos: int) -> None:
+        # a quantifier binds to the last character of a literal run only
+        if tokens and tokens[-1].kind == LITERAL and len(tokens[-1].text) > 1:
+            prev = tokens.pop()
+            tokens.append(Token(LITERAL, prev.text[:-1], prev.pos))
+            tokens.append(Token(LITERAL, prev.text[-1], prev.pos + len(prev.text) - 1))
+        tokens.append(Token(QUANT, text, pos))
+
+    i = 0
+    n = len(pattern)
+    m = _FLAGS_RE.match(pattern)
+    if m:
+        tokens.append(Token(FLAGS, m.group(0), 0))
+        i = m.end()
+
+    while i < n:
+        ch = pattern[i]
+        if ch == "\\":
+            if i + 1 >= n:
+                raise DialectError("dangling backslash", i)
+            nxt = pattern[i + 1]
+            flush()
+            if nxt in _CLASS_ESCAPE_CHARS:
+                tokens.append(Token(CLASS_ESCAPE, pattern[i : i + 2], i))
+            elif not nxt.isalnum():
+                tokens.append(Token(ESCAPE, pattern[i : i + 2], i))
+            else:
+                raise DialectError(f"unsupported escape \\{nxt}", i)
+            i += 2
+        elif ch == "[":
+            flush()
+            end = _parse_class(pattern, i)
+            tokens.append(Token(CLASS, pattern[i:end], i))
+            i = end
+        elif ch == "(":
+            flush()
+            if pattern.startswith("(?:", i):
+                tokens.append(Token(GROUP_OPEN, "(?:", i))
+                i += 3
+            elif pattern.startswith("(?", i):
+                raise DialectError("group extension not in dialect", i)
+            else:
+                tokens.append(Token(GROUP_OPEN, "(", i))
+                i += 1
+        elif ch == ")":
+            flush()
+            tokens.append(Token(GROUP_CLOSE, ")", i))
+            i += 1
+        elif ch == ".":
+            flush()
+            tokens.append(Token(DOT, ".", i))
+            i += 1
+        elif ch in "^$":
+            flush()
+            tokens.append(Token(ANCHOR, ch, i))
+            i += 1
+        elif ch == "|":
+            flush()
+            tokens.append(Token(ALT, "|", i))
+            i += 1
+        elif ch in "*+?":
+            flush()
+            text = pattern[i : i + 2] if pattern.startswith("?", i + 1) else ch
+            push_quant(text, i)
+            i += len(text)
+        elif ch == "{":
+            qm = _BRACE_QUANT_RE.match(pattern, i)
+            if qm:
+                flush()
+                text = qm.group(0)
+                if qm.end() < n and pattern[qm.end()] == "?":
+                    text += "?"
+                push_quant(text, i)
+                i += len(text)
+            elif _BRACE_NO_LOW_RE.match(pattern, i):
+                raise DialectError("brace quantifier needs a lower bound: {0,n}", i)
+            else:
+                if not literal_buf:
+                    literal_pos = i
+                literal_buf.append(ch)
+                i += 1
+        else:
+            if not literal_buf:
+                literal_pos = i
+            literal_buf.append(ch)
+            i += 1
+    flush()
+    return tokens
 
 
 def _reference_bounds(text: str) -> tuple[int, int | None]:

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,7 +18,7 @@ from ioc2regex.dialect import (
     wildcard_units,
 )
 from ioc2regex.generation import debug_check
-from oracles import reference_debug_check, reference_structure
+from oracles import reference_debug_check, reference_structure, reference_tokenize
 from test_generation import hard_timeout
 
 
@@ -104,6 +105,14 @@ class TestTokenize:
         with pytest.raises(DialectError, match="lower bound") as err:
             tokenize(pattern)
         assert err.value.offset == pattern.index("{")
+
+    @pytest.mark.parametrize(
+        "pattern", ["a{\u0663}", "a{\u0661,\u0662}c", "{,\u0663}", ".{\u0663}"]
+    )
+    def test_brace_bounds_are_ascii_digits(self, pattern):
+        # re, like PCRE, reads only 0-9 as a bound; other digits are text
+        assert "quant" not in kinds(pattern)
+        assert re.fullmatch(pattern, pattern)
 
 
 class TestValidate:
@@ -335,6 +344,68 @@ class TestAnalyze:
         assert {(str(e), e.offset) for e in errors} == {
             ("syntax error at offset 6: unbalanced '('", 6)
         }
+
+    def test_non_ascii_brace_bound_read_as_re_reads_it(self):
+        pattern = "(?i).*Users\\\\x{\u0663}"
+        analysis = analyze(pattern)
+        assert analysis.runs == (LiteralRun("Users\\x{\u0663}", True),)
+        assert analysis.needles == ()  # the one run is not ASCII
+        for text in ("Users\\x{\u0663}", "Users\\xxx"):
+            assert analysis.matches(text) is (re.search(pattern, text) is not None)
+        assert analysis.matches("users\\X{\u0663}")
+
+
+# Fragments of the tokenizer property: flags anywhere, group extensions,
+# class edge cases, brace quantifiers and near-misses, escapes of "_", of
+# non-ASCII letters and digits and of a line break, and a trailing "\".
+TOKEN_FRAGMENTS = [
+    "(?i)", "(?x)", "(?is)", "(?:", "(?P<", "(", ")", "[]", "[^]", "[^]]", "[\\",
+    "[", "]", "{2,3}", "{2,}", "{,3}", "{,}", "{}", "{2", "{\u0663}", "{", "}",
+    "\\_", "\\\u00e9", "\\\u00b2", "\\\n", "\\", "\\.", "\\w", "\\q", "\\7",
+    ".", "*", "+", "?", "|", "^", "$", "a", "bc", "2", ",", "\u00e9", "\n", " ",
+]
+# The one place where tokenize differs from the reference: a brace whose
+# bounds hold a non-ASCII digit, which the reference reads with \d as a
+# quantifier and tokenize, like re, as literal text.
+UNICODE_BRACE = re.compile(r"\{\d*(?:,\d*)?\}")
+CODE_POINTS = range(sys.maxunicode + 1)
+
+
+class TestTokenizeReference:
+    """``tokenize`` against the character loop it replaced."""
+
+    @settings(derandomize=True, deadline=None, max_examples=2000)
+    @given(st.lists(st.sampled_from(TOKEN_FRAGMENTS), max_size=10).map("".join))
+    @example("a{\u0663}b{2}")
+    @example("[^]]{,}")
+    def test_equals_reference(self, pattern):
+        outcome = TestStructure.outcome
+        if outcome(pattern, tokenize) != outcome(pattern, reference_tokenize):
+            assert any(not m[0].isascii() for m in UNICODE_BRACE.finditer(pattern))
+
+    def test_alnum_class_is_isalnum_at_every_code_point(self):
+        # The escape alternative's premise: [^\W_] is str.isalnum.
+        alnum = re.compile(r"[^\W_]")
+        assert [
+            hex(i) for i in CODE_POINTS if bool(alnum.match(chr(i))) is not chr(i).isalnum()
+        ] == []
+
+    @pytest.mark.parametrize("head, tail", [("\\", ""), ("[", "]"), ("a", "*"), ("a{", "}")])
+    def test_every_code_point(self, head, tail):
+        outcome = TestStructure.outcome
+        bad = []
+        for i in CODE_POINTS:
+            c = chr(i)
+            pattern = head + c + tail
+            ours = outcome(pattern, tokenize)
+            if UNICODE_BRACE.fullmatch(pattern, 1) and not c.isascii():
+                expected = [Token(dialect.LITERAL, pattern, 0)]
+                assert re.fullmatch(pattern, pattern)
+            else:
+                expected = outcome(pattern, reference_tokenize)
+            if ours != expected:
+                bad.append(hex(i))
+        assert bad == []
 
 
 # Leading constructs the offset-0 rule takes (unbounded, lazy or not) and
