@@ -113,16 +113,10 @@ def find_command_groups(record: IocRecord, store: KnowledgeStore) -> GroupAnnota
         raise ValueError(f"find_command_groups got kind {record.kind.value!r}")
 
     components = record.components
-    v = [
-        (i, comp)
-        for i, comp in enumerate(components)
-        if store.contains(COMMAND_FOREST, comp)
-    ]
-
     sequences: list[list[tuple[int, str]]] = []
     current: list[tuple[int, str]] = []
     command: str | None = None
-    for idx, comp in v:
+    for idx, comp in enumerate(components):
         label = store.label_of(comp)
         if label is NodeLabel.COMMAND:
             if current:

@@ -13,7 +13,11 @@ backtracking): both backtrack exponentially on near-miss inputs.  The
 verbose flag ``(?x)`` and a brace quantifier without a lower bound
 (``{,n}``) are rejected, because they would make text that reads as literal
 match something else.  A brace bound may not exceed 65,535, PCRE's limit
-(``re`` itself cannot compile one from 2**32 - 1).
+(``re`` itself cannot compile one from 2**32 - 1).  A character class may
+not open with ``[`` (``[[:alpha:]]`` is a POSIX class in PCRE and a nested
+set to come in ``re``), nor hold ``--``, ``&&``, ``~~`` or ``||`` where
+``re`` reads them as a set operation to come: both draw a ``FutureWarning``
+from ``re``, and both mean something else elsewhere.
 
 ``tokenize`` matches one scanner pattern at each offset of a pattern.  Its
 named alternatives are the token kinds, tried in order; a maximal literal
@@ -177,6 +181,29 @@ def _parse_class(pattern: str, start: int) -> int:
     return i + 1
 
 
+def _set_operation(text: str) -> int | None:
+    """The index in a class token's text of the first construct that ``re``
+    warns of as a nested set or a set operation, or None: a ``[`` right
+    after the opening one, a doubled ``-``, ``&``, ``~`` or ``|`` that
+    starts an item other than the first, or a range up to ``-``.  Items
+    are read as ``re`` reads them, except that an escape is taken as its
+    backslash and the next character: ``re`` reads on only over digits, or
+    over a name in braces that a doubled character makes invalid."""
+    if text.startswith("[["):
+        return 1
+    end = len(text) - 1  # the closing ']'
+    i = first = 2 if text.startswith("[^") else 1
+    while i < end:
+        if i > first and text[i] in "-&~|" and text[i + 1] == text[i]:
+            return i
+        i += 2 if text[i] == "\\" else 1
+        if text[i] == "-" and i + 1 < end:  # a range
+            if text[i + 1] == "-":
+                return i
+            i += 3 if text[i + 1] == "\\" else 2
+    return None
+
+
 def tokenize(pattern: str) -> list[Token]:
     """Split a pattern into dialect tokens; raises DialectError outside it."""
     tokens: list[Token] = []
@@ -303,6 +330,10 @@ def structure(
             stack[-1].repeats |= repeats
         else:
             flush()
+            if tok.kind == CLASS and (at := _set_operation(tok.text)) is not None:
+                pair = tok.text[at] * 2  # '[[' opens a nested set
+                message = f"{pair!r} in a class reads as a set operation; escape it"
+                raise DialectError(message, tok.pos + at)
             if tok.kind == GROUP_OPEN:
                 stack.append(_Group(tok.pos, len(texts)))
             elif tok.kind == ALT:

@@ -443,10 +443,11 @@ def evaluate_by_dataset(
             raise ProductPatternError(
                 f"pattern of {p['ioc_id']!r} is outside the dialect: {exc}"
             ) from exc
-    similarities: dict[int, float] = {}
+    similarities: dict[int, float] = {}  # by product position, across datasets
     reports = []
     for ds, members in sorted(datasets.items()):
         local = {g: n for n, g in enumerate(members)}
+        ds_truths = [truths[i] for i in members]
         ds_rows = [
             _fpr_result(
                 [local[i] for i in row.matched_indices if i in local],
@@ -454,59 +455,37 @@ def evaluate_by_dataset(
             )
             for row in rows
         ]
-        reports.append(
-            _report(ds, products, [truths[i] for i in members], ds_rows,
-                    similarities, match_log)
-        )
-    return reports
-
-
-def _report(
-    dataset_id: str,
-    products: list[dict],
-    truths: list[GroundTruthString],
-    rows: list[FprResult],
-    similarities: dict[int, float],
-    match_log: list | None,
-) -> EvaluationReport:
-    """Assemble one dataset's report from its match rows; ``similarities``
-    caches each product's similarity (by position) across datasets."""
-    hits = hit_rate([row.matched_indices for row in rows], truths)
-    per_regex: list[tuple[str, float | None]] = []
-    fpr_values: list[float] = []
-    matching: list[int] = []
-    for k, (product, row) in enumerate(zip(products, rows)):
-        per_regex.append((product["ioc_id"], row.value))
-        if row.value is not None:
-            fpr_values.append(row.value)
-            matching.append(k)
+        hits = hit_rate([row.matched_indices for row in ds_rows], ds_truths)
+        matching = [k for k, row in enumerate(ds_rows) if row.value is not None]
         if match_log is not None:
-            match_log.append(
+            match_log.extend(
                 {
                     "ioc_id": product["ioc_id"],
-                    "matched": [truths[i].text for i in row.matched_indices],
+                    "matched": [ds_truths[i].text for i in row.matched_indices],
                     "false_positives": [
-                        truths[i].text for i in row.false_positive_indices
+                        ds_truths[i].text for i in row.false_positive_indices
                     ],
                 }
+                for product, row in zip(products, ds_rows)
             )
-    for k in matching:
-        if k not in similarities:
-            similarities[k] = similarity(products[k]["pattern"], products[k]["normalized"])
-    return EvaluationReport(
-        dataset_id=dataset_id,
-        total=hits.total,
-        matched=len(hits.matched_indices),
-        hit_rate=hits.rate,
-        unmatched_by_kind=hits.unmatched_by_kind,
-        per_regex_fpr=per_regex,
-        mean_fpr=mean_fpr(fpr_values) if fpr_values else None,
-        score_stats=(
-            score_distribution([products[k]["score"] for k in matching])
-            if matching
-            else None
-        ),
-        similarity_stats=(
-            score_distribution([similarities[k] for k in matching]) if matching else None
-        ),
-    )
+        for k in matching:
+            if k not in similarities:
+                similarities[k] = similarity(products[k]["pattern"], products[k]["normalized"])
+        reports.append(EvaluationReport(
+            dataset_id=ds,
+            total=hits.total,
+            matched=len(hits.matched_indices),
+            hit_rate=hits.rate,
+            unmatched_by_kind=hits.unmatched_by_kind,
+            per_regex_fpr=[(p["ioc_id"], row.value) for p, row in zip(products, ds_rows)],
+            mean_fpr=mean_fpr([ds_rows[k].value for k in matching]) if matching else None,
+            score_stats=(
+                score_distribution([products[k]["score"] for k in matching])
+                if matching
+                else None
+            ),
+            similarity_stats=(
+                score_distribution([similarities[k] for k in matching]) if matching else None
+            ),
+        ))
+    return reports

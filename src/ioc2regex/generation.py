@@ -58,6 +58,11 @@ STAGE_DEBUG = "debug"
 STAGE_NONCAPTURE = "noncapture"
 STAGE_OVERGEN = "overgen"
 
+# The workflow's caps, which ``grading.select_best`` and
+# ``pipeline.PipelineConfig`` read too.
+MAX_ITERATIONS = 10  # attempts per debug and audit stage
+RESTART_CAP = 5  # passes of the whole workflow
+
 RANDOM_PROBE_COUNT = 10
 _PROBE_ALPHABET = "".join(c for c in string.printable if not c.isspace())
 # Rejected draws in a row after which the one-character keeps leave the alphabet.
@@ -604,8 +609,8 @@ def generate(
     annotation: GroupAnnotation,
     backend: GeneratorBackend,
     rng_seed: int = 0,
-    max_iterations: int = 10,
-    restart_cap: int = 5,
+    max_iterations: int = MAX_ITERATIONS,
+    restart_cap: int = RESTART_CAP,
     validate_groups: bool = True,
     memo: IndicatorMemo | None = None,
 ) -> tuple[str | None, WorkflowTrace]:

@@ -37,6 +37,9 @@ from dataclasses import dataclass
 from . import dialect, generation
 from .capture import GroupAnnotation
 
+# Workflow runs per indicator, which ``pipeline.PipelineConfig`` reads too.
+CANDIDATES = 5
+
 # A stray literal: three or more characters that are not glue between
 # components (covered characters are made glue first).
 _STRAY_RE = re.compile(r"[^\\/ \t]{3,}")
@@ -89,10 +92,10 @@ def grade(
 def select_best(
     annotation: GroupAnnotation,
     backend: generation.GeneratorBackend,
-    k: int = 5,
+    k: int = CANDIDATES,
     rng_seed: int = 0,
-    max_iterations: int = 10,
-    restart_cap: int = 5,
+    max_iterations: int = generation.MAX_ITERATIONS,
+    restart_cap: int = generation.RESTART_CAP,
     validate_groups: bool = True,
     workflow: str = "full",
 ) -> tuple[RegexCandidate | None, list[RegexCandidate]]:
@@ -144,7 +147,5 @@ def select_best(
 
     if not candidates:
         return None, []
-    best = sorted(
-        candidates, key=lambda c: (-c.score, len(c.pattern), c.pattern)
-    )[0]
+    best = min(candidates, key=lambda c: (-c.score, len(c.pattern), c.pattern))
     return best, candidates

@@ -1,8 +1,12 @@
 """In-process inventory of OS-native components used to tell invariant IOC parts apart.
 
 Three forests are kept: file-system directories, registry key components, and
-commands with their parameters.  All names are case-folded at ingestion and at
-query time, so lookups are plain hash probes.  A store is built once from one
+commands with their parameters.  Each forest is one dict from a node name to
+the names of its children, merged over every declaration that mentions the
+name; the command forest's children, the parameters, are also kept as one
+set.  All names are case-folded at ingestion and at query time, so
+membership and adjacency are plain hash probes wherever in a hierarchy a
+component appeared.  A store is built once from one
 or more JSON definition files and is read-only afterwards, which makes it safe
 to share across worker threads.
 """
@@ -40,10 +44,6 @@ class KnowledgeBaseError(ValueError):
         self.line = line
 
 
-def _fold(name: str) -> str:
-    return name.casefold()
-
-
 def _split_hierarchy(entry: str) -> list[str]:
     parts = [p.strip() for p in entry.replace("\\", "/").split("/")]
     return [p for p in parts if p]
@@ -58,69 +58,13 @@ def strip_executable_extension(token: str) -> str:
     return token
 
 
-class _HierarchyForest:
-    """Name-keyed forest for paths or registry keys.
-
-    Node identity is the case-folded component name; children collected from
-    every declaration that mentions the name, so membership and adjacency are
-    O(1) regardless of where in a hierarchy a component appeared.
-    """
-
-    def __init__(self):
-        self.children: dict[str, set[str]] = {}
-
-    def add_chain(self, components: list[str]) -> None:
-        folded = [_fold(c) for c in components]
-        for name in folded:
-            self.children.setdefault(name, set())
-        for parent, child in zip(folded, folded[1:]):
-            self.children[parent].add(child)
-
-    def contains(self, name: str) -> bool:
-        return _fold(name) in self.children
-
-    def adjacent(self, parent: str, child: str) -> bool:
-        return _fold(child) in self.children.get(_fold(parent), ())
-
-
-class _CommandForest:
-    """Two-level forest: command nodes with parameter children."""
-
-    def __init__(self):
-        self.commands: dict[str, set[str]] = {}
-        self.parameters: set[str] = set()
-
-    def add_command(self, name: str, parameters: list[str]) -> None:
-        cmd = _fold(strip_executable_extension(name))
-        self.commands.setdefault(cmd, set())
-        for param in parameters:
-            p = _fold(param)
-            self.commands[cmd].add(p)
-            self.parameters.add(p)
-
-    def contains(self, name: str) -> bool:
-        key = _fold(name)
-        return key in self.commands or key in self.parameters
-
-    def adjacent(self, parent: str, child: str) -> bool:
-        return _fold(child) in self.commands.get(_fold(parent), ())
-
-    def label_of(self, name: str) -> NodeLabel | None:
-        key = _fold(name)
-        if key in self.commands:
-            return NodeLabel.COMMAND
-        if key in self.parameters:
-            return NodeLabel.PARAMETER
-        return None
-
-
 class KnowledgeStore:
     """Read-only membership/adjacency/label oracle over the three forests."""
 
     def __init__(self):
-        self._paths = _HierarchyForest()
-        self._registry = _HierarchyForest()
-        self._commands = _CommandForest()
+        # forest name -> case-folded node name -> case-folded child names
+        self._forests: dict[str, dict[str, set[str]]] = {f: {} for f in FOREST_NAMES}
+        self._parameters: set[str] = set()  # case-folded parameter names
         self.source_manifest: list[dict] = []
 
     # -- construction -------------------------------------------------
@@ -157,7 +101,8 @@ class KnowledgeStore:
         if not isinstance(version, str):
             raise KnowledgeBaseError("'version' must be a string", filename)
 
-        for key, forest in (("paths", self._paths), ("registry", self._registry)):
+        for key, forest in (("paths", PATH_FOREST), ("registry", REGISTRY_FOREST)):
+            children = self._forests[forest]
             entries = data.get(key, [])
             if not isinstance(entries, list):
                 raise KnowledgeBaseError(f"'{key}' must be a list of strings", filename)
@@ -169,7 +114,11 @@ class KnowledgeStore:
                     raise KnowledgeBaseError(
                         f"{key}[{i}]: no components in {entry!r}", filename
                     )
-                forest.add_chain(components)
+                folded = [c.casefold() for c in components]
+                for name in folded:
+                    children.setdefault(name, set())
+                for parent, child in zip(folded, folded[1:]):
+                    children[parent].add(child)
 
         commands = data.get("commands", [])
         if not isinstance(commands, list):
@@ -191,47 +140,52 @@ class KnowledgeStore:
                     f"commands[{i}] ({name}): 'parameters' must be non-empty strings",
                     filename,
                 )
-            self._commands.add_command(name.strip(), [p.strip() for p in params])
+            params = {p.strip().casefold() for p in params}
+            command = strip_executable_extension(name.strip()).casefold()
+            self._forests[COMMAND_FOREST].setdefault(command, set()).update(params)
+            self._parameters |= params
 
         self.source_manifest.append({"file": filename, "version": version})
 
     # -- queries ------------------------------------------------------
 
-    def _forest(self, forest: str):
-        if forest == PATH_FOREST:
-            return self._paths
-        if forest == REGISTRY_FOREST:
-            return self._registry
-        if forest == COMMAND_FOREST:
-            return self._commands
-        raise ValueError(f"unknown forest selector: {forest!r}")
-
     def contains(self, forest: str, name: str) -> bool:
         """True iff a node of that case-folded name exists in the forest."""
         if not name:
             return False
-        return self._forest(forest).contains(name)
+        if forest not in self._forests:
+            raise ValueError(f"unknown forest selector: {forest!r}")
+        if forest == COMMAND_FOREST:
+            return self.label_of(name) is not None
+        return name.casefold() in self._forests[forest]
 
     def adjacent(self, forest: str, parent: str, child: str) -> bool:
         """True iff some node named ``parent`` has a child named ``child``."""
         if not parent or not child:
             return False
-        return self._forest(forest).adjacent(parent, child)
+        if forest not in self._forests:
+            raise ValueError(f"unknown forest selector: {forest!r}")
+        return child.casefold() in self._forests[forest].get(parent.casefold(), ())
 
     def label_of(self, name: str) -> NodeLabel | None:
         """Label of ``name`` in the command forest, or None if absent."""
-        return self._commands.label_of(name)
+        key = name.casefold()
+        if key in self._forests[COMMAND_FOREST]:
+            return NodeLabel.COMMAND
+        if key in self._parameters:
+            return NodeLabel.PARAMETER
+        return None
 
     def path_children(self, name: str) -> frozenset[str]:
         """Case-folded child names of every path node called ``name``."""
-        return frozenset(self._paths.children.get(_fold(name), ()))
+        return frozenset(self._forests[PATH_FOREST].get(name.casefold(), ()))
 
     def stats(self) -> dict:
         return {
-            "path_nodes": len(self._paths.children),
-            "registry_nodes": len(self._registry.children),
-            "commands": len(self._commands.commands),
-            "parameters": len(self._commands.parameters),
+            "path_nodes": len(self._forests[PATH_FOREST]),
+            "registry_nodes": len(self._forests[REGISTRY_FOREST]),
+            "commands": len(self._forests[COMMAND_FOREST]),
+            "parameters": len(self._parameters),
             "sources": len(self.source_manifest),
         }
 

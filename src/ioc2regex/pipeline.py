@@ -2,10 +2,12 @@
 
 Stages per indicator: classify/preprocess/segment, capture-group finding,
 k-candidate generation with grading, then optional evaluation against
-ground-truth files.  Ablation modes disable the capture-finding step
-("-CR"), the reasoning workflow ("C-R"), or both ("-C-R").  All file
-artifacts are JSON with sorted keys so identical config + seed +
-deterministic backend reproduce byte-identical outputs.
+ground-truth files.  Each indicator yields one outcome: its status, its
+product record or rejection entry, and its annotation dump entry, if it was
+annotated.  Ablation modes disable the capture-finding step ("-CR"), the
+reasoning workflow ("C-R"), or both ("-C-R").  All file artifacts are JSON
+with sorted keys so identical config + seed + deterministic backend
+reproduce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -20,14 +23,16 @@ from pathlib import Path
 from . import evaluation
 from .capture import GroupAnnotation, annotate, KEEP
 from .generation import (
+    MAX_ITERATIONS,
     REMOTE_API_KEY_ENV,
     REMOTE_TEMPERATURE,
+    RESTART_CAP,
     GeneratorBackend,
     RemoteBackend,
     ScriptedBackend,
     TemplateBackend,
 )
-from .grading import select_best
+from .grading import CANDIDATES, select_best
 from .knowledge import KnowledgeStore, default_store
 from .normalize import (
     ClassificationError,
@@ -66,9 +71,9 @@ class PipelineConfig:
     model: str = ""
     temperature: float = REMOTE_TEMPERATURE
     api_key_env: str = REMOTE_API_KEY_ENV
-    candidates: int = 5
-    max_iterations: int = 10
-    restart_cap: int = 5
+    candidates: int = CANDIDATES
+    max_iterations: int = MAX_ITERATIONS
+    restart_cap: int = RESTART_CAP
     seed: int = 0
     workers: int = 1
     ablation: str = ""
@@ -179,9 +184,13 @@ def _process_one(
     backend: GeneratorBackend,
     expansions: dict | None,
     registry_roots: dict | None,
-) -> dict:
-    """One indicator's outcome; any exception after normalization becomes a
-    ``failed`` outcome, so one indicator never ends the batch."""
+) -> tuple[str, dict, tuple[GroupAnnotation, str | None] | None]:
+    """One indicator's outcome: its status, its product record or rejection
+    entry, and its annotation dump entry (the annotation and its rejection
+    reason), None when normalization or an internal error left no
+    annotation.  Any exception after normalization becomes a ``failed``
+    outcome, so one indicator never ends the batch."""
+    rejection = {"ioc_id": source_id, "raw": raw}
     try:
         record = make_record(
             raw,
@@ -191,76 +200,32 @@ def _process_one(
             registry_roots=registry_roots,
         )
     except (ClassificationError, TokenizationError) as exc:
-        return {"status": "failed", "ioc_id": source_id, "raw": raw,
-                "reason": f"normalization error: {exc}"}
-    try:
-        return _generate_one(index, source_id, raw, record, store, config, backend)
-    except Exception as exc:  # noqa: BLE001 - one indicator's fault must not end the batch
-        logger.warning("%s: internal error", source_id, exc_info=True)
-        return {"status": "failed", "ioc_id": source_id, "raw": raw,
-                "kind": record.kind.value,
-                "reason": f"internal error: {type(exc).__name__}: {exc}"}
-
-
-def _generate_one(
-    index: int,
-    source_id: str,
-    raw: str,
-    record: IocRecord,
-    store: KnowledgeStore,
-    config: PipelineConfig,
-    backend: GeneratorBackend,
-) -> dict:
-    """One classified indicator's outcome.  Its ``annotation`` is the
-    annotation and its rejection reason, which ``run_generate`` turns into
-    a dump entry only when ``--dump-annotations`` is given."""
-    bypass_capture = config.ablation in ("-CR", "-C-R")
-    single_shot = config.ablation in ("C-R", "-C-R")
+        return "failed", {**rejection, "reason": f"normalization error: {exc}"}, None
     if record.kind is IocKind.OTHER:
-        return {
-            "status": "other",
-            "ioc_id": source_id,
-            "raw": raw,
-            "reason": "classified other",
-            "annotation": (GroupAnnotation(record), "classified other"),
-        }
-
-    annotation = (
-        unfiltered_annotation(record) if bypass_capture else annotate(record, store)
-    )
-    if not annotation.has_capture_groups:
-        return {
-            "status": "rejected",
-            "ioc_id": source_id,
-            "raw": raw,
-            "kind": record.kind.value,
-            "reason": "no capture group",
-            "annotation": (annotation, "no capture group"),
-        }
-
-    best, candidates = select_best(
-        annotation,
-        backend,
-        k=config.candidates,
-        rng_seed=config.seed + index * _SEED_STRIDE,
-        max_iterations=config.max_iterations,
-        restart_cap=config.restart_cap,
-        validate_groups=not bypass_capture,
-        workflow="single_shot" if single_shot else "full",
-    )
-    if best is None:
-        return {
-            "status": "failed",
-            "ioc_id": source_id,
-            "raw": raw,
-            "kind": record.kind.value,
-            "reason": "generation failed",
-            "annotation": (annotation, None),
-        }
-    return {
-        "status": "generated",
-        "annotation": (annotation, None),
-        "record": {
+        reason = "classified other"
+        return "other", {**rejection, "reason": reason}, (GroupAnnotation(record), reason)
+    rejection["kind"] = record.kind.value
+    bypass_capture = config.ablation in ("-CR", "-C-R")
+    try:
+        annotation = (
+            unfiltered_annotation(record) if bypass_capture else annotate(record, store)
+        )
+        if not annotation.has_capture_groups:
+            reason = "no capture group"
+            return "rejected", {**rejection, "reason": reason}, (annotation, reason)
+        best, candidates = select_best(
+            annotation,
+            backend,
+            k=config.candidates,
+            rng_seed=config.seed + index * _SEED_STRIDE,
+            max_iterations=config.max_iterations,
+            restart_cap=config.restart_cap,
+            validate_groups=not bypass_capture,
+            workflow="single_shot" if config.ablation in ("C-R", "-C-R") else "full",
+        )
+        if best is None:
+            return "failed", {**rejection, "reason": "generation failed"}, (annotation, None)
+        return "generated", {
             "ioc_id": source_id,
             "raw": record.raw,
             "kind": record.kind.value,
@@ -272,8 +237,11 @@ def _generate_one(
             "n_cg": best.n_cg,
             "n_wc": best.n_wc,
             "candidates_considered": len(candidates),
-        },
-    }
+        }, (annotation, None)
+    except Exception as exc:  # noqa: BLE001 - one indicator's fault must not end the batch
+        logger.warning("%s: internal error", source_id, exc_info=True)
+        reason = f"internal error: {type(exc).__name__}: {exc}"
+        return "failed", {**rejection, "reason": reason}, None
 
 
 def run_generate(config: PipelineConfig) -> dict:
@@ -289,7 +257,7 @@ def run_generate(config: PipelineConfig) -> dict:
         logger.warning("scripted backend is stateful; forcing workers=1")
         workers = 1
 
-    def work(item: tuple[int, tuple[str, str]]) -> dict:
+    def work(item: tuple[int, tuple[str, str]]) -> tuple:
         index, (source_id, raw) = item
         return _process_one(
             index, source_id, raw, store, config, backend, expansions, registry_roots
@@ -301,28 +269,21 @@ def run_generate(config: PipelineConfig) -> dict:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(work, enumerate(iocs)))
 
-    records = [o["record"] for o in outcomes if o["status"] == "generated"]
-    rejections = [
-        {k: v for k, v in o.items() if k not in ("status", "annotation")}
-        for o in outcomes
-        if o["status"] in ("rejected", "other", "failed")
-    ]
+    statuses = Counter(status for status, _entry, _dump in outcomes)
+    records = [entry for status, entry, _dump in outcomes if status == "generated"]
+    rejections = [entry for status, entry, _dump in outcomes if status != "generated"]
     if config.annotations_path:
+        dumps = [dump for _status, _entry, dump in outcomes if dump]
         _write_json(
             config.annotations_path,
-            [
-                {**annotation.to_dict(), "rejection_reason": reason}
-                for annotation, reason in (
-                    o["annotation"] for o in outcomes if "annotation" in o
-                )
-            ],
+            [{**ann.to_dict(), "rejection_reason": reason} for ann, reason in dumps],
         )
     summary = {
         "inputs": len(iocs),
-        "generated": len(records),
-        "rejected_no_capture": sum(1 for o in outcomes if o["status"] == "rejected"),
-        "classified_other": sum(1 for o in outcomes if o["status"] == "other"),
-        "failed": sum(1 for o in outcomes if o["status"] == "failed"),
+        "generated": statuses["generated"],
+        "rejected_no_capture": statuses["rejected"],
+        "classified_other": statuses["other"],
+        "failed": statuses["failed"],
         "backend": backend.kind,
         "seed": config.seed,
         "candidates": config.candidates,

@@ -1,5 +1,6 @@
 import re
 import sys
+import warnings
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -193,6 +194,55 @@ class TestValidate:
         with pytest.raises(DialectError) as err:
             analyze(pattern)
         assert (err.value.message, err.value.offset) == (message, offset)
+
+    @pytest.mark.parametrize(
+        "pattern, offset",
+        [
+            ("[[:alpha:]]", 1), ("x[[]", 2), ("[a--b]", 2), ("[a&&b]", 2), ("[a||b]", 2),
+            ("[a~~b]", 2), ("[+--]", 2), (r"[\w--]", 3), ("[a-c--x]", 4), ("[^a&&]", 3),
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_set_operation_in_class_rejected(self, pattern, offset):
+        # re warns of these with a FutureWarning, an error under -W error
+        with pytest.raises(DialectError, match="nested set|set operation") as err:
+            structure(tokenize(pattern))
+        assert err.value.offset == offset
+        result = debug_check(pattern, "a")
+        assert not result.ok and f"offset {offset}:" in result.syntax_error
+
+    @pytest.mark.parametrize(
+        "pattern", ["[^[:alpha:]]", "[--a]", "[a-]", "[&&]", "[a&]", r"[\[:alpha:]]", r"[a\--]"]
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_class_without_set_operation_accepted(self, pattern):
+        analyze(pattern)
+
+    @settings(derandomize=True, deadline=None, max_examples=2000)
+    @given(st.text(alphabet="a0-&~|[]^:\\w", max_size=8))
+    @example("[:alpha:]")
+    @example("a\\---")
+    def test_class_rejected_exactly_when_re_rejects_or_warns(self, body):
+        pattern = f"[{body}]"
+        try:
+            assume(dialect._parse_class(pattern, 0) == len(pattern))  # one class
+        except DialectError:
+            pass  # unterminated, for re too
+        re.purge()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", FutureWarning)
+                re.compile(pattern)
+            re_rejects = False
+        except (re.error, FutureWarning):
+            re_rejects = True
+        analyze.cache_clear()
+        try:
+            analyze(pattern)
+            rejected = False
+        except DialectError:
+            rejected = True
+        assert rejected == re_rejects
 
     def test_unbalanced_open_names_the_unclosed_group(self):
         with pytest.raises(DialectError) as err:

@@ -1,3 +1,4 @@
+import inspect
 import re
 import signal
 import string
@@ -827,6 +828,14 @@ class TestRemoteBackend:
         backend, config = RemoteBackend(endpoint="http://127.0.0.1:9/none"), PipelineConfig()
         assert backend.temperature == config.temperature
         assert backend.api_key_env == config.api_key_env
+        # the workflow caps, stated once in generation and grading
+        caps = inspect.signature(generate).parameters
+        assert caps["max_iterations"].default == config.max_iterations == 10
+        assert caps["restart_cap"].default == config.restart_cap == 5
+        caps = inspect.signature(grading.select_best).parameters
+        assert caps["k"].default == config.candidates == 5
+        assert caps["max_iterations"].default == config.max_iterations
+        assert caps["restart_cap"].default == config.restart_cap
 
     def test_transport_failure_is_backend_error(self, path_annotation):
         backend = RemoteBackend(endpoint="http://127.0.0.1:9/none", timeout=0.2)

@@ -229,6 +229,20 @@ class TestRunGenerate:
         summary = run_generate(cfg)
         assert (summary["generated"], summary["failed"]) == (2, 0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_class_set_operation_emission_is_repaired(self, tmp_path, fig1_input):
+        # re warns of both with a FutureWarning; the dialect rejects both, so
+        # the debug loop feeds them back instead of failing the indicator
+        replay = write_json(
+            tmp_path / "replay.json",
+            {"emissions": ["(?i).*[[:alpha:]]", "(?i)[a&&b].*"], "fallback": "template"},
+        )
+        cfg = base_config(
+            tmp_path, fig1_input, backend="scripted", replay_path=replay, candidates=1
+        )
+        summary = run_generate(cfg)
+        assert (summary["generated"], summary["failed"]) == (2, 0)
+
     def test_internal_error_costs_one_indicator(self, tmp_path, monkeypatch):
         iocs = write_json(
             tmp_path / "iocs.json",
@@ -256,6 +270,74 @@ class TestRunGenerate:
             r for r in clean["records"] if r["ioc_id"] != "ioc-0001"
         ]
         assert len(faulty["records"]) == 2
+
+    def test_every_outcome_pins_its_product_and_dump_entry(self, tmp_path, monkeypatch):
+        iocs = write_json(tmp_path / "iocs.json", [
+            r"C:\Users\Public\11.bat",  # generated
+            "d41d8cd98f00b204e9800998ecf8427e",  # classified other
+            r"Q:\none\here\x.y",  # no capture group
+            'cmd /c "whoami',  # normalization error
+            r"C:\Windows\Temp\x.exe",  # generation failed
+            "cmd /c whoami",  # internal error
+        ])
+
+        class Outcomes(TemplateBackend):
+            def propose(self, annotation, prompt):
+                source_id = annotation.record.source_id
+                if source_id == "ioc-0004":
+                    return "(bad"
+                if source_id == "ioc-0005":
+                    raise ValueError("boom")
+                return super().propose(annotation, prompt)
+
+        monkeypatch.setattr(pipeline, "make_backend", lambda config: Outcomes())
+        cfg = base_config(tmp_path, iocs, annotations_path=str(tmp_path / "ann.json"),
+                          candidates=1, max_iterations=2, restart_cap=1)
+        summary = run_generate(cfg)
+        assert {k: summary[k] for k in (
+            "inputs", "generated", "rejected_no_capture", "classified_other", "failed"
+        )} == {"inputs": 6, "generated": 1, "rejected_no_capture": 1,
+               "classified_other": 1, "failed": 3}
+        product = json.loads(Path(cfg.output_path).read_text())
+        assert product["records"] == [{
+            "ioc_id": "ioc-0000", "raw": r"C:\Users\Public\11.bat", "kind": "file_path",
+            "normalized": r"C:\Users\Public\11.bat", "capture_groups": ["public", "users"],
+            "capture_sequences": [["Users", "Public"]],
+            "pattern": r"(?i).*Users\\Public\\.*", "score": 2, "n_cg": 2, "n_wc": 0,
+            "candidates_considered": 1,
+        }]
+        assert product["rejections"] == [
+            {"ioc_id": "ioc-0001", "raw": "d41d8cd98f00b204e9800998ecf8427e",
+             "reason": "classified other"},
+            {"ioc_id": "ioc-0002", "raw": r"Q:\none\here\x.y", "kind": "file_path",
+             "reason": "no capture group"},
+            {"ioc_id": "ioc-0003", "raw": 'cmd /c "whoami',
+             "reason": "normalization error: unterminated double quote (offset 7)"},
+            {"ioc_id": "ioc-0004", "raw": r"C:\Windows\Temp\x.exe", "kind": "file_path",
+             "reason": "generation failed"},
+            {"ioc_id": "ioc-0005", "raw": "cmd /c whoami", "kind": "command_line",
+             "reason": "internal error: ValueError: boom"},
+        ]
+
+        def dumped(source_id, raw, kind, components, labels, sequences, reason):
+            return {"source_id": source_id, "raw": raw, "normalized": raw, "kind": kind,
+                    "components": components, "labels": labels,
+                    "capture_sequences": sequences, "rejection_reason": reason}
+
+        # a normalization or internal error writes no dump entry
+        assert json.loads((tmp_path / "ann.json").read_text()) == [
+            dumped("ioc-0000", r"C:\Users\Public\11.bat", "file_path",
+                   ["C:", "Users", "Public", "11.bat"],
+                   ["discard", "keep", "keep", "discard"], [["Users", "Public"]], None),
+            dumped("ioc-0001", "d41d8cd98f00b204e9800998ecf8427e", "other",
+                   [], [], [], "classified other"),
+            dumped("ioc-0002", r"Q:\none\here\x.y", "file_path",
+                   ["Q:", "none", "here", "x.y"], ["discard"] * 4, [],
+                   "no capture group"),
+            dumped("ioc-0004", r"C:\Windows\Temp\x.exe", "file_path",
+                   ["C:", "Windows", "Temp", "x.exe"],
+                   ["discard", "keep", "keep", "discard"], [["Windows", "Temp"]], None),
+        ]
 
     def test_validation_errors(self, tmp_path):
         with pytest.raises(ConfigError):
