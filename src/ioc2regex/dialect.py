@@ -71,15 +71,18 @@ rules, which hold for every pattern in the dialect.
   probe's unprobed pass and, under ``(?i)``, the evaluation's prefilter
   read the needles.
 
-``explain`` is lazy and runs only on a miss.  It finds the longest top-level
-token prefix of the pattern, with literal runs split into characters, that
-matches, and the token after it.  Under the find-chain rule ``str.find``
-decides every prefix: one search per run, from the end of the run before,
-up to the first missing run, then a bisection over that run's prefixes
-(one occurs wherever a longer one does); a ``.`` fails where the run
-before it ends the text.  One ``re`` call on the matched prefix, by the
-offset-0 rule of the whole pattern, gives its end offset.  Any other
-pattern or text is scanned prefix by prefix, each one searched by ``re``.
+``explain`` is lazy: ``matches`` never calls it.  On a miss it finds the
+longest top-level token prefix of the pattern, with literal runs split into
+characters, that matches, and the token after it.  Under the find-chain
+rule one pass of ``str.find`` decides the match and every prefix: one
+search per run, from the end of the run before; when every run is found
+the pattern matches.  Else a bisection over the first missing run's
+prefixes (one occurs wherever a longer one does) ends the prefix; a ``.``
+fails where the run before it ends the text.  One walk over the tokens,
+up to the failing one, gives its offset.  One ``re`` call on the matched
+prefix, by the offset-0 rule of the whole pattern, gives its end offset.
+Any other pattern or text is searched whole, and on a miss scanned prefix
+by prefix, each prefix searched by ``re``.
 """
 
 from __future__ import annotations
@@ -436,11 +439,11 @@ class Analysis:
         find-chain rule, else by searching each prefix in turn.  The scan
         always ends at a failing prefix: the last one is the whole
         pattern."""
-        if self.matches(text):
-            return None
         hay = self._hay(text)
         if hay is not None:
             return self._explain_chain(text, hay)
+        if self.matches(text):
+            return None
         offset_0 = self._at_offset_0(text)
         matched, offset = "", 0
         depth = 0
@@ -460,34 +463,37 @@ class Analysis:
                 matched, offset = self.pattern[:end], m.end()
         return matched, offset, ""
 
-    def _explain_chain(self, text: str, hay: str) -> tuple[str, int, str]:
-        """``explain`` of a miss under the find-chain rule, where ``hay`` is
-        ``_hay(text)``; the runs are found, and the failing token named, by
-        ``str.find`` alone."""
-        ends = [0]  # 0, then the end of each run of the leftmost chain found
-        for run in self.chain:
-            at = hay.find(run, ends[-1])
+    def _explain_chain(self, text: str, hay: str) -> tuple[str, int, str] | None:
+        """``explain`` under the find-chain rule, where ``hay`` is
+        ``_hay(text)``: None when every run is found in order, else the
+        runs are found, and the failing token named, by ``str.find``
+        alone."""
+        start = 0  # the end of the leftmost chain of the runs found
+        for found, run in enumerate(self.chain):
+            at = hay.find(run, start)
             if at < 0:
                 break
-            ends.append(at + len(run))
+            start = at + len(run)
+        else:
+            return None
         # the longest prefix of the first missing run that occurs after the
         # runs found; a prefix occurs wherever a longer one does
-        found = len(ends) - 1
         missing = self.chain[found]
         low, high = 0, len(missing)
         while high - low > 1:
             mid = (low + high) // 2
-            if hay.find(missing[:mid], ends[-1]) < 0:
+            if hay.find(missing[:mid], start) < 0:
                 high = mid
             else:
                 low = mid
         # one walk to the failing token: a "." with nothing left to match,
-        # else the character after that prefix
+        # else the character after that prefix; only a "." after the last
+        # run found can fail, since a later run follows each earlier end
         done = cut = 0  # runs the walk has passed, characters of the next one
         for tok in self.tokens:
             if tok.kind == DOT:
                 done, cut = done + (cut > 0), 0
-                if ends[done] == len(hay):
+                if done == found and start == len(hay):
                     end, failing = tok.pos, tok.text
                     break
             elif tok.kind in (LITERAL, ESCAPE):

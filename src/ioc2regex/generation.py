@@ -27,10 +27,10 @@ The gates decide "match or not", and the debug diagnostic explains a miss,
 by the match rules of ``dialect`` (``Analysis.matches`` and
 ``Analysis.explain``).
 
-The debug and audit results depend only on the pattern and the indicator,
-and every prompt opens with the same indicator head, so one
-``IndicatorMemo`` computes each of them once for all the workflow runs of an
-indicator.
+The debug and audit results and their diagnostics depend only on the
+pattern and the indicator, and every prompt opens with the same indicator
+head, so one ``IndicatorMemo`` computes each of them once for all the
+workflow runs of an indicator.
 
 A backend whose ``deterministic`` attribute is true answers a prompt the same
 way every time.  The run's seed reaches the workflow only through the probe,
@@ -340,21 +340,15 @@ def _prompt_head(annotation: GroupAnnotation) -> str:
 
 def _prompt_tail(previous_pattern: str, diagnostic: str, prior_failures: int) -> str:
     """The per-attempt rest of a prompt, to append to its head."""
-    lines = [""]
-    if prior_failures:
-        lines += [
-            "",
-            f"Note: {prior_failures} earlier attempt(s) were discarded by validation; start fresh.",
-        ]
-    if diagnostic:
-        lines += [
-            "",
-            "Feedback on the previous attempt:",
-            f"  pattern: {previous_pattern}",
-            f"  problem: {diagnostic}",
-        ]
-    lines += ["", "Respond with the regular expression only."]
-    return "\n".join(lines)
+    note = (
+        f"\n\nNote: {prior_failures} earlier attempt(s) were discarded by validation;"
+        " start fresh." if prior_failures else ""
+    )
+    feedback = (
+        "\n\nFeedback on the previous attempt:"
+        f"\n  pattern: {previous_pattern}\n  problem: {diagnostic}" if diagnostic else ""
+    )
+    return f"{note}{feedback}\n\nRespond with the regular expression only."
 
 
 # -- backends -------------------------------------------------------------
@@ -548,37 +542,40 @@ class WorkflowTrace:
 
 class IndicatorMemo:
     """The pure results of one indicator's workflow runs, each computed once:
-    the debug and audit verdicts per pattern and the prompt head.  Make one
-    per indicator and pass it to each ``generate`` call.  Each verdict looks
-    up the check it caches at call time, so a patched module attribute takes
-    effect.  The audit's verdict is the pattern's ``coverage``; the
-    ``coverage`` method hands it to the score."""
+    the debug and audit verdicts per pattern with their ``describe()`` text,
+    and the prompt head.  Make one per indicator and pass it to each
+    ``generate`` call.  Each verdict looks up the check it caches at call
+    time, so a patched module attribute takes effect.  The audit's verdict
+    is the pattern's ``coverage``; the ``coverage`` method hands it to the
+    score."""
 
     def __init__(self, annotation: GroupAnnotation):
         self.annotation = annotation
         self.head = _prompt_head(annotation)
-        self._debug: dict[str, DebugResult] = {}
-        self._noncapture: dict[str, NoncaptureResult] = {}
+        self._debug: dict[str, tuple[DebugResult, str]] = {}
+        self._noncapture: dict[str, tuple[NoncaptureResult, str]] = {}
 
-    def debug(self, pattern: str) -> DebugResult:
-        result = self._debug.get(pattern)
-        if result is None:
+    def debug(self, pattern: str) -> tuple[DebugResult, str]:
+        """The debug verdict on the pattern and its diagnostic."""
+        verdict = self._debug.get(pattern)
+        if verdict is None:
             result = debug_check(pattern, self.annotation.record.normalized)
-            self._debug[pattern] = result
-        return result
+            verdict = self._debug[pattern] = (result, result.describe())
+        return verdict
 
-    def noncapture(self, pattern: str) -> NoncaptureResult:
-        result = self._noncapture.get(pattern)
-        if result is None:
+    def noncapture(self, pattern: str) -> tuple[NoncaptureResult, str]:
+        """The audit's verdict on the pattern and its diagnostic."""
+        verdict = self._noncapture.get(pattern)
+        if verdict is None:
             result = noncapture_check(pattern, self.annotation)
-            self._noncapture[pattern] = result
-        return result
+            verdict = self._noncapture[pattern] = (result, result.describe())
+        return verdict
 
     def coverage(self, pattern: str) -> NoncaptureResult:
         """The audit's result for the pattern if the audit ran on it, else
         its ``coverage``, computed and not kept."""
-        result = self._noncapture.get(pattern)
-        return result if result is not None else coverage(pattern, self.annotation)
+        verdict = self._noncapture.get(pattern)
+        return verdict[0] if verdict is not None else coverage(pattern, self.annotation)
 
     def prompt(self, previous_pattern: str = "", diagnostic: str = "",
                prior_failures: int = 0) -> str:
@@ -630,12 +627,17 @@ def generate(
     def audit(pattern: str):
         # A pattern fed back by the audit must still match the indicator.
         regression = memo.debug(pattern)
-        return regression if not regression.ok else memo.noncapture(pattern)
+        return regression if not regression[0].ok else memo.noncapture(pattern)
 
+    def overgen(pattern: str):
+        result = overgen_check(pattern, rng_seed, keeps)
+        return result, result.describe()
+
+    # each check returns its verdict and the verdict's diagnostic
     stages = [(STAGE_DEBUG, memo.debug, max_iterations)]
     if validate_groups:
         stages.append((STAGE_NONCAPTURE, audit, max_iterations))
-    stages.append((STAGE_OVERGEN, lambda p: overgen_check(p, rng_seed, keeps), 1))
+    stages.append((STAGE_OVERGEN, overgen, 1))
 
     trace = WorkflowTrace()
     for restart in range(restart_cap):
@@ -647,8 +649,8 @@ def generate(
         for stage, check, attempts in stages:
             ok = False
             for attempt in range(1, attempts + 1):
-                result = check(pattern)
-                ok, diagnostic = result.ok, result.describe()
+                result, diagnostic = check(pattern)
+                ok = result.ok
                 verdict = "pass" if ok else "fail"
                 trace.attempts.append(Attempt(restart, stage, pattern, verdict, diagnostic))
                 if ok or attempt == attempts:

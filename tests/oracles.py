@@ -623,6 +623,50 @@ def reference_debug_check(pattern: str, target: str):
     )
 
 
+def reference_prompt(
+    annotation,
+    previous_pattern: str = "",
+    diagnostic: str = "",
+    prior_failures: int = 0,
+) -> str:
+    """The backend prompt, as the list-and-join formatter built it: the
+    indicator head, then the per-attempt tail."""
+    from ioc2regex.dialect import DIALECT_RULES
+
+    rec = annotation.record
+    lines = [
+        "Generate one regular expression for the following indicator string.",
+        "",
+        "Indicator (the regex must match it):",
+        f"  {rec.normalized}",
+        "",
+        "Invariant components (each must appear literally in the regex):",
+    ]
+    lines += [f"  - {comp}" for comp in annotation.keep_components]
+    lines += ["", "Mutable components (none of these may appear literally):"]
+    discards = annotation.discard_components
+    lines += [f"  - {comp}" for comp in discards] if discards else ["  (none)"]
+    lines += ["", "Allowed regex syntax:"]
+    lines += [f"  {rule}" for rule in DIALECT_RULES]
+    head = "\n".join(lines)
+
+    lines = [""]
+    if prior_failures:
+        lines += [
+            "",
+            f"Note: {prior_failures} earlier attempt(s) were discarded by validation; start fresh.",
+        ]
+    if diagnostic:
+        lines += [
+            "",
+            "Feedback on the previous attempt:",
+            f"  pattern: {previous_pattern}",
+            f"  problem: {diagnostic}",
+        ]
+    lines += ["", "Respond with the regular expression only."]
+    return head + "\n".join(lines)
+
+
 def reference_generate(
     annotation,
     backend,
@@ -633,12 +677,12 @@ def reference_generate(
 ):
     """The staged workflow with each gate in its own block: a retry loop for
     debug and for the audit, then one over-generalization check.  Every check
-    is called directly, with no memo.  Returns (pattern or None, trace)."""
+    is called directly, with no memo, and every prompt is built by
+    ``reference_prompt``.  Returns (pattern or None, trace)."""
     from ioc2regex.generation import (
         Attempt,
         BackendError,
         WorkflowTrace,
-        build_prompt,
         debug_check,
         noncapture_check,
         overgen_check,
@@ -659,7 +703,7 @@ def reference_generate(
         trace.restarts = restart
         try:
             pattern = backend.propose(
-                annotation, build_prompt(annotation, prior_failures=restart)
+                annotation, reference_prompt(annotation, prior_failures=restart)
             )
         except BackendError as exc:
             trace.attempts.append(
@@ -681,7 +725,7 @@ def reference_generate(
                     return True
                 if attempt_no == max_iterations - 1:
                     return False
-                feedback = build_prompt(
+                feedback = reference_prompt(
                     annotation,
                     previous_pattern=pattern,
                     diagnostic=result.describe(),

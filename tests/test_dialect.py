@@ -20,7 +20,7 @@ from ioc2regex.dialect import (
 )
 from ioc2regex.generation import debug_check
 from oracles import reference_debug_check, reference_structure, reference_tokenize
-from test_generation import hard_timeout
+from test_generation import DEBUG_ELEMENTS, hard_timeout
 
 
 def kinds(pattern):
@@ -661,6 +661,25 @@ class TestExplainChain:
     def test_equals_reference(self, case):
         pattern, text = case
         assert debug_check(pattern, text) == reference_debug_check(pattern, text)
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(
+        flags=st.sampled_from(["", "(?i)", "(?s)", "(?is)", "(?m)"]),
+        elements=st.one_of(
+            st.lists(st.sampled_from([".*", ".*?", "a", "ab", "B", r"\.", r"\\"]), max_size=6),
+            st.lists(DEBUG_ELEMENTS, max_size=6),
+        ),
+        text=st.text("abAB.\\/x\n", max_size=10),
+    )
+    @example(flags="", elements=[".*", "a", ".*"], text="a")  # a trailing ".*"
+    @example(flags="(?s)", elements=[".*", "a", ".*", "b"], text="a\nb")
+    @example(flags="(?i)", elements=[".*", "a", ".*", "b"], text="A\nB")  # searched: a line break
+    def test_explains_exactly_the_misses(self, flags, elements, text):
+        try:
+            analysis = analyze(flags + "".join(elements))
+        except DialectError:
+            assume(False)
+        assert (analysis.explain(text) is None) == analysis.matches(text)
 
     def test_one_re_call_for_a_deep_prefix(self, monkeypatch):
         pattern = r"(?i).*Users\\Public\\Documents\\Reports\\2024\\q4.*\.exe"

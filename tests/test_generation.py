@@ -14,7 +14,10 @@ from ioc2regex import annotate, generation, grading, make_record
 from ioc2regex.capture import GroupAnnotation
 from ioc2regex.generation import (
     BackendError,
+    DebugResult,
     IndicatorMemo,
+    NoncaptureResult,
+    OvergenResult,
     RemoteBackend,
     ScriptedBackend,
     TemplateBackend,
@@ -34,6 +37,7 @@ from oracles import (
     reference_generate,
     reference_overgen_ok,
     reference_probe_strings,
+    reference_prompt,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden_prompt.txt"
@@ -62,6 +66,38 @@ BAD_EMISSIONS = [
     r"(?i).*C:\\Users\\Public\\11\.bax", r"C:\\Users\\Public\\11\.bat.*\\x",
 ]
 DEBUG_ALPHABET = "abx.\\/"
+
+# Prompt inputs: previous patterns that are empty, quoted, multi-line or not
+# ASCII, and the text of every ``describe()`` shape.
+PROMPT_TEXT = st.text("a'\"\\\n.*é\u212a ", max_size=6)
+PROMPT_PATTERNS = st.one_of(
+    st.sampled_from(["", "'(?i).*\"x\"'", "a\nb", "(?i).*Usérs\\\\.*", "\n"]),
+    PROMPT_TEXT,
+)
+DIAGNOSTICS = st.one_of(
+    st.sampled_from(["", "backend error: empty pattern"]),
+    st.builds(
+        DebugResult,
+        ok=st.booleans(),
+        syntax_error=st.sampled_from(["", "syntax error at offset 1: unbalanced '('"]),
+        matched_prefix=PROMPT_TEXT,
+        failing_token=PROMPT_TEXT,
+        target_offset=st.integers(0, 40),
+    ).map(DebugResult.describe),
+    st.builds(
+        NoncaptureResult,
+        ok=st.booleans(),
+        missing_keep=st.lists(PROMPT_TEXT, max_size=2),
+        present_discard=st.lists(PROMPT_TEXT, max_size=2),
+    ).map(NoncaptureResult.describe),
+    st.builds(
+        OvergenResult,
+        ok=st.booleans(),
+        probes=st.lists(PROMPT_TEXT, max_size=10),
+        unprobed=st.sampled_from(["every match holds a keep component",
+                                  "every probe character is a keep component"]),
+    ).map(OvergenResult.describe),
+)
 DEBUG_ELEMENTS = st.one_of(
     st.text(DEBUG_ALPHABET, min_size=1, max_size=4).map(re.escape),
     st.sampled_from(
@@ -105,6 +141,14 @@ class TestDebugCheck:
     @example(flags="(?m)", elements=[".*", "b", "$"], target="xa\n\nxb")
     @example(flags="", elements=[".*", "a", ".*", "b"], target="xa")  # fails at "."
     @example(flags="(?i)", elements=["A", ".*", "b"], target="a\nb")  # a line break
+    # the text ends where a run ends, and a "." before the next run fails
+    @example(flags="", elements=[".*", "ab", ".*", "x"], target="bab")
+    @example(flags="", elements=["ab", ".*", "x"], target="xba")  # opening run missing
+    @example(flags="", elements=[".*", "a", ".*", ".*", "b"], target="xa")  # the first "."
+    @example(flags="", elements=[".*", "a", ".*", ".*", "b"], target="ax")  # then "b"
+    @example(flags="", elements=[".*", "a", r"\\", "b"], target="xa/b")  # fails at \\
+    @example(flags="(?s)", elements=[".*", "a", r"\.", "b"], target="a\naxb")  # at \.
+    @example(flags="(?i)", elements=[".*", "ab", ".*", "xb"], target="XABAX")  # folded
     def test_diagnostic_equals_eager_reference(self, flags, elements, target):
         pattern = flags + "".join(elements)
         res = debug_check(pattern, target)
@@ -441,6 +485,24 @@ class TestBuildPrompt:
 
     def test_golden_bytes(self, path_annotation):
         assert build_prompt(path_annotation) == GOLDEN.read_text(encoding="utf-8")
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        schtasks=st.booleans(),
+        previous=PROMPT_PATTERNS,
+        diagnostic=DIAGNOSTICS,
+        prior_failures=st.integers(0, 5),
+    )
+    def test_equals_reference_prompt(
+        self, path_annotation, schtasks_annotation, schtasks, previous, diagnostic,
+        prior_failures,
+    ):
+        annotation = schtasks_annotation if schtasks else path_annotation
+        want = reference_prompt(annotation, previous, diagnostic, prior_failures)
+        assert build_prompt(annotation, previous, diagnostic, prior_failures) == want
+        memo = IndicatorMemo(annotation)
+        for _ in range(2):  # and again from the same memo
+            assert memo.prompt(previous, diagnostic, prior_failures) == want
 
 
 class TestTemplateBackend:
