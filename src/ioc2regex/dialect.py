@@ -17,7 +17,10 @@ match something else.  A brace bound may not exceed 65,535, PCRE's limit
 not open with ``[`` (``[[:alpha:]]`` is a POSIX class in PCRE and a nested
 set to come in ``re``), nor hold ``--``, ``&&``, ``~~`` or ``||`` where
 ``re`` reads them as a set operation to come: both draw a ``FutureWarning``
-from ``re``, and both mean something else elsewhere.
+from ``re``, and both mean something else elsewhere.  Nor may a class hold
+``[:``, ``[=`` or ``[.`` after its opening when it ends in ``:]``, ``=]``
+or ``.]`` later than that (``[^[:alpha:]]``, ``[a[=b=]]``): PCRE reads a
+POSIX bracket expression there, and ``re`` literal characters.
 
 ``tokenize`` matches one scanner pattern at each offset of a pattern.  Its
 named alternatives are the token kinds, tried in order; a maximal literal
@@ -36,6 +39,10 @@ may match zero times.  ``Analysis.regex`` is compiled on first use.
 ``analyze`` compiles every pattern outside the find-chain shape at once, so
 an ``re.error`` is still a ``DialectError``; a find-chain pattern always
 compiles, and is compiled only if a search needs it.
+An analysis, its tokens and its literal runs are shared by every caller
+that analyzes the same pattern, through the cache, and are never mutated;
+``Token`` and ``LiteralRun`` are slotted dataclasses, not frozen ones,
+because building one is half as costly, so nothing may hash or change them.
 
 Match rules.  ``Analysis.matches`` says exactly whether ``re.search`` finds a
 match, and ``Analysis.explain`` says why it does not; both follow these
@@ -158,8 +165,13 @@ class DialectError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
+    """One token of a pattern: its kind, its text and its offset.
+
+    Tokens are shared through the analysis cache and never mutated (module
+    docstring); unlike a frozen dataclass, a token is not hashable."""
+
     kind: str
     text: str
     pos: int
@@ -204,6 +216,22 @@ def _set_operation(text: str) -> int | None:
             if text[i + 1] == "-":
                 return i
             i += 3 if text[i + 1] == "\\" else 2
+    return None
+
+
+def _posix_bracket(text: str) -> int | None:
+    """The index in a class token's text of a ``[`` that PCRE reads as the
+    opening of a POSIX bracket expression, or None: an unescaped ``[c``
+    after the class's opening, where ``c`` is ``:``, ``=`` or ``.`` and the
+    text ends in ``c]`` later than that ``c``."""
+    c = text[-2]
+    if c not in ":=.":
+        return None
+    i = 2 if text.startswith("[^") else 1
+    while i < len(text) - 3:  # the c of '[c' before the c of 'c]'
+        if text[i] == "[" and text[i + 1] == c:
+            return i
+        i += 2 if text[i] == "\\" else 1
     return None
 
 
@@ -337,6 +365,10 @@ def structure(
                 pair = tok.text[at] * 2  # '[[' opens a nested set
                 message = f"{pair!r} in a class reads as a set operation; escape it"
                 raise DialectError(message, tok.pos + at)
+            if tok.kind == CLASS and (at := _posix_bracket(tok.text)) is not None:
+                pair = tok.text[at : at + 2]
+                message = f"{pair!r} in a class reads as a POSIX bracket; escape the '['"
+                raise DialectError(message, tok.pos + at)
             if tok.kind == GROUP_OPEN:
                 stack.append(_Group(tok.pos, len(texts)))
             elif tok.kind == ALT:
@@ -360,12 +392,13 @@ def structure(
     return runs, leading and not stack[0].alt, chain
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LiteralRun:
     """A maximal stretch of literal characters in a pattern.
 
     ``required`` runs are literally on every match path: not in an alternation
     branch and not in a group whose quantifier allows zero repetitions.
+    Shared and never mutated, like a ``Token``.
     """
 
     text: str

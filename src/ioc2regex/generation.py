@@ -181,7 +181,10 @@ def coverage(pattern: str, annotation: GroupAnnotation) -> NoncaptureResult:
 
 def _unfold(text: str, spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Non-empty spans of ``text.casefold()`` as spans of the characters of
-    ``text`` whose folds they touch, folding one character at a time."""
+    ``text`` whose folds they touch, folding one character at a time.  An
+    ASCII character folds to one, so ASCII text keeps its spans."""
+    if text.isascii():
+        return [span for span in spans if span[1] > span[0]]
     owner = [i for i, c in enumerate(text) for _ in c.casefold()]
     return [(owner[start], owner[end - 1] + 1) for start, end in spans if end > start]
 
@@ -273,7 +276,10 @@ def unprobed_pass(
     needles = dialect.analyze(pattern).needles
     if any(comp in needle for needle in needles for comp in folded):
         return _HOLDS_KEEP
-    return "" if _probe_alphabet(folded) else _NO_PROBE_ALPHABET
+    # _probe_alphabet(folded) is not empty: stop at its first character
+    if any(c.casefold() not in folded for c in _PROBE_ALPHABET):
+        return ""
+    return _NO_PROBE_ALPHABET
 
 
 def overgen_check(

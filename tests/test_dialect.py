@@ -23,6 +23,11 @@ from oracles import reference_debug_check, reference_structure, reference_tokeni
 from test_generation import DEBUG_ELEMENTS, hard_timeout
 
 
+# A class holding an unescaped '[' and ':', '=' or '.' after its opening,
+# and ending in that character and ']' later: PCRE's POSIX bracket.
+POSIX_BRACKET = re.compile(r"\[\^?(?:\\.|[^\\])*?\[([:=.]).*\1\]\Z", re.DOTALL)
+
+
 def kinds(pattern):
     return [t.kind for t in tokenize(pattern)]
 
@@ -212,16 +217,37 @@ class TestValidate:
         assert not result.ok and f"offset {offset}:" in result.syntax_error
 
     @pytest.mark.parametrize(
-        "pattern", ["[^[:alpha:]]", "[--a]", "[a-]", "[&&]", "[a&]", r"[\[:alpha:]]", r"[a\--]"]
+        "pattern", ["[--a]", "[a-]", "[&&]", "[a&]", r"[\[:alpha:]]", r"[a\--]"]
     )
     @pytest.mark.filterwarnings("error")
     def test_class_without_set_operation_accepted(self, pattern):
         analyze(pattern)
 
+    @pytest.mark.parametrize(
+        "pattern, offset",
+        [
+            ("[^[:alpha:]]", 2), ("[a[:digit:]]", 2), ("[a[=b=]]", 2), ("[a[.b.]]", 2),
+            ("x[][:a:]", 3), ("[a[::]", 2), (r"[a\\[:b:]", 4), (r"[a[:b\]:]", 2),
+        ],
+    )
+    def test_posix_bracket_in_class_rejected(self, pattern, offset):
+        # PCRE reads a POSIX bracket expression here, re literal characters
+        with pytest.raises(DialectError, match="POSIX bracket") as err:
+            structure(tokenize(pattern))
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "pattern", ["[a[.]", "[a[:]", "[a[:b]", r"[a\[:b:]", "[:alpha:]", "[a[:b=]"]
+    )
+    def test_class_without_posix_bracket_accepted(self, pattern):
+        analyze(pattern)
+
     @settings(derandomize=True, deadline=None, max_examples=2000)
-    @given(st.text(alphabet="a0-&~|[]^:\\w", max_size=8))
+    @given(st.text(alphabet="a0-&~|[]^:=.\\w", max_size=8))
     @example("[:alpha:]")
     @example("a\\---")
+    @example("^[:alpha:")
+    @example("a[.b.")
     def test_class_rejected_exactly_when_re_rejects_or_warns(self, body):
         pattern = f"[{body}]"
         try:
@@ -236,13 +262,15 @@ class TestValidate:
             re_rejects = False
         except (re.error, FutureWarning):
             re_rejects = True
+        # the one extra reason: a POSIX bracket expression, as PCRE reads it
+        posix = POSIX_BRACKET.match(pattern) is not None
         analyze.cache_clear()
         try:
             analyze(pattern)
             rejected = False
         except DialectError:
             rejected = True
-        assert rejected == re_rejects
+        assert rejected == (re_rejects or posix)
 
     def test_unbalanced_open_names_the_unclosed_group(self):
         with pytest.raises(DialectError) as err:

@@ -1,15 +1,19 @@
 import argparse
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ioc2regex import cli, dialect, pipeline
 from ioc2regex.capture import GroupAnnotation
 from ioc2regex.cli import main
 from ioc2regex.evaluation import load_truths, score_distribution
 from ioc2regex.generation import TemplateBackend
+from ioc2regex.normalize import IocKind
 from ioc2regex.pipeline import (
     ConfigError,
     PipelineConfig,
@@ -1029,6 +1033,44 @@ class TestGoldenFiles:
         run_evaluate(cfg.output_path, truths, tmp_path / "report.json")
         got_report = (tmp_path / "report.json").read_text(encoding="utf-8")
         assert got_report == (DATA / "golden_report.json").read_text(encoding="utf-8")
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf])
+    | st.text(max_size=8)
+    | st.text(alphabet='"\\\x00\x1f\x7f\u00e9\u2028\U0001f600a', max_size=8)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestJsonText:
+    """Every output file is written by ``pipeline.json_text``."""
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(JSON_VALUES)
+    @example({"b": [], "a": {}, "": [(), {"x": (1.5, None)}]})
+    @example(True)
+    @example({"kind": IocKind.FILE_PATH, "kinds": [IocKind.COMMAND_LINE]})
+    def test_bytes_of_json_dumps(self, value):
+        expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
+        assert pipeline.json_text(value) == expected
+
+    @pytest.mark.parametrize(
+        "value", [{1}, {"a": [frozenset()]}, {1: "a"}, {"a": {None: 0}}, {True: 1}, object()]
+    )
+    def test_value_outside_json_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            pipeline.json_text(value)
 
 
 def reference_reports(records, truths):
