@@ -12,7 +12,10 @@ the verdict is that of checking all ten.  The probe strings are ASCII and
 hold no keep component, so a pattern one of whose needles
 (``dialect.Analysis.needles``) contains a keep (case-folded) can match none
 of them: the probe passes it without drawing a string, with the same
-verdict.
+verdict.  A pattern that passed the audit holds every keep in a required
+run, so this unprobed pass covers every such pattern with a keep in a
+required run that is ASCII: after a passing audit, only a pattern whose
+keeps all sit in runs that are not ASCII draws probes.
 The strings are drawn by rejection; after 1,000 rejected draws in a row the
 rest are drawn without the one-character keeps, and when every probe
 character is a one-character keep, no probe string exists and the probe
@@ -35,7 +38,8 @@ workflow runs of an indicator.
 A backend whose ``deterministic`` attribute is true answers a prompt the same
 way every time.  The run's seed reaches the workflow only through the probe,
 so when no over-generalization check of a run drew a probe, a run with any
-other seed takes the same path: ``grading.select_best`` reuses it.
+other seed takes the same path.  ``generate`` records that in
+``WorkflowTrace.probed``, which ``grading.select_best`` reads to reuse it.
 """
 
 from __future__ import annotations
@@ -121,15 +125,8 @@ class NoncaptureResult:
     ok: bool
     missing_keep: list[str] = field(default_factory=list)
     present_discard: list[str] = field(default_factory=list)
-    # per literal run, its text and the spans of its keep occurrences in its
-    # case fold
-    found: list[tuple[str, list[tuple[int, int]]]] = field(default_factory=list)
-
-    @property
-    def covered(self) -> list[list[tuple[int, int]]]:
-        """Per literal run, the (start, end) character spans of its keep
-        occurrences, unfolded on each read; only the grader reads them."""
-        return [_unfold(text, spans) for text, spans in self.found]
+    # per literal run, the spans of its keep occurrences in its case fold
+    found: list[list[tuple[int, int]]] = field(default_factory=list)
 
     def describe(self) -> str:
         if self.ok:
@@ -151,10 +148,9 @@ class NoncaptureResult:
 def coverage(pattern: str, annotation: GroupAnnotation) -> NoncaptureResult:
     """What the pattern's literal runs pin of the annotation, by the coverage
     rule of ``grading``: the keep components in no required run, the discard
-    components in some run, and per run the character spans of the keep
-    occurrences.  Text is compared case-folded; a span covers each run
-    character whose fold it touches, and is mapped back from the fold only
-    when read (``NoncaptureResult.covered``).  Raises DialectError."""
+    components in some run, and per run the spans of the keep occurrences in
+    the run's case fold, where text is compared (the grader maps them back to
+    the run's characters).  Raises DialectError."""
     runs = dialect.analyze(pattern).runs
     folded = [run.text.casefold() for run in runs]
     spans: list[list[tuple[int, int]]] = [[] for _ in runs]  # in the folds
@@ -175,18 +171,7 @@ def coverage(pattern: str, annotation: GroupAnnotation) -> NoncaptureResult:
         for comp in annotation.discard_components
         if any(comp.casefold() in text for text in folded)
     ]
-    found = [(run.text, in_fold) for run, in_fold in zip(runs, spans)]
-    return NoncaptureResult(not missing and not present, missing, present, found)
-
-
-def _unfold(text: str, spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Non-empty spans of ``text.casefold()`` as spans of the characters of
-    ``text`` whose folds they touch, folding one character at a time.  An
-    ASCII character folds to one, so ASCII text keeps its spans."""
-    if text.isascii():
-        return [span for span in spans if span[1] > span[0]]
-    owner = [i for i, c in enumerate(text) for _ in c.casefold()]
-    return [(owner[start], owner[end - 1] + 1) for start, end in spans if end > start]
+    return NoncaptureResult(not missing and not present, missing, present, spans)
 
 
 def noncapture_check(pattern: str, annotation: GroupAnnotation) -> NoncaptureResult:
@@ -262,26 +247,6 @@ def random_probe_strings(
     )
 
 
-def unprobed_pass(
-    pattern: str, keep_components: list[str] | tuple[str, ...] = ()
-) -> str:
-    """Why ``overgen_check`` passes ``pattern`` without drawing a probe, for
-    every seed; "" when it draws probes.
-
-    A needle of the pattern (``dialect.Analysis.needles``) that contains a
-    non-empty keep component (case-folded) puts that keep in every match,
-    and the ASCII probes hold none.  When every probe character is a
-    one-character keep, no probe string exists."""
-    folded = _folded_keeps(keep_components)
-    needles = dialect.analyze(pattern).needles
-    if any(comp in needle for needle in needles for comp in folded):
-        return _HOLDS_KEEP
-    # _probe_alphabet(folded) is not empty: stop at its first character
-    if any(c.casefold() not in folded for c in _PROBE_ALPHABET):
-        return ""
-    return _NO_PROBE_ALPHABET
-
-
 def overgen_check(
     pattern: str,
     rng_seed: int,
@@ -289,21 +254,28 @@ def overgen_check(
 ) -> OvergenResult:
     """Fail only when the pattern matches every one of the ten random strings.
 
-    The check passes with no probe drawn when ``unprobed_pass`` says why.
-    Otherwise the strings are drawn one at a time, and the check passes at
-    the first one the pattern does not match; a passing result holds only
-    the strings drawn up to that one.
+    The check passes with no probe drawn, for every seed, when a needle of
+    the pattern (``dialect.Analysis.needles``) contains a non-empty keep
+    component (case-folded): that keep is in every match, and the ASCII
+    probes hold none.  It also does when every probe character is a
+    one-character keep, so no probe string exists.  Otherwise the strings are
+    drawn one at a time, and the check passes at the first one the pattern
+    does not match; a passing result holds only the strings drawn up to that
+    one.
     """
-    unprobed = unprobed_pass(pattern, keep_components)
-    if unprobed:
-        return OvergenResult(ok=True, unprobed=unprobed)
-    matches = dialect.analyze(pattern).matches
+    folded = _folded_keeps(keep_components)
+    analysis = dialect.analyze(pattern)
+    if any(comp in needle for needle in analysis.needles for comp in folded):
+        return OvergenResult(ok=True, unprobed=_HOLDS_KEEP)
+    # _probe_alphabet(folded) is empty only when every character is a keep
+    if all(c.casefold() in folded for c in _PROBE_ALPHABET):
+        return OvergenResult(ok=True, unprobed=_NO_PROBE_ALPHABET)
     probes: list[str] = []
     for probe in itertools.islice(
         _probe_stream(rng_seed, keep_components), RANDOM_PROBE_COUNT
     ):
         probes.append(probe)
-        if not matches(probe):
+        if not analysis.matches(probe):
             return OvergenResult(ok=True, probes=probes, matched=probes[:-1])
     return OvergenResult(ok=False, probes=probes, matched=list(probes))
 
@@ -317,10 +289,9 @@ def build_prompt(
     diagnostic: str = "",
     prior_failures: int = 0,
 ) -> str:
-    """Deterministic prompt text for a backend; byte-stable for golden tests."""
-    return _prompt_head(annotation) + _prompt_tail(
-        previous_pattern, diagnostic, prior_failures
-    )
+    """Deterministic prompt text for a backend; byte-stable for golden tests
+    (``IndicatorMemo.prompt``)."""
+    return IndicatorMemo(annotation).prompt(previous_pattern, diagnostic, prior_failures)
 
 
 def _prompt_head(annotation: GroupAnnotation) -> str:
@@ -342,19 +313,6 @@ def _prompt_head(annotation: GroupAnnotation) -> str:
     lines += ["", "Allowed regex syntax:"]
     lines += [f"  {rule}" for rule in dialect.DIALECT_RULES]
     return "\n".join(lines)
-
-
-def _prompt_tail(previous_pattern: str, diagnostic: str, prior_failures: int) -> str:
-    """The per-attempt rest of a prompt, to append to its head."""
-    note = (
-        f"\n\nNote: {prior_failures} earlier attempt(s) were discarded by validation;"
-        " start fresh." if prior_failures else ""
-    )
-    feedback = (
-        "\n\nFeedback on the previous attempt:"
-        f"\n  pattern: {previous_pattern}\n  problem: {diagnostic}" if diagnostic else ""
-    )
-    return f"{note}{feedback}\n\nRespond with the regular expression only."
 
 
 # -- backends -------------------------------------------------------------
@@ -544,12 +502,14 @@ class Attempt:
 class WorkflowTrace:
     attempts: list[Attempt] = field(default_factory=list)
     restarts: int = 0
+    probed: bool = False  # did an over-generalization check draw a probe?
 
 
 class IndicatorMemo:
     """The pure results of one indicator's workflow runs, each computed once:
     the debug and audit verdicts per pattern with their ``describe()`` text,
-    and the prompt head.  Make one per indicator and pass it to each
+    and the prompt head, which ``prompt``, the one prompt builder, opens
+    every prompt with.  Make one per indicator and pass it to each
     ``generate`` call.  Each verdict looks up the check it caches at call
     time, so a patched module attribute takes effect.  The audit's verdict
     is the pattern's ``coverage``; the ``coverage`` method hands it to the
@@ -585,8 +545,20 @@ class IndicatorMemo:
 
     def prompt(self, previous_pattern: str = "", diagnostic: str = "",
                prior_failures: int = 0) -> str:
-        """``build_prompt`` for this indicator."""
-        return self.head + _prompt_tail(previous_pattern, diagnostic, prior_failures)
+        """The prompt for an attempt: the head, a note on the earlier passes
+        that validation discarded, feedback on the previous pattern when a
+        check failed it, and the reply instruction."""
+        note = (
+            f"\n\nNote: {prior_failures} earlier attempt(s) were discarded by validation;"
+            " start fresh." if prior_failures else ""
+        )
+        feedback = (
+            "\n\nFeedback on the previous attempt:"
+            f"\n  pattern: {previous_pattern}\n  problem: {diagnostic}"
+            if diagnostic else ""
+        )
+        reply = "\n\nRespond with the regular expression only."
+        return f"{self.head}{note}{feedback}{reply}"
 
 
 def _propose(
@@ -637,6 +609,7 @@ def generate(
 
     def overgen(pattern: str):
         result = overgen_check(pattern, rng_seed, keeps)
+        trace.probed = trace.probed or bool(result.probes)
         return result, result.describe()
 
     # each check returns its verdict and the verdict's diagnostic

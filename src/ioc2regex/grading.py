@@ -17,16 +17,16 @@ pattern's literal runs pin of an indicator, for the group audit
   anywhere in a string, so they are exempt.
 - All comparisons are case-folded, with the marks of a keep occurrence on
   the run's original characters (``ß``, which folds to ``ss``, is one
-  character).
+  character): ``coverage`` marks the keeps in each run's case fold, and
+  ``grade`` maps the marks back (``_unfold``).
 
 ``select_best`` runs the workflow ``k`` times with seeds ``rng_seed + i``.
 The seed reaches a run only through the over-generalization probe, so when
-the backend is deterministic and the first run drew no probe (every one of
-its overgen attempts passed by ``generation.unprobed_pass``; a
-``single_shot`` run has none), every other run would take the same path:
-the first run stands for all ``k``, and the workflow, its backend calls and
-the probe gate run once per indicator.  A run that drew a probe keeps ``k``
-separately seeded runs.
+the backend is deterministic and the first run drew no probe (its
+``WorkflowTrace.probed`` is false; a ``single_shot`` run never draws one),
+every other run would take the same path: the first run stands for all
+``k``, and the workflow, its backend calls and the probe gate run once per
+indicator.  A run that drew a probe keeps ``k`` separately seeded runs.
 """
 
 from __future__ import annotations
@@ -80,13 +80,23 @@ def grade(
         text != ".*" or head < start and end < len(pattern)
         for start, end, text in dialect.wildcard_units(analysis.tokens)
     )
-    for run, spans in zip(analysis.runs, pinned.covered):
+    for run, spans in zip(analysis.runs, pinned.found):
         chars = list(run.text)
-        for start, end in spans:
+        for start, end in _unfold(run.text, spans):
             chars[start:end] = "/" * (end - start)
         n_wc += len(_STRAY_RE.findall("".join(chars)))
 
     return RegexCandidate(pattern=pattern, n_cg=n_cg, n_wc=n_wc, score=n_cg - n_wc)
+
+
+def _unfold(text: str, spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Non-empty spans of ``text.casefold()`` as spans of the characters of
+    ``text`` whose folds they touch, folding one character at a time.  An
+    ASCII character folds to one, so ASCII text keeps its spans."""
+    if text.isascii():
+        return [span for span in spans if span[1] > span[0]]
+    owner = [i for i, c in enumerate(text) for _ in c.casefold()]
+    return [(owner[start], owner[end - 1] + 1) for start, end in spans if end > start]
 
 
 def select_best(
@@ -128,11 +138,7 @@ def select_best(
         )
 
     first, trace = run(0)
-    if backend.deterministic and all(
-        generation.unprobed_pass(attempt.pattern, annotation.keep_components)
-        for attempt in trace.attempts
-        if attempt.stage == generation.STAGE_OVERGEN
-    ):
+    if backend.deterministic and not trace.probed:
         patterns = [first] * k
     else:
         patterns = [first] + [run(i)[0] for i in range(1, k)]

@@ -151,7 +151,8 @@ def _read_json(path: str | Path):
 
 
 def load_iocs(path: str | Path) -> list[tuple[str, str]]:
-    """Input list: JSON array of strings or ``{"text", "source_id"}`` objects."""
+    """Input list: JSON array of strings or ``{"text", "source_id"}`` objects;
+    a ``source_id`` that is present and not null must be a string."""
     data = _read_json(path)
     if not isinstance(data, list):
         raise ConfigError(f"{path}: expected a JSON list")
@@ -160,7 +161,10 @@ def load_iocs(path: str | Path) -> list[tuple[str, str]]:
         if isinstance(entry, str):
             out.append((f"ioc-{i:04d}", entry))
         elif isinstance(entry, dict) and isinstance(entry.get("text"), str):
-            out.append((str(entry.get("source_id") or f"ioc-{i:04d}"), entry["text"]))
+            source_id = entry.get("source_id")
+            if not isinstance(source_id, (str, type(None))):
+                raise ConfigError(f"{path}[{i}]: 'source_id' must be a string or null")
+            out.append((source_id or f"ioc-{i:04d}", entry["text"]))
         else:
             raise ConfigError(f"{path}[{i}]: expected a string or an object with 'text'")
     return out

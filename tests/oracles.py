@@ -751,6 +751,7 @@ def reference_generate(
         if validate_groups and not run_stage("noncapture", audit):
             continue
         overgen = overgen_check(pattern, rng_seed, annotation.keep_components)
+        trace.probed = trace.probed or bool(overgen.probes)
         record(restart, "overgen", pattern, overgen)
         if overgen.ok:
             return pattern, trace

@@ -231,23 +231,27 @@ class TestNoncaptureCheck:
         assert noncapture_check(r"(?i).*USERS\\STRASSE\\.*", ann).ok
         res = noncapture_check(r"(?i).*users\\strasse\\evil\.exe", ann)
         assert (res.missing_keep, res.present_discard) == ([], ["Evil.EXE"])
+        # the spans are in the run's fold, "users\\strasse\\"
+        res = noncapture_check(r"(?i).*Users\\Straße\\.*", ann)
+        assert res.found == [[(0, 5), (6, 13)]]
+        assert grading._unfold("Users\\Straße\\", res.found[0]) == [(0, 5), (6, 12)]
 
-    def test_spans_unfolded_only_when_read(self, path_annotation, monkeypatch):
+    def test_audit_keeps_fold_spans_for_the_grader(self, path_annotation, monkeypatch):
         unfolded = []
-        unfold = generation._unfold
+        unfold = grading._unfold
         monkeypatch.setattr(
-            generation, "_unfold",
+            grading, "_unfold",
             lambda text, spans: unfolded.append(text) or unfold(text, spans),
         )
         pattern = r"(?i).*USERS\\Public\\.*"
         res = noncapture_check(pattern, path_annotation)
         assert res.ok and unfolded == []
-        assert res.covered == [[(0, 5), (6, 12)]]  # "USERS", "Public"
-        assert len(unfolded) == 1
-        # the grader alone computes the spans it reads
-        alone = grading.grade(pattern, path_annotation)
-        assert len(unfolded) == 2
-        assert alone == grading.grade(pattern, path_annotation, res)
+        assert res.found == [[(0, 5), (6, 12)]]  # "USERS", "Public"
+        # the grader maps the audit's spans, or its own, to the run's characters
+        assert grading.grade(pattern, path_annotation, res) == grading.grade(
+            pattern, path_annotation
+        )
+        assert unfolded == ["USERS\\Public\\"] * 2
 
     @given(text=st.text("aB\\.\u00df\u0130\u017f\u212a", max_size=12), data=st.data())
     @settings(derandomize=True, deadline=None, max_examples=300)
@@ -256,7 +260,7 @@ class TestNoncaptureCheck:
         owner = [i for i, c in enumerate(text) for _ in c.casefold()]
         bound = st.integers(0, len(owner))
         spans = data.draw(st.lists(st.tuples(bound, bound).map(sorted), max_size=4))
-        assert generation._unfold(text, [tuple(s) for s in spans]) == [
+        assert grading._unfold(text, [tuple(s) for s in spans]) == [
             (owner[start], owner[end - 1] + 1) for start, end in spans if end > start
         ]
 
@@ -835,6 +839,12 @@ class TestStageLoop:
 
 
 class TestSingleShot:
+    def test_sends_the_opening_prompt(self, path_annotation, schtasks_annotation):
+        for annotation in (path_annotation, schtasks_annotation):
+            backend = ErringScript([GOOD_PATH_PATTERN])
+            single_shot(annotation, backend)
+            assert backend.prompts == [reference_prompt(annotation)]
+
     def test_non_compiling_yields_nothing(self, path_annotation):
         pattern, trace = single_shot(path_annotation, ScriptedBackend(["(broken"]))
         assert pattern is None

@@ -3,6 +3,8 @@ import re
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ioc2regex import generation
 from ioc2regex.capture import GroupAnnotation
@@ -252,7 +254,8 @@ def test_score_matches_independent_recount():
 def test_audit_and_grade_agree_on_keeps():
     """The audit and the grader read one coverage: n_cg counts the keeps the
     audit does not miss, an audited pattern pins every keep, and a pattern
-    the probe passes unprobed because every match holds a keep pins one."""
+    the probe passes with no probe drawn because every match holds a keep
+    pins one."""
     rng = random.Random(4321)
     checked = audited = unprobed = 0
     for _ in range(400):
@@ -267,13 +270,39 @@ def test_audit_and_grade_agree_on_keeps():
         if audit.ok:
             assert cand.n_cg == len(keeps), pattern
             audited += 1
-        if generation.unprobed_pass(pattern, keeps) == generation._HOLDS_KEEP:
+        probe = overgen_check(pattern, 0, keeps)
+        # ``unprobed`` reads the keep reason on a result that drew probes too
+        if not probe.probes and probe.unprobed == generation._HOLDS_KEEP:
+            assert probe.ok, pattern
             assert cand.n_cg >= 1, pattern
             unprobed += 1
         checked += 1
     assert checked >= 300 and audited >= 30 and unprobed >= 100, (
         checked, audited, unprobed
     )
+
+
+# Replies that draw probes (no required run is ASCII and holds a keep) and
+# replies that do not, for the Fig. 1 path, whose keeps are Users and Public.
+FIXED_REPLIES = [
+    r"(?i).*Pub[l]ic.*", "(?i).*U\u017fers\\\\Public\\\\.*", ".*", r"(?i).*[0-9].*",
+    r"(?i).*Users\\Public\\.*", r"(?i).*[U]sers\\Public\\.*", r"(?i).*Users\\.*",
+    "(bad",
+]
+
+
+class FixedReply(GeneratorBackend):
+    """A deterministic backend that always replies ``pattern``."""
+
+    deterministic = True
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+
+    def propose(self, annotation, prompt):
+        self.calls += 1
+        return self.pattern
 
 
 class TestSelectBest:
@@ -345,20 +374,47 @@ class TestSelectBest:
 
     def test_run_that_drew_a_probe_still_runs_k_times(self, path_annotation, monkeypatch):
         pattern = r"(?i).*Pub[l]ic.*"  # no run holds a keep: the probe runs
-
-        class Fixed(GeneratorBackend):
-            deterministic = True
-
-            def propose(self, annotation, prompt):
-                return pattern
-
         assert overgen_check(pattern, 3, path_annotation.keep_components).probes
         seeds = record_runs(monkeypatch, "generate")
         _best, candidates = select_best(
-            path_annotation, Fixed(), k=5, rng_seed=3, validate_groups=False
+            path_annotation, FixedReply(pattern), k=5, rng_seed=3, validate_groups=False
         )
         assert seeds == [3, 4, 5, 6, 7]
         assert [c.pattern for c in candidates] == [pattern] * 5
+
+    @given(
+        pattern=st.sampled_from(FIXED_REPLIES),
+        validate_groups=st.booleans(),
+        rng_seed=st.integers(0, 50),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_equals_k_seeded_runs(self, path_annotation, pattern, validate_groups, rng_seed):
+        keeps = path_annotation.keep_components
+        options = dict(validate_groups=validate_groups, max_iterations=2, restart_cap=2)
+        runs = []
+        for i in range(5):
+            backend = FixedReply(pattern)
+            seed = rng_seed + i
+            found, trace = generation.generate(
+                path_annotation, backend, rng_seed=seed, **options
+            )
+            drew = [
+                overgen_check(a.pattern, seed, keeps).probes
+                for a in trace.attempts if a.stage == generation.STAGE_OVERGEN
+            ]
+            assert trace.probed == any(drew), (pattern, seed)
+            runs.append((found, trace.probed, backend.calls))
+        backend = FixedReply(pattern)
+        best, candidates = select_best(
+            path_annotation, backend, k=5, rng_seed=rng_seed, **options
+        )
+        assert candidates == [grade(p, path_annotation) for p, _, _ in runs if p is not None]
+        assert best == min(
+            candidates, key=lambda c: (-c.score, len(c.pattern), c.pattern), default=None
+        )
+        # the first run stands for all five exactly when it drew no probe
+        probed = runs[0][1]
+        assert backend.calls == sum(c for _, _, c in (runs if probed else runs[:1]))
 
     @pytest.mark.parametrize(
         "options",

@@ -364,6 +364,19 @@ class TestLoadIocs:
         with pytest.raises(ConfigError):
             load_iocs(path)
 
+    @pytest.mark.parametrize("source_id", [["x"], True, False, 0, 7, 1.5, {"id": "x"}])
+    def test_non_string_source_id_rejected(self, tmp_path, source_id):
+        entries = ["plain", {"text": "obj", "source_id": source_id}]
+        path = write_json(tmp_path / "iocs.json", entries)
+        with pytest.raises(ConfigError, match=r"iocs\.json\[1\]: 'source_id' must be"):
+            load_iocs(path)
+
+    def test_null_or_empty_source_id_takes_the_default(self, tmp_path):
+        entries = [{"text": "a", "source_id": None}, {"text": "b", "source_id": ""},
+                   {"text": "c"}]
+        path = write_json(tmp_path / "iocs.json", entries)
+        assert load_iocs(path) == [("ioc-0000", "a"), ("ioc-0001", "b"), ("ioc-0002", "c")]
+
 
 class TestRunEvaluate:
     def make_files(self, tmp_path):
