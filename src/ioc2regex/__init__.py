@@ -44,6 +44,7 @@ from .normalize import (
     ClassificationError,
     IocKind,
     IocRecord,
+    Tables,
     TokenizationError,
     classify,
     make_record,

@@ -44,7 +44,7 @@ from pathlib import Path
 
 from . import dialect
 from .knowledge import KnowledgeStore
-from .normalize import IocKind, preprocess
+from .normalize import BUNDLED, IocKind, Tables, preprocess
 
 
 class UndefinedMetricError(ValueError):
@@ -76,8 +76,7 @@ class GroundTruthString:
 def load_truths(
     path: str | Path,
     store: KnowledgeStore | None = None,
-    expansions: dict | None = None,
-    registry_roots: dict | None = None,
+    tables: Tables = BUNDLED,
 ) -> list[GroundTruthString]:
     """Read a ground-truth JSON file and normalize each entry for matching,
     with the given expansion and registry-root tables (default: bundled)."""
@@ -87,20 +86,16 @@ def load_truths(
         raise GroundTruthError(f"{path}: {exc}") from exc
     if not isinstance(data, list):
         raise GroundTruthError(f"{path}: expected a JSON list of truth records")
-    truths = []
-    for i, entry in enumerate(data):
-        truths.append(
-            make_truth(entry, store, f"{path}[{i}]", expansions, registry_roots)
-        )
-    return truths
+    return [
+        make_truth(entry, store, f"{path}[{i}]", tables) for i, entry in enumerate(data)
+    ]
 
 
 def make_truth(
     entry: dict,
     store: KnowledgeStore | None = None,
     where: str = "<record>",
-    expansions: dict | None = None,
-    registry_roots: dict | None = None,
+    tables: Tables = BUNDLED,
 ) -> GroundTruthString:
     if not isinstance(entry, dict):
         raise GroundTruthError(f"{where}: not an object")
@@ -120,9 +115,7 @@ def make_truth(
 
     normalized = text.strip()
     if kind is not IocKind.OTHER:
-        normalized = preprocess(
-            text, kind, store=store, expansions=expansions, registry_roots=registry_roots
-        )
+        normalized = preprocess(text, kind, store, tables)
     folded = frozenset(g.casefold() for g in groups)
     haystack = normalized.casefold()
     for g in folded:

@@ -5,6 +5,13 @@ covers the four standardization cases seen in real threat-report strings:
 environment-variable expansion, username unification, registry-root
 abbreviation, and executable-extension stripping on known commands.
 
+The expansion table and the registry-root map travel together as one
+immutable ``Tables`` value; ``BUNDLED`` holds the shipped ones and is every
+entry point's default.  ``Tables.from_json`` is the one way in from JSON (a
+table file, a product summary): it checks each table and takes the bundled
+one for a table not given.  Every ``Tables`` uppercases its expansion keys,
+case-folds its root keys and builds its registry markers once, when made.
+
 Every pattern is compiled once, at import, and each rewrite runs only when
 its trigger can occur in the string.  Each skip is exact, not a heuristic:
 
@@ -21,8 +28,6 @@ its trigger can occur in the string.  Each skip is exact, not a heuristic:
   ``(?i)`` too: every character whose fold lies in a suffix folds to one
   character that ``(?i)`` matches to it.  ``tests/test_normalize.py``
   checks this premise and the one above at every code point.
-- The registry markers of the bundled root table are built once; a table the
-  caller passes is read on every call.
 
 Command lines split at whitespace and ``;`` outside double quotes, by one
 pattern whose ``\s`` stands for ``str.isspace``.  The two agree at every
@@ -38,7 +43,6 @@ import logging
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 
 from .knowledge import (
@@ -113,64 +117,58 @@ class IocRecord:
 # -- data tables -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _default_expansions() -> dict:
-    return load_expansions(_DATA_DIR / "env_expansions.json")
+@dataclass(frozen=True, eq=False)
+class Tables:
+    """The expansion table and the registry-root map, keys folded however a
+    table spells them, and ``markers``: the first components that make a
+    string a registry key (the roots, their abbreviations and ``registry``,
+    case-folded)."""
+
+    expansions: dict[str, str]
+    registry_roots: dict[str, str]
+    markers: frozenset[str] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        roots = {k.casefold(): v for k, v in self.registry_roots.items()}
+        put = object.__setattr__
+        put(self, "expansions", {k.upper(): v for k, v in self.expansions.items()})
+        put(self, "registry_roots", roots)
+        put(self, "markers", frozenset(
+            [*roots, *(v.casefold() for v in roots.values()), "registry"]
+        ))
+
+    @classmethod
+    def from_json(cls, values, where) -> Tables:
+        """The tables that ``values`` holds under ``expansions`` and
+        ``registry_roots``, the bundled one for a table that is absent or
+        None.  A table that is not an object of strings to strings is a
+        ValueError that names it as ``where(key)``."""
+        tables = []
+        for key in ("expansions", "registry_roots"):
+            table = values.get(key)
+            if table is None:
+                table = getattr(BUNDLED, key)
+            elif not isinstance(table, dict) or not all(
+                isinstance(k, str) and isinstance(v, str) for k, v in table.items()
+            ):
+                raise ValueError(f"{where(key)} must map strings to strings")
+            tables.append(table)
+        return cls(*tables)
 
 
-@lru_cache(maxsize=None)
-def _default_registry_roots() -> dict:
-    return load_registry_roots(_DATA_DIR / "registry_roots.json")
-
-
-def check_table(table, where: str) -> dict:
-    """``table`` when it is an object that maps strings to strings; else a
-    ValueError that names ``where``."""
-    if not isinstance(table, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in table.items()
-    ):
-        raise ValueError(f"{where} must map strings to strings")
-    return table
-
-
-def _load_table(path: str | Path) -> dict:
-    """A JSON table file, checked by ``check_table``; ValueError names the file."""
-    try:
-        table = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # malformed JSON or UTF-8
-        raise ValueError(f"{path}: {exc}") from exc
-    return check_table(table, str(path))
-
-
-def load_expansions(path: str | Path) -> dict:
-    """Environment-variable table: ``{"%VAR%": "expansion"}``, keys uppercased."""
-    return {k.upper(): v for k, v in _load_table(path).items()}
-
-
-def load_registry_roots(path: str | Path) -> dict:
-    """Root abbreviation map: ``{"HKEY_CURRENT_USER": "HKCU"}``, keys case-folded."""
-    return {k.casefold(): v for k, v in _load_table(path).items()}
-
-
-def _registry_markers(registry_roots: dict) -> frozenset[str]:
-    names = set(registry_roots)
-    names.update(v.casefold() for v in registry_roots.values())
-    names.add("registry")
-    return frozenset(names)
-
-
-@lru_cache(maxsize=None)
-def _default_registry_markers() -> frozenset[str]:
-    return _registry_markers(_default_registry_roots())
+BUNDLED = Tables(
+    *(
+        json.loads((_DATA_DIR / name).read_text(encoding="utf-8"))
+        for name in ("env_expansions.json", "registry_roots.json")
+    )
+)
 
 
 # -- classification ----------------------------------------------------
 
 
 def classify(
-    raw: str,
-    store: KnowledgeStore | None = None,
-    registry_roots: dict | None = None,
+    raw: str, store: KnowledgeStore | None = None, tables: Tables = BUNDLED
 ) -> IocKind:
     """Decide whether a string is a file path, registry key, or command line.
 
@@ -182,13 +180,8 @@ def classify(
     if not s:
         raise ClassificationError("cannot classify empty or whitespace-only string")
 
-    markers = (
-        _registry_markers(registry_roots)
-        if registry_roots is not None
-        else _default_registry_markers()
-    )
     first_component = _DELIMS_RE.split(s.lstrip("\\/"), maxsplit=1)[0].strip()
-    if first_component.casefold() in markers:
+    if first_component.casefold() in tables.markers:
         return IocKind.REGISTRY_KEY
 
     tokens = s.split()
@@ -210,13 +203,13 @@ def classify(
 # -- preprocessing -----------------------------------------------------
 
 
-def _expand_env_vars(s: str, expansions: dict) -> str:
+def _expand_env_vars(s: str, table: dict) -> str:
     if "%" not in s:
         return s
 
     def repl(m: re.Match) -> str:
         var = m.group(0)
-        target = expansions.get(var.upper())
+        target = table.get(var.upper())
         if target is None:
             logger.warning("unknown environment variable %r left verbatim", var)
             return var
@@ -225,7 +218,7 @@ def _expand_env_vars(s: str, expansions: dict) -> str:
     return _ENV_VAR_RE.sub(repl, s)
 
 
-def _rewrite_registry_root(s: str, registry_roots: dict) -> str:
+def _rewrite_registry_root(s: str, roots: dict) -> str:
     m = _REGISTRY_HEAD_RE.match(s)
     if not m:
         return s
@@ -234,7 +227,7 @@ def _rewrite_registry_root(s: str, registry_roots: dict) -> str:
     if folded == "registry":
         rest = s[m.end(2) :].lstrip("\\/")
         return rest
-    abbrev = registry_roots.get(folded)
+    abbrev = roots.get(folded)
     if abbrev is not None:
         return abbrev + s[m.end(2) :]
     if lead:
@@ -278,21 +271,16 @@ def preprocess(
     raw: str,
     kind: IocKind,
     store: KnowledgeStore | None = None,
-    expansions: dict | None = None,
-    registry_roots: dict | None = None,
+    tables: Tables = BUNDLED,
 ) -> str:
     """Apply the four normalization cases; idempotent for a fixed table set."""
     if kind is IocKind.OTHER:
         raise ValueError("preprocess requires a classified kind (not 'other')")
-    expansions = expansions if expansions is not None else _default_expansions()
-    registry_roots = (
-        registry_roots if registry_roots is not None else _default_registry_roots()
-    )
 
     s = raw.strip()
-    s = _expand_env_vars(s, expansions)
+    s = _expand_env_vars(s, tables.expansions)
     if kind is IocKind.REGISTRY_KEY:
-        s = _rewrite_registry_root(s, registry_roots)
+        s = _rewrite_registry_root(s, tables.registry_roots)
     s = _normalize_usernames(s, kind, store)
     if kind is IocKind.COMMAND_LINE:
         s = _strip_command_extensions(s, store)
@@ -322,16 +310,13 @@ def make_record(
     raw: str,
     store: KnowledgeStore | None = None,
     source_id: str = "",
-    expansions: dict | None = None,
-    registry_roots: dict | None = None,
+    tables: Tables = BUNDLED,
 ) -> IocRecord:
     """Classify, preprocess and segment one raw indicator string."""
-    kind = classify(raw, store, registry_roots=registry_roots)
+    kind = classify(raw, store, tables)
     if kind is IocKind.OTHER:
         return IocRecord(raw=raw, kind=kind, normalized=raw.strip(), source_id=source_id)
-    normalized = preprocess(
-        raw, kind, store=store, expansions=expansions, registry_roots=registry_roots
-    )
+    normalized = preprocess(raw, kind, store, tables)
     components = segment(normalized, kind)
     return IocRecord(
         raw=raw,

@@ -39,10 +39,8 @@ from .normalize import (
     ClassificationError,
     IocKind,
     IocRecord,
+    Tables,
     TokenizationError,
-    check_table,
-    load_expansions,
-    load_registry_roots,
     make_record,
 )
 
@@ -124,21 +122,28 @@ def load_store(kb_paths: list[str] | None) -> KnowledgeStore:
     return KnowledgeStore.ingest(list(kb_paths)) if kb_paths else default_store()
 
 
-def load_tables(config: PipelineConfig) -> tuple[dict | None, dict | None]:
-    """The expansion and registry-root tables the config names, or None; a
-    malformed one is a ConfigError that names its file."""
+def _table_files(config: PipelineConfig) -> dict[str, str]:
+    """The table files the config names, by ``Tables`` field."""
+    named = {
+        "expansions": config.expansions_path,
+        "registry_roots": config.registry_roots_path,
+    }
+    return {key: path for key, path in named.items() if path}
+
+
+def load_tables(config: PipelineConfig) -> Tables:
+    """The tables in the files the config names, the bundled one for a table
+    it does not name; a malformed one is a ConfigError that names its file."""
+    files = _table_files(config)
+    return _tables({key: _read_json(path) for key, path in files.items()}, files.get)
+
+
+def _tables(values: dict, where) -> Tables:
+    """``Tables.from_json``, its ValueError a ConfigError."""
     try:
-        expansions = (
-            load_expansions(config.expansions_path) if config.expansions_path else None
-        )
-        roots = (
-            load_registry_roots(config.registry_roots_path)
-            if config.registry_roots_path
-            else None
-        )
-    except ValueError as exc:  # malformed JSON included
+        return Tables.from_json(values, where)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return expansions, roots
 
 
 def _read_json(path: str | Path):
@@ -152,7 +157,8 @@ def _read_json(path: str | Path):
 
 def load_iocs(path: str | Path) -> list[tuple[str, str]]:
     """Input list: JSON array of strings or ``{"text", "source_id"}`` objects;
-    a ``source_id`` that is present and not null must be a string."""
+    a ``source_id`` that is present and not null must be a string, and no
+    two entries may get one id."""
     data = _read_json(path)
     if not isinstance(data, list):
         raise ConfigError(f"{path}: expected a JSON list")
@@ -167,7 +173,17 @@ def load_iocs(path: str | Path) -> list[tuple[str, str]]:
             out.append((source_id or f"ioc-{i:04d}", entry["text"]))
         else:
             raise ConfigError(f"{path}[{i}]: expected a string or an object with 'text'")
+    _check_unique([ioc_id for ioc_id, _text in out], lambda i: f"{path}[{i}]")
     return out
+
+
+def _check_unique(ids: list[str], name) -> None:
+    """A ConfigError naming both entries, by ``name(index)``, when an id repeats."""
+    first_with_id: dict[str, int] = {}
+    for i, ioc_id in enumerate(ids):
+        first = first_with_id.setdefault(ioc_id, i)
+        if first != i:
+            raise ConfigError(f"{name(first)} and {name(i)} share the id {ioc_id!r}")
 
 
 def unfiltered_annotation(record: IocRecord) -> GroupAnnotation:
@@ -187,8 +203,7 @@ def _process_one(
     store: KnowledgeStore,
     config: PipelineConfig,
     backend: GeneratorBackend,
-    expansions: dict | None,
-    registry_roots: dict | None,
+    tables: Tables,
 ) -> tuple[str, dict, tuple[GroupAnnotation, str | None] | None]:
     """One indicator's outcome: its status, its product record or rejection
     entry, and its annotation dump entry (the annotation and its rejection
@@ -197,13 +212,7 @@ def _process_one(
     outcome, so one indicator never ends the batch."""
     rejection = {"ioc_id": source_id, "raw": raw}
     try:
-        record = make_record(
-            raw,
-            store,
-            source_id=source_id,
-            expansions=expansions,
-            registry_roots=registry_roots,
-        )
+        record = make_record(raw, store, source_id=source_id, tables=tables)
     except (ClassificationError, TokenizationError) as exc:
         return "failed", {**rejection, "reason": f"normalization error: {exc}"}, None
     if record.kind is IocKind.OTHER:
@@ -253,7 +262,7 @@ def run_generate(config: PipelineConfig) -> dict:
     """Process every input indicator; write the product file; return the summary."""
     config.validate()
     store = load_store(config.kb_paths)
-    expansions, registry_roots = load_tables(config)
+    tables = load_tables(config)
     backend = make_backend(config)
     iocs = load_iocs(config.input_path)
 
@@ -264,9 +273,7 @@ def run_generate(config: PipelineConfig) -> dict:
 
     def work(item: tuple[int, tuple[str, str]]) -> tuple:
         index, (source_id, raw) = item
-        return _process_one(
-            index, source_id, raw, store, config, backend, expansions, registry_roots
-        )
+        return _process_one(index, source_id, raw, store, config, backend, tables)
 
     if workers == 1:
         outcomes = [work(item) for item in enumerate(iocs)]
@@ -295,9 +302,8 @@ def run_generate(config: PipelineConfig) -> dict:
         "ablation": config.ablation or "full",
     }
     # Tables other than the bundled ones, for evaluate to normalize truths with.
-    for key, table in (("expansions", expansions), ("registry_roots", registry_roots)):
-        if table is not None:
-            summary[key] = table
+    for key in _table_files(config):
+        summary[key] = getattr(tables, key)
     product = {"records": records, "rejections": rejections, "summary": summary}
     _write_json(config.output_path, product)
     logger.info(
@@ -324,12 +330,16 @@ def run_evaluate(
         raise ConfigError(f"{products_path}: not a product file (missing 'records')")
     for i, record in enumerate(product["records"]):
         _check_product_record(record, f"{products_path}: record {i}")
+    # per-regex results are keyed by ioc_id
+    _check_unique(
+        [record["ioc_id"] for record in product["records"]],
+        lambda i: f"{products_path}: record {i}",
+    )
     summary = product.get("summary")
     summary = summary if isinstance(summary, dict) else {}
-    expansions = _recorded_table(summary, "expansions", products_path)
-    registry_roots = _recorded_table(summary, "registry_roots", products_path)
+    tables = _tables(summary, lambda key: f"{products_path}: summary {key!r}")
     try:
-        truths = evaluation.load_truths(truths_path, store, expansions, registry_roots)
+        truths = evaluation.load_truths(truths_path, store, tables)
     except evaluation.GroundTruthError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -379,14 +389,6 @@ _PRODUCT_RECORD_SCHEMA = {
         _is_finite_number,
     ),
 }
-
-
-def _recorded_table(summary: dict, key: str, where) -> dict | None:
-    table = summary.get(key)
-    try:
-        return None if table is None else check_table(table, f"{where}: summary {key!r}")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _check_product_record(record, where: str) -> None:

@@ -780,13 +780,13 @@ def _ref_registry_markers(registry_roots: dict) -> frozenset[str]:
 
 def reference_classify(raw: str, store=None, registry_roots: dict | None = None):
     from ioc2regex.knowledge import COMMAND_FOREST, strip_executable_extension
-    from ioc2regex.normalize import ClassificationError, IocKind, _default_registry_roots
+    from ioc2regex.normalize import BUNDLED, ClassificationError, IocKind
 
     s = raw.strip()
     if not s:
         raise ClassificationError("cannot classify empty or whitespace-only string")
 
-    roots = registry_roots if registry_roots is not None else _default_registry_roots()
+    roots = registry_roots if registry_roots is not None else BUNDLED.registry_roots
     first_component = _REF_DELIMS_RE.split(s.lstrip("\\/"), maxsplit=1)[0].strip()
     if first_component.casefold() in _ref_registry_markers(roots):
         return IocKind.REGISTRY_KEY
@@ -882,17 +882,13 @@ def reference_preprocess(
     expansions: dict | None = None,
     registry_roots: dict | None = None,
 ) -> str:
-    from ioc2regex.normalize import (
-        IocKind,
-        _default_expansions,
-        _default_registry_roots,
-    )
+    from ioc2regex.normalize import BUNDLED, IocKind
 
     if kind is IocKind.OTHER:
         raise ValueError("preprocess requires a classified kind (not 'other')")
-    expansions = expansions if expansions is not None else _default_expansions()
+    expansions = expansions if expansions is not None else BUNDLED.expansions
     registry_roots = (
-        registry_roots if registry_roots is not None else _default_registry_roots()
+        registry_roots if registry_roots is not None else BUNDLED.registry_roots
     )
 
     s = raw.strip()

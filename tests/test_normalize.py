@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from ioc2regex.knowledge import EXECUTABLE_EXTENSIONS
 from ioc2regex.normalize import (
+    BUNDLED,
     ClassificationError,
     IocKind,
+    Tables,
     TokenizationError,
     classify,
     make_record,
@@ -281,7 +283,7 @@ class TestAgainstReference:
     helpers and the character-loop segmenter (``oracles``)."""
 
     @pytest.mark.parametrize("store_name", ["bundled", "none", "tiny"])
-    @pytest.mark.parametrize("tables", [(None, None), CUSTOM_TABLES],
+    @pytest.mark.parametrize("tables", [None, CUSTOM_TABLES],
                              ids=["default-tables", "custom-tables"])
     @given(raw=st.lists(st.sampled_from(NORMALIZE_FRAGMENTS), max_size=12).map("".join))
     @settings(derandomize=True, deadline=None, max_examples=400)
@@ -290,18 +292,20 @@ class TestAgainstReference:
     @example(raw="C:\\uſers\\bob\\a.exe")
     def test_every_entry_point_agrees(self, store, store_name, tables, raw):
         any_store = {"bundled": store, "none": None, "tiny": TINY_STORE}[store_name]
-        expansions, roots = tables
-        assert _outcome(classify, raw, any_store, registry_roots=roots) == _outcome(
+        # the references take the raw tables, None for the bundled ones
+        expansions, roots = tables or (None, None)
+        tables = Tables(*tables) if tables else BUNDLED
+        assert _outcome(classify, raw, any_store, tables) == _outcome(
             reference_classify, raw, any_store, registry_roots=roots
         )
         for kind in KINDS:
-            ours = _outcome(preprocess, raw, kind, any_store, expansions, roots)
+            ours = _outcome(preprocess, raw, kind, any_store, tables)
             assert ours == reference_preprocess(raw, kind, any_store, expansions, roots)
             for text in (raw, ours):
                 assert _outcome(segment, text, kind) == _outcome(
                     reference_segment, text, kind
                 )
-        assert _outcome(make_record, raw, any_store, "id", expansions, roots) == (
+        assert _outcome(make_record, raw, any_store, "id", tables) == (
             _outcome(reference_make_record, raw, any_store, "id", expansions, roots)
         )
 
@@ -349,8 +353,12 @@ class TestAgainstReference:
                     bad.append((ext, hex(i)))
         assert bad == []
 
-    def test_caller_registry_table_read_on_every_call(self):
-        roots = {}
-        assert classify("myroot\\Run", registry_roots=roots) is IocKind.FILE_PATH
-        roots["myroot"] = "MR"
-        assert classify("myroot\\Run", registry_roots=roots) is IocKind.REGISTRY_KEY
+    def test_markers_come_from_a_tables_roots_and_their_values(self):
+        tables = Tables.from_json({"registry_roots": {"MyRoot": "MR"}}, str)
+        assert tables.expansions == BUNDLED.expansions
+        assert tables.registry_roots == {"myroot": "MR"}
+        assert tables.markers == {"myroot", "mr", "registry"}
+        for raw in ("MYROOT\\Run", "mr\\Run", "Registry\\x"):
+            assert classify(raw, tables=tables) is IocKind.REGISTRY_KEY
+        assert classify("myroot\\Run") is IocKind.FILE_PATH
+        assert preprocess("myRoot\\Run", IocKind.REGISTRY_KEY, tables=tables) == "MR\\Run"

@@ -377,6 +377,32 @@ class TestLoadIocs:
         path = write_json(tmp_path / "iocs.json", entries)
         assert load_iocs(path) == [("ioc-0000", "a"), ("ioc-0001", "b"), ("ioc-0002", "c")]
 
+    @pytest.mark.parametrize(
+        "entries, first, second, ioc_id",
+        [
+            ([{"text": "x", "source_id": "a"}, {"text": "y", "source_id": "a"}],
+             0, 1, "a"),
+            # an explicit id that equals another entry's default id
+            (["x", "y", "z", {"text": "w", "source_id": "ioc-0002"}], 2, 3, "ioc-0002"),
+            ([{"text": "x", "source_id": "ioc-0001"}, "y"], 0, 1, "ioc-0001"),
+        ],
+        ids=["explicit", "explicit-after-default", "default-after-explicit"],
+    )
+    def test_duplicate_ids_rejected(self, tmp_path, entries, first, second, ioc_id):
+        path = write_json(tmp_path / "iocs.json", entries)
+        message = rf"iocs\.json\[{first}\] and .*iocs\.json\[{second}\] share the id '{ioc_id}'"
+        with pytest.raises(ConfigError, match=message):
+            load_iocs(path)
+
+    def test_duplicate_ids_exit_code_1(self, tmp_path, caplog):
+        entries = [{"text": r"C:\Users\Public\x.bat", "source_id": "a"},
+                   {"text": r"C:\Windows\Temp\y.exe", "source_id": "a"}]
+        inp = write_json(tmp_path / "iocs.json", entries)
+        rc = main(["generate", "--input", inp, "--output", str(tmp_path / "p.json")])
+        assert rc == 1
+        assert "share the id 'a'" in caplog.text
+        assert not (tmp_path / "p.json").exists()
+
 
 class TestRunEvaluate:
     def make_files(self, tmp_path):
@@ -539,6 +565,16 @@ class TestRunEvaluate:
         monkeypatch.setattr(dialect, "tokenize", counting)
         run_evaluate(products, str(DATA / "e2e_truths.json"), tmp_path / "r.json")
         assert calls == Counter(patterns)
+
+    def test_records_sharing_an_ioc_id_rejected(self, tmp_path):
+        products = write_json(
+            tmp_path / "products.json",
+            {"records": [product_record("a"), product_record("b"), product_record("a")]},
+        )
+        truths = write_json(tmp_path / "t.json", [])
+        with pytest.raises(ConfigError, match="record 0 and .*record 2 share the id 'a'"):
+            run_evaluate(products, truths, tmp_path / "r.json")
+        assert not (tmp_path / "r.json").exists()
 
     def test_bad_product_file(self, tmp_path):
         bad = write_json(tmp_path / "bad.json", {"nope": []})
@@ -1003,6 +1039,47 @@ class TestCli:
         assert f"{path}" in caplog.text
         assert "unexpected failure" not in caplog.text
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize(
+        "key, table, unfolded, kind, ioc, truth, groups",
+        [
+            ("registry_roots", {"HKEY_CURRENT_USER": "HKCU"},
+             {"HKEY_CURRENT_USER": "HKCU"}, "registry_key",
+             r"HKEY_CURRENT_USER\Software\Microsoft\Windows\CurrentVersion\Run\x",
+             r"HKEY_CURRENT_USER\Software\Microsoft\Windows\CurrentVersion\Run\y",
+             ["software", "microsoft", "windows", "currentversion", "run"]),
+            ("expansions", {"%USERPROFILE%": "C:\\Users\\Public"},
+             {"%userprofile%": "C:\\Users\\Public"}, "file_path",
+             r"%USERPROFILE%\Tools\x.bat", r"%USERPROFILE%\Tools\y.bat",
+             ["users", "public", "tools"]),
+        ],
+        ids=["registry-roots", "expansions"],
+    )
+    def test_recorded_table_keys_are_folded(
+        self, tmp_path, key, table, unfolded, kind, ioc, truth, groups
+    ):
+        option = "--" + key.replace("_", "-")
+        inp = write_json(tmp_path / "iocs.json", [ioc])
+        table_path = write_json(tmp_path / "table.json", table)
+        truths = write_json(
+            tmp_path / "truths.json",
+            [{"text": truth, "kind": kind, "capture_groups": groups}],
+        )
+        products = tmp_path / "p.json"
+        assert main(["generate", "--input", inp, "--output", str(products),
+                     option, table_path]) == 0
+        product = json.loads(products.read_text())
+        assert product["summary"][key] != unfolded  # written with folded keys
+        product["summary"][key] = unfolded
+        unfolded_products = write_json(tmp_path / "p-unfolded.json", product)
+        reports = []
+        for path in (str(products), unfolded_products):
+            report = tmp_path / "report.json"
+            assert main(["evaluate", "--products", path, "--truths", truths,
+                         "--output", str(report)]) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["reports"][0]["hit_rate"] == 1.0
 
     @pytest.mark.parametrize("table", [["x"], {"%A%": 1}, "C:"])
     def test_malformed_recorded_table_is_config_error(self, tmp_path, table):
