@@ -29,17 +29,22 @@ Where no alternative matches, the text there names the error.  A brace bound
 is made of the ASCII digits ``0-9`` only, as ``re`` and PCRE read it, so
 ``a{٣}`` is that literal text, not ``a`` three times.
 
-``analyze`` tokenizes a pattern, decides in one walk of its tokens
-(``structure``) whether it is valid, which of its literal runs are required,
-and the two shapes the match rules below look for, and caches the result,
+``analyze`` decides with one ``fullmatch`` of the find-chain regex, built
+from the scanner's literal and escape alternatives, whether a pattern has
+the find-chain shape of the match rules below; such a pattern is valid, and
+its flags, runs (all required) and wildcards are read off that match.  Any
+other pattern is tokenized, and one walk of its tokens (``structure``)
+decides whether it is valid, which of its literal runs are required, and
+whether it opens with a leading wildcard.  ``analyze`` caches the result,
 or the ``DialectError`` it raised; the validation gates, the grader and the
 evaluation all read that one analysis.  A run is *required* when it is
 literally on every match path, not in an alternation branch or a group that
-may match zero times.  ``Analysis.regex`` is compiled on first use.
-``analyze`` compiles every pattern outside the find-chain shape at once, so
-an ``re.error`` is still a ``DialectError``; a find-chain pattern always
-compiles, and is compiled only if a search needs it.
-An analysis, its tokens and its literal runs are shared by every caller
+may match zero times.  A find-chain pattern's ``Analysis.tokens`` are built
+on first use (only the diagnostic of a miss walks them), and so is
+``Analysis.regex``.  ``analyze`` compiles every pattern outside the
+find-chain shape at once, so an ``re.error`` is still a ``DialectError``; a
+find-chain pattern always compiles, and is compiled only if a search needs
+it.  An analysis, its tokens and its literal runs are shared by every caller
 that analyzes the same pattern, through the cache, and are never mutated;
 ``Token`` and ``LiteralRun`` are slotted dataclasses, not frozen ones,
 because building one is half as costly, so nothing may hash or change them.
@@ -112,6 +117,13 @@ ALT = "alt"
 QUANT = "quant"
 LITERAL = "literal"
 
+# The literal characters of the dialect, a plain one or a '{' that opens no
+# quantifier, and an escape: what ``_SCANNER`` takes as literal text, and
+# what the find-chain regex takes between wildcards.
+_PLAIN = r"[^\\\[().^$|*+?{]"
+_BRACE = r"\{(?![0-9]+(?:,[0-9]*)?\}|,[0-9]*\})"
+_ESCAPE = r"\\(?![^\W_])[\s\S]"  # [^\W_] is str.isalnum
+
 # One alternative per token kind, named after it (module docstring).  A class
 # is matched up to its '[' only; ``_parse_class`` finds its end, since its
 # leading-']' rule needs an atomic group, which ``re`` lacks before Python
@@ -119,21 +131,31 @@ LITERAL = "literal"
 # extension, or {,n}, which Python reads as {0,n} and other engines as
 # literal text.
 _SCANNER = re.compile(
-    r"""
+    rf"""
     (?P<flags>\A\(\?[ims]+\))
     | (?P<class_escape>\\[wWsSdD])
-    | (?P<escape>\\(?![^\W_])[\s\S])  # [^\W_] is str.isalnum
+    | (?P<escape>{_ESCAPE})
     | (?P<class>\[)
     | (?P<group_open>\((?:\?:|(?!\?)))
     | (?P<group_close>\))
     | (?P<dot>\.)
     | (?P<anchor>[\^$])
     | (?P<alt>\|)
-    | (?P<quant>(?:[*+?]|\{[0-9]+(?:,[0-9]*)?\})\??)
-    | (?P<literal>(?:[^\\\[().^$|*+?{]|\{(?![0-9]+(?:,[0-9]*)?\}|,[0-9]*\}))+)
+    | (?P<quant>(?:[*+?]|\{{[0-9]+(?:,[0-9]*)?\}})\??)
+    | (?P<literal>(?:{_PLAIN}|{_BRACE})+)
     """,
     re.VERBOSE,
 )
+# The find-chain shape (module docstring): flags (group 1), then a body
+# (group 2) of literal characters, escapes and wildcards.  Each first
+# character has one alternative, and plain characters run between the
+# others, so a fullmatch takes time linear in the pattern.  A '.' is
+# never literal in a body it accepts, nor may an escaped one be quantified,
+# so every '.*' there is a wildcard: ``_WILDCARD`` splits the body at them.
+_CHAIN = re.compile(
+    rf"(?:\(\?([ims]+)\))?({_PLAIN}*(?:(?:{_ESCAPE}|{_BRACE}|\.\*\??){_PLAIN}*)*)"
+)
+_WILDCARD = re.compile(r"(\.\*\??)")
 _MAX_BOUND = 65535  # the largest brace bound
 
 # Analyses kept for reuse; one indicator's k workflows mostly repeat patterns.
@@ -141,8 +163,6 @@ _ANALYSIS_CACHE_SIZE = 64
 
 # Tokens a quantifier may follow.
 _QUANTIFIABLE = frozenset({LITERAL, ESCAPE, CLASS_ESCAPE, CLASS, DOT, GROUP_CLOSE})
-# Tokens of a find-chain pattern besides the quantifiers of its dots.
-_CHAIN_KINDS = frozenset({FLAGS, LITERAL, ESCAPE, DOT})
 
 DIALECT_RULES = (
     "- optional leading (?i) for case-insensitive matching",
@@ -291,16 +311,13 @@ class _Group:
     repeats: bool = False  # a repeating quantifier at any depth
 
 
-def structure(
-    tokens: Sequence[Token],
-) -> tuple[tuple[LiteralRun, ...], bool, bool]:
+def structure(tokens: Sequence[Token]) -> tuple[tuple[LiteralRun, ...], bool]:
     """Validate a token stream and find its literal runs, in one walk.
 
-    Returns the maximal literal runs, with unescaped text; whether the
-    pattern opens with a leading wildcard, its half of the offset-0 rule;
-    and whether it has the find-chain shape (both in the module docstring).
-    Raises DialectError outside the dialect.  A quantified atom is in no
-    run, and any other non-literal token ends one.
+    Returns the maximal literal runs, with unescaped text, and whether the
+    pattern opens with a leading wildcard, its half of the offset-0 rule
+    (module docstring).  Raises DialectError outside the dialect.  A
+    quantified atom is in no run, and any other non-literal token ends one.
     """
     texts: list[str] = []
     required: list[bool] = []
@@ -310,7 +327,6 @@ def structure(
     prev: Token | None = None
     second = 2 if tokens and tokens[0].kind == FLAGS else 1  # index of the 2nd body token
     leading = False
-    chain = True
 
     def flush() -> None:
         if current:
@@ -322,8 +338,6 @@ def structure(
         required[first:] = [False] * (len(texts) - first)
 
     for k, tok in enumerate(tokens):
-        if tok.kind != QUANT:
-            chain &= tok.kind in _CHAIN_KINDS and (prev is None or prev.kind != DOT)
         if tok.kind == LITERAL:
             current.append(tok.text)
         elif tok.kind == ESCAPE:
@@ -339,7 +353,6 @@ def structure(
             if too_large:
                 raise DialectError(f"repetition bound above {_MAX_BOUND}", tok.pos)
             repeats = high is None or high > 1
-            chain &= prev.kind == DOT and tok.text in ("*", "*?")
             leading |= k == second and prev.kind == DOT and high is None
             if prev.kind == GROUP_CLOSE:
                 if repeats and closed.repeats:
@@ -387,9 +400,8 @@ def structure(
     flush()
     if stack[0].alt:
         not_required(0)
-    chain &= prev is None or prev.kind != DOT
     runs = tuple(map(LiteralRun, texts, required))
-    return runs, leading and not stack[0].alt, chain
+    return runs, leading and not stack[0].alt
 
 
 @dataclass(slots=True)
@@ -413,7 +425,7 @@ def fold(text: str) -> str | None:
 
 @dataclass(frozen=True)
 class Analysis:
-    """One pattern's tokens and literal runs, and its regex.
+    """One pattern's literal runs and wildcards, its tokens and its regex.
 
     ``flags`` holds the letters of the inline flags token, e.g. ``"i"``.
     ``leading_wildcard`` is the pattern's half of the offset-0 rule in the
@@ -421,20 +433,30 @@ class Analysis:
     that are ASCII, in pattern order.  ``chain`` holds the runs ``matches``
     finds in order, for a pattern of the find-chain shape: under ``(?i)``
     the needles, when every run is ASCII.  It is None for any other pattern.
-    The regex is compiled on first use.
+    ``wildcards`` are the pattern's ``wildcard_units``.  A find-chain
+    pattern's tokens, and any pattern's regex, are built on first use.
     """
 
     pattern: str
-    tokens: tuple[Token, ...]
     runs: tuple[LiteralRun, ...]
     flags: str
     leading_wildcard: bool
     needles: tuple[str, ...]
     chain: tuple[str, ...] | None
+    wildcards: tuple[tuple[int, int, str], ...]
+
+    @functools.cached_property
+    def tokens(self) -> tuple[Token, ...]:
+        return tuple(tokenize(self.pattern))
 
     @functools.cached_property
     def regex(self) -> re.Pattern:
         return re.compile(self.pattern)
+
+    @property
+    def body_start(self) -> int:
+        """The offset of the pattern's body, after its flags token."""
+        return len(self.flags) + 3 if self.flags else 0
 
     def _at_offset_0(self, text: str) -> bool:
         """Whether a search of ``text`` finds a match at offset 0 or none
@@ -543,20 +565,47 @@ class Analysis:
         return matched, m.end(), failing
 
 
+def _unescape(run: str) -> str:
+    """The text of a run of a find-chain body: each backslash there opens
+    an escape, so a pair of them stands for one, and a lone one for the
+    character after it."""
+    if "\\" not in run:
+        return run
+    return "\\".join([part.replace("\\", "") for part in run.split("\\\\")])
+
+
 @functools.lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)
 def _analysis_or_error(pattern: str) -> Analysis | tuple[str, int]:
-    """The pattern's analysis, or the message and offset of its DialectError."""
-    try:
-        tokens = tuple(tokenize(pattern))
-        runs, leading, chain_shape = structure(tokens)
-    except DialectError as exc:
-        return exc.message, exc.offset
-    flags = tokens[0].text[2:-1] if tokens and tokens[0].kind == FLAGS else ""
+    """The pattern's analysis, or the message and offset of its DialectError.
+
+    A pattern the find-chain regex accepts is read off its match, split at
+    its wildcards; any other is tokenized and walked by ``structure``."""
+    shape = _CHAIN.fullmatch(pattern)
+    if shape is not None:
+        flags, pos = shape[1] or "", shape.start(2)
+        texts, units = [], []
+        for k, piece in enumerate(_WILDCARD.split(shape[2])):
+            if k % 2:
+                units.append((pos, pos + len(piece), piece))
+            elif piece:
+                texts.append(_unescape(piece))
+            pos += len(piece)
+        runs = tuple(LiteralRun(text, True) for text in texts)
+        leading, chain, tokens = shape[2].startswith(".*"), tuple(texts), None
+    else:
+        try:
+            tokens = tuple(tokenize(pattern))
+            runs, leading = structure(tokens)
+        except DialectError as exc:
+            return exc.message, exc.offset
+        flags = tokens[0].text[2:-1] if tokens and tokens[0].kind == FLAGS else ""
+        units, chain = wildcard_units(tokens), None
     needles = tuple(f for r in runs if r.required and (f := fold(r.text)) is not None)
-    chain = tuple(r.text for r in runs) if chain_shape else None
     if chain is not None and "i" in flags:
         chain = needles if len(needles) == len(chain) else None
-    analysis = Analysis(pattern, tokens, runs, flags, leading, needles, chain)
+    analysis = Analysis(pattern, runs, flags, leading, needles, chain, tuple(units))
+    if tokens is not None:
+        vars(analysis)["tokens"] = tokens  # the cached property, built already
     if chain is None:
         try:
             analysis.regex  # compile now: an re.error is a DialectError
@@ -566,11 +615,12 @@ def _analysis_or_error(pattern: str) -> Analysis | tuple[str, int]:
 
 
 def analyze(pattern: str) -> Analysis:
-    """Tokenize and validate a pattern; raises DialectError.
+    """Validate and analyze a pattern; raises DialectError.
 
     The outcome is cached: a repeated invalid pattern raises a new
     DialectError with the same message and offset, without tokenizing it
-    again.  ``analyze.cache_clear()`` empties the cache."""
+    again.  ``analyze.cache_clear()`` empties the cache, and
+    ``analyze.cache_info()`` counts its hits and misses."""
     outcome = _analysis_or_error(pattern)
     if isinstance(outcome, Analysis):
         return outcome
@@ -578,6 +628,7 @@ def analyze(pattern: str) -> Analysis:
 
 
 analyze.cache_clear = _analysis_or_error.cache_clear
+analyze.cache_info = _analysis_or_error.cache_info
 
 
 def compile_pattern(pattern: str) -> re.Pattern:

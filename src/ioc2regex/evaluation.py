@@ -116,7 +116,7 @@ def make_truth(
     normalized = text.strip()
     if kind is not IocKind.OTHER:
         normalized = preprocess(text, kind, store, tables)
-    folded = frozenset(g.casefold() for g in groups)
+    folded = [g.casefold() for g in groups]  # in order: an error names the first
     haystack = normalized.casefold()
     for g in folded:
         if g not in haystack:
@@ -126,7 +126,7 @@ def make_truth(
     return GroundTruthString(
         text=text,
         kind=kind,
-        capture_groups=folded,
+        capture_groups=frozenset(folded),
         dataset_id=dataset_id,
         normalized=normalized,
     )
@@ -280,7 +280,9 @@ def levenshtein(a: str, b: str) -> int:
     one column of the DP matrix over the longer string is held as two bit
     vectors (its vertical +1 and -1 deltas) in Python ints, so each
     character of the shorter string costs a few integer operations instead
-    of one update per cell.
+    of one update per cell.  The vectors stay non-negative (a complement is
+    an xor with the mask), and the distance is read once, at the end: the
+    last column's top cell, ``len(b)``, plus its vertical deltas.
     """
     if not a:
         return len(b)
@@ -292,23 +294,16 @@ def levenshtein(a: str, b: str) -> int:
     for i, ch in enumerate(a):
         peq[ch] = peq.get(ch, 0) | (1 << i)
     mask = (1 << len(a)) - 1
-    last = 1 << (len(a) - 1)
-    pv, mv, score = mask, 0, len(a)
+    pv, mv = mask, 0
     for ch in b:
         eq = peq.get(ch, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        if ph & last:
-            score += 1
-        elif mh & last:
-            score -= 1
-        ph = (ph << 1) | 1
-        mh <<= 1
-        pv = (mh | ~(xv | ph)) & mask
+        ph = (mv | mask ^ (xh | pv)) << 1 | 1
+        mh = (pv & xh) << 1
+        pv = (mh | mask ^ (xv | ph)) & mask
         mv = ph & xv
-    return score
+    return len(b) + pv.bit_count() - mv.bit_count()
 
 
 def similarity(pattern: str, source_ioc: str) -> float:

@@ -14,7 +14,9 @@ pattern's literal runs pin of an indicator, for the group audit
   literals: stretches of three or more characters of a run that no keep
   occurrence covers and that are not glue (``\\``, ``/``, space, tab).  One
   leading and one trailing bare ``.*`` only say that the pattern may match
-  anywhere in a string, so they are exempt.
+  anywhere in a string, so they are exempt.  ``grade`` reads the units and
+  the start of the body from the pattern's analysis, which holds them
+  whether or not it has tokenized the pattern.
 - All comparisons are case-folded, with the marks of a keep occurrence on
   the run's original characters (``ß``, which folds to ``ss``, is one
   character): ``coverage`` marks the keeps in each run's case fold, and
@@ -75,10 +77,9 @@ def grade(
         pinned = generation.coverage(pattern, annotation)
     n_cg = len(annotation.keep_components) - len(pinned.missing_keep)
     # a bare ".*" that opens or closes the body is exempt (module docstring)
-    head = next((t.pos for t in analysis.tokens if t.kind != dialect.FLAGS), 0)
     n_wc = sum(
-        text != ".*" or head < start and end < len(pattern)
-        for start, end, text in dialect.wildcard_units(analysis.tokens)
+        text != ".*" or analysis.body_start < start and end < len(pattern)
+        for start, end, text in analysis.wildcards
     )
     for run, spans in zip(analysis.runs, pinned.found):
         chars = list(run.text)

@@ -569,6 +569,23 @@ def reference_structure(tokens):
     return runs, leading
 
 
+def reference_chain_shape(tokens) -> bool:
+    """Whether a valid token stream has the find-chain shape: flags, then
+    literals, escapes and dots only, each dot under ``*`` or ``*?`` and no
+    other quantifier."""
+    for k, tok in enumerate(tokens):
+        nxt = tokens[k + 1] if k + 1 < len(tokens) else None
+        if tok.kind == DOT:
+            if nxt is None or nxt.kind != QUANT or nxt.text not in ("*", "*?"):
+                return False
+        elif tok.kind == QUANT:
+            if k == 0 or tokens[k - 1].kind != DOT:
+                return False
+        elif tok.kind not in (FLAGS, LITERAL, ESCAPE):
+            return False
+    return True
+
+
 def reference_debug_check(pattern: str, target: str):
     """The debug diagnostic with every literal split into characters before
     the prefix scan starts (the eager form); same fields, same text."""

@@ -19,7 +19,12 @@ from ioc2regex.dialect import (
     wildcard_units,
 )
 from ioc2regex.generation import debug_check
-from oracles import reference_debug_check, reference_structure, reference_tokenize
+from oracles import (
+    reference_chain_shape,
+    reference_debug_check,
+    reference_structure,
+    reference_tokenize,
+)
 from test_generation import DEBUG_ELEMENTS, hard_timeout
 
 
@@ -624,6 +629,14 @@ class TestMatches:
     def test_chain_shape(self, pattern, chain):
         assert analyze(pattern).chain == chain
 
+    def test_chain_tokens_built_on_first_use(self):
+        analyze.cache_clear()
+        chain, other = analyze(r"(?i).*Users\\Public\\.*"), analyze(r"(?i).*Users\\.+")
+        assert "tokens" not in vars(chain)
+        assert "tokens" in vars(other)  # tokenized to find its shape
+        assert chain.tokens == tuple(tokenize(chain.pattern))
+        assert "tokens" in vars(chain)
+
     def test_chain_decided_without_compiling(self):
         pattern = "(?i).*-enc.*-nop.*-w.*"
         analyze.cache_clear()
@@ -638,6 +651,66 @@ class TestMatches:
         analyze.cache_clear()
         with pytest.raises(DialectError, match="bad character range"):
             analyze("[z-a].*")
+
+
+# Chain-heavy soup: chain atoms and literals, brace quantifiers and near
+# misses, an over-lazy wildcard, flags past the start, escaped non-ASCII
+# characters, and atoms that take a pattern out of the shape.
+CHAIN_SOUP = (
+    CHAIN_ATOMS + CHAIN_LITERALS + OTHER_ATOMS
+    + ["{2}", "{,3}", "\\{", ".*??", "(?i)", "(?s)", "\\\u20ac", "\\\u00e9", "\\\\"]
+)
+
+
+class TestChainRegex:
+    """The find-chain regex against the token path it stands in for."""
+
+    @settings(derandomize=True, deadline=None, max_examples=1500)
+    @given(
+        flags=st.sampled_from(["", "(?i)", "(?s)", "(?is)", "(?m)"]),
+        atoms=st.lists(st.sampled_from(CHAIN_SOUP), max_size=7),
+    )
+    @example(flags="(?i)", atoms=[".*", "a", "\\\\", ".*"])
+    @example(flags="", atoms=["a", "{2}", ".*"])
+    @example(flags="", atoms=[".*??"])
+    @example(flags="", atoms=["\\{", "{2}"])
+    def test_accepts_exactly_valid_chains(self, flags, atoms):
+        pattern = flags + "".join(atoms)
+        try:
+            tokens = tuple(tokenize(pattern))
+            runs, leading = structure(tokens)
+            re.compile(pattern)
+        except (DialectError, re.error):
+            valid = False
+        else:
+            valid = True
+        accepted = dialect._CHAIN.fullmatch(pattern) is not None
+        assert accepted == (valid and reference_chain_shape(tokens))
+        if not accepted:
+            return
+        analyze.cache_clear()
+        analysis = analyze(pattern)
+        assert "tokens" not in vars(analysis)
+        needles = tuple(r.text.lower() for r in runs if r.required and r.text.isascii())
+        chain = tuple(r.text for r in runs)
+        if "i" in analysis.flags and len(needles) < len(chain):
+            chain = None
+        elif "i" in analysis.flags:
+            chain = needles
+        assert analysis.runs == runs
+        assert analysis.leading_wildcard is leading
+        assert analysis.needles == needles
+        assert analysis.chain == chain
+        assert analysis.wildcards == tuple(wildcard_units(tokens))
+        assert analysis.tokens == tokens
+
+    @pytest.mark.parametrize(
+        "unit, tail", [("a", "*"), (r"\.", "+"), ("{", "{2}"), (".*?", "?"), (r"ab\\{x.*", "[")]
+    )
+    def test_rejects_a_long_near_chain_in_linear_time(self, unit, tail):
+        pattern = unit * (60_000 // len(unit)) + tail
+        with hard_timeout(0.5):
+            assert dialect._CHAIN.fullmatch(pattern) is None
 
 
 # Literal atoms of find-chain runs: CHAIN_ATOMS without the wildcards,

@@ -1,12 +1,17 @@
 import json
+import os
 import random
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ioc2regex
 from ioc2regex import dialect
 from ioc2regex.evaluation import (
     SEPARATOR,
@@ -423,6 +428,21 @@ class TestGroundTruthLoading:
     def test_group_missing_from_text_rejected(self, store):
         with pytest.raises(GroundTruthError, match="does not appear"):
             truth(r"c:\windows\a.exe", "file_path", ["system32"], store=store)
+
+    def test_first_missing_group_named_under_any_hash_seed(self):
+        # a set of the groups would be iterated in an order PYTHONHASHSEED picks
+        code = (
+            "from ioc2regex.evaluation import make_truth\n"
+            "make_truth({'text': 'x.exe', 'kind': 'other',"
+            " 'capture_groups': ['alpha', 'beta', 'gamma']})\n"
+        )
+        src = str(Path(ioc2regex.__file__).parents[1])
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            run = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True
+            )
+            assert "capture group 'alpha' does not appear" in run.stderr, (seed, run.stderr)
 
     def test_non_string_dataset_id_rejected(self, store, tmp_path):
         entry = {"text": r"c:\windows\a.exe", "kind": "file_path",
