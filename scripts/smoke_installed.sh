@@ -1,0 +1,49 @@
+#!/usr/bin/env bash
+# Smoke test of an installed ioc2regex: every subcommand through the
+# `ioc2regex` console script, with the bundled data files, outside the
+# source tree.  It writes its inputs and outputs to the current directory,
+# so run it from an empty one:
+#
+#   python -m pip install .        # or: pip install -e . --no-build-isolation
+#   mkdir -p /tmp/smoke && cd /tmp/smoke && bash /path/to/scripts/smoke_installed.sh
+#
+# Exits non-zero at the first check that fails.
+set -euo pipefail
+
+kb_dir=$(python -c "import ioc2regex, pathlib; print(pathlib.Path(ioc2regex.__file__).parent / 'data' / 'kb')")
+ioc2regex kb-validate "$kb_dir"/*.json
+echo '["C:\\Users\\Public\\x.bat"]' > iocs.json
+ioc2regex generate --input iocs.json --output products.json --dump-annotations annotations.json
+python -c "import json, sys; sys.exit(json.load(open('products.json'))['summary']['generated'] != 1)"
+python -c "import json, sys; sys.exit([a['rejection_reason'] for a in json.load(open('annotations.json'))] != [None])"
+echo '{"emissions": ["(?i).*(unclosed", "(?i).*Users\\\\Nobody\\\\.*"], "per_record": true, "fallback": "template"}' > replay.json
+ioc2regex generate --backend scripted --replay replay.json --input iocs.json --output repaired.json
+python -c "import json, sys; sys.exit(json.load(open('repaired.json'))['summary']['generated'] != 1)"
+python -c "import json, sys; p = [json.load(open(f))['records'][0]['pattern'] for f in ('products.json', 'repaired.json')]; sys.exit(p[0] != p[1])"
+echo '[{"text": "C:\\Users\\Public\\y.bat", "kind": "file_path", "capture_groups": ["users", "public"]}]' > truths.json
+ioc2regex evaluate --products products.json --truths truths.json --output report.json --dump-matches matches.json
+python -c "import json, sys; sys.exit(json.load(open('report.json'))['reports'][0]['hit_rate'] != 1.0)"
+python -c "import json, sys; t = json.load(open('truths.json'))[0]['text']; sys.exit([m['matched'] for m in json.load(open('matches.json'))] != [[t]])"
+ioc2regex ablate --mode C-R --input iocs.json --output ablated.json --truths truths.json --report ablated-report.json
+python -c "import json, sys; sys.exit(json.load(open('ablated.json'))['summary']['generated'] != 1)"
+python -c "import json, sys; sys.exit(json.load(open('ablated-report.json'))['reports'][0]['hit_rate'] != 1.0)"
+echo '{"HKEY_CURRENT_USER": "HKCU"}' > roots.json
+echo '["HKEY_CURRENT_USER\\Software\\Microsoft\\Windows\\CurrentVersion\\Run\\x.exe"]' > reg-iocs.json
+ioc2regex generate --input reg-iocs.json --output reg-products.json --registry-roots roots.json
+python -c "import json, sys; sys.exit(json.load(open('reg-products.json'))['summary']['registry_roots'] != {'hkey_current_user': 'HKCU'})"
+echo '[{"text": "HKEY_CURRENT_USER\\Software\\Microsoft\\Windows\\CurrentVersion\\Run\\y.exe", "kind": "registry_key", "capture_groups": ["hkcu", "software", "run"]}]' > reg-truths.json
+ioc2regex evaluate --products reg-products.json --truths reg-truths.json --output reg-report.json
+python -c "import json, sys; sys.exit(json.load(open('reg-report.json'))['reports'][0]['hit_rate'] != 1.0)"
+echo '[{"text": "C:\\Users\\Public\\y.bat", "kind": "file_path", "capture_groups": ["users", "alpha", "beta"]}]' > two-missing.json
+for seed in 1 2; do
+  PYTHONHASHSEED=$seed ioc2regex generate --input iocs.json --output products-$seed.json
+  PYTHONHASHSEED=$seed ioc2regex evaluate --products products-$seed.json --truths truths.json --output report-$seed.json
+  if PYTHONHASHSEED=$seed ioc2regex evaluate --products products-$seed.json --truths two-missing.json --output missing-$seed.json 2> missing-$seed.err; then exit 1; fi
+done
+cmp products-1.json products-2.json
+cmp report-1.json report-2.json
+cmp missing-1.err missing-2.err
+for f in products.json annotations.json repaired.json report.json matches.json ablated.json ablated-report.json reg-products.json reg-report.json; do
+  python -c "import json, sys; t = open(sys.argv[1], encoding='utf-8').read(); sys.exit(t != json.dumps(json.loads(t), indent=2, sort_keys=True) + '\n' and sys.argv[1] + ' differs from json.dumps')" "$f"
+done
+echo "installed package smoke test passed"

@@ -67,11 +67,6 @@ class GroundTruthString:
     dataset_id: str
     normalized: str = ""
 
-    @functools.cached_property
-    def fold(self) -> str | None:
-        """``dialect.fold`` of the normalized text."""
-        return dialect.fold(self.normalized)
-
 
 def load_truths(
     path: str | Path,
@@ -113,9 +108,7 @@ def make_truth(
     if not isinstance(dataset_id, str):
         raise GroundTruthError(f"{where}: 'dataset_id' must be a string")
 
-    normalized = text.strip()
-    if kind is not IocKind.OTHER:
-        normalized = preprocess(text, kind, store, tables)
+    normalized = preprocess(text, kind, store, tables)
     folded = [g.casefold() for g in groups]  # in order: an error names the first
     haystack = normalized.casefold()
     for g in folded:
@@ -221,13 +214,13 @@ class _Haystack:
 
 class TruthSet(list):
     """A list of truths with the prefilter's two haystacks (module
-    docstring), each built on first use: ``folded`` over the truths'
-    ``fold``s, read under ``(?i)``, and ``exact`` over their normalized
-    texts.  Do not change the list once a haystack is built."""
+    docstring), each built on first use: ``folded`` over the
+    ``dialect.fold`` of the truths' normalized texts, read under ``(?i)``,
+    and ``exact`` over those texts.  Do not change the list once a haystack is built."""
 
     @functools.cached_property
     def folded(self) -> _Haystack:
-        return _Haystack([t.fold for t in self])
+        return _Haystack([dialect.fold(t.normalized) for t in self])
 
     @functools.cached_property
     def exact(self) -> _Haystack:

@@ -208,11 +208,6 @@ def _folded_keeps(keep_components) -> list[str]:
     return [c.casefold() for c in keep_components if c]
 
 
-def _probe_alphabet(folded: list[str]) -> str:
-    """The probe alphabet without the one-character keeps (case-folded)."""
-    return "".join(c for c in _PROBE_ALPHABET if c.casefold() not in folded)
-
-
 def _probe_stream(
     rng_seed: int, keep_components: list[str] | tuple[str, ...] = ()
 ) -> Iterator[str]:
@@ -232,7 +227,7 @@ def _probe_stream(
             rejects = 0
             yield candidate
         elif (rejects := rejects + 1) == _PROBE_REJECTS:
-            alphabet = _probe_alphabet(folded)
+            alphabet = "".join(c for c in _PROBE_ALPHABET if c.casefold() not in folded)
             if not alphabet:
                 return
 
@@ -267,7 +262,7 @@ def overgen_check(
     analysis = dialect.analyze(pattern)
     if any(comp in needle for needle in analysis.needles for comp in folded):
         return OvergenResult(ok=True, unprobed=_HOLDS_KEEP)
-    # _probe_alphabet(folded) is empty only when every character is a keep
+    # _probe_stream yields nothing only when every probe character is a keep
     if all(c.casefold() in folded for c in _PROBE_ALPHABET):
         return OvergenResult(ok=True, unprobed=_NO_PROBE_ALPHABET)
     probes: list[str] = []
@@ -388,8 +383,7 @@ class ScriptedBackend(GeneratorBackend):
         self.emissions = list(emissions)
         self.per_record = per_record
         self.fallback = fallback
-        self._cursor = 0
-        self._cursors: dict[str, int] = {}
+        self._cursors: dict[str, int] = {}  # by record under per_record, else ""
         self.calls = 0
 
     @classmethod
@@ -417,13 +411,10 @@ class ScriptedBackend(GeneratorBackend):
 
     def propose(self, annotation: GroupAnnotation, prompt: str) -> str:
         self.calls += 1
-        if self.per_record:
-            key = annotation.record.source_id or annotation.record.raw
-            index = self._cursors.get(key, 0)
-            self._cursors[key] = index + 1
-        else:
-            index = self._cursor
-            self._cursor += 1
+        record = annotation.record
+        key = (record.source_id or record.raw) if self.per_record else ""
+        index = self._cursors.get(key, 0)
+        self._cursors[key] = index + 1
         if index < len(self.emissions):
             return self.emissions[index]
         if self.fallback is not None:

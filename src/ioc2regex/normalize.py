@@ -3,7 +3,10 @@ r"""Classify raw indicator strings and normalize them into component lists.
 Pipeline order per indicator: classify -> preprocess -> segment.  Preprocessing
 covers the four standardization cases seen in real threat-report strings:
 environment-variable expansion, username unification, registry-root
-abbreviation, and executable-extension stripping on known commands.
+abbreviation, and executable-extension stripping on known commands.  A
+registry key's head is read by one pattern, for classifying and for the
+rewrite alike; ``docs/formats.md`` states the head rule in its section on
+the registry-root map.
 
 The expansion table and the registry-root map travel together as one
 immutable ``Tables`` value; ``BUNDLED`` holds the shipped ones and is every
@@ -66,7 +69,10 @@ _ENV_VAR_RE = re.compile(r"%[A-Za-z_][A-Za-z0-9_()]*%")
 _DRIVE_PREFIX_RE = re.compile(r"^[A-Za-z]:[\\/]")
 _DELIMS_RE = re.compile(r"[\\/]+")
 _COMPONENT_RE = re.compile(r"[^\\/]+")
-_REGISTRY_HEAD_RE = re.compile(r"^([\\/]*)([^\\/]+)([\\/]?)")
+# A registry key's head: its leading delimiters, then its first component
+# (empty when the string holds no other character).  Matched with a start
+# position, to read the head after a dropped ``registry`` one.
+_REGISTRY_HEAD_RE = re.compile(r"([\\/]*)([^\\/]*)")
 # "Users" and the component after it; in a command line a component also
 # ends at whitespace, ";" or a quote.
 _USERS_PREFIX = r"(?i)(?P<prefix>(?:^|[\\/\s\";])users[\\/])"
@@ -180,8 +186,7 @@ def classify(
     if not s:
         raise ClassificationError("cannot classify empty or whitespace-only string")
 
-    first_component = _DELIMS_RE.split(s.lstrip("\\/"), maxsplit=1)[0].strip()
-    if first_component.casefold() in tables.markers:
+    if _REGISTRY_HEAD_RE.match(s)[2].strip().casefold() in tables.markers:
         return IocKind.REGISTRY_KEY
 
     tokens = s.split()
@@ -219,21 +224,18 @@ def _expand_env_vars(s: str, table: dict) -> str:
 
 
 def _rewrite_registry_root(s: str, roots: dict) -> str:
-    m = _REGISTRY_HEAD_RE.match(s)
-    if not m:
+    """The head rule of ``docs/formats.md``: drop the leading delimiters and
+    every ``registry`` head, then abbreviate the root after them.  A string
+    of delimiters alone comes back unchanged."""
+    head = _REGISTRY_HEAD_RE.match(s)
+    if not head[2]:
         return s
-    lead, first, _delim = m.group(1), m.group(2), m.group(3)
-    folded = first.strip().casefold()
-    if folded == "registry":
-        rest = s[m.end(2) :].lstrip("\\/")
-        return rest
-    abbrev = roots.get(folded)
-    if abbrev is not None:
-        return abbrev + s[m.end(2) :]
-    if lead:
-        # registry keys never start with a delimiter once standardized
-        return s[len(lead) :]
-    return s
+    while (first := head[2].strip().casefold()) == "registry":
+        head = _REGISTRY_HEAD_RE.match(s, head.end())
+    abbrev = roots.get(first) if head[2] else None
+    if abbrev is None:
+        return s[head.end(1) :]
+    return abbrev + s[head.end() :]
 
 
 def _normalize_usernames(s: str, kind: IocKind, store: KnowledgeStore | None) -> str:
@@ -273,11 +275,19 @@ def preprocess(
     store: KnowledgeStore | None = None,
     tables: Tables = BUNDLED,
 ) -> str:
-    """Apply the four normalization cases; idempotent for a fixed table set."""
-    if kind is IocKind.OTHER:
-        raise ValueError("preprocess requires a classified kind (not 'other')")
+    """Apply the four normalization cases of ``kind``; an ``other`` string
+    is only stripped.
 
+    Idempotent for a fixed table set as long as no table value is rewritten
+    again: no abbreviation is itself a root key or ``registry``, and no
+    expansion holds a variable that the table expands.  The bundled tables
+    are such a set.  One exception remains: a registry key whose component
+    after a dropped head starts with whitespace (``\\ x\\y``) keeps it,
+    and a second pass strips it.
+    """
     s = raw.strip()
+    if kind is IocKind.OTHER:
+        return s
     s = _expand_env_vars(s, tables.expansions)
     if kind is IocKind.REGISTRY_KEY:
         s = _rewrite_registry_root(s, tables.registry_roots)
@@ -314,14 +324,5 @@ def make_record(
 ) -> IocRecord:
     """Classify, preprocess and segment one raw indicator string."""
     kind = classify(raw, store, tables)
-    if kind is IocKind.OTHER:
-        return IocRecord(raw=raw, kind=kind, normalized=raw.strip(), source_id=source_id)
     normalized = preprocess(raw, kind, store, tables)
-    components = segment(normalized, kind)
-    return IocRecord(
-        raw=raw,
-        kind=kind,
-        normalized=normalized,
-        components=components,
-        source_id=source_id,
-    )
+    return IocRecord(raw, kind, normalized, segment(normalized, kind), source_id)

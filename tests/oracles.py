@@ -836,14 +836,15 @@ def _ref_expand_env_vars(s: str, expansions: dict) -> str:
 
 
 def _ref_rewrite_registry_root(s: str, registry_roots: dict) -> str:
-    m = re.match(r"^([\\/]*)([^\\/]+)([\\/]?)", s)
+    m = re.match(r"^([\\/]*)([^\\/]+)", s)
     if not m:
         return s
-    lead, first, _delim = m.group(1), m.group(2), m.group(3)
+    lead, first = m.group(1), m.group(2)
     folded = first.strip().casefold()
     if folded == "registry":
+        # the same rule again on what follows the head
         rest = s[m.end(2) :].lstrip("\\/")
-        return rest
+        return _ref_rewrite_registry_root(rest, registry_roots)
     abbrev = registry_roots.get(folded)
     if abbrev is not None:
         return abbrev + s[m.end(2) :]
@@ -902,7 +903,7 @@ def reference_preprocess(
     from ioc2regex.normalize import BUNDLED, IocKind
 
     if kind is IocKind.OTHER:
-        raise ValueError("preprocess requires a classified kind (not 'other')")
+        return raw.strip()
     expansions = expansions if expansions is not None else BUNDLED.expansions
     registry_roots = (
         registry_roots if registry_roots is not None else BUNDLED.registry_roots

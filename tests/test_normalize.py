@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ioc2regex.evaluation import make_truth
 from ioc2regex.knowledge import EXECUTABLE_EXTENSIONS
 from ioc2regex.normalize import (
     BUNDLED,
@@ -137,12 +138,34 @@ class TestPreprocess:
         )
         assert out == r'schtasks /tr "c:\users\user\go.bat" /f'
 
-    def test_other_kind_rejected(self, store):
-        with pytest.raises(ValueError):
-            preprocess("abc", IocKind.OTHER, store)
+    @pytest.mark.parametrize(
+        "raw, out",
+        [
+            (r"Registry\HKEY_LOCAL_MACHINE\Software\x", r"HKLM\Software\x"),
+            (r"\Registry\\hkey_current_user\x", r"HKCU\x"),
+            (r"Registry\REGISTRY\HKEY_USERS\x", r"HKU\x"),
+            (r"Registry\Registry", ""),
+            ("Registry\\", ""),
+            ("\\", "\\"),
+        ],
+    )
+    def test_registry_heads_dropped_before_the_root(self, store, raw, out):
+        assert preprocess(raw, IocKind.REGISTRY_KEY, store) == out
+        assert preprocess(out, IocKind.REGISTRY_KEY, store) == out
+
+    def test_other_kind_only_stripped(self, store):
+        raw = "  %TEMP%\\Users\\bob\\cmd.exe  "
+        assert preprocess("  x  ", IocKind.OTHER, store) == "x"
+        assert preprocess(raw, IocKind.OTHER, store) == raw.strip()
+        record = make_record("  x  ", store)
+        assert (record.kind, record.normalized) == (IocKind.OTHER, "x")
+        truth = make_truth({"text": raw, "kind": "other", "capture_groups": []}, store)
+        assert truth.normalized == raw.strip()
 
     def test_idempotent_on_fuzz_corpus(self, store):
         rng = random.Random(7)
+        heads = ["HKEY_CURRENT_USER", "HKCU", "REGISTRY", r"REGISTRY\HKEY_CURRENT_USER",
+                 r"\Registry\HKCU", r"Registry\Registry"]
         drives = ["C:", "D:", "%USERPROFILE%", "%TEMP%", "%APPDATA%", "%UNKNOWN%"]
         dirs = ["Users", "pam", "Public", "Windows", "System32", "Temp", "<username>"]
         names = ["a.exe", "11.bat", "x.dll", "notes.txt"]
@@ -160,7 +183,7 @@ class TestPreprocess:
                 )
             elif kind is IocKind.REGISTRY_KEY:
                 raw = "\\".join(
-                    [rng.choice(["HKEY_CURRENT_USER", "HKCU", "REGISTRY"])]
+                    [rng.choice(heads)]
                     + rng.sample(dirs, rng.randint(1, 3))
                 )
             else:

@@ -153,6 +153,24 @@ class TestRunGenerate:
         run_generate(cfg_b)
         assert Path(cfg_a.output_path).read_bytes() == Path(cfg_b.output_path).read_bytes()
 
+    def test_scripted_backend_forces_one_worker(self, tmp_path, fig1_input, caplog):
+        replay = write_json(
+            tmp_path / "replay.json",
+            {"emissions": ["(?i).*(unclosed", "(?i).*x.*"], "per_record": True,
+             "fallback": "template"},
+        )
+        outputs = []
+        for workers in (1, 4):
+            cfg = base_config(
+                tmp_path, fig1_input, output_path=str(tmp_path / f"{workers}.json"),
+                backend="scripted", replay_path=replay, workers=workers,
+            )
+            caplog.clear()
+            assert run_generate(cfg)["generated"] == 2
+            outputs.append(Path(cfg.output_path).read_bytes())
+        assert "forcing workers=1" in caplog.text
+        assert outputs[0] == outputs[1]
+
     def test_annotation_dump(self, tmp_path, fig1_input):
         cfg = base_config(
             tmp_path, fig1_input, annotations_path=str(tmp_path / "ann.json")
@@ -970,6 +988,27 @@ class TestCli:
         summary = json.loads(Path(products).read_text())["summary"]
         assert summary["expansions"] == {"%APPDIR%": "C:\\Windows"}
         assert "registry_roots" not in summary  # the bundled map: not recorded
+        rc = main(["evaluate", "--products", products, "--truths", truths,
+                   "--output", str(tmp_path / "r.json")])
+        assert rc == 0
+        (report,) = json.loads((tmp_path / "r.json").read_text())["reports"]
+        assert report["hit_rate"] == 1.0
+
+    def test_evaluate_drops_a_registry_head_before_the_root(self, tmp_path):
+        run = r"Software\Microsoft\Windows\CurrentVersion\Run"
+        inp = write_json(tmp_path / "iocs.json", [rf"HKEY_LOCAL_MACHINE\{run}\evil"])
+        truths = write_json(
+            tmp_path / "truths.json",
+            [
+                {
+                    "text": rf"Registry\HKEY_LOCAL_MACHINE\{run}\other",
+                    "kind": "registry_key",
+                    "capture_groups": ["hklm", "software", "run"],
+                }
+            ],
+        )
+        products = str(tmp_path / "p.json")
+        assert main(["generate", "--input", inp, "--output", products]) == 0
         rc = main(["evaluate", "--products", products, "--truths", truths,
                    "--output", str(tmp_path / "r.json")])
         assert rc == 0
