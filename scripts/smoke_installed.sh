@@ -16,7 +16,7 @@ echo '["C:\\Users\\Public\\x.bat"]' > iocs.json
 ioc2regex generate --input iocs.json --output products.json --dump-annotations annotations.json
 python -c "import json, sys; sys.exit(json.load(open('products.json'))['summary']['generated'] != 1)"
 python -c "import json, sys; sys.exit([a['rejection_reason'] for a in json.load(open('annotations.json'))] != [None])"
-echo '{"emissions": ["(?i).*(unclosed", "(?i).*Users\\\\Nobody\\\\.*"], "per_record": true, "fallback": "template"}' > replay.json
+echo '{"emissions": ["(?i).*(unclosed", "(?i).*Users\\\\Nobody\\\\.*", "(?i).*?Users\\\\Nobody.*?x", "(?i).*Users\\\\Public\\\\x\\.exe", "[a-z"], "per_record": true, "fallback": "template"}' > replay.json
 ioc2regex generate --backend scripted --replay replay.json --input iocs.json --output repaired.json
 python -c "import json, sys; sys.exit(json.load(open('repaired.json'))['summary']['generated'] != 1)"
 python -c "import json, sys; p = [json.load(open(f))['records'][0]['pattern'] for f in ('products.json', 'repaired.json')]; sys.exit(p[0] != p[1])"

@@ -40,7 +40,9 @@ or the ``DialectError`` it raised; the validation gates, the grader and the
 evaluation all read that one analysis.  A run is *required* when it is
 literally on every match path, not in an alternation branch or a group that
 may match zero times.  A find-chain pattern's ``Analysis.tokens`` are built
-on first use (only the diagnostic of a miss walks them), and so is
+on first use (only the diagnostic of a miss on a text the find-chain rule
+does not cover walks them: one with a line break, or under ``(?i)`` one
+that is not ASCII), and so is
 ``Analysis.regex``.  ``analyze`` compiles every pattern outside the
 find-chain shape at once, so an ``re.error`` is still a ``DialectError``; a
 find-chain pattern always compiles, and is compiled only if a search needs
@@ -86,15 +88,23 @@ rules, which hold for every pattern in the dialect.
 ``explain`` is lazy: ``matches`` never calls it.  On a miss it finds the
 longest top-level token prefix of the pattern, with literal runs split into
 characters, that matches, and the token after it.  Under the find-chain
-rule one pass of ``str.find`` decides the match and every prefix: one
-search per run, from the end of the run before; when every run is found
-the pattern matches.  Else a bisection over the first missing run's
-prefixes (one occurs wherever a longer one does) ends the prefix; a ``.``
-fails where the run before it ends the text.  One walk over the tokens,
-up to the failing one, gives its offset.  One ``re`` call on the matched
-prefix, by the offset-0 rule of the whole pattern, gives its end offset.
-Any other pattern or text is searched whole, and on a miss scanned prefix
-by prefix, each prefix searched by ``re``.
+rule ``str.find`` and ``str.rfind`` alone decide the match and explain a
+miss, with no token walk and no ``re`` call.  One search per run, from the
+end of the run before, decides the match.  On a miss, the longest prefix
+of the first missing run that occurs after the runs found ends the
+matched prefix: its length is galloped (1, 2, 4, ...), then bisected,
+since a prefix occurs wherever a longer one does.  The failing token is
+the character after that prefix, read off the run's raw span between the
+wildcards (an escape is two pattern characters), or a ``.`` where the runs
+found end the text; only a ``.`` after the last run found can fail.  The
+prefix's end offset is where backtracking places its pieces: with no
+leading wildcard the first at the leftmost chain position, after a group
+with a greedy ``.*`` at the latest offset from which the later pieces
+still fit (one backward ``str.rfind`` pass, each piece ending by the
+next), after a group of only ``.*?`` at the first offset after the piece
+before; a trailing greedy group ends at the end of the text.  Any other
+pattern or text is searched whole, and on a miss scanned prefix by
+prefix, each prefix searched by ``re``.
 """
 
 from __future__ import annotations
@@ -521,10 +531,11 @@ class Analysis:
     def _explain_chain(self, text: str, hay: str) -> tuple[str, int, str] | None:
         """``explain`` under the find-chain rule, where ``hay`` is
         ``_hay(text)``: None when every run is found in order, else the
-        runs are found, and the failing token named, by ``str.find``
-        alone."""
+        prefix, its end offset and the failing token, by ``str.find`` and
+        ``str.rfind`` alone (module docstring)."""
+        chain = self.chain
         start = 0  # the end of the leftmost chain of the runs found
-        for found, run in enumerate(self.chain):
+        for found, run in enumerate(chain):
             at = hay.find(run, start)
             if at < 0:
                 break
@@ -532,37 +543,58 @@ class Analysis:
         else:
             return None
         # the longest prefix of the first missing run that occurs after the
-        # runs found; a prefix occurs wherever a longer one does
-        missing = self.chain[found]
-        low, high = 0, len(missing)
+        # runs found, by galloping, then bisecting; a prefix occurs wherever
+        # a longer one does
+        missing = chain[found]
+        low, high = 0, 1
+        while high < len(missing) and hay.find(missing[:high], start) >= 0:
+            low, high = high, 2 * high
+        high = min(high, len(missing))
         while high - low > 1:
             mid = (low + high) // 2
             if hay.find(missing[:mid], start) < 0:
                 high = mid
             else:
                 low = mid
-        # one walk to the failing token: a "." with nothing left to match,
-        # else the character after that prefix; only a "." after the last
-        # run found can fail, since a later run follows each earlier end
-        done = cut = 0  # runs the walk has passed, characters of the next one
-        for tok in self.tokens:
-            if tok.kind == DOT:
-                done, cut = done + (cut > 0), 0
-                if done == found and start == len(hay):
-                    end, failing = tok.pos, tok.text
+        # the wildcard group before each run up to the missing one: None for
+        # none, else whether a ".*" in it is greedy; and the offset of the
+        # missing run's raw span, and of the first "." of the group before it
+        greedy: list[bool | None] = []
+        group = dot = None
+        pos = self.body_start
+        for wild_start, wild_end, wild in self.wildcards:
+            if wild_start > pos:  # the raw span of a run
+                if len(greedy) == found:
                     break
-            elif tok.kind in (LITERAL, ESCAPE):
-                pieces = tok.text if tok.kind == LITERAL else (tok.text,)
-                if done == found and cut + len(pieces) > low:
-                    end, failing = tok.pos + low - cut, pieces[low - cut]
-                    break
-                cut += len(pieces)
-        matched = self.pattern[:end]
-        if not matched:
-            return "", 0, failing
-        rx = re.compile(matched)
-        m = (rx.match if self._at_offset_0(text) else rx.search)(text)
-        return matched, m.end(), failing
+                greedy.append(group)
+                group = dot = None
+            group = bool(group) or wild == ".*"
+            dot = wild_start if dot is None else dot
+            pos = wild_end
+        if start == len(hay) and group is not None:
+            # only a "." after the last run found can fail, since a later
+            # run follows each earlier end
+            return self.pattern[:dot], len(text), "."
+        for _ in range(low):  # an escape is two pattern characters
+            pos += 2 if self.pattern[pos] == "\\" else 1
+        failing = self.pattern[pos : pos + (2 if self.pattern[pos] == "\\" else 1)]
+        # place the matched prefix's pieces as backtracking does: after a
+        # greedy group at the latest offset from which the later pieces
+        # still fit, else at the first offset after the piece before
+        pieces = list(chain[:found])
+        if low:
+            pieces.append(missing[:low])
+            greedy.append(group)
+            group = None
+        latest = [len(hay)] * len(pieces)
+        if True in greedy:  # one backward pass, each piece ending by the next
+            bound = len(hay)
+            for i in reversed(range(len(pieces))):
+                bound = latest[i] = hay.rfind(pieces[i], 0, bound)
+        end = 0
+        for piece, greedy_before, last in zip(pieces, greedy, latest):
+            end = (last if greedy_before else hay.find(piece, end)) + len(piece)
+        return self.pattern[:pos], len(text) if group else end, failing
 
 
 def _unescape(run: str) -> str:

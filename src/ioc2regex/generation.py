@@ -31,9 +31,11 @@ by the match rules of ``dialect`` (``Analysis.matches`` and
 ``Analysis.explain``).
 
 The debug and audit results and their diagnostics depend only on the
-pattern and the indicator, and every prompt opens with the same indicator
-head, so one ``IndicatorMemo`` computes each of them once for all the
-workflow runs of an indicator.
+pattern and the indicator, and so does an over-generalization verdict that
+drew no probe; every prompt opens with the same indicator head.  One
+``IndicatorMemo`` computes each of them once for all the workflow runs of
+an indicator, and the template backend renders an indicator's template
+once.
 
 A backend whose ``deterministic`` attribute is true answers a prompt the same
 way every time.  The run's seed reaches the workflow only through the probe,
@@ -289,6 +291,12 @@ def build_prompt(
     return IndicatorMemo(annotation).prompt(previous_pattern, diagnostic, prior_failures)
 
 
+# The close of every prompt head: the dialect rules, the same for every indicator.
+_RULES_BLOCK = "\n\nAllowed regex syntax:\n" + "\n".join(
+    f"  {rule}" for rule in dialect.DIALECT_RULES
+)
+
+
 def _prompt_head(annotation: GroupAnnotation) -> str:
     """The part of every prompt for an indicator that no attempt changes:
     the indicator, its keep and discard components and the dialect rules."""
@@ -305,9 +313,7 @@ def _prompt_head(annotation: GroupAnnotation) -> str:
     lines += ["", "Mutable components (none of these may appear literally):"]
     discards = annotation.discard_components
     lines += [f"  - {comp}" for comp in discards] if discards else ["  (none)"]
-    lines += ["", "Allowed regex syntax:"]
-    lines += [f"  {rule}" for rule in dialect.DIALECT_RULES]
-    return "\n".join(lines)
+    return "\n".join(lines) + _RULES_BLOCK
 
 
 # -- backends -------------------------------------------------------------
@@ -353,13 +359,21 @@ def render_template(annotation: GroupAnnotation) -> str:
 
 
 class TemplateBackend(GeneratorBackend):
-    """Offline deterministic backend emitting the template pattern."""
+    """Offline deterministic backend emitting the template pattern.
+
+    It renders an indicator's template once: it keeps the last annotation
+    it was asked about with its pattern, as one tuple, so threads that share
+    the backend can at most render one again."""
 
     kind = "template_fallback"
     deterministic = True
+    _last: tuple[GroupAnnotation | None, str] = (None, "")
 
     def propose(self, annotation: GroupAnnotation, prompt: str) -> str:
-        return render_template(annotation)
+        last = self._last
+        if last[0] is not annotation:
+            last = self._last = (annotation, render_template(annotation))
+        return last[1]
 
 
 class ScriptedBackend(GeneratorBackend):
@@ -480,7 +494,7 @@ class RemoteBackend(GeneratorBackend):
 # -- workflow --------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Attempt:
     restart: int
     stage: str
@@ -499,18 +513,21 @@ class WorkflowTrace:
 class IndicatorMemo:
     """The pure results of one indicator's workflow runs, each computed once:
     the debug and audit verdicts per pattern with their ``describe()`` text,
-    and the prompt head, which ``prompt``, the one prompt builder, opens
-    every prompt with.  Make one per indicator and pass it to each
-    ``generate`` call.  Each verdict looks up the check it caches at call
-    time, so a patched module attribute takes effect.  The audit's verdict
-    is the pattern's ``coverage``; the ``coverage`` method hands it to the
-    score."""
+    the over-generalization verdict of a pattern that drew no probe (which
+    holds for every seed), and the prompt head, which ``prompt``, the one
+    prompt builder, opens every prompt with.  Make one per indicator and
+    pass it to each ``generate`` call.  Each verdict looks up the check it
+    caches at call time, so a patched module attribute takes effect.  The
+    audit's verdict is the pattern's ``coverage``; the ``coverage`` method
+    hands it to the score.  The template backend's reply is computed once
+    per indicator too, by the backend (``TemplateBackend``)."""
 
     def __init__(self, annotation: GroupAnnotation):
         self.annotation = annotation
         self.head = _prompt_head(annotation)
         self._debug: dict[str, tuple[DebugResult, str]] = {}
         self._noncapture: dict[str, tuple[NoncaptureResult, str]] = {}
+        self._unprobed: dict[str, tuple[OvergenResult, str]] = {}
 
     def debug(self, pattern: str) -> tuple[DebugResult, str]:
         """The debug verdict on the pattern and its diagnostic."""
@@ -526,6 +543,18 @@ class IndicatorMemo:
         if verdict is None:
             result = noncapture_check(pattern, self.annotation)
             verdict = self._noncapture[pattern] = (result, result.describe())
+        return verdict
+
+    def overgen(self, pattern: str, rng_seed: int) -> tuple[OvergenResult, str]:
+        """The probe's verdict on the pattern under the run's seed, and its
+        diagnostic.  A verdict that drew no probe returned before the seed
+        was read, so it is kept for every seed; one that drew probes is not."""
+        verdict = self._unprobed.get(pattern)
+        if verdict is None:
+            result = overgen_check(pattern, rng_seed, self.annotation.keep_components)
+            verdict = (result, result.describe())
+            if not result.probes:
+                self._unprobed[pattern] = verdict
         return verdict
 
     def coverage(self, pattern: str) -> NoncaptureResult:
@@ -591,7 +620,6 @@ def generate(
         raise ValueError("generate() requires an annotation with capture groups")
     if memo is None:
         memo = IndicatorMemo(annotation)
-    keeps = annotation.keep_components
 
     def audit(pattern: str):
         # A pattern fed back by the audit must still match the indicator.
@@ -599,9 +627,9 @@ def generate(
         return regression if not regression[0].ok else memo.noncapture(pattern)
 
     def overgen(pattern: str):
-        result = overgen_check(pattern, rng_seed, keeps)
-        trace.probed = trace.probed or bool(result.probes)
-        return result, result.describe()
+        verdict = memo.overgen(pattern, rng_seed)
+        trace.probed = trace.probed or bool(verdict[0].probes)
+        return verdict
 
     # each check returns its verdict and the verdict's diagnostic
     stages = [(STAGE_DEBUG, memo.debug, max_iterations)]

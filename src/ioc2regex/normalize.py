@@ -225,16 +225,17 @@ def _expand_env_vars(s: str, table: dict) -> str:
 
 def _rewrite_registry_root(s: str, roots: dict) -> str:
     """The head rule of ``docs/formats.md``: drop the leading delimiters and
-    every ``registry`` head, then abbreviate the root after them.  A string
-    of delimiters alone comes back unchanged."""
+    every blank or ``registry`` head, then abbreviate the root after them;
+    what is kept after a drop loses its leading whitespace.  A string of
+    delimiters alone comes back unchanged."""
     head = _REGISTRY_HEAD_RE.match(s)
     if not head[2]:
         return s
-    while (first := head[2].strip().casefold()) == "registry":
+    while head[2] and (first := head[2].strip().casefold()) in ("", "registry"):
         head = _REGISTRY_HEAD_RE.match(s, head.end())
     abbrev = roots.get(first) if head[2] else None
     if abbrev is None:
-        return s[head.end(1) :]
+        return s[head.end(1) :].lstrip() if head.end(1) else s
     return abbrev + s[head.end() :]
 
 
@@ -281,9 +282,7 @@ def preprocess(
     Idempotent for a fixed table set as long as no table value is rewritten
     again: no abbreviation is itself a root key or ``registry``, and no
     expansion holds a variable that the table expands.  The bundled tables
-    are such a set.  One exception remains: a registry key whose component
-    after a dropped head starts with whitespace (``\\ x\\y``) keeps it,
-    and a second pass strips it.
+    are such a set.
     """
     s = raw.strip()
     if kind is IocKind.OTHER:

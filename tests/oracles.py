@@ -835,21 +835,24 @@ def _ref_expand_env_vars(s: str, expansions: dict) -> str:
     return _REF_ENV_VAR_RE.sub(repl, s)
 
 
-def _ref_rewrite_registry_root(s: str, registry_roots: dict) -> str:
+def _ref_rewrite_registry_root(
+    s: str, registry_roots: dict, dropped: bool = False
+) -> str:
     m = re.match(r"^([\\/]*)([^\\/]+)", s)
     if not m:
         return s
     lead, first = m.group(1), m.group(2)
     folded = first.strip().casefold()
-    if folded == "registry":
-        # the same rule again on what follows the head
+    if folded in ("", "registry"):
+        # a blank or registry head is dropped: the same rule again on what
+        # follows it
         rest = s[m.end(2) :].lstrip("\\/")
-        return _ref_rewrite_registry_root(rest, registry_roots)
+        return _ref_rewrite_registry_root(rest, registry_roots, dropped=True)
     abbrev = registry_roots.get(folded)
     if abbrev is not None:
         return abbrev + s[m.end(2) :]
-    if lead:
-        return s[len(lead) :]
+    if lead or dropped:
+        return s[len(lead) :].lstrip()  # kept after a drop: no leading whitespace
     return s
 
 

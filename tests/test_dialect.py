@@ -743,9 +743,32 @@ def chain_cases(draw):
     return pattern, "".join(w.upper() if draw(st.booleans()) else w for w in words)
 
 
+@st.composite
+def long_chain_cases(draw):
+    """A find-chain pattern of one to three runs of 8 to 20 atoms, and a text
+    of prefixes of every length of its runs (either case), so the longest
+    prefix's search gallops past 1, 2, 4, 8 and 16 characters."""
+    flags = draw(st.sampled_from(["", "(?i)", "(?s)"]))
+    run = st.lists(st.sampled_from(RUN_ATOMS), min_size=8, max_size=20).map("".join)
+    wildcard = st.sampled_from(["", ".*", ".*?"])
+    runs = draw(st.lists(run, min_size=1, max_size=3))
+    pattern = flags + draw(wildcard) + ".*".join(runs) + draw(wildcard)
+    try:
+        analysis = analyze(pattern)
+    except DialectError:
+        assume(False)
+    assume(analysis.chain)
+    texts = [r.text for r in analysis.runs]
+    prefix = st.sampled_from(texts).flatmap(
+        lambda r: st.integers(1, len(r)).map(lambda k: r[:k])
+    )
+    words = draw(st.lists(st.one_of(prefix, st.sampled_from([" ", "x"])), max_size=6))
+    return pattern, "".join(w.upper() if draw(st.booleans()) else w for w in words)
+
+
 class TestExplainChain:
-    """``Analysis.explain`` of a find-chain miss, by ``str.find`` per run and
-    one ``re`` call, against the reference that searches every prefix."""
+    """``Analysis.explain`` of a find-chain miss, by ``str.find`` and
+    ``str.rfind`` alone, against the reference that searches every prefix."""
 
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(case=chain_cases())
@@ -759,7 +782,18 @@ class TestExplainChain:
     @example(case=("abc.*k", "xxabcab"))  # no leading wildcard: offset by search
     @example(case=("(?i).*abc", ""))  # the empty text
     @example(case=("abc", ""))
+    @example(case=(".*a.*?bc", "a b a b"))  # greedy, then lazy: "a" at 4, "b" at 6
+    @example(case=(".*?a.*bc", "a b a b"))  # lazy, then greedy: "a" at 0, "b" at 6
+    @example(case=(".*ab.*?abc", "ab ab"))  # greedy "ab" at 0: the next one must fit
+    @example(case=(".*?ab.*?cd.*x", "ab cd"))  # a failing "." after a ".*?" group
+    @example(case=(r".*a\.{bc", "xa.{b"))  # an escape and a "{" before the failing "c"
     def test_equals_reference(self, case):
+        pattern, text = case
+        assert debug_check(pattern, text) == reference_debug_check(pattern, text)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(case=long_chain_cases())
+    def test_long_runs_equal_reference(self, case):
         pattern, text = case
         assert debug_check(pattern, text) == reference_debug_check(pattern, text)
 
@@ -782,21 +816,27 @@ class TestExplainChain:
             assume(False)
         assert (analysis.explain(text) is None) == analysis.matches(text)
 
-    def test_one_re_call_for_a_deep_prefix(self, monkeypatch):
+    def test_no_re_call_and_no_tokens_for_a_deep_prefix(self, monkeypatch):
         pattern = r"(?i).*Users\\Public\\Documents\\Reports\\2024\\q4.*\.exe"
         text = r"C:\Users\Public\Documents\Reports\2024\Q4\summary.docx"
         ref = reference_debug_check(pattern, text)
+        analyze.cache_clear()
         analysis = analyze(pattern)
-        compile_ = dialect.re.compile
+        compile_, tokenize_ = dialect.re.compile, dialect.tokenize
         calls = []
         monkeypatch.setattr(
             dialect.re, "compile", lambda *args: calls.append(args) or compile_(*args)
+        )
+        monkeypatch.setattr(
+            dialect, "tokenize", lambda *args: calls.append(args) or tokenize_(*args)
         )
         miss = analysis.explain(text)
         monkeypatch.undo()
         assert miss == (ref.matched_prefix, ref.target_offset, ref.failing_token)
         assert len(ref.matched_prefix) >= 40
-        assert len(calls) <= 1
+        assert calls == []
+        assert "tokens" not in vars(analysis)
+        assert "regex" not in vars(analysis)
 
     def test_deep_first_run_in_a_long_text_is_fast(self):
         body = "".join(f"k{i:02d}" for i in range(20))  # 60 characters

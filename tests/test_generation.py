@@ -2,6 +2,8 @@ import inspect
 import re
 import signal
 import string
+import sys
+import threading
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -536,6 +538,35 @@ class TestTemplateBackend:
         assert debug_check(pattern, schtasks_record.normalized).ok
         assert noncapture_check(pattern, schtasks_annotation).ok
 
+    def test_shared_by_threads_answers_each_its_own(
+        self, path_annotation, schtasks_annotation
+    ):
+        # the backend keeps its last reply; threads that share it must
+        # each get the template of the annotation they ask about
+        backend = TemplateBackend()
+        anns = [path_annotation, schtasks_annotation]
+        expected = [render_template(ann) for ann in anns]
+        wrong = []
+
+        def ask(offset):
+            for i in range(300):
+                k = (i + offset) % 2
+                if backend.propose(anns[k], "") != expected[k]:
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(n,)) for n in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
 
 class TestWorkflow:
     def test_broken_then_fixed(self, path_annotation):
@@ -745,6 +776,63 @@ class TestIndicatorMemo:
             fresh = generate(path_annotation, ScriptedBackend(script), rng_seed=seed)
             assert shared[0] == fresh[0] == GOOD_PATH_PATTERN
             assert shared[1] == fresh[1]
+
+    @pytest.mark.parametrize(
+        "pattern, probed, checks",
+        [(GOOD_PATH_PATTERN, False, 1), (r"(?i).*Pub[l]ic.*", True, 5)],
+    )
+    def test_only_unprobed_overgen_verdicts_reused(
+        self, path_annotation, monkeypatch, pattern, probed, checks
+    ):
+        calls = []
+        runs = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return overgen_check(*args)
+
+        def recording(annotation, backend, **kwargs):
+            result = generate(annotation, backend, **kwargs)
+            runs.append((kwargs["rng_seed"], result))
+            return result
+
+        monkeypatch.setattr(generation, "overgen_check", counting)
+        monkeypatch.setattr(generation, "generate", recording)
+        script = ["(bad", pattern]
+        backend = ScriptedBackend(script)  # not deterministic: k runs
+        best, candidates = grading.select_best(
+            path_annotation, backend, k=5, rng_seed=3, validate_groups=False
+        )
+        assert calls == [pattern] * checks
+        monkeypatch.undo()
+        assert [seed for seed, _ in runs] == [3, 4, 5, 6, 7]
+        # each run equals a separately seeded run with its own memo
+        alone = ScriptedBackend(script)
+        for seed, (shared_pattern, trace) in runs:
+            fresh = generate(path_annotation, alone, rng_seed=seed, validate_groups=False)
+            assert (shared_pattern, trace) == fresh
+            assert trace.probed is probed
+        assert [c.pattern for c in candidates] == [pattern] * 5
+        assert best.pattern == pattern
+
+    def test_template_rendered_once_per_indicator(
+        self, path_annotation, schtasks_annotation, monkeypatch
+    ):
+        rendered = []
+
+        def counting(annotation):
+            rendered.append(annotation)
+            return render_template(annotation)
+
+        monkeypatch.setattr(generation, "render_template", counting)
+        backend = ScriptedBackend(["(bad"], per_record=True, fallback=TemplateBackend())
+        for ann in (path_annotation, schtasks_annotation):
+            rendered.clear()
+            best, _ = grading.select_best(ann, backend, k=5, rng_seed=3)
+            assert rendered == [ann]
+            assert best.pattern == render_template(ann)
+            assert backend.fallback.propose(ann, "") == best.pattern
+            assert rendered == [ann]
 
 
 ERROR_MARK = "<backend error>"

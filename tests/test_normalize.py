@@ -147,6 +147,11 @@ class TestPreprocess:
             (r"Registry\Registry", ""),
             ("Registry\\", ""),
             ("\\", "\\"),
+            # what is kept after a drop loses its leading whitespace
+            (r"\ hkcu\x", r"hkcu\x"),
+            (r"Registry\ foo\x", r"foo\x"),
+            # and a blank head is dropped
+            (r"\ \HKEY_USERS\x", r"HKU\x"),
         ],
     )
     def test_registry_heads_dropped_before_the_root(self, store, raw, out):
@@ -165,7 +170,8 @@ class TestPreprocess:
     def test_idempotent_on_fuzz_corpus(self, store):
         rng = random.Random(7)
         heads = ["HKEY_CURRENT_USER", "HKCU", "REGISTRY", r"REGISTRY\HKEY_CURRENT_USER",
-                 r"\Registry\HKCU", r"Registry\Registry"]
+                 r"\Registry\HKCU", r"Registry\Registry", r"\ hkcu", r"Registry\ foo",
+                 "\\ "]
         drives = ["C:", "D:", "%USERPROFILE%", "%TEMP%", "%APPDATA%", "%UNKNOWN%"]
         dirs = ["Users", "pam", "Public", "Windows", "System32", "Temp", "<username>"]
         names = ["a.exe", "11.bat", "x.dll", "notes.txt"]
