@@ -38,6 +38,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -256,11 +257,18 @@ def fpr(
     return _fpr_result(matched, [i for i in matched if truths[i].capture_groups != g_k])
 
 
+def _mean(values: list[float]) -> float:
+    """Summed left to right: the builtin ``sum`` of floats is compensated
+    from Python 3.12 on, and the report must have the same bytes on every
+    version."""
+    return functools.reduce(operator.add, values) / len(values)
+
+
 def mean_fpr(values: list[float]) -> float:
     """Arithmetic mean over regexes that matched at least one truth."""
     if not values:
         raise UndefinedMetricError("mean FPR is undefined with no matching regexes")
-    return sum(values) / len(values)
+    return _mean(values)
 
 
 # -- similarity ------------------------------------------------------------
@@ -363,7 +371,7 @@ def score_distribution(scores: list[float]) -> Stats:
         median=_quantile(ordered, 0.5),
         q3=_quantile(ordered, 0.75),
         maximum=ordered[-1],
-        mean=sum(ordered) / len(ordered),
+        mean=_mean(ordered),
     )
 
 

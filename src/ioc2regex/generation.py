@@ -189,7 +189,6 @@ def noncapture_check(pattern: str, annotation: GroupAnnotation) -> NoncaptureRes
 class OvergenResult:
     ok: bool
     probes: list[str] = field(default_factory=list)
-    matched: list[str] = field(default_factory=list)
     unprobed: str = _HOLDS_KEEP  # why a pass with no probe drew none
 
     def describe(self) -> str:
@@ -273,8 +272,8 @@ def overgen_check(
     ):
         probes.append(probe)
         if not analysis.matches(probe):
-            return OvergenResult(ok=True, probes=probes, matched=probes[:-1])
-    return OvergenResult(ok=False, probes=probes, matched=list(probes))
+            return OvergenResult(ok=True, probes=probes)
+    return OvergenResult(ok=False, probes=probes)
 
 
 # -- prompt construction -------------------------------------------------

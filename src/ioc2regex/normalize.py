@@ -3,10 +3,10 @@ r"""Classify raw indicator strings and normalize them into component lists.
 Pipeline order per indicator: classify -> preprocess -> segment.  Preprocessing
 covers the four standardization cases seen in real threat-report strings:
 environment-variable expansion, username unification, registry-root
-abbreviation, and executable-extension stripping on known commands.  A
-registry key's head is read by one pattern, for classifying and for the
-rewrite alike; ``docs/formats.md`` states the head rule in its section on
-the registry-root map.
+abbreviation, and executable-extension stripping on known commands.  One
+function reads a registry key's head, for classifying and for the rewrite
+alike; ``docs/formats.md`` states the head rule in its section on the
+registry-root map.
 
 The expansion table and the registry-root map travel together as one
 immutable ``Tables`` value; ``BUNDLED`` holds the shipped ones and is every
@@ -70,8 +70,8 @@ _DRIVE_PREFIX_RE = re.compile(r"^[A-Za-z]:[\\/]")
 _DELIMS_RE = re.compile(r"[\\/]+")
 _COMPONENT_RE = re.compile(r"[^\\/]+")
 # A registry key's head: its leading delimiters, then its first component
-# (empty when the string holds no other character).  Matched with a start
-# position, to read the head after a dropped ``registry`` one.
+# (empty when the string holds no other character).  Matched by _read_head
+# only, with a start position to read past a skipped head.
 _REGISTRY_HEAD_RE = re.compile(r"([\\/]*)([^\\/]*)")
 # "Users" and the component after it; in a command line a component also
 # ends at whitespace, ";" or a quote.
@@ -173,6 +173,17 @@ BUNDLED = Tables(
 # -- classification ----------------------------------------------------
 
 
+def _read_head(s: str, skip: tuple[str, ...]) -> tuple[re.Match, str]:
+    """The head of ``s`` after its leading delimiters and every head whose
+    trimmed fold is in ``skip``, and that head's trimmed fold.  In the match,
+    group 1 is the delimiters before the head and group 2 the head (empty at
+    the end of the string)."""
+    head = _REGISTRY_HEAD_RE.match(s)
+    while (folded := head[2].strip().casefold()) in skip and head[2]:
+        head = _REGISTRY_HEAD_RE.match(s, head.end())
+    return head, folded
+
+
 def classify(
     raw: str, store: KnowledgeStore | None = None, tables: Tables = BUNDLED
 ) -> IocKind:
@@ -186,7 +197,7 @@ def classify(
     if not s:
         raise ClassificationError("cannot classify empty or whitespace-only string")
 
-    if _REGISTRY_HEAD_RE.match(s)[2].strip().casefold() in tables.markers:
+    if _read_head(s, ("",))[1] in tables.markers:
         return IocKind.REGISTRY_KEY
 
     tokens = s.split()
@@ -224,15 +235,11 @@ def _expand_env_vars(s: str, table: dict) -> str:
 
 
 def _rewrite_registry_root(s: str, roots: dict) -> str:
-    """The head rule of ``docs/formats.md``: drop the leading delimiters and
-    every blank or ``registry`` head, then abbreviate the root after them;
-    what is kept after a drop loses its leading whitespace.  A string of
-    delimiters alone comes back unchanged."""
-    head = _REGISTRY_HEAD_RE.match(s)
-    if not head[2]:
+    """Drop the heads and abbreviate the root after them, by the head rule
+    of ``docs/formats.md``."""
+    head, first = _read_head(s, ("", "registry"))
+    if not head.start() and not head[2]:  # delimiters alone
         return s
-    while head[2] and (first := head[2].strip().casefold()) in ("", "registry"):
-        head = _REGISTRY_HEAD_RE.match(s, head.end())
     abbrev = roots.get(first) if head[2] else None
     if abbrev is None:
         return s[head.end(1) :].lstrip() if head.end(1) else s

@@ -804,7 +804,9 @@ def reference_classify(raw: str, store=None, registry_roots: dict | None = None)
         raise ClassificationError("cannot classify empty or whitespace-only string")
 
     roots = registry_roots if registry_roots is not None else BUNDLED.registry_roots
-    first_component = _REF_DELIMS_RE.split(s.lstrip("\\/"), maxsplit=1)[0].strip()
+    # the first component that is not blank
+    components = (c.strip() for c in _REF_DELIMS_RE.split(s))
+    first_component = next((c for c in components if c), "")
     if first_component.casefold() in _ref_registry_markers(roots):
         return IocKind.REGISTRY_KEY
 

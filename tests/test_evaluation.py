@@ -323,6 +323,11 @@ class TestMeanFpr:
         values = [0.2, 0.4, 0.9]
         assert min(values) <= mean_fpr(values) <= max(values)
 
+    def test_summed_left_to_right_on_every_python(self):
+        # the builtin sum gives 0.1 here on Python 3.12 and later
+        assert mean_fpr([0.1] * 10) == 0.09999999999999999
+        assert score_distribution([0.1] * 10).mean == 0.09999999999999999
+
 
 class TestSimilarity:
     def test_identical(self):
@@ -372,6 +377,11 @@ class TestStructuralSimilarity:
     def test_zero_vector_gives_zero(self):
         assert structural_similarity("abc", "(x)+") == 0.0
         assert structural_similarity("abc", "abc") == 0.0
+
+    def test_sums_run_over_ints(self):
+        # so they are exact, on every Python
+        for pattern in ("(a)+", r"(?i).*Users\\[^\\]+\\x\.exe.*", "[b]*|c?"):
+            assert all(type(x) is int for x in dialect.feature_vector(pattern))
 
 
 class TestScoreDistribution:

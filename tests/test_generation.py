@@ -330,12 +330,12 @@ class TestOvergenCheck:
     def test_universal_pattern_fails(self):
         res = overgen_check(".*", 0)
         assert not res.ok
-        assert len(res.matched) == 10
+        assert res.probes == random_probe_strings(0)
 
     def test_specific_pattern_passes(self):
         res = overgen_check(r"(?i).*Users\\Public.*", 0, ["Users", "Public"])
         assert res.ok
-        assert res.matched == []
+        assert res.probes == []
 
     def test_required_ascii_keep_decides_without_a_probe(self):
         res = overgen_check(r"(?i).*Users\\Public.*", 0, ["Users", "Public"])
@@ -349,7 +349,7 @@ class TestOvergenCheck:
         # a rule that also accepted non-ASCII runs would pass this pattern
         res = overgen_check("(?i).*\u0131.*", 1596, ["\u0131"])
         assert not res.ok
-        assert len(res.probes) == len(res.matched) == 10
+        assert len(res.probes) == 10
 
     def test_empty_keep_never_decides(self):
         res = overgen_check("(?i).*q.*", 0, ["", "Users"])
@@ -415,7 +415,7 @@ class TestOvergenCheck:
         probes = random_probe_strings(0)
         pattern = "|".join(re.escape(s) for s in probes[:9])
         res = overgen_check(pattern, 0)
-        assert len(res.matched) == 9
+        assert res.probes == probes
         assert res.ok
 
     def test_probes_avoid_keep_components(self):
@@ -436,7 +436,6 @@ class TestOvergenCheck:
         res = overgen_check(pattern, 0)
         assert res.ok
         assert res.probes == probes[:4]
-        assert res.matched == probes[:3]
         assert res.describe() == "over-generalization probe ok (probe 4 of 10 unmatched)"
 
     @settings(derandomize=True, deadline=None, max_examples=200)
@@ -457,14 +456,13 @@ class TestOvergenCheck:
         assert res.ok == reference_overgen_ok(pattern, seed, keeps)
         assert res.probes == probes[: len(res.probes)]
         if res.ok and not res.probes:  # decided without drawing a probe
-            assert res.matched == []
             assert not any(re.search(pattern, s) for s in probes)
         elif res.ok:
-            assert res.matched == res.probes[:-1]
-            assert all(re.search(pattern, s) for s in res.matched)
+            assert all(re.search(pattern, s) for s in res.probes[:-1])
             assert not re.search(pattern, res.probes[-1])
         else:
-            assert res.probes == res.matched == probes
+            assert res.probes == probes
+            assert all(re.search(pattern, s) for s in probes)
 
 
 class TestBuildPrompt:

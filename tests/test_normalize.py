@@ -30,6 +30,34 @@ from oracles import (
 )
 
 
+# The words of the fuzz corpus: registry heads, drives, directories, file
+# names, commands and flags.
+FUZZ_WORDS = (
+    ["HKEY_CURRENT_USER", "HKCU", "REGISTRY", r"REGISTRY\HKEY_CURRENT_USER",
+     r"\Registry\HKCU", r"Registry\Registry", r"\ hkcu", r"Registry\ foo", "\\ "],
+    ["C:", "D:", "%USERPROFILE%", "%TEMP%", "%APPDATA%", "%UNKNOWN%"],
+    ["Users", "pam", "Public", "Windows", "System32", "Temp", "<username>"],
+    ["a.exe", "11.bat", "x.dll", "notes.txt"],
+    ["cmd.exe", "schtasks", "curl.exe", "unknown.exe"],
+    ["/c", "/create", "--get", "-x", "/f"],
+)
+# ... with blank, ``Registry`` and ``\REGISTRY\MACHINE`` heads besides.
+PROPERTY_WORDS = (
+    " ", "Registry", r"\REGISTRY\MACHINE", *(w for words in FUZZ_WORDS for w in words)
+)
+
+
+def _registry_head_without_root(raw: str) -> bool:
+    """Whether the first component of ``raw`` that is not blank is
+    ``registry``, and no root or abbreviation follows the blank and
+    ``registry`` heads: normalizing drops those heads, and what is left
+    need not read as a registry key."""
+    components = [c.strip().casefold() for c in re.split(r"[\\/]+", raw)]
+    first = next((c for c in components if c), "")
+    after = next((c for c in components if c not in ("", "registry")), "")
+    return first == "registry" and after not in BUNDLED.markers
+
+
 class TestClassify:
     def test_registry_key(self, store):
         raw = r"HKCU\Software\Microsoft\Windows\CurrentVersion\Run"
@@ -59,6 +87,11 @@ class TestClassify:
 
     def test_env_var_path(self, store):
         assert classify(r"%TEMP%\payload.exe", store) is IocKind.FILE_PATH
+
+    def test_blank_heads_are_read_past(self, store):
+        record = make_record(r"\ \HKEY_USERS\x", store)
+        assert (record.kind, record.normalized) == (IocKind.REGISTRY_KEY, r"HKU\x")
+        assert classify(r"\ \ \Users\pam", store) is IocKind.FILE_PATH
 
     def test_empty_raises(self, store):
         with pytest.raises(ClassificationError):
@@ -169,14 +202,7 @@ class TestPreprocess:
 
     def test_idempotent_on_fuzz_corpus(self, store):
         rng = random.Random(7)
-        heads = ["HKEY_CURRENT_USER", "HKCU", "REGISTRY", r"REGISTRY\HKEY_CURRENT_USER",
-                 r"\Registry\HKCU", r"Registry\Registry", r"\ hkcu", r"Registry\ foo",
-                 "\\ "]
-        drives = ["C:", "D:", "%USERPROFILE%", "%TEMP%", "%APPDATA%", "%UNKNOWN%"]
-        dirs = ["Users", "pam", "Public", "Windows", "System32", "Temp", "<username>"]
-        names = ["a.exe", "11.bat", "x.dll", "notes.txt"]
-        commands = ["cmd.exe", "schtasks", "curl.exe", "unknown.exe"]
-        flags = ["/c", "/create", "--get", "-x", "/f"]
+        heads, drives, dirs, names, commands, flags = FUZZ_WORDS
         for _ in range(250):
             kind = rng.choice(
                 [IocKind.FILE_PATH, IocKind.REGISTRY_KEY, IocKind.COMMAND_LINE]
@@ -200,6 +226,33 @@ class TestPreprocess:
                 )
             once = preprocess(raw, kind, store)
             assert preprocess(once, kind, store) == once, raw
+
+    @given(
+        pieces=st.lists(
+            st.tuples(st.sampled_from(["\\", "/", " ", ""]), st.sampled_from(PROPERTY_WORDS)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(derandomize=True, deadline=None, max_examples=1000)
+    @example(pieces=[("", " "), ("\\", "HKEY_USERS"), ("\\", "Public")])
+    @example(pieces=[("", r"\REGISTRY\MACHINE"), ("\\", "Windows")])
+    @example(pieces=[("", "Registry"), ("/", "C:"), ("\\", "a.exe")])
+    def test_normalizing_keeps_the_kind(self, store, pieces):
+        """A path, registry key or command line normalizes idempotently to
+        a string of its kind, unless it is heads only (normalized to "") or
+        a ``Registry`` head with no root after it (then of another kind)."""
+        raw = "".join(sep + word for sep, word in pieces)
+        if not raw.strip():
+            return
+        kind = classify(raw, store)
+        if kind is IocKind.OTHER:
+            return
+        once = preprocess(raw, kind, store)
+        assert preprocess(once, kind, store) == once
+        if once:
+            kept = classify(once, store) is kind
+            assert kept is not _registry_head_without_root(raw), once
 
 
 class TestSegment:
@@ -319,6 +372,7 @@ class TestAgainstReference:
     @example(raw='cmd "a b"c" d')
     @example(raw="p.pſ1\x1ccmd.exe;x.EXE")
     @example(raw="C:\\uſers\\bob\\a.exe")
+    @example(raw="\\ \\hklm/registry")
     def test_every_entry_point_agrees(self, store, store_name, tables, raw):
         any_store = {"bundled": store, "none": None, "tiny": TINY_STORE}[store_name]
         # the references take the raw tables, None for the bundled ones
