@@ -12,6 +12,11 @@ set -euo pipefail
 
 kb_dir=$(python -c "import ioc2regex, pathlib; print(pathlib.Path(ioc2regex.__file__).parent / 'data' / 'kb')")
 ioc2regex kb-validate "$kb_dir"/*.json
+# A misspelt key in a knowledge-base or replay file is exit 1, naming the key.
+echo '{"path": ["Users/Public"]}' > misspelt-kb.json
+rc=0; ioc2regex kb-validate misspelt-kb.json 2> misspelt-kb.err || rc=$?
+test "$rc" = 1
+grep -q "unknown key 'path'" misspelt-kb.err
 echo '["C:\\Users\\Public\\x.bat"]' > iocs.json
 ioc2regex generate --input iocs.json --output products.json --dump-annotations annotations.json
 python -c "import json, sys; sys.exit(json.load(open('products.json'))['summary']['generated'] != 1)"
@@ -19,6 +24,11 @@ python -c "import json, sys; sys.exit([a['rejection_reason'] for a in json.load(
 echo '{"emissions": ["(?i).*(unclosed", "(?i).*Users\\\\Nobody\\\\.*", "(?i).*?Users\\\\Nobody.*?x", "(?i).*Users\\\\Public\\\\x\\.exe", "[a-z"], "per_record": true, "fallback": "template"}' > replay.json
 ioc2regex generate --backend scripted --replay replay.json --input iocs.json --output repaired.json
 python -c "import json, sys; sys.exit(json.load(open('repaired.json'))['summary']['generated'] != 1)"
+echo '{"emissions": ["(?i).*Users\\\\Public\\\\.*"], "per-record": true}' > misspelt-replay.json
+rc=0; ioc2regex generate --backend scripted --replay misspelt-replay.json --input iocs.json --output misspelt.json 2> misspelt-replay.err || rc=$?
+test "$rc" = 1
+grep -q "unknown key 'per-record'" misspelt-replay.err
+test ! -e misspelt.json
 python -c "import json, sys; p = [json.load(open(f))['records'][0]['pattern'] for f in ('products.json', 'repaired.json')]; sys.exit(p[0] != p[1])"
 echo '[{"text": "C:\\Users\\Public\\y.bat", "kind": "file_path", "capture_groups": ["users", "public"]}]' > truths.json
 ioc2regex evaluate --products products.json --truths truths.json --output report.json --dump-matches matches.json

@@ -1,110 +1,37 @@
-"""Tokenizer and validator for the regex dialect accepted as final output.
+"""Tokenizer, validator and analyses for the regex dialect.
 
-The dialect is a portable subset of common regex engines: a leading inline
-case-insensitivity flag, escaped literals, character classes, the wildcard
-dot, quantifiers (``*`` ``+`` ``?`` ``{m,n}``, optionally lazy), alternation,
-plain and non-capturing groups, and the ``^``/``$`` anchors.  Everything a
-pattern is allowed to contain is produced here as a typed token stream.  A
-group that contains a repeating quantifier may not itself be repeated (star
-height at most one, so ``(a+)+`` and ``(.*a)*`` are rejected), and a group
-that contains ``|`` at any depth may not be repeated either (``(?:a|a)+`` and
-``(a|ab)*c`` are rejected; a character class says the same without
-backtracking): both backtrack exponentially on near-miss inputs.  The
-verbose flag ``(?x)`` and a brace quantifier without a lower bound
-(``{,n}``) are rejected, because they would make text that reads as literal
-match something else.  A brace bound may not exceed 65,535, PCRE's limit
-(``re`` itself cannot compile one from 2**32 - 1).  A character class may
-not open with ``[`` (``[[:alpha:]]`` is a POSIX class in PCRE and a nested
-set to come in ``re``), nor hold ``--``, ``&&``, ``~~`` or ``||`` where
-``re`` reads them as a set operation to come: both draw a ``FutureWarning``
-from ``re``, and both mean something else elsewhere.  Nor may a class hold
-``[:``, ``[=`` or ``[.`` after its opening when it ends in ``:]``, ``=]``
-or ``.]`` later than that (``[^[:alpha:]]``, ``[a[=b=]]``): PCRE reads a
-POSIX bracket expression there, and ``re`` literal characters.
+``docs/formats.md#regex-dialect`` states the dialect and
+``docs/formats.md#match-rules`` the match rules that ``Analysis.matches``
+and ``Analysis.explain`` follow; this docstring gives the reasons.
 
-``tokenize`` matches one scanner pattern at each offset of a pattern.  Its
-named alternatives are the token kinds, tried in order; a maximal literal
-run is one token, and a quantifier after it takes the run's last character.
-Where no alternative matches, the text there names the error.  A brace bound
-is made of the ASCII digits ``0-9`` only, as ``re`` and PCRE read it, so
-``a{٣}`` is that literal text, not ``a`` three times.
+``analyze`` reads a pattern of the find-chain shape off one ``fullmatch``
+of ``_CHAIN``: such a pattern is valid, all its runs are required, and its
+tokens and regex are built only if a caller needs them.  Any other pattern
+is tokenized, walked once by ``structure``, which validates it and marks
+its required runs, and compiled at once, so an ``re.error`` is still a
+``DialectError``.  ``analyze`` caches the analysis, or the error, for every
+caller; analyses, tokens and runs are never mutated.  ``Token`` and
+``LiteralRun`` are slotted, not frozen, dataclasses because building one is
+half as costly, so nothing may hash or change them.
 
-``analyze`` decides with one ``fullmatch`` of the find-chain regex, built
-from the scanner's literal and escape alternatives, whether a pattern has
-the find-chain shape of the match rules below; such a pattern is valid, and
-its flags, runs (all required) and wildcards are read off that match.  Any
-other pattern is tokenized, and one walk of its tokens (``structure``)
-decides whether it is valid, which of its literal runs are required, and
-whether it opens with a leading wildcard.  ``analyze`` caches the result,
-or the ``DialectError`` it raised; the validation gates, the grader and the
-evaluation all read that one analysis.  A run is *required* when it is
-literally on every match path, not in an alternation branch or a group that
-may match zero times.  A find-chain pattern's ``Analysis.tokens`` are built
-on first use (only the diagnostic of a miss on a text the find-chain rule
-does not cover walks them: one with a line break, or under ``(?i)`` one
-that is not ASCII), and so is
-``Analysis.regex``.  ``analyze`` compiles every pattern outside the
-find-chain shape at once, so an ``re.error`` is still a ``DialectError``; a
-find-chain pattern always compiles, and is compiled only if a search needs
-it.  An analysis, its tokens and its literal runs are shared by every caller
-that analyzes the same pattern, through the cache, and are never mutated;
-``Token`` and ``LiteralRun`` are slotted dataclasses, not frozen ones,
-because building one is half as costly, so nothing may hash or change them.
+Why each match rule gives what ``re.search`` gives:
 
-Match rules.  ``Analysis.matches`` says exactly whether ``re.search`` finds a
-match, and ``Analysis.explain`` says why it does not; both follow these
-rules, which hold for every pattern in the dialect.
-
-- Offset 0.  When the pattern, after its flags, opens with ``.`` under an
-  unbounded quantifier (``*``, ``+`` or ``{m,}``, lazy or not; the *leading
-  wildcard*), has no top-level ``|``, and the text holds no ``\n`` or the
-  pattern sets ``(?s)``, a search tries offset 0 only (``regex.match``).
-  The dialect has no backreferences and no lookbehind, so the leading ``.``
-  run of a match found at any offset can be stretched back to offset 0, and
-  ``re.search`` tries offset 0 first with the same backtracking as
-  ``match``.  Without the rule, a miss costs one attempt per offset, each of
-  which may scan the rest of the text.
-- Find chain.  When the pattern's body, after its flags, is only literal
-  runs and ``.`` under ``*`` or ``*?`` (the *find-chain* shape,
-  ``(?i).*K1.*K2.*``), and the text holds no ``\n`` or the pattern sets
-  ``(?s)``, the pattern matches exactly when its runs occur in the text in
-  order without overlapping.  A greedy leftmost ``str.find`` chain decides
-  that in one pass over the text (the automaton simulation of Cox, "Regular
-  Expression Matching Can Be Simple And Fast", 2007, reduced to literals and
-  ``.*``), where backtracking takes time of the order of the text length to
-  the number of ``.*``.  Any other pattern or text is decided by a search.
+- Offset 0.  The dialect has no backreferences and no lookbehind, so the
+  leading ``.`` run of a match found at any offset can be stretched back to
+  offset 0, and ``re.search`` tries offset 0 first with the same
+  backtracking as ``match``.  Without the rule, a miss costs one attempt
+  per offset, each of which may scan the rest of the text.
+- Find chain.  A ``.*`` matches any text that holds no line break, so the
+  pattern matches exactly when its runs occur in order without
+  overlapping, and a greedy leftmost ``str.find`` chain decides that in one
+  pass: the automaton simulation of Cox, "Regular Expression Matching Can
+  Be Simple And Fast" (2007), reduced to literals and ``.*``.
+  Backtracking takes time of the order of the text length to the number of
+  ``.*``.
 - ``(?i)`` and ASCII.  ``re.IGNORECASE`` also matches ASCII letters to some
-  non-ASCII ones (``i`` to ``ı``, ``s`` to ``ſ``, ``k`` to the Kelvin sign),
-  which ``str.lower`` does not map, so lowercase comparison stands for
-  ``(?i)`` only where both sides are ASCII.  ``fold(text)`` is the text
-  lowercased when it is all ASCII, else None; ``Analysis.needles`` are the
-  pattern's required runs that are ASCII, lowercased, in pattern order.
-  Under ``(?i)`` the find chain is the needles, searched in the text's
-  fold, and applies only when every run is ASCII and the text folds.
-  Whatever the flags, a text whose fold lacks a needle cannot match: the
-  probe's unprobed pass and, under ``(?i)``, the evaluation's prefilter
-  read the needles.
-
-``explain`` is lazy: ``matches`` never calls it.  On a miss it finds the
-longest top-level token prefix of the pattern, with literal runs split into
-characters, that matches, and the token after it.  Under the find-chain
-rule ``str.find`` and ``str.rfind`` alone decide the match and explain a
-miss, with no token walk and no ``re`` call.  One search per run, from the
-end of the run before, decides the match.  On a miss, the longest prefix
-of the first missing run that occurs after the runs found ends the
-matched prefix: its length is galloped (1, 2, 4, ...), then bisected,
-since a prefix occurs wherever a longer one does.  The failing token is
-the character after that prefix, read off the run's raw span between the
-wildcards (an escape is two pattern characters), or a ``.`` where the runs
-found end the text; only a ``.`` after the last run found can fail.  The
-prefix's end offset is where backtracking places its pieces: with no
-leading wildcard the first at the leftmost chain position, after a group
-with a greedy ``.*`` at the latest offset from which the later pieces
-still fit (one backward ``str.rfind`` pass, each piece ending by the
-next), after a group of only ``.*?`` at the first offset after the piece
-before; a trailing greedy group ends at the end of the text.  Any other
-pattern or text is searched whole, and on a miss scanned prefix by
-prefix, each prefix searched by ``re``.
+  non-ASCII ones (``i`` to ``ı``, ``s`` to ``ſ``, ``k`` to the Kelvin sign)
+  that ``str.lower`` does not map, so only an ASCII text's lowercase form
+  (``fold``) can stand in for ``(?i)``.
 """
 
 from __future__ import annotations
@@ -134,7 +61,7 @@ _PLAIN = r"[^\\\[().^$|*+?{]"
 _BRACE = r"\{(?![0-9]+(?:,[0-9]*)?\}|,[0-9]*\})"
 _ESCAPE = r"\\(?![^\W_])[\s\S]"  # [^\W_] is str.isalnum
 
-# One alternative per token kind, named after it (module docstring).  A class
+# One alternative per token kind, named after it, tried in order.  A class
 # is matched up to its '[' only; ``_parse_class`` finds its end, since its
 # leading-']' rule needs an atomic group, which ``re`` lacks before Python
 # 3.11.  Nothing matches an unsupported escape, a dangling backslash, a group
@@ -156,7 +83,7 @@ _SCANNER = re.compile(
     """,
     re.VERBOSE,
 )
-# The find-chain shape (module docstring): flags (group 1), then a body
+# The find-chain shape (docs/formats.md#match-rules): flags (group 1), then a body
 # (group 2) of literal characters, escapes and wildcards.  Each first
 # character has one alternative, and plain characters run between the
 # others, so a fullmatch takes time linear in the pattern.  A '.' is
@@ -266,7 +193,11 @@ def _posix_bracket(text: str) -> int | None:
 
 
 def tokenize(pattern: str) -> list[Token]:
-    """Split a pattern into dialect tokens; raises DialectError outside it."""
+    """Split a pattern into dialect tokens; raises DialectError outside it.
+
+    A maximal literal run is one token, and a quantifier after it takes the
+    run's last character.  Where no scanner alternative matches, the text
+    there names the error."""
     tokens: list[Token] = []
     pos, n = 0, len(pattern)
     while pos < n:
@@ -325,9 +256,9 @@ def structure(tokens: Sequence[Token]) -> tuple[tuple[LiteralRun, ...], bool]:
     """Validate a token stream and find its literal runs, in one walk.
 
     Returns the maximal literal runs, with unescaped text, and whether the
-    pattern opens with a leading wildcard, its half of the offset-0 rule
-    (module docstring).  Raises DialectError outside the dialect.  A
-    quantified atom is in no run, and any other non-literal token ends one.
+    pattern opens with a leading wildcard, its half of the offset-0 rule.
+    Raises DialectError outside the dialect.  A quantified atom is in no
+    run, and any other non-literal token ends one.
     """
     texts: list[str] = []
     required: list[bool] = []
@@ -418,9 +349,8 @@ def structure(tokens: Sequence[Token]) -> tuple[tuple[LiteralRun, ...], bool]:
 class LiteralRun:
     """A maximal stretch of literal characters in a pattern.
 
-    ``required`` runs are literally on every match path: not in an alternation
-    branch and not in a group whose quantifier allows zero repetitions.
-    Shared and never mutated, like a ``Token``.
+    ``required`` as ``docs/formats.md#regex-dialect`` defines it.  Shared
+    and never mutated, like a ``Token``.
     """
 
     text: str
@@ -429,7 +359,7 @@ class LiteralRun:
 
 def fold(text: str) -> str | None:
     """The text lowercased when it is all ASCII, else None: the one form in
-    which lowercase comparison stands for ``(?i)`` (module docstring)."""
+    which lowercase comparison stands for ``(?i)``."""
     return text.lower() if text.isascii() else None
 
 
@@ -438,9 +368,8 @@ class Analysis:
     """One pattern's literal runs and wildcards, its tokens and its regex.
 
     ``flags`` holds the letters of the inline flags token, e.g. ``"i"``.
-    ``leading_wildcard`` is the pattern's half of the offset-0 rule in the
-    module docstring.  ``needles`` are the ``fold`` of the required runs
-    that are ASCII, in pattern order.  ``chain`` holds the runs ``matches``
+    ``leading_wildcard`` is the pattern's half of the offset-0 rule.
+    ``needles`` are in pattern order.  ``chain`` holds the runs ``matches``
     finds in order, for a pattern of the find-chain shape: under ``(?i)``
     the needles, when every run is ASCII.  It is None for any other pattern.
     ``wildcards`` are the pattern's ``wildcard_units``.  A find-chain
@@ -470,8 +399,8 @@ class Analysis:
 
     def _at_offset_0(self, text: str) -> bool:
         """Whether a search of ``text`` finds a match at offset 0 or none
-        (the module docstring's offset-0 rule).  This also holds for every
-        top-level token prefix of the pattern."""
+        (the offset-0 rule).  This also holds for every top-level token
+        prefix of the pattern."""
         return self.leading_wildcard and ("\n" not in text or "s" in self.flags)
 
     def _hay(self, text: str) -> str | None:
@@ -482,8 +411,8 @@ class Analysis:
         return fold(text) if "i" in self.flags else text
 
     def matches(self, text: str) -> bool:
-        """Exactly ``self.regex.search(text) is not None``, by the module
-        docstring's match rules."""
+        """Exactly ``self.regex.search(text) is not None``, by the match
+        rules."""
         hay = self._hay(text)
         if hay is None:
             rx = self.regex
@@ -499,11 +428,10 @@ class Analysis:
     def explain(self, text: str) -> tuple[str, int, str] | None:
         """None when the pattern matches ``text``.  Otherwise the longest
         compilable top-level token prefix of the pattern that matches, the
-        end offset of its match in ``text``, and the first failing token,
-        as the module docstring describes: by ``str.find`` under the
-        find-chain rule, else by searching each prefix in turn.  The scan
-        always ends at a failing prefix: the last one is the whole
-        pattern."""
+        end offset of its match in ``text``, and the first failing token:
+        by ``_explain_chain`` under the find-chain rule, else by searching
+        each prefix in turn.  The scan always ends at a failing prefix: the
+        last one is the whole pattern."""
         hay = self._hay(text)
         if hay is not None:
             return self._explain_chain(text, hay)
@@ -530,9 +458,20 @@ class Analysis:
 
     def _explain_chain(self, text: str, hay: str) -> tuple[str, int, str] | None:
         """``explain`` under the find-chain rule, where ``hay`` is
-        ``_hay(text)``: None when every run is found in order, else the
-        prefix, its end offset and the failing token, by ``str.find`` and
-        ``str.rfind`` alone (module docstring)."""
+        ``_hay(text)``, by ``str.find`` and ``str.rfind`` alone: no tokens
+        and no ``re`` call.
+
+        One search per run, from the end of the run before, decides the
+        match.  On a miss, the matched prefix ends with the longest prefix
+        of the first missing run that occurs after the runs found, and the
+        failing token is the pattern character after it, or the ``.`` of
+        the wildcard group where the runs found end the text.  The prefix's
+        end offset is where backtracking leaves its pieces: with no leading
+        wildcard, the first at its leftmost chain position; after a group
+        that holds a greedy ``.*``, a piece at the latest offset from which
+        the later pieces still fit; after a group of only ``.*?``, at its
+        first occurrence after the piece before.  A prefix that ends in a
+        greedy group reaches the end of the text."""
         chain = self.chain
         start = 0  # the end of the leftmost chain of the runs found
         for found, run in enumerate(chain):
@@ -578,9 +517,6 @@ class Analysis:
         for _ in range(low):  # an escape is two pattern characters
             pos += 2 if self.pattern[pos] == "\\" else 1
         failing = self.pattern[pos : pos + (2 if self.pattern[pos] == "\\" else 1)]
-        # place the matched prefix's pieces as backtracking does: after a
-        # greedy group at the latest offset from which the later pieces
-        # still fit, else at the first offset after the piece before
         pieces = list(chain[:found])
         if low:
             pieces.append(missing[:low])

@@ -1,34 +1,14 @@
 """Measure generated regexes against independently collected ground truth.
 
-A ground-truth string is matched if any generated regex finds it; a match is
-a false positive when the truth's annotated capture groups differ from those
-of the indicator the regex was generated from.  Additional diagnostics cover
-pattern/indicator edit-distance similarity, score distributions, and a
-structural feature-vector comparison between patterns.
-
-Every metric derives from one match row per regex (``fpr``): the truths it
-finds.  A row is built by one ``dialect.Analysis.matches`` per truth that
-holds all of the regex's required literal runs; a truth missing one cannot
-match and is skipped unsearched.  A ``(?i)`` regex compares its needles
-with each truth's ``dialect.fold`` and passes a truth that does not fold;
-any other regex compares its runs exactly with the normalized text.
-``dialect`` states these match rules; the row is exactly that of
-``re.search``.
-
-The prefilter reads one haystack per text form of a truth set
-(``TruthSet``), built once, not once per regex: the truths' texts joined
-with ``SEPARATOR``, the offset where each starts, and, for the folds, the
-truths that do not fold.  The regex's longest needle is found by a
-``str.find`` loop over the joined text; each hit is mapped to its truth by
-bisection over the offsets, and counts only if it ends inside that truth,
-so the prefilter passes exactly the truths that hold the needle whatever
-the separator is.  The scan resumes at the next truth.  The other needles
-are checked per candidate with ``in``.  A needle in no truth costs one
-scan of the joined text, about a fifth of an ``in`` per truth; a needle in
-many truths costs one find and one bisection per hit, two to four times an
-``in`` per truth (``\\`` in 201 of the benchmark's 447 truths: 90 to 160
-us, against 40 to 65 us for an ``in`` per truth, on a 2-core VM with
-Python 3.11).
+``docs/formats.md#evaluation-report`` states the metrics and the match
+prefilter.  Every metric derives from one match row per regex (``fpr``):
+the truths that pass the prefilter and that ``dialect.Analysis.matches``
+matches.  The prefilter reads one haystack per text form of a truth set
+(``TruthSet``), built once for every regex, and it is exact whatever the
+separator between the truths: a hit counts only for the truth whose span
+holds all of it, so a hit that runs into the separator counts for none.  A
+needle found in many truths costs more than an ``in`` per truth, and a rare
+one far less.
 """
 
 from __future__ import annotations
@@ -175,8 +155,9 @@ SEPARATOR = "\x00"
 
 class _Haystack:
     """One text form of a truth set: the texts (None for a truth not in this
-    form), their join with ``SEPARATOR``, the offset where each starts (and
-    one past the end), and the indices of the None texts."""
+    form, which always passes), their join with ``SEPARATOR``, the offset
+    where each starts (and one past the end), and the indices of the None
+    texts."""
 
     def __init__(self, texts: list[str | None]):
         parts = [(t or "") + SEPARATOR for t in texts]
@@ -186,7 +167,9 @@ class _Haystack:
         self.unformed = [i for i, t in enumerate(texts) if t is None]
 
     def holding(self, needle: str) -> list[int]:
-        """The indices, ascending, of the texts that contain ``needle``."""
+        """The indices, ascending, of the texts that contain ``needle``: a
+        ``str.find`` loop over the join maps each hit to its text by
+        bisection over the offsets and resumes at the next text."""
         joined, starts = self.joined, self.starts
         found = []
         at = joined.find(needle)
@@ -237,11 +220,8 @@ def fpr(
     matches, the fraction whose annotated capture groups differ from the
     source indicator's; None if it matches nothing.
 
-    ``pattern`` must be in the dialect; its required runs prefilter the
-    truths through one haystack per truth set, as the module docstring
-    describes: pass a ``TruthSet`` to build the haystacks once for many
-    regexes (a plain list gets its own).  A needle in many truths costs two
-    to four times an ``in`` per truth; a rare one far less.
+    ``pattern`` must be in the dialect.  Pass a ``TruthSet`` to build the
+    prefilter's haystacks once for many regexes (a plain list gets its own).
     """
     analysis = dialect.analyze(pattern)
     if not isinstance(truths, TruthSet):
@@ -258,9 +238,7 @@ def fpr(
 
 
 def _mean(values: list[float]) -> float:
-    """Summed left to right: the builtin ``sum`` of floats is compensated
-    from Python 3.12 on, and the report must have the same bytes on every
-    version."""
+    """Summed left to right (``docs/formats.md#evaluation-report``)."""
     return functools.reduce(operator.add, values) / len(values)
 
 
@@ -411,14 +389,10 @@ def evaluate_by_dataset(
     truths: list[GroundTruthString],
     match_log: list | None = None,
 ) -> list[EvaluationReport]:
-    """One report per dataset_id found in the truth set, sorted by id.
-
-    Each product record needs ``ioc_id``, ``pattern``, ``capture_groups``,
-    ``normalized`` and ``score``.  Score and similarity distributions cover
-    only regexes that matched at least one truth.  Each regex is matched
-    once against all truths; its row is then split by dataset, so every
-    report and ``match_log`` entry reads the same rows.  A pattern outside
-    the dialect raises ProductPatternError.
+    """One report per dataset_id found in the truth set, sorted by id
+    (``docs/formats.md#evaluation-report``), and the match dump's entries
+    appended to ``match_log``.  A pattern outside the dialect raises
+    ProductPatternError.
     """
     truths = TruthSet(truths)  # one pair of haystacks for every regex
     datasets: dict[str, list[int]] = {}

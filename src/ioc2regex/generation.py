@@ -1,47 +1,16 @@
 """Iterative regex generation with staged validation.
 
-A pluggable backend proposes candidate patterns; each candidate runs through
-three gates in order: a match debug check against the source indicator, a
-group audit that every keep component appears literally on every match path
-while no discard component appears in any literal run (``coverage``, by the
-coverage rule of ``grading``, which the score reads too), and an
-over-generalization probe with ten seeded random strings.  The probe
-rejects a pattern only when it matches all ten, so it draws and searches
-the strings one at a time and stops at the first one the pattern misses;
-the verdict is that of checking all ten.  The probe strings are ASCII and
-hold no keep component, so a pattern one of whose needles
-(``dialect.Analysis.needles``) contains a keep (case-folded) can match none
-of them: the probe passes it without drawing a string, with the same
-verdict.  A pattern that passed the audit holds every keep in a required
-run, so this unprobed pass covers every such pattern with a keep in a
-required run that is ASCII: after a passing audit, only a pattern whose
-keeps all sit in runs that are not ASCII draws probes.
-The strings are drawn by rejection; after 1,000 rejected draws in a row the
-rest are drawn without the one-character keeps, and when every probe
-character is a one-character keep, no probe string exists and the probe
-passes without drawing one.
-``generate`` runs the gates as one stage list: debug and the audit get up to
-``max_iterations`` (ten) attempts, each failure but the last fed back to the
-backend; the probe gets one.  A stage's last failure or a backend error (an
-empty reply is one) restarts the whole workflow, up to a configurable number
-of passes.
+A pluggable backend proposes candidate patterns, and ``generate`` runs each
+through the debug check, the group audit and the over-generalization probe
+as one stage list, by ``docs/formats.md#generation-workflow``.
 
-The gates decide "match or not", and the debug diagnostic explains a miss,
-by the match rules of ``dialect`` (``Analysis.matches`` and
-``Analysis.explain``).
-
-The debug and audit results and their diagnostics depend only on the
-pattern and the indicator, and so does an over-generalization verdict that
-drew no probe; every prompt opens with the same indicator head.  One
-``IndicatorMemo`` computes each of them once for all the workflow runs of
-an indicator, and the template backend renders an indicator's template
-once.
-
-A backend whose ``deterministic`` attribute is true answers a prompt the same
-way every time.  The run's seed reaches the workflow only through the probe,
-so when no over-generalization check of a run drew a probe, a run with any
-other seed takes the same path.  ``generate`` records that in
-``WorkflowTrace.probed``, which ``grading.select_best`` reads to reuse it.
+The debug and audit verdicts and their diagnostics depend only on the
+pattern and the indicator, and so does a probe verdict that drew no probe
+string; every prompt opens with the same indicator head.  So one
+``IndicatorMemo`` computes each of them once for all the runs of an
+indicator (``docs/formats.md#best-of-k-and-reuse``).
+``WorkflowTrace.probed`` records for ``grading.select_best`` whether a run
+drew a probe string.
 """
 
 from __future__ import annotations
@@ -149,10 +118,10 @@ class NoncaptureResult:
 
 def coverage(pattern: str, annotation: GroupAnnotation) -> NoncaptureResult:
     """What the pattern's literal runs pin of the annotation, by the coverage
-    rule of ``grading``: the keep components in no required run, the discard
-    components in some run, and per run the spans of the keep occurrences in
-    the run's case fold, where text is compared (the grader maps them back to
-    the run's characters).  Raises DialectError."""
+    rule (``docs/formats.md#scores``): the keep components in no required
+    run, the discard components in some run, and per run the spans of the
+    keep occurrences in the run's case fold, where text is compared (the
+    grader maps them back to the run's characters).  Raises DialectError."""
     runs = dialect.analyze(pattern).runs
     folded = [run.text.casefold() for run in runs]
     spans: list[list[tuple[int, int]]] = [[] for _ in runs]  # in the folds
@@ -177,9 +146,7 @@ def coverage(pattern: str, annotation: GroupAnnotation) -> NoncaptureResult:
 
 
 def noncapture_check(pattern: str, annotation: GroupAnnotation) -> NoncaptureResult:
-    """Every keep component must be in a required run, i.e. literally on
-    every match path, and no discard component in any literal run
-    (``coverage``)."""
+    """The group audit: ``coverage`` of an annotation with keep components."""
     if not annotation.keep_components:
         raise ValueError("noncapture_check requires an annotation with keep components")
     return coverage(pattern, annotation)
@@ -212,11 +179,9 @@ def _folded_keeps(keep_components) -> list[str]:
 def _probe_stream(
     rng_seed: int, keep_components: list[str] | tuple[str, ...] = ()
 ) -> Iterator[str]:
-    """Seeded random strings (8-64 printable non-whitespace chars) that
-    contain no keep component, by rejection sampling.  After
-    ``_PROBE_REJECTS`` rejected draws in a row, the rest are drawn without
-    the one-character keeps; the stream ends there if that leaves no
-    character, and is endless otherwise."""
+    """The seed's probe strings (``docs/formats.md#generation-workflow``);
+    the stream ends when the one-character keeps leave no character, and is
+    endless otherwise."""
     rng = random.Random(rng_seed)
     folded = _folded_keeps(keep_components)
     alphabet = _PROBE_ALPHABET
@@ -248,16 +213,12 @@ def overgen_check(
     rng_seed: int,
     keep_components: list[str] | tuple[str, ...] = (),
 ) -> OvergenResult:
-    """Fail only when the pattern matches every one of the ten random strings.
+    """The over-generalization probe (``docs/formats.md#generation-workflow``).
 
-    The check passes with no probe drawn, for every seed, when a needle of
-    the pattern (``dialect.Analysis.needles``) contains a non-empty keep
-    component (case-folded): that keep is in every match, and the ASCII
-    probes hold none.  It also does when every probe character is a
-    one-character keep, so no probe string exists.  Otherwise the strings are
-    drawn one at a time, and the check passes at the first one the pattern
-    does not match; a passing result holds only the strings drawn up to that
-    one.
+    A needle that holds a keep is in every match, and the ASCII probe
+    strings hold none, so such a pattern passes with no probe drawn.  A
+    passing result holds only the strings drawn up to the first one the
+    pattern does not match.
     """
     folded = _folded_keeps(keep_components)
     analysis = dialect.analyze(pattern)
@@ -376,12 +337,9 @@ class TemplateBackend(GeneratorBackend):
 
 
 class ScriptedBackend(GeneratorBackend):
-    """Replays a fixed list of emissions; for tests and offline dry-runs.
-
-    With ``per_record`` the script restarts for every distinct record (keyed
-    by its source_id).  When the script is exhausted, delegates to ``fallback``
-    if given, otherwise repeats the last emission.
-    """
+    """Replays a fixed list of emissions, for tests and offline dry-runs, as
+    ``docs/formats.md#scripted-replay-file`` states; under ``per_record`` a
+    record is keyed by its ``source_id``."""
 
     kind = "scripted_mock"
 
@@ -401,9 +359,8 @@ class ScriptedBackend(GeneratorBackend):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
-        """A replay file holds a JSON list of strings, or an object whose
-        ``emissions`` is one, with an optional boolean ``per_record`` and a
-        ``fallback`` of null or ``"template"``; anything else raises ValueError."""
+        """The backend a replay file describes; a file of any other shape
+        raises ValueError."""
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         emissions = data.get("emissions") if isinstance(data, dict) else data
         if not isinstance(emissions, list) or not all(
@@ -414,6 +371,9 @@ class ScriptedBackend(GeneratorBackend):
             )
         if isinstance(data, list):
             return cls(data)
+        for key in data:
+            if key not in ("emissions", "per_record", "fallback"):
+                raise ValueError(f"unknown key {key!r}")
         per_record = data.get("per_record", False)
         if not isinstance(per_record, bool):
             raise ValueError("'per_record' must be true or false")
@@ -510,16 +470,12 @@ class WorkflowTrace:
 
 
 class IndicatorMemo:
-    """The pure results of one indicator's workflow runs, each computed once:
-    the debug and audit verdicts per pattern with their ``describe()`` text,
-    the over-generalization verdict of a pattern that drew no probe (which
-    holds for every seed), and the prompt head, which ``prompt``, the one
-    prompt builder, opens every prompt with.  Make one per indicator and
-    pass it to each ``generate`` call.  Each verdict looks up the check it
-    caches at call time, so a patched module attribute takes effect.  The
-    audit's verdict is the pattern's ``coverage``; the ``coverage`` method
-    hands it to the score.  The template backend's reply is computed once
-    per indicator too, by the backend (``TemplateBackend``)."""
+    """The pure results of one indicator's workflow runs, each computed once
+    (module docstring), and ``prompt``, the one prompt builder.  Make one
+    per indicator and pass it to each ``generate`` call.  Each verdict looks
+    up the check it caches at call time, so a patched module attribute
+    takes effect.  The ``coverage`` method hands the audit's result to the
+    score."""
 
     def __init__(self, annotation: GroupAnnotation):
         self.annotation = annotation
@@ -670,9 +626,8 @@ def single_shot(
 ) -> tuple[str | None, WorkflowTrace]:
     """Ablation variant: one backend call, no validation loops.
 
-    An emission ``dialect.analyze`` rejects, like an empty reply or a backend
-    error, yields no pattern, since there is no debug loop to repair it.  The
-    run draws no probe, so its seed never matters.
+    An emission outside the dialect yields no pattern, since no debug loop
+    can repair it.  The run draws no probe, so its seed never matters.
     """
     trace = WorkflowTrace()
     pattern = _propose(backend, annotation, build_prompt(annotation), trace, 0, STAGE_DEBUG)

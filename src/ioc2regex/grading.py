@@ -1,34 +1,19 @@
 """Score candidate patterns and pick the best of several generation runs.
 
-The score is ``n_cg - n_wc``.  The coverage rule below decides what a
-pattern's literal runs pin of an indicator, for the group audit
-(``generation.noncapture_check``) and for the score alike; one function,
-``generation.coverage``, applies it.
+``grade`` scores ``n_cg - n_wc`` by the coverage rule of
+``docs/formats.md#scores``, which ``generation.coverage`` applies for the
+group audit and the score alike.  One leading and one trailing bare ``.*``
+only say that a pattern may match anywhere in a string, which is why they
+are exempt from ``n_wc``.  ``grade`` reads the wildcard units and the start
+of the body from the pattern's analysis, which holds them whether or not it
+has tokenized the pattern, and maps the keep marks from each run's case
+fold back to the run's characters (``_unfold``).
 
-- A keep component counts when it is in a required literal run: literally
-  on every match path, not in an alternation branch or a group that may
-  match zero times.  ``n_cg`` counts those; the audit needs all of them.
-- A discard component is present when it is in any literal run; the audit
-  needs none.
-- ``n_wc`` counts wildcard constructs (``dialect.wildcard_units``) and stray
-  literals: stretches of three or more characters of a run that no keep
-  occurrence covers and that are not glue (``\\``, ``/``, space, tab).  One
-  leading and one trailing bare ``.*`` only say that the pattern may match
-  anywhere in a string, so they are exempt.  ``grade`` reads the units and
-  the start of the body from the pattern's analysis, which holds them
-  whether or not it has tokenized the pattern.
-- All comparisons are case-folded, with the marks of a keep occurrence on
-  the run's original characters (``ß``, which folds to ``ss``, is one
-  character): ``coverage`` marks the keeps in each run's case fold, and
-  ``grade`` maps the marks back (``_unfold``).
-
-``select_best`` runs the workflow ``k`` times with seeds ``rng_seed + i``.
-The seed reaches a run only through the over-generalization probe, so when
-the backend is deterministic and the first run drew no probe (its
-``WorkflowTrace.probed`` is false; a ``single_shot`` run never draws one),
-every other run would take the same path: the first run stands for all
-``k``, and the workflow, its backend calls and the probe gate run once per
-indicator.  A run that drew a probe keeps ``k`` separately seeded runs.
+``select_best`` runs the workflow ``k`` times, seeding run ``i`` with
+``rng_seed + i``.  The seed reaches a run only through the probe, so when
+the backend is deterministic and the first run drew no probe string, every
+other run would take the same path, and the first run stands for all ``k``
+(``docs/formats.md#best-of-k-and-reuse``).
 """
 
 from __future__ import annotations
@@ -65,7 +50,7 @@ def grade(
     pinned: generation.NoncaptureResult | None = None,
 ) -> RegexCandidate:
     """Score = n_cg - n_wc for one candidate pattern, by the coverage rule
-    (module docstring).  ``pinned`` is the pattern's ``generation.coverage``
+    (``docs/formats.md#scores``).  ``pinned`` is the pattern's ``generation.coverage``
     of ``annotation`` when it is already known (the group audit's result),
     else it is computed here."""
     try:
@@ -111,14 +96,12 @@ def select_best(
     workflow: str = "full",
 ) -> tuple[RegexCandidate | None, list[RegexCandidate]]:
     """Run the workflow ``k`` times and keep the top-scoring graded
-    candidate; a ``k`` below one is a ValueError.
+    candidate, as ``docs/formats.md#best-of-k-and-reuse`` states; a ``k``
+    below one is a ValueError.
 
     The runs share one ``generation.IndicatorMemo``, and each distinct
     pattern is graded once, from the memo's coverage (the group audit's,
-    when it ran): runs that yield the same pattern share its candidate.  A
-    deterministic backend's first run stands for all ``k`` when it drew no
-    probe (module docstring).  Ties break toward the shorter pattern, then
-    lexicographic order.  Returns (best or None, one graded candidate per
+    when it ran).  Returns (best or None, one graded candidate per
     successful run).
     """
     if k < 1:

@@ -1,14 +1,14 @@
 """In-process inventory of OS-native components used to tell invariant IOC parts apart.
 
 Three forests are kept: file-system directories, registry key components, and
-commands with their parameters.  Each forest is one dict from a node name to
-the names of its children, merged over every declaration that mentions the
-name; the command forest's children, the parameters, are also kept as one
-set.  All names are case-folded at ingestion and at query time, so
-membership and adjacency are plain hash probes wherever in a hierarchy a
-component appeared.  A store is built once from one
-or more JSON definition files and is read-only afterwards, which makes it safe
-to share across worker threads.
+commands with their parameters, as definition files declare them
+(``docs/formats.md#knowledge-base-definition-file``).  Each forest is one
+dict from a node name to the names of its children, merged over every
+declaration that mentions the name; the command forest's children, the
+parameters, are also kept as one set.  Names are case-folded at ingestion
+and at query time, so membership and adjacency are plain hash probes
+wherever in a hierarchy a component appeared.  A store is read-only once
+built, which makes it safe to share across worker threads.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ FOREST_NAMES = (PATH_FOREST, REGISTRY_FOREST, COMMAND_FOREST)
 
 # Executable suffixes stripped when canonicalizing command names.
 EXECUTABLE_EXTENSIONS = (".exe", ".com", ".bat", ".cmd", ".ps1")
+
+# The keys a definition file may hold, at the top level and in a command entry.
+_FILE_KEYS = ("version", "paths", "registry", "commands")
+_COMMAND_KEYS = ("name", "parameters")
 
 
 class NodeLabel(str, Enum):
@@ -49,6 +53,13 @@ def _split_hierarchy(entry: str) -> list[str]:
     return [p for p in parts if p]
 
 
+def _check_keys(entry: dict, allowed: tuple[str, ...], where: str, filename: str) -> None:
+    """A KnowledgeBaseError naming the first key of ``entry`` not in ``allowed``."""
+    for key in entry:
+        if key not in allowed:
+            raise KnowledgeBaseError(f"{where}unknown key {key!r}", filename)
+
+
 def strip_executable_extension(token: str) -> str:
     """Drop a trailing executable suffix (``cmd.exe`` -> ``cmd``), if present."""
     folded = token.casefold()
@@ -65,7 +76,7 @@ class KnowledgeStore:
         # forest name -> case-folded node name -> case-folded child names
         self._forests: dict[str, dict[str, set[str]]] = {f: {} for f in FOREST_NAMES}
         self._parameters: set[str] = set()  # case-folded parameter names
-        self.source_manifest: list[dict] = []
+        self.sources = 0  # definition files loaded
 
     # -- construction -------------------------------------------------
 
@@ -97,8 +108,8 @@ class KnowledgeStore:
     def _load_dict(self, data: dict, filename: str) -> None:
         if not isinstance(data, dict):
             raise KnowledgeBaseError("top level must be an object", filename)
-        version = data.get("version", "")
-        if not isinstance(version, str):
+        _check_keys(data, _FILE_KEYS, "", filename)
+        if not isinstance(data.get("version", ""), str):
             raise KnowledgeBaseError("'version' must be a string", filename)
 
         for key, forest in (("paths", PATH_FOREST), ("registry", REGISTRY_FOREST)):
@@ -126,6 +137,7 @@ class KnowledgeStore:
         for i, entry in enumerate(commands):
             if not isinstance(entry, dict):
                 raise KnowledgeBaseError(f"commands[{i}]: not an object", filename)
+            _check_keys(entry, _COMMAND_KEYS, f"commands[{i}]: ", filename)
             name = entry.get("name")
             params = entry.get("parameters", [])
             if not isinstance(name, str) or not name.strip():
@@ -145,7 +157,7 @@ class KnowledgeStore:
             self._forests[COMMAND_FOREST].setdefault(command, set()).update(params)
             self._parameters |= params
 
-        self.source_manifest.append({"file": filename, "version": version})
+        self.sources += 1
 
     # -- queries ------------------------------------------------------
 
@@ -186,7 +198,7 @@ class KnowledgeStore:
             "registry_nodes": len(self._forests[REGISTRY_FOREST]),
             "commands": len(self._forests[COMMAND_FOREST]),
             "parameters": len(self._parameters),
-            "sources": len(self.source_manifest),
+            "sources": self.sources,
         }
 
 

@@ -1,42 +1,33 @@
 r"""Classify raw indicator strings and normalize them into component lists.
 
-Pipeline order per indicator: classify -> preprocess -> segment.  Preprocessing
-covers the four standardization cases seen in real threat-report strings:
+Per indicator: classify -> preprocess -> segment.  Preprocessing covers the
+four standardization cases of real threat-report strings:
 environment-variable expansion, username unification, registry-root
-abbreviation, and executable-extension stripping on known commands.  One
-function reads a registry key's head, for classifying and for the rewrite
-alike; ``docs/formats.md`` states the head rule in its section on the
-registry-root map.
+abbreviation, and executable-extension stripping on known commands.
+``_read_head`` reads a registry key's head for classifying and for the
+rewrite alike (``docs/formats.md#expansion-table-and-registry-root-map``).
 
 The expansion table and the registry-root map travel together as one
-immutable ``Tables`` value; ``BUNDLED`` holds the shipped ones and is every
-entry point's default.  ``Tables.from_json`` is the one way in from JSON (a
-table file, a product summary): it checks each table and takes the bundled
-one for a table not given.  Every ``Tables`` uppercases its expansion keys,
-case-folds its root keys and builds its registry markers once, when made.
+immutable ``Tables``, whose keys and registry markers are built once, when
+it is made.  ``BUNDLED`` holds the shipped tables and is every entry
+point's default; ``Tables.from_json`` is the one way in from JSON.
 
 Every pattern is compiled once, at import, and each rewrite runs only when
-its trigger can occur in the string.  Each skip is exact, not a heuristic:
+its trigger can occur in the string.  Each skip is exact:
 
-- Environment variables (``%NAME%``) are looked up only when ``"%"`` is in
-  the string.
-- The component after ``users`` is rewritten by a ``(?i)`` pattern that runs
-  only when the string's ``casefold()`` holds ``users``.  Every character
-  that ``(?i)`` matches to ``u``, ``s``, ``e`` or ``r`` (their ASCII cases
-  and ``ſ``, U+017F) folds to that letter.  The native children of ``Users``
-  are read only for a match.
-- Executable extensions on known commands: only the tokens that end in an
-  executable suffix under ``(?i)`` are matched, and each is then checked by
-  its ``casefold``.  A token whose fold ends in a suffix ends in it under
-  ``(?i)`` too: every character whose fold lies in a suffix folds to one
-  character that ``(?i)`` matches to it.  ``tests/test_normalize.py``
-  checks this premise and the one above at every code point.
+- ``%NAME%`` variables are looked up only when ``"%"`` is in the string.
+- The component after ``users`` is rewritten only when the string's
+  ``casefold()`` holds ``users``: every character that ``(?i)`` matches to
+  ``u``, ``s``, ``e`` or ``r`` (their ASCII cases and ``ſ``, U+017F) folds
+  to that letter.
+- Only the command-line tokens that end in an executable suffix under
+  ``(?i)`` are checked by their ``casefold``: every character whose fold
+  lies in a suffix folds to one character that ``(?i)`` matches to it, so a
+  token whose fold ends in a suffix ends in it under ``(?i)`` too.
 
 Command lines split at whitespace and ``;`` outside double quotes, by one
-pattern whose ``\s`` stands for ``str.isspace``.  The two agree at every
-code point on Python 3.10 to 3.13 (``tests/test_normalize.py`` checks it);
-``re.ASCII`` would break this, since ``\x1c``-``\x1f`` are whitespace to
-both.
+pattern whose ``\s`` stands for ``str.isspace``.  ``tests/test_normalize.py``
+checks this and both premises above at every code point.
 """
 
 from __future__ import annotations

@@ -5,9 +5,8 @@ k-candidate generation with grading, then optional evaluation against
 ground-truth files.  Each indicator yields one outcome: its status, its
 product record or rejection entry, and its annotation dump entry, if it was
 annotated.  Ablation modes disable the capture-finding step ("-CR"), the
-reasoning workflow ("C-R"), or both ("-C-R").  All file artifacts are JSON
-with sorted keys, written by ``json_text``, so identical config + seed +
-deterministic backend reproduce byte-identical outputs.
+reasoning workflow ("C-R"), or both ("-C-R").  ``json_text`` writes every
+file (``docs/formats.md#output-files``).
 """
 
 from __future__ import annotations

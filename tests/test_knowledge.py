@@ -89,6 +89,7 @@ def test_ingestion_order_independent(tmp_path):
     two = KnowledgeStore.ingest([fb, fa])
     assert one.path_children("y") == two.path_children("y") == {"z"}
     assert one.stats() == two.stats()
+    assert one.stats()["sources"] == 2
     assert one.adjacent(PATH_FOREST, "x", "y") and two.adjacent(PATH_FOREST, "x", "y")
     assert one.adjacent(PATH_FOREST, "y", "z") and two.adjacent(PATH_FOREST, "y", "z")
 
@@ -118,6 +119,24 @@ def test_command_without_name_is_schema_error(tmp_path):
     bad = tmp_path / "cmd.json"
     bad.write_text(json.dumps({"commands": [{"parameters": ["-x"]}]}))
     with pytest.raises(KnowledgeBaseError, match="without a command name"):
+        KnowledgeStore.ingest([bad])
+
+
+def test_unknown_top_level_key_is_error(tmp_path):
+    bad = tmp_path / "kb.json"
+    bad.write_text(json.dumps(
+        {"path": ["Users/Public"], "command": [{"name": "cmd", "params": ["/c"]}]}
+    ))
+    with pytest.raises(KnowledgeBaseError, match=r"kb\.json: unknown key 'path'"):
+        KnowledgeStore.ingest([bad])
+
+
+def test_unknown_command_key_is_error(tmp_path):
+    bad = tmp_path / "kb.json"
+    bad.write_text(json.dumps({"commands": [{"name": "cmd", "params": ["/c"]}]}))
+    with pytest.raises(
+        KnowledgeBaseError, match=r"kb\.json: commands\[0\]: unknown key 'params'"
+    ):
         KnowledgeStore.ingest([bad])
 
 

@@ -857,9 +857,11 @@ class TestCli:
             ({"per_record": 1}, "'per_record' must be true or false"),
             ({"fallback": "templat"}, "'fallback' must be null or \"template\""),
             ({"fallback": True}, "'fallback' must be null or \"template\""),
+            ({"per-record": True}, "unknown key 'per-record'"),
+            ({"fallbak": "template"}, "unknown key 'fallbak'"),
         ],
         ids=["string-per-record", "number-per-record", "misspelt-fallback",
-             "boolean-fallback"],
+             "boolean-fallback", "misspelt-per-record-key", "misspelt-fallback-key"],
     )
     def test_exit_code_1_on_bad_replay_option(
         self, tmp_path, fig1_input, caplog, option, message
