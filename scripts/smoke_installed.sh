@@ -31,6 +31,17 @@ grep -q "unknown key 'per-record'" misspelt-replay.err
 test ! -e misspelt.json
 python -c "import json, sys; p = [json.load(open(f))['records'][0]['pattern'] for f in ('products.json', 'repaired.json')]; sys.exit(p[0] != p[1])"
 echo '[{"text": "C:\\Users\\Public\\y.bat", "kind": "file_path", "capture_groups": ["users", "public"]}]' > truths.json
+# So is a misspelt key in an input-list or ground-truth object.
+echo '[{"text": "C:\\Users\\Public\\x.bat", "source-id": "report-7"}]' > misspelt-iocs.json
+rc=0; ioc2regex generate --input misspelt-iocs.json --output misspelt-products.json 2> misspelt-iocs.err || rc=$?
+test "$rc" = 1
+grep -q "misspelt-iocs.json\[0\]: unknown key 'source-id'" misspelt-iocs.err
+test ! -e misspelt-products.json
+echo '[{"text": "C:\\Users\\Public\\y.bat", "kind": "file_path", "capture_groups": ["users"], "dataset-id": "scenario-1"}]' > misspelt-truths.json
+rc=0; ioc2regex evaluate --products products.json --truths misspelt-truths.json --output misspelt-report.json 2> misspelt-truths.err || rc=$?
+test "$rc" = 1
+grep -q "misspelt-truths.json\[0\]: unknown key 'dataset-id'" misspelt-truths.err
+test ! -e misspelt-report.json
 ioc2regex evaluate --products products.json --truths truths.json --output report.json --dump-matches matches.json
 python -c "import json, sys; sys.exit(json.load(open('report.json'))['reports'][0]['hit_rate'] != 1.0)"
 python -c "import json, sys; t = json.load(open('truths.json'))[0]['text']; sys.exit([m['matched'] for m in json.load(open('matches.json'))] != [[t]])"

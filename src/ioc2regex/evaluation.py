@@ -16,7 +16,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import json
 import math
 import operator
 from collections.abc import Iterable
@@ -24,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import dialect
+from .inputs import NONBLANK, STRING, STRINGS, check_object, read_json
 from .knowledge import KnowledgeStore
 from .normalize import BUNDLED, IocKind, Tables, preprocess
 
@@ -49,6 +49,17 @@ class GroundTruthString:
     normalized: str = ""
 
 
+# What a truth entry may hold.
+_KINDS = [kind.value for kind in IocKind]
+_TRUTH_FIELDS = {
+    "text": NONBLANK,
+    "kind": ("one of " + ", ".join(map(repr, _KINDS)), lambda value: value in _KINDS),
+    "capture_groups": STRINGS,
+    "dataset_id": STRING,
+}
+_TRUTH_REQUIRED = ("text", "kind", "capture_groups")
+
+
 def load_truths(
     path: str | Path,
     store: KnowledgeStore | None = None,
@@ -56,10 +67,7 @@ def load_truths(
 ) -> list[GroundTruthString]:
     """Read a ground-truth JSON file and normalize each entry for matching,
     with the given expansion and registry-root tables (default: bundled)."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # malformed JSON or UTF-8
-        raise GroundTruthError(f"{path}: {exc}") from exc
+    data = read_json(path, GroundTruthError)
     if not isinstance(data, list):
         raise GroundTruthError(f"{path}: expected a JSON list of truth records")
     return [
@@ -73,21 +81,9 @@ def make_truth(
     where: str = "<record>",
     tables: Tables = BUNDLED,
 ) -> GroundTruthString:
-    if not isinstance(entry, dict):
-        raise GroundTruthError(f"{where}: not an object")
-    try:
-        text = entry["text"]
-        kind = IocKind(entry["kind"])
-        groups = entry["capture_groups"]
-        dataset_id = entry.get("dataset_id", "default")
-    except (KeyError, ValueError) as exc:
-        raise GroundTruthError(f"{where}: {exc}") from exc
-    if not isinstance(text, str) or not text.strip():
-        raise GroundTruthError(f"{where}: 'text' must be a non-empty string")
-    if not isinstance(groups, list) or not all(isinstance(g, str) for g in groups):
-        raise GroundTruthError(f"{where}: 'capture_groups' must be a list of strings")
-    if not isinstance(dataset_id, str):
-        raise GroundTruthError(f"{where}: 'dataset_id' must be a string")
+    check_object(entry, _TRUTH_FIELDS, where, GroundTruthError, _TRUTH_REQUIRED)
+    text, kind, groups = entry["text"], IocKind(entry["kind"]), entry["capture_groups"]
+    dataset_id = entry.get("dataset_id", "default")
 
     normalized = preprocess(text, kind, store, tables)
     folded = [g.casefold() for g in groups]  # in order: an error names the first

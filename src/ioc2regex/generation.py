@@ -16,7 +16,6 @@ drew a probe string.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import random
 import re
@@ -27,6 +26,7 @@ from typing import Iterator
 
 from . import dialect
 from .capture import GroupAnnotation
+from .inputs import STRINGS, check_object, read_json
 from .normalize import IocKind
 
 STAGE_DEBUG = "debug"
@@ -336,6 +336,14 @@ class TemplateBackend(GeneratorBackend):
         return last[1]
 
 
+# What a replay object may hold.
+_REPLAY_FIELDS = {
+    "emissions": STRINGS,
+    "per_record": ("true or false", lambda value: isinstance(value, bool)),
+    "fallback": ('null or "template"', lambda value: value in (None, "template")),
+}
+
+
 class ScriptedBackend(GeneratorBackend):
     """Replays a fixed list of emissions, for tests and offline dry-runs, as
     ``docs/formats.md#scripted-replay-file`` states; under ``per_record`` a
@@ -361,26 +369,13 @@ class ScriptedBackend(GeneratorBackend):
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
         """The backend a replay file describes; a file of any other shape
         raises ValueError."""
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        emissions = data.get("emissions") if isinstance(data, dict) else data
-        if not isinstance(emissions, list) or not all(
-            isinstance(e, str) for e in emissions
-        ):
-            raise ValueError(
-                "expected a list of strings or an object whose 'emissions' is one"
-            )
-        if isinstance(data, list):
-            return cls(data)
-        for key in data:
-            if key not in ("emissions", "per_record", "fallback"):
-                raise ValueError(f"unknown key {key!r}")
-        per_record = data.get("per_record", False)
-        if not isinstance(per_record, bool):
-            raise ValueError("'per_record' must be true or false")
-        if data.get("fallback") not in (None, "template"):
-            raise ValueError("'fallback' must be null or \"template\"")
+        data = read_json(path, ValueError)
+        data = {"emissions": data} if isinstance(data, list) else data
+        check_object(data, _REPLAY_FIELDS, str(path), ValueError, ("emissions",))
         fallback = TemplateBackend() if data.get("fallback") else None
-        return cls(emissions, per_record=per_record, fallback=fallback)
+        if not data["emissions"] and fallback is None:
+            raise ValueError(f"{path}: 'emissions' must not be empty without a fallback")
+        return cls(data["emissions"], data.get("per_record", False), fallback)
 
     def propose(self, annotation: GroupAnnotation, prompt: str) -> str:
         self.calls += 1

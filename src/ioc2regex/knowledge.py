@@ -13,9 +13,10 @@ built, which makes it safe to share across worker threads.
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 from pathlib import Path
+
+from .inputs import NONBLANK, STRING, STRINGS, check_object, read_json
 
 PATH_FOREST = "path"
 REGISTRY_FOREST = "registry"
@@ -26,9 +27,20 @@ FOREST_NAMES = (PATH_FOREST, REGISTRY_FOREST, COMMAND_FOREST)
 # Executable suffixes stripped when canonicalizing command names.
 EXECUTABLE_EXTENSIONS = (".exe", ".com", ".bat", ".cmd", ".ps1")
 
-# The keys a definition file may hold, at the top level and in a command entry.
-_FILE_KEYS = ("version", "paths", "registry", "commands")
-_COMMAND_KEYS = ("name", "parameters")
+# What a definition file may hold, at the top level and in a command entry.
+_FILE_FIELDS = {
+    "version": STRING,
+    "paths": STRINGS,
+    "registry": STRINGS,
+    "commands": ("a list of objects", lambda value: isinstance(value, list)),
+}
+_COMMAND_FIELDS = {
+    "name": NONBLANK,
+    "parameters": (
+        "a list of strings that are not blank",
+        lambda value: isinstance(value, list) and all(map(NONBLANK[1], value)),
+    ),
+}
 
 
 class NodeLabel(str, Enum):
@@ -39,25 +51,10 @@ class NodeLabel(str, Enum):
 class KnowledgeBaseError(ValueError):
     """Raised when a definition file cannot be parsed or violates the schema."""
 
-    def __init__(self, message: str, filename: str = "", line: int | None = None):
-        where = filename or "<data>"
-        if line is not None:
-            where = f"{where}:{line}"
-        super().__init__(f"{where}: {message}")
-        self.filename = filename
-        self.line = line
-
 
 def _split_hierarchy(entry: str) -> list[str]:
     parts = [p.strip() for p in entry.replace("\\", "/").split("/")]
     return [p for p in parts if p]
-
-
-def _check_keys(entry: dict, allowed: tuple[str, ...], where: str, filename: str) -> None:
-    """A KnowledgeBaseError naming the first key of ``entry`` not in ``allowed``."""
-    for key in entry:
-        if key not in allowed:
-            raise KnowledgeBaseError(f"{where}unknown key {key!r}", filename)
 
 
 def strip_executable_extension(token: str) -> str:
@@ -85,18 +82,7 @@ class KnowledgeStore:
         """Build a store from JSON definition files; duplicates merge."""
         store = cls()
         for path in definition_files:
-            path = Path(path)
-            try:
-                raw = path.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as exc:
-                raise KnowledgeBaseError(f"cannot read file: {exc}", str(path)) from exc
-            try:
-                data = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise KnowledgeBaseError(
-                    f"invalid JSON: {exc.msg}", str(path), exc.lineno
-                ) from exc
-            store._load_dict(data, filename=str(path))
+            store._load_dict(read_json(path, KnowledgeBaseError), filename=str(path))
         return store
 
     @classmethod
@@ -106,24 +92,14 @@ class KnowledgeStore:
         return store
 
     def _load_dict(self, data: dict, filename: str) -> None:
-        if not isinstance(data, dict):
-            raise KnowledgeBaseError("top level must be an object", filename)
-        _check_keys(data, _FILE_KEYS, "", filename)
-        if not isinstance(data.get("version", ""), str):
-            raise KnowledgeBaseError("'version' must be a string", filename)
-
+        check_object(data, _FILE_FIELDS, filename, KnowledgeBaseError)
         for key, forest in (("paths", PATH_FOREST), ("registry", REGISTRY_FOREST)):
             children = self._forests[forest]
-            entries = data.get(key, [])
-            if not isinstance(entries, list):
-                raise KnowledgeBaseError(f"'{key}' must be a list of strings", filename)
-            for i, entry in enumerate(entries):
-                if not isinstance(entry, str):
-                    raise KnowledgeBaseError(f"{key}[{i}]: not a string", filename)
+            for i, entry in enumerate(data.get(key, [])):
                 components = _split_hierarchy(entry)
                 if not components:
                     raise KnowledgeBaseError(
-                        f"{key}[{i}]: no components in {entry!r}", filename
+                        f"{filename}: {key}[{i}]: no components in {entry!r}"
                     )
                 folded = [c.casefold() for c in components]
                 for name in folded:
@@ -131,29 +107,11 @@ class KnowledgeStore:
                 for parent, child in zip(folded, folded[1:]):
                     children[parent].add(child)
 
-        commands = data.get("commands", [])
-        if not isinstance(commands, list):
-            raise KnowledgeBaseError("'commands' must be a list of objects", filename)
-        for i, entry in enumerate(commands):
-            if not isinstance(entry, dict):
-                raise KnowledgeBaseError(f"commands[{i}]: not an object", filename)
-            _check_keys(entry, _COMMAND_KEYS, f"commands[{i}]: ", filename)
-            name = entry.get("name")
-            params = entry.get("parameters", [])
-            if not isinstance(name, str) or not name.strip():
-                raise KnowledgeBaseError(
-                    f"commands[{i}]: parameters declared without a command name",
-                    filename,
-                )
-            if not isinstance(params, list) or not all(
-                isinstance(p, str) and p.strip() for p in params
-            ):
-                raise KnowledgeBaseError(
-                    f"commands[{i}] ({name}): 'parameters' must be non-empty strings",
-                    filename,
-                )
-            params = {p.strip().casefold() for p in params}
-            command = strip_executable_extension(name.strip()).casefold()
+        for i, entry in enumerate(data.get("commands", [])):
+            check_object(entry, _COMMAND_FIELDS, f"{filename}: commands[{i}]",
+                         KnowledgeBaseError, ("name",))
+            params = {p.strip().casefold() for p in entry.get("parameters", [])}
+            command = strip_executable_extension(entry["name"].strip()).casefold()
             self._forests[COMMAND_FOREST].setdefault(command, set()).update(params)
             self._parameters |= params
 

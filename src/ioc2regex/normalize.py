@@ -32,13 +32,13 @@ checks this and both premises above at every code point.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
+from .inputs import read_json
 from .knowledge import (
     COMMAND_FOREST,
     EXECUTABLE_EXTENSIONS,
@@ -155,7 +155,7 @@ class Tables:
 
 BUNDLED = Tables(
     *(
-        json.loads((_DATA_DIR / name).read_text(encoding="utf-8"))
+        read_json(_DATA_DIR / name, ValueError)
         for name in ("env_expansions.json", "registry_roots.json")
     )
 )

@@ -11,9 +11,8 @@ file (``docs/formats.md#output-files``).
 
 from __future__ import annotations
 
-import json
 import logging
-import math
+import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -33,6 +32,7 @@ from .generation import (
     TemplateBackend,
 )
 from .grading import CANDIDATES, select_best
+from .inputs import INTEGER, STRING, STRINGS, check_object, read_json
 from .knowledge import KnowledgeStore, default_store
 from .normalize import (
     ClassificationError,
@@ -106,8 +106,8 @@ def make_backend(config: PipelineConfig) -> GeneratorBackend:
     if config.backend == "scripted":
         try:
             return ScriptedBackend.from_file(config.replay_path)
-        except ValueError as exc:  # malformed JSON included
-            raise ConfigError(f"{config.replay_path}: {exc}") from exc
+        except ValueError as exc:  # it names the file
+            raise ConfigError(str(exc)) from exc
     return RemoteBackend(
         endpoint=config.endpoint,
         model=config.model,
@@ -134,7 +134,8 @@ def load_tables(config: PipelineConfig) -> Tables:
     """The tables in the files the config names, the bundled one for a table
     it does not name; a malformed one is a ConfigError that names its file."""
     files = _table_files(config)
-    return _tables({key: _read_json(path) for key, path in files.items()}, files.get)
+    values = {key: read_json(path, ConfigError) for key, path in files.items()}
+    return _tables(values, files.get)
 
 
 def _tables(values: dict, where) -> Tables:
@@ -145,33 +146,25 @@ def _tables(values: dict, where) -> Tables:
         raise ConfigError(str(exc)) from exc
 
 
-def _read_json(path: str | Path):
-    """A JSON file's content; malformed JSON or UTF-8 is a ConfigError that
-    names the file."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+# What an input-list object may hold.
+_INPUT_FIELDS = {
+    "text": STRING,
+    "source_id": ("a string or null", lambda v: v is None or isinstance(v, str)),
+}
 
 
 def load_iocs(path: str | Path) -> list[tuple[str, str]]:
     """Input list: JSON array of strings or ``{"text", "source_id"}`` objects;
     a ``source_id`` that is present and not null must be a string, and no
     two entries may get one id."""
-    data = _read_json(path)
+    data = read_json(path, ConfigError)
     if not isinstance(data, list):
         raise ConfigError(f"{path}: expected a JSON list")
     out: list[tuple[str, str]] = []
     for i, entry in enumerate(data):
-        if isinstance(entry, str):
-            out.append((f"ioc-{i:04d}", entry))
-        elif isinstance(entry, dict) and isinstance(entry.get("text"), str):
-            source_id = entry.get("source_id")
-            if not isinstance(source_id, (str, type(None))):
-                raise ConfigError(f"{path}[{i}]: 'source_id' must be a string or null")
-            out.append((source_id or f"ioc-{i:04d}", entry["text"]))
-        else:
-            raise ConfigError(f"{path}[{i}]: expected a string or an object with 'text'")
+        entry = {"text": entry} if isinstance(entry, str) else entry
+        check_object(entry, _INPUT_FIELDS, f"{path}[{i}]", ConfigError, ("text",))
+        out.append((entry.get("source_id") or f"ioc-{i:04d}", entry["text"]))
     _check_unique([ioc_id for ioc_id, _text in out], lambda i: f"{path}[{i}]")
     return out
 
@@ -324,18 +317,18 @@ def run_evaluate(
     The truths are normalized with the expansion and registry-root tables
     the product's summary records, else with the bundled ones."""
     store = load_store(kb_paths)
-    product = _read_json(products_path)
-    if not isinstance(product, dict) or not isinstance(product.get("records"), list):
-        raise ConfigError(f"{products_path}: not a product file (missing 'records')")
+    product = read_json(products_path, ConfigError)
+    check_object(product, _PRODUCT_FIELDS, str(products_path), ConfigError, ("records",))
     for i, record in enumerate(product["records"]):
-        _check_product_record(record, f"{products_path}: record {i}")
+        check_object(record, _RECORD_FIELDS, f"{products_path}: record {i}", ConfigError,
+                     _RECORD_REQUIRED)
     # per-regex results are keyed by ioc_id
     _check_unique(
         [record["ioc_id"] for record in product["records"]],
         lambda i: f"{products_path}: record {i}",
     )
-    summary = product.get("summary")
-    summary = summary if isinstance(summary, dict) else {}
+    summary = check_object(product.get("summary", {}), _SUMMARY_FIELDS,
+                           f"{products_path}: summary", ConfigError)
     tables = _tables(summary, lambda key: f"{products_path}: summary {key!r}")
     try:
         truths = evaluation.load_truths(truths_path, store, tables)
@@ -354,50 +347,47 @@ def run_evaluate(
     return payload
 
 
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
-def _is_nonempty_str(value) -> bool:
-    return isinstance(value, str) and value != ""
-
-
-def _is_finite_number(value) -> bool:
-    """A number that is a finite float: not NaN or an infinity, which
-    ``json.loads`` reads but JSON lacks, nor an integer too large for the
-    score statistics."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-# What evaluation reads from a product record: key -> (description, check).
-_PRODUCT_RECORD_SCHEMA = {
-    "ioc_id": ("a string", _is_str),
-    "pattern": ("a string of one or more characters", _is_nonempty_str),
-    "capture_groups": (
-        "a list of strings",
-        lambda v: isinstance(v, list) and all(map(_is_str, v)),
+# What a product file may hold: every key ``run_generate`` writes, where
+# ``_RECORD_REQUIRED`` names what evaluation reads of a record.
+_PRODUCT_FIELDS = {
+    "records": ("a list", lambda v: isinstance(v, list)),
+    "rejections": ("a list", lambda v: isinstance(v, list)),
+    "summary": ("an object", lambda v: isinstance(v, dict)),
+}
+_NONEMPTY = ("a string of one or more characters", lambda v: isinstance(v, str) and v != "")
+_RECORD_FIELDS = {
+    "ioc_id": STRING,
+    "raw": STRING,
+    "kind": STRING,
+    "normalized": _NONEMPTY,
+    "capture_groups": STRINGS,
+    "capture_sequences": (
+        "a list of lists of strings",
+        lambda v: isinstance(v, list) and all(map(STRINGS[1], v)),
     ),
-    "normalized": ("a string of one or more characters", _is_nonempty_str),
+    "pattern": _NONEMPTY,
+    # not NaN or an infinity, which ``json.loads`` reads but JSON lacks, nor
+    # an integer too large for the score statistics
     "score": (
         "a number in the float range, not NaN or an infinity",
-        _is_finite_number,
+        lambda v: type(v) in (int, float) and -sys.float_info.max <= v <= sys.float_info.max,
     ),
+    "n_cg": INTEGER,
+    "n_wc": INTEGER,
+    "candidates_considered": INTEGER,
 }
-
-
-def _check_product_record(record, where: str) -> None:
-    if not isinstance(record, dict):
-        raise ConfigError(f"{where}: not an object")
-    for key, (what, ok) in _PRODUCT_RECORD_SCHEMA.items():
-        if key not in record:
-            raise ConfigError(f"{where}: missing {key!r}")
-        if not ok(record[key]):
-            raise ConfigError(f"{where}: {key!r} must be {what}")
+_RECORD_REQUIRED = ("ioc_id", "pattern", "capture_groups", "normalized", "score")
+_SUMMARY_FIELDS = {
+    **dict.fromkeys(
+        ("inputs", "generated", "rejected_no_capture", "classified_other", "failed",
+         "seed", "candidates"),
+        INTEGER,
+    ),
+    "backend": STRING,
+    "ablation": STRING,
+    # the tables ``Tables.from_json`` checks
+    **dict.fromkeys(("expansions", "registry_roots"), ("a table", lambda v: True)),
+}
 
 
 def run_ablation(config: PipelineConfig, mode: str, truths_path: str | Path,

@@ -118,7 +118,7 @@ def test_malformed_json_names_file_and_line(tmp_path):
 def test_command_without_name_is_schema_error(tmp_path):
     bad = tmp_path / "cmd.json"
     bad.write_text(json.dumps({"commands": [{"parameters": ["-x"]}]}))
-    with pytest.raises(KnowledgeBaseError, match="without a command name"):
+    with pytest.raises(KnowledgeBaseError, match=r"cmd\.json: commands\[0\]: missing 'name'"):
         KnowledgeStore.ingest([bad])
 
 

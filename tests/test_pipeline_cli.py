@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -762,8 +763,12 @@ class TestCli:
         assert "t.json[0]: capture group 'system32' does not appear" in caplog.text
         assert "unexpected failure" not in caplog.text
 
-    @pytest.mark.parametrize("content", [b"not json\n", b"\xff\xfe[]"],
-                             ids=["not-json", "not-utf8"])
+    @pytest.mark.parametrize(
+        "content, line",
+        [(b"not json\n", 1), (b"\xff\xfe[]", 1), (b'[\n"a",\n"\xff"]', 3),
+         (b'{\n\n  "a": [,]}', 3)],
+        ids=["not-json", "not-utf8", "not-utf8-on-line-3", "not-json-on-line-3"],
+    )
     @pytest.mark.parametrize(
         "command, broken",
         [
@@ -776,7 +781,7 @@ class TestCli:
         ],
     )
     def test_exit_code_1_names_a_file_that_is_not_json(
-        self, tmp_path, caplog, command, broken, content
+        self, tmp_path, caplog, command, broken, content, line
     ):
         files = {
             "iocs.json": write_json(tmp_path / "iocs.json", [r"C:\Users\Public\z.bat"]),
@@ -799,7 +804,7 @@ class TestCli:
         }[command]
         rc = main([command, *args])
         assert rc == 1
-        assert [m for m in caplog.messages if m.startswith(f"{files[broken]}:")]
+        assert [m for m in caplog.messages if m.startswith(f"{files[broken]}:{line}: ")]
         assert "unexpected failure" not in caplog.text
 
     @pytest.mark.parametrize(
@@ -830,11 +835,19 @@ class TestCli:
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize(
-        "replay",
-        [{"per_record": True}, "(?i).*", {"emissions": [5]}],
-        ids=["no-emissions", "string", "non-string-emission"],
+        "replay, message",
+        [
+            ({"per_record": True}, "missing 'emissions'"),
+            ("(?i).*", "not an object"),
+            ({"emissions": [5]}, "'emissions' must be a list of strings"),
+            # a misspelt key that must be present reads as unknown, not missing
+            ({"emission": ["x"]}, "unknown key 'emission'"),
+        ],
+        ids=["no-emissions", "string", "non-string-emission", "misspelt-emissions-key"],
     )
-    def test_exit_code_1_on_malformed_replay(self, tmp_path, fig1_input, caplog, replay):
+    def test_exit_code_1_on_malformed_replay(
+        self, tmp_path, fig1_input, caplog, replay, message
+    ):
         path = write_json(tmp_path / "replay.json", replay)
         rc = main(
             [
@@ -846,7 +859,7 @@ class TestCli:
             ]
         )
         assert rc == 1
-        assert f"{path}: expected a list of strings" in caplog.text
+        assert f"{path}: {message}" in caplog.messages
         assert "unexpected failure" not in caplog.text
         assert not (tmp_path / "o.json").exists()
 
@@ -877,8 +890,35 @@ class TestCli:
             ]
         )
         assert rc == 1
-        assert f"{path}: {message}" in caplog.text
+        assert f"{path}: {message}" in caplog.messages
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, entries, fault",
+        [
+            ("generate",
+             [r"C:\Users\Public\x.bat", {"text": r"C:\Windows\y.exe", "source-id": "r-7"}],
+             "[1]: unknown key 'source-id'"),
+            ("evaluate",
+             [{"text": r"c:\windows\a.exe", "kind": "file_path",
+               "capture_groups": ["windows"], "dataset-id": "scenario-1"}],
+             "[0]: unknown key 'dataset-id'"),
+        ],
+        ids=["input-source-id", "truth-dataset-id"],
+    )
+    def test_exit_code_1_on_unknown_key_in_an_input_object(
+        self, tmp_path, caplog, command, entries, fault
+    ):
+        path = write_json(tmp_path / "entries.json", entries)
+        products = write_json(tmp_path / "products.json", {"records": [product_record()]})
+        out = str(tmp_path / "out.json")
+        args = {
+            "generate": ["--input", path, "--output", out],
+            "evaluate": ["--products", products, "--truths", path, "--output", out],
+        }[command]
+        assert main([command, *args]) == 1
+        assert f"{path}{fault}" in caplog.messages
+        assert not (tmp_path / "out.json").exists()
 
     def test_exit_code_1_on_missing_input(self, tmp_path):
         rc = main(
@@ -1116,12 +1156,22 @@ class TestCli:
         assert reports[0] == reports[1]
         assert json.loads(reports[0])["reports"][0]["hit_rate"] == 1.0
 
-    @pytest.mark.parametrize("table", [["x"], {"%A%": 1}, "C:"])
-    def test_malformed_recorded_table_is_config_error(self, tmp_path, table):
-        product = {"records": [], "summary": {"expansions": table}}
+    @pytest.mark.parametrize(
+        "summary, problem",
+        [
+            ({"expansions": ["x"]}, "summary 'expansions' must map strings"),
+            ({"expansions": {"%A%": 1}}, "summary 'expansions' must map strings"),
+            ({"expansions": "C:"}, "summary 'expansions' must map strings"),
+            # not read as no summary, which would evaluate with the bundled tables
+            (["registry_roots"], "'summary' must be an object"),
+        ],
+        ids=["list-table", "number-value", "string-table", "list-summary"],
+    )
+    def test_malformed_summary_is_config_error(self, tmp_path, summary, problem):
+        product = {"records": [], "summary": summary}
         products = write_json(tmp_path / "p.json", product)
         truths = write_json(tmp_path / "t.json", [])
-        with pytest.raises(ConfigError, match="summary 'expansions' must map strings"):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(products)}: {problem}"):
             run_evaluate(products, truths, tmp_path / "r.json")
 
 
