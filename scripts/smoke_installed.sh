@@ -58,6 +58,11 @@ python -c "import json, sys; sys.exit(json.load(open('reg-report.json'))['report
 echo '["\\ \\HKEY_USERS\\Software\\Microsoft\\Windows\\CurrentVersion\\Run\\x.exe"]' > blank-head-iocs.json
 ioc2regex generate --input blank-head-iocs.json --output blank-head-products.json
 python -c "import json, sys; r = json.load(open('blank-head-products.json'))['records'][0]; sys.exit(r['kind'] != 'registry_key' or not r['normalized'].startswith('HKU\\\\'))"
+# The template joins keeps with the indicator's own delimiters, and the kernel
+# spelling of a registry root keeps its hive.
+echo '["/etc/cron.d/evil", "\\REGISTRY\\MACHINE\\SOFTWARE\\Microsoft\\Windows\\CurrentVersion\\Run\\evil"]' > shape-iocs.json
+ioc2regex generate --input shape-iocs.json --output shape-products.json
+python -c "import json, sys; r = json.load(open('shape-products.json'))['records']; sys.exit(len(r) != 2 or 'etc/' not in r[0]['pattern'] or not r[1]['normalized'].startswith('HKLM\\\\'))"
 echo '[{"text": "C:\\Users\\Public\\y.bat", "kind": "file_path", "capture_groups": ["users", "alpha", "beta"]}]' > two-missing.json
 for seed in 1 2; do
   PYTHONHASHSEED=$seed ioc2regex generate --input iocs.json --output products-$seed.json
@@ -67,7 +72,7 @@ done
 cmp products-1.json products-2.json
 cmp report-1.json report-2.json
 cmp missing-1.err missing-2.err
-for f in products.json annotations.json repaired.json report.json matches.json ablated.json ablated-report.json reg-products.json reg-report.json blank-head-products.json; do
+for f in products.json annotations.json repaired.json report.json matches.json ablated.json ablated-report.json reg-products.json reg-report.json blank-head-products.json shape-products.json; do
   python -c "import json, sys; t = open(sys.argv[1], encoding='utf-8').read(); sys.exit(t != json.dumps(json.loads(t), indent=2, sort_keys=True) + '\n' and sys.argv[1] + ' differs from json.dumps')" "$f"
 done
 echo "installed package smoke test passed"

@@ -12,7 +12,7 @@ import logging
 import sys
 from dataclasses import fields
 
-from .knowledge import KnowledgeBaseError, KnowledgeStore
+from .knowledge import KnowledgeStore
 from .pipeline import (
     ABLATION_MODES,
     BACKENDS,
@@ -121,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
             store = KnowledgeStore.ingest(args.files)
             print(json.dumps(store.stats(), indent=2, sort_keys=True))
             return 0
-    except (ConfigError, KnowledgeBaseError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         logger.error("%s", exc)
         return 1
     except Exception as exc:  # noqa: BLE001 - fatal, but with a readable message

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import dialect
-from .inputs import NONBLANK, STRING, STRINGS, check_object, read_json
+from .inputs import NONBLANK, STRING, STRINGS, ConfigError, check_object, read_json
 from .knowledge import KnowledgeStore
 from .normalize import BUNDLED, IocKind, Tables, preprocess
 
@@ -32,7 +32,7 @@ class UndefinedMetricError(ValueError):
     """A metric was requested over an empty population."""
 
 
-class GroundTruthError(ValueError):
+class GroundTruthError(ConfigError):
     """A ground-truth file entry violates the schema or its invariants."""
 
 

@@ -25,9 +25,9 @@ from pathlib import Path
 from typing import Iterator
 
 from . import dialect
-from .capture import GroupAnnotation
-from .inputs import STRINGS, check_object, read_json
-from .normalize import IocKind
+from .capture import KEEP, GroupAnnotation
+from .inputs import STRINGS, ConfigError, check_object, read_json
+from .normalize import IocKind, separators
 
 STAGE_DEBUG = "debug"
 STAGE_NONCAPTURE = "noncapture"
@@ -295,9 +295,12 @@ class GeneratorBackend:
 def render_template(annotation: GroupAnnotation) -> str:
     """Deterministic fallback pattern built from the capture sequences.
 
-    Path/registry sequences join with an escaped backslash (plus a trailing
-    one when the run is followed by further components); command sequences
-    join with ``.*`` since argument values may sit between parameters.
+    A path or registry key's keeps join with the delimiters that separate
+    them in the normalized indicator, and with a gap between two
+    separators where the run skips a component; the separator after the
+    last keep follows it when further components do
+    (``docs/formats.md#generation-workflow``).  Command sequences join with
+    ``.*`` since argument values may sit between parameters.
     """
     rec = annotation.record
     if rec.kind is IocKind.COMMAND_LINE:
@@ -307,15 +310,19 @@ def render_template(annotation: GroupAnnotation) -> str:
         ]
         return "(?i).*" + ".*".join(bodies) + ".*"
 
-    seq = annotation.capture_sequences[0]
-    body = "\\\\".join(re.escape(comp) for comp in seq)
-    last_keep = max(
-        (i for i, label in enumerate(annotation.labels) if label == "keep"),
-        default=-1,
-    )
-    if last_keep != -1 and last_keep < len(rec.components) - 1:
-        body += "\\\\"
-    return "(?i).*" + body + ".*"
+    comps = rec.components
+    keeps = [i for i, label in enumerate(annotation.labels) if label == KEEP]
+    seps = separators(rec.normalized)
+    runs = [comps[keeps[0]]]  # the literal texts between gaps
+    for i, j in zip(keeps, keeps[1:]):
+        if j == i + 1:
+            runs[-1] += seps[j] + comps[j]
+        else:
+            runs[-1] += seps[i + 1]
+            runs.append(seps[j] + comps[j])
+    if keeps[-1] < len(comps) - 1:
+        runs[-1] += seps[keeps[-1] + 1]
+    return "(?i).*" + ".*".join(map(re.escape, runs)) + ".*"
 
 
 class TemplateBackend(GeneratorBackend):
@@ -368,13 +375,13 @@ class ScriptedBackend(GeneratorBackend):
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
         """The backend a replay file describes; a file of any other shape
-        raises ValueError."""
-        data = read_json(path, ValueError)
+        raises ConfigError."""
+        data = read_json(path)
         data = {"emissions": data} if isinstance(data, list) else data
-        check_object(data, _REPLAY_FIELDS, str(path), ValueError, ("emissions",))
+        check_object(data, _REPLAY_FIELDS, str(path), required=("emissions",))
         fallback = TemplateBackend() if data.get("fallback") else None
         if not data["emissions"] and fallback is None:
-            raise ValueError(f"{path}: 'emissions' must not be empty without a fallback")
+            raise ConfigError(f"{path}: 'emissions' must not be empty without a fallback")
         return cls(data["emissions"], data.get("per_record", False), fallback)
 
     def propose(self, annotation: GroupAnnotation, prompt: str) -> str:

@@ -4,7 +4,9 @@ Every JSON file the package reads is read by ``read_json``, and the objects
 of knowledge-base, input-list, replay, product and ground-truth files are
 checked by ``check_object``, so each fault is named in one of a few forms
 (``docs/formats.md#input-files``).
-Each caller passes in the error class its users catch.  A field is a
+Every input fault is a ``ConfigError``, raised where it is found, so the
+command line reads one class and no caller translates it; a reader may pass
+a subclass of its own.  A field is a
 ``(what, check)`` pair: ``check`` tells whether a value is allowed, and
 ``what`` says which values are, after "must be".
 """
@@ -26,7 +28,12 @@ NONBLANK = (
 INTEGER = ("an integer", lambda value: type(value) is int)
 
 
-def read_json(path: str | Path, error: type[Exception]):
+class ConfigError(ValueError):
+    """A fault in a file or option the user gave: the command ends with exit
+    code 1 and this message."""
+
+
+def read_json(path: str | Path, error: type[ConfigError] = ConfigError):
     """A JSON file's content.  Malformed UTF-8 or JSON is ``error`` naming
     the file and line as ``path:line``."""
     data = Path(path).read_bytes()
@@ -41,7 +48,7 @@ def read_json(path: str | Path, error: type[Exception]):
     raise error(f"{path}:{line}: {problem}")
 
 
-def check_object(value, fields: dict, where: str, error: type[Exception],
+def check_object(value, fields: dict, where: str, error: type[ConfigError] = ConfigError,
                  required: tuple[str, ...] = ()) -> dict:
     """``value``, when it is a dict whose keys are all in ``fields``, whose
     values each pass their key's check, and that holds each ``required``

@@ -16,7 +16,7 @@ from __future__ import annotations
 from enum import Enum
 from pathlib import Path
 
-from .inputs import NONBLANK, STRING, STRINGS, check_object, read_json
+from .inputs import NONBLANK, STRING, STRINGS, ConfigError, check_object, read_json
 
 PATH_FOREST = "path"
 REGISTRY_FOREST = "registry"
@@ -48,7 +48,7 @@ class NodeLabel(str, Enum):
     PARAMETER = "parameter"
 
 
-class KnowledgeBaseError(ValueError):
+class KnowledgeBaseError(ConfigError):
     """Raised when a definition file cannot be parsed or violates the schema."""
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .inputs import read_json
+from .inputs import ConfigError, read_json
 from .knowledge import (
     COMMAND_FOREST,
     EXECUTABLE_EXTENSIONS,
@@ -64,6 +64,8 @@ _COMPONENT_RE = re.compile(r"[^\\/]+")
 # (empty when the string holds no other character).  Matched by _read_head
 # only, with a start position to read past a skipped head.
 _REGISTRY_HEAD_RE = re.compile(r"([\\/]*)([^\\/]*)")
+# The kernel namespace's names for two roots, read only after a Registry head.
+_KERNEL_ROOTS = {"machine": "hkey_local_machine", "user": "hkey_users"}
 # "Users" and the component after it; in a command line a component also
 # ends at whitespace, ";" or a quote.
 _USERS_PREFIX = r"(?i)(?P<prefix>(?:^|[\\/\s\";])users[\\/])"
@@ -139,7 +141,7 @@ class Tables:
         """The tables that ``values`` holds under ``expansions`` and
         ``registry_roots``, the bundled one for a table that is absent or
         None.  A table that is not an object of strings to strings is a
-        ValueError that names it as ``where(key)``."""
+        ConfigError that names it as ``where(key)``."""
         tables = []
         for key in ("expansions", "registry_roots"):
             table = values.get(key)
@@ -148,14 +150,14 @@ class Tables:
             elif not isinstance(table, dict) or not all(
                 isinstance(k, str) and isinstance(v, str) for k, v in table.items()
             ):
-                raise ValueError(f"{where(key)} must map strings to strings")
+                raise ConfigError(f"{where(key)} must map strings to strings")
             tables.append(table)
         return cls(*tables)
 
 
 BUNDLED = Tables(
     *(
-        read_json(_DATA_DIR / name, ValueError)
+        read_json(_DATA_DIR / name)
         for name in ("env_expansions.json", "registry_roots.json")
     )
 )
@@ -227,10 +229,13 @@ def _expand_env_vars(s: str, table: dict) -> str:
 
 def _rewrite_registry_root(s: str, roots: dict) -> str:
     """Drop the heads and abbreviate the root after them, by the head rule
-    of ``docs/formats.md``."""
+    of ``docs/formats.md``.  Only blank and ``registry`` heads are dropped,
+    so a ``registry`` fold in what precedes the head means one was."""
     head, first = _read_head(s, ("", "registry"))
     if not head.start() and not head[2]:  # delimiters alone
         return s
+    if first in _KERNEL_ROOTS and "registry" in s[: head.start()].casefold():
+        first = _KERNEL_ROOTS[first]
     abbrev = roots.get(first) if head[2] else None
     if abbrev is None:
         return s[head.end(1) :].lstrip() if head.end(1) else s
@@ -302,6 +307,13 @@ def _tokenize_command_line(s: str) -> list[str]:
         raise TokenizationError("unterminated double quote", s.rindex('"'))
     tokens = (t.replace('"', "") for t in _QUOTED_TOKEN_RE.findall(s))
     return [t for t in tokens if t]
+
+
+def separators(normalized: str) -> list[str]:
+    """The delimiter runs of a normalized path or registry key: the one
+    before each component that ``segment`` finds, then the one after the
+    last (either end may be empty)."""
+    return _COMPONENT_RE.split(normalized)
 
 
 def segment(normalized: str, kind: IocKind) -> list[str]:

@@ -32,7 +32,7 @@ from .generation import (
     TemplateBackend,
 )
 from .grading import CANDIDATES, select_best
-from .inputs import INTEGER, STRING, STRINGS, check_object, read_json
+from .inputs import INTEGER, STRING, STRINGS, ConfigError, check_object, read_json
 from .knowledge import KnowledgeStore, default_store
 from .normalize import (
     ClassificationError,
@@ -50,10 +50,6 @@ BACKENDS = ("template", "scripted", "remote")
 
 # deterministic gap between per-indicator base seeds
 _SEED_STRIDE = 1009
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass
@@ -104,10 +100,7 @@ def make_backend(config: PipelineConfig) -> GeneratorBackend:
     if config.backend == "template":
         return TemplateBackend()
     if config.backend == "scripted":
-        try:
-            return ScriptedBackend.from_file(config.replay_path)
-        except ValueError as exc:  # it names the file
-            raise ConfigError(str(exc)) from exc
+        return ScriptedBackend.from_file(config.replay_path)
     return RemoteBackend(
         endpoint=config.endpoint,
         model=config.model,
@@ -134,16 +127,8 @@ def load_tables(config: PipelineConfig) -> Tables:
     """The tables in the files the config names, the bundled one for a table
     it does not name; a malformed one is a ConfigError that names its file."""
     files = _table_files(config)
-    values = {key: read_json(path, ConfigError) for key, path in files.items()}
-    return _tables(values, files.get)
-
-
-def _tables(values: dict, where) -> Tables:
-    """``Tables.from_json``, its ValueError a ConfigError."""
-    try:
-        return Tables.from_json(values, where)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    values = {key: read_json(path) for key, path in files.items()}
+    return Tables.from_json(values, files.get)
 
 
 # What an input-list object may hold.
@@ -157,13 +142,13 @@ def load_iocs(path: str | Path) -> list[tuple[str, str]]:
     """Input list: JSON array of strings or ``{"text", "source_id"}`` objects;
     a ``source_id`` that is present and not null must be a string, and no
     two entries may get one id."""
-    data = read_json(path, ConfigError)
+    data = read_json(path)
     if not isinstance(data, list):
         raise ConfigError(f"{path}: expected a JSON list")
     out: list[tuple[str, str]] = []
     for i, entry in enumerate(data):
         entry = {"text": entry} if isinstance(entry, str) else entry
-        check_object(entry, _INPUT_FIELDS, f"{path}[{i}]", ConfigError, ("text",))
+        check_object(entry, _INPUT_FIELDS, f"{path}[{i}]", required=("text",))
         out.append((entry.get("source_id") or f"ioc-{i:04d}", entry["text"]))
     _check_unique([ioc_id for ioc_id, _text in out], lambda i: f"{path}[{i}]")
     return out
@@ -317,23 +302,20 @@ def run_evaluate(
     The truths are normalized with the expansion and registry-root tables
     the product's summary records, else with the bundled ones."""
     store = load_store(kb_paths)
-    product = read_json(products_path, ConfigError)
-    check_object(product, _PRODUCT_FIELDS, str(products_path), ConfigError, ("records",))
+    product = read_json(products_path)
+    check_object(product, _PRODUCT_FIELDS, str(products_path), required=("records",))
     for i, record in enumerate(product["records"]):
-        check_object(record, _RECORD_FIELDS, f"{products_path}: record {i}", ConfigError,
-                     _RECORD_REQUIRED)
+        check_object(record, _RECORD_FIELDS, f"{products_path}: record {i}",
+                     required=_RECORD_REQUIRED)
     # per-regex results are keyed by ioc_id
     _check_unique(
         [record["ioc_id"] for record in product["records"]],
         lambda i: f"{products_path}: record {i}",
     )
     summary = check_object(product.get("summary", {}), _SUMMARY_FIELDS,
-                           f"{products_path}: summary", ConfigError)
-    tables = _tables(summary, lambda key: f"{products_path}: summary {key!r}")
-    try:
-        truths = evaluation.load_truths(truths_path, store, tables)
-    except evaluation.GroundTruthError as exc:
-        raise ConfigError(str(exc)) from exc
+                           f"{products_path}: summary")
+    tables = Tables.from_json(summary, lambda key: f"{products_path}: summary {key!r}")
+    truths = evaluation.load_truths(truths_path, store, tables)
 
     match_log: list | None = [] if dump_matches else None
     try:

@@ -9,6 +9,19 @@ FIG1_SCHTASKS = (
 )
 FIG1_PATH = r"C:\Users\Public\11.bat"
 
+# The words of the fuzz corpus: registry heads, drives, directories, file
+# names, commands and flags.
+FUZZ_WORDS = (
+    ["HKEY_CURRENT_USER", "HKCU", "REGISTRY", r"REGISTRY\HKEY_CURRENT_USER",
+     r"\Registry\HKCU", r"Registry\Registry", r"\ hkcu", r"Registry\ foo", "\\ ",
+     r"\REGISTRY\MACHINE", r"\REGISTRY\USER", r"Registry\ machine"],
+    ["C:", "D:", "%USERPROFILE%", "%TEMP%", "%APPDATA%", "%UNKNOWN%"],
+    ["Users", "pam", "Public", "Windows", "System32", "Temp", "<username>"],
+    ["a.exe", "11.bat", "x.dll", "notes.txt"],
+    ["cmd.exe", "schtasks", "curl.exe", "unknown.exe"],
+    ["/c", "/create", "--get", "-x", "/f"],
+)
+
 
 @pytest.fixture(scope="session")
 def store():

@@ -838,7 +838,7 @@ def _ref_expand_env_vars(s: str, expansions: dict) -> str:
 
 
 def _ref_rewrite_registry_root(
-    s: str, registry_roots: dict, dropped: bool = False
+    s: str, registry_roots: dict, dropped: bool = False, after_registry: bool = False
 ) -> str:
     m = re.match(r"^([\\/]*)([^\\/]+)", s)
     if not m:
@@ -849,7 +849,12 @@ def _ref_rewrite_registry_root(
         # a blank or registry head is dropped: the same rule again on what
         # follows it
         rest = s[m.end(2) :].lstrip("\\/")
-        return _ref_rewrite_registry_root(rest, registry_roots, dropped=True)
+        return _ref_rewrite_registry_root(
+            rest, registry_roots, dropped=True,
+            after_registry=after_registry or folded == "registry",
+        )
+    if after_registry:  # the kernel namespace's names for two roots
+        folded = {"machine": "hkey_local_machine", "user": "hkey_users"}.get(folded, folded)
     abbrev = registry_roots.get(folded)
     if abbrev is not None:
         return abbrev + s[m.end(2) :]

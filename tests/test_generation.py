@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ioc2regex import annotate, generation, grading, make_record
-from ioc2regex.capture import GroupAnnotation
+from ioc2regex.capture import GroupAnnotation, find_path_groups
 from ioc2regex.generation import (
     BackendError,
     DebugResult,
@@ -34,6 +34,7 @@ from ioc2regex.generation import (
 )
 from ioc2regex.normalize import IocKind, IocRecord
 from ioc2regex.pipeline import PipelineConfig
+from conftest import FUZZ_WORDS
 from oracles import (
     reference_debug_check,
     reference_generate,
@@ -45,6 +46,14 @@ from oracles import (
 GOLDEN = Path(__file__).parent / "data" / "golden_prompt.txt"
 
 GOOD_PATH_PATTERN = r"(?i).*Users\\Public\\.*"
+
+# The fuzz corpus's path words, and store nodes with one child among them
+# (``user`` under ``Users``, ``Roaming`` under ``AppData``) together with
+# words the store lacks, which a keep run may skip.
+TEMPLATE_WORDS = (
+    *(word for words in FUZZ_WORDS[:4] for word in words),
+    "AppData", "Roaming", "etc", "cron.d", "x", "x", "a.exe",
+)
 
 # Three ``.*`` and a text of 11,203 characters that holds every literal, but
 # ``-w`` only before the others: backtracking takes seconds to miss it.
@@ -529,6 +538,53 @@ class TestTemplateBackend:
         pattern = render_template(ann)
         assert pattern.endswith("StartUp.*")
         assert debug_check(pattern, rec.normalized).ok
+
+    @pytest.mark.parametrize(
+        "raw, pattern",
+        [
+            ("/etc/cron.d/evil", r"(?i).*etc/.*"),
+            ("C:/Windows/System32/evil.dll", r"(?i).*Windows/System32/.*"),
+            # x, between the keeps user and AppData, is not in the store
+            (r"C:\Users\ab\x\AppData\Roaming\y.exe",
+             r"(?i).*Users\\user\\.*\\AppData\\Roaming\\.*"),
+        ],
+        ids=["slash-root", "slash-drive", "skipped-component"],
+    )
+    def test_template_keeps_the_indicator_separators(self, store, raw, pattern):
+        ann = annotate(make_record(raw, store), store)
+        assert render_template(ann) == pattern
+        shipped, trace = generate(ann, TemplateBackend(), rng_seed=0)
+        assert shipped == pattern
+        assert trace.restarts == 0
+
+    @given(
+        pieces=st.lists(
+            st.tuples(
+                st.sampled_from(["\\", "/", "\\\\", "/\\", "\\/"]),
+                st.sampled_from(TEMPLATE_WORDS),
+            ),
+            min_size=1,
+            max_size=7,
+        ),
+        lead=st.booleans(),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @example(pieces=[("/", "Users"), ("/", "pam"), ("\\", "x"), ("/", "AppData")], lead=True)
+    @example(pieces=[("\\", "Windows"), ("//", "x"), ("\\/", "System32"), ("/", "a.exe")],
+             lead=False)
+    def test_template_matches_its_own_indicator(self, store, pieces, lead):
+        """For every path and registry-key annotation of the fuzz corpus's
+        words, and of words that stand between a keep and its child, with
+        ``\\``, ``/`` and mixed delimiters."""
+        raw = "".join(sep + word for sep, word in pieces)[0 if lead else 1 :]
+        if not raw.strip():
+            return
+        record = make_record(raw, store)
+        if record.kind not in (IocKind.FILE_PATH, IocKind.REGISTRY_KEY):
+            return
+        ann = find_path_groups(record, store)
+        if ann.has_capture_groups:
+            assert debug_check(render_template(ann), record.normalized).ok
 
     def test_command_template(self, schtasks_annotation, schtasks_record):
         pattern = render_template(schtasks_annotation)

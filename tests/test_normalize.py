@@ -21,7 +21,7 @@ from ioc2regex.normalize import (
     segment,
 )
 
-from conftest import FIG1_SCHTASKS, tiny_store
+from conftest import FIG1_SCHTASKS, FUZZ_WORDS, tiny_store
 from oracles import (
     reference_classify,
     reference_make_record,
@@ -30,32 +30,23 @@ from oracles import (
 )
 
 
-# The words of the fuzz corpus: registry heads, drives, directories, file
-# names, commands and flags.
-FUZZ_WORDS = (
-    ["HKEY_CURRENT_USER", "HKCU", "REGISTRY", r"REGISTRY\HKEY_CURRENT_USER",
-     r"\Registry\HKCU", r"Registry\Registry", r"\ hkcu", r"Registry\ foo", "\\ "],
-    ["C:", "D:", "%USERPROFILE%", "%TEMP%", "%APPDATA%", "%UNKNOWN%"],
-    ["Users", "pam", "Public", "Windows", "System32", "Temp", "<username>"],
-    ["a.exe", "11.bat", "x.dll", "notes.txt"],
-    ["cmd.exe", "schtasks", "curl.exe", "unknown.exe"],
-    ["/c", "/create", "--get", "-x", "/f"],
-)
-# ... with blank, ``Registry`` and ``\REGISTRY\MACHINE`` heads besides.
+# The fuzz corpus's words, with blank and ``Registry`` heads and the kernel
+# names for two roots besides.
 PROPERTY_WORDS = (
-    " ", "Registry", r"\REGISTRY\MACHINE", *(w for words in FUZZ_WORDS for w in words)
+    " ", "Registry", "MACHINE", "User", *(w for words in FUZZ_WORDS for w in words)
 )
 
 
 def _registry_head_without_root(raw: str) -> bool:
     """Whether the first component of ``raw`` that is not blank is
-    ``registry``, and no root or abbreviation follows the blank and
-    ``registry`` heads: normalizing drops those heads, and what is left
-    need not read as a registry key."""
+    ``registry``, and no root, abbreviation or kernel name of a root
+    (``machine``, ``user``) follows the blank and ``registry`` heads:
+    normalizing drops those heads, and what is left need not read as a
+    registry key."""
     components = [c.strip().casefold() for c in re.split(r"[\\/]+", raw)]
     first = next((c for c in components if c), "")
     after = next((c for c in components if c not in ("", "registry")), "")
-    return first == "registry" and after not in BUNDLED.markers
+    return first == "registry" and after not in {*BUNDLED.markers, "machine", "user"}
 
 
 class TestClassify:
@@ -142,7 +133,34 @@ class TestPreprocess:
 
     def test_bare_registry_prefix_dropped(self, store):
         out = preprocess(r"REGISTRY\MACHINE\Software", IocKind.REGISTRY_KEY, store)
-        assert out == r"MACHINE\Software"
+        assert out == r"HKLM\Software"
+
+    @pytest.mark.parametrize(
+        "raw, normalized",
+        [
+            (r"\REGISTRY\MACHINE\SOFTWARE\Microsoft\Windows\CurrentVersion\Run\evil",
+             r"HKLM\SOFTWARE\Microsoft\Windows\CurrentVersion\Run\evil"),
+            (r"\Registry\User\S-1-5-21-1\Software\x", r"HKU\S-1-5-21-1\Software\x"),
+            (r"/registry/ machine/System", r"HKLM/System"),
+            (r"Registry\Registry\USER", "HKU"),
+        ],
+    )
+    def test_kernel_spelling_keeps_its_hive(self, store, raw, normalized):
+        assert classify(raw, store) is IocKind.REGISTRY_KEY
+        assert preprocess(raw, IocKind.REGISTRY_KEY, store) == normalized
+
+    def test_kernel_names_are_roots_only_after_a_registry_head(self, store):
+        assert classify(r"MACHINE\Software\x.exe", store) is IocKind.FILE_PATH
+        for raw in (r"MACHINE\Software", r"HKU\USER\x", r"\ \USER\x"):
+            assert preprocess(raw, IocKind.REGISTRY_KEY, store) == raw.lstrip("\\ ")
+
+    def test_kernel_spelling_follows_the_root_table(self, store):
+        renamed = Tables({}, {"HKEY_LOCAL_MACHINE": "Machine-Root"})
+        raw = r"\REGISTRY\MACHINE\Software"
+        assert preprocess(raw, IocKind.REGISTRY_KEY, store, renamed) == r"Machine-Root\Software"
+        no_user_root = Tables({}, {"HKEY_LOCAL_MACHINE": "HKLM"})
+        raw = r"\REGISTRY\USER\S-1-5-18"
+        assert preprocess(raw, IocKind.REGISTRY_KEY, store, no_user_root) == r"USER\S-1-5-18"
 
     def test_command_extension_stripped(self, store):
         out = preprocess("cmd.exe /c whoami", IocKind.COMMAND_LINE, store)
@@ -339,7 +357,7 @@ NORMALIZE_FRAGMENTS = (
     "\u212a", "İ", "ß", "%TEMP%", "%X%", "%", "cmd.exe", "x.EXE", ".exe",
     "a.exe.exe", "p.pſ1", "p.PS1", '"', ";", " ", "\t", "\x1c", "\x1d", "\x1e",
     "\x1f", "\u3000", "\n", "\\", "/", "C:", "HKEY_CURRENT_USER", "hklm",
-    "registry", "Public", "bob", "schtasks", "/c", "-x", "a",
+    "registry", "MACHINE", "User", "Public", "bob", "schtasks", "/c", "-x", "a",
 )
 CUSTOM_TABLES = (
     {"%TEMP%": "C:\\Users\\ſam\\Temp", "%X%": 'users/"İ x.exe'},

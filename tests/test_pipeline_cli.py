@@ -12,8 +12,10 @@ from ioc2regex import cli, dialect, pipeline
 from ioc2regex.capture import GroupAnnotation
 from ioc2regex.cli import main
 from ioc2regex.evaluation import load_truths, score_distribution
-from ioc2regex.generation import TemplateBackend
-from ioc2regex.normalize import IocKind
+from ioc2regex.generation import ScriptedBackend, TemplateBackend
+from ioc2regex.inputs import read_json
+from ioc2regex.knowledge import KnowledgeStore
+from ioc2regex.normalize import IocKind, Tables
 from ioc2regex.pipeline import (
     ConfigError,
     PipelineConfig,
@@ -842,8 +844,10 @@ class TestCli:
             ({"emissions": [5]}, "'emissions' must be a list of strings"),
             # a misspelt key that must be present reads as unknown, not missing
             ({"emission": ["x"]}, "unknown key 'emission'"),
+            ({"emissions": []}, "'emissions' must not be empty without a fallback"),
         ],
-        ids=["no-emissions", "string", "non-string-emission", "misspelt-emissions-key"],
+        ids=["no-emissions", "string", "non-string-emission", "misspelt-emissions-key",
+             "empty-emissions"],
     )
     def test_exit_code_1_on_malformed_replay(
         self, tmp_path, fig1_input, caplog, replay, message
@@ -919,6 +923,56 @@ class TestCli:
         assert main([command, *args]) == 1
         assert f"{path}{fault}" in caplog.messages
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize(
+        "name, content, read, args, message",
+        [
+            ("kb.json", {"path": ["Users/Public"]},
+             lambda path: KnowledgeStore.ingest([path]),
+             lambda path, out: ["kb-validate", path],
+             "{path}: unknown key 'path'"),
+            ("truths.json",
+             [{"text": r"c:\windows\a.exe", "kind": "file_path",
+               "capture_groups": ["system32"]}],
+             load_truths,
+             lambda path, out: ["evaluate", "--products", write_json(
+                 Path(out).with_name("p.json"), {"records": []}),
+                 "--truths", path, "--output", out],
+             "{path}[0]: capture group 'system32' does not appear in the normalized text"),
+            ("replay.json", {"emissions": []},
+             ScriptedBackend.from_file,
+             lambda path, out: ["generate", "--input", write_json(
+                 Path(out).with_name("i.json"), [r"C:\Users\Public\x.bat"]),
+                 "--output", out, "--backend", "scripted", "--replay", path],
+             "{path}: 'emissions' must not be empty without a fallback"),
+            ("table.json", {"%APPDATA%": 5},
+             lambda path: Tables.from_json(
+                 {"expansions": read_json(path)}, {"expansions": path}.get),
+             lambda path, out: ["generate", "--input", write_json(
+                 Path(out).with_name("i.json"), [r"C:\Users\Public\x.bat"]),
+                 "--output", out, "--expansions", path],
+             "{path} must map strings to strings"),
+            ("products.json", {"records": [], "summary": {"registry_roots": ["HKLM"]}},
+             lambda path: Tables.from_json(
+                 read_json(path)["summary"], lambda key: f"{path}: summary {key!r}"),
+             lambda path, out: ["evaluate", "--products", path, "--truths", write_json(
+                 Path(out).with_name("t.json"), []), "--output", out],
+             "{path}: summary 'registry_roots' must map strings to strings"),
+        ],
+        ids=["knowledge-base", "truth", "replay", "table-file", "summary-table"],
+    )
+    def test_input_fault_is_a_config_error_where_it_is_found(
+        self, tmp_path, caplog, name, content, read, args, message
+    ):
+        path = write_json(tmp_path / name, content)
+        message = message.format(path=path)
+        with pytest.raises(ConfigError) as fault:
+            read(path)
+        assert str(fault.value) == message
+        out = str(tmp_path / "out.json")
+        assert main(args(path, out)) == 1
+        assert caplog.messages == [message]
+        assert not Path(out).exists()
 
     def test_exit_code_1_on_missing_input(self, tmp_path):
         rc = main(
