@@ -45,6 +45,12 @@ test ! -e misspelt-report.json
 ioc2regex evaluate --products products.json --truths truths.json --output report.json --dump-matches matches.json
 python -c "import json, sys; sys.exit(json.load(open('report.json'))['reports'][0]['hit_rate'] != 1.0)"
 python -c "import json, sys; t = json.load(open('truths.json'))[0]['text']; sys.exit([m['matched'] for m in json.load(open('matches.json'))] != [[t]])"
+# A record whose pattern is outside the dialect costs that record: exit 2,
+# named under `invalid`, and the other record is still scored.
+python -c "import json; p = json.load(open('products.json')); p['records'].append({**p['records'][0], 'ioc_id': 'bad', 'pattern': '(a+)+\$'}); json.dump(p, open('one-bad.json', 'w'))"
+rc=0; ioc2regex evaluate --products one-bad.json --truths truths.json --output one-bad-report.json || rc=$?
+test "$rc" = 2
+python -c "import json, sys; r = json.load(open('one-bad-report.json')); sys.exit([i['ioc_id'] for i in r['invalid']] != ['bad'] or r['reports'][0]['per_regex_fpr'] != [['ioc-0000', 0.0], ['bad', None]])"
 ioc2regex ablate --mode C-R --input iocs.json --output ablated.json --truths truths.json --report ablated-report.json
 python -c "import json, sys; sys.exit(json.load(open('ablated.json'))['summary']['generated'] != 1)"
 python -c "import json, sys; sys.exit(json.load(open('ablated-report.json'))['reports'][0]['hit_rate'] != 1.0)"
@@ -72,7 +78,7 @@ done
 cmp products-1.json products-2.json
 cmp report-1.json report-2.json
 cmp missing-1.err missing-2.err
-for f in products.json annotations.json repaired.json report.json matches.json ablated.json ablated-report.json reg-products.json reg-report.json blank-head-products.json shape-products.json; do
+for f in products.json annotations.json repaired.json report.json matches.json ablated.json ablated-report.json reg-products.json reg-report.json blank-head-products.json shape-products.json one-bad-report.json; do
   python -c "import json, sys; t = open(sys.argv[1], encoding='utf-8').read(); sys.exit(t != json.dumps(json.loads(t), indent=2, sort_keys=True) + '\n' and sys.argv[1] + ' differs from json.dumps')" "$f"
 done
 echo "installed package smoke test passed"

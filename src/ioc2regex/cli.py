@@ -111,9 +111,9 @@ def main(argv: list[str] | None = None) -> int:
             summary = run_generate(_config_from(args))
             return 2 if summary["failed"] else 0
         if args.command == "evaluate":
-            run_evaluate(args.products, args.truths, args.output,
-                         kb_paths=args.kb, dump_matches=args.dump_matches)
-            return 0
+            payload = run_evaluate(args.products, args.truths, args.output,
+                                   kb_paths=args.kb, dump_matches=args.dump_matches)
+            return 2 if "invalid" in payload else 0
         if args.command == "ablate":
             run_ablation(_config_from(args), args.mode, args.truths, args.report)
             return 0

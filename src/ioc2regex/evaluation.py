@@ -36,10 +36,6 @@ class GroundTruthError(ConfigError):
     """A ground-truth file entry violates the schema or its invariants."""
 
 
-class ProductPatternError(ValueError):
-    """A product record's pattern is outside the dialect."""
-
-
 @dataclass
 class GroundTruthString:
     text: str
@@ -384,11 +380,13 @@ def evaluate_by_dataset(
     products: list[dict],
     truths: list[GroundTruthString],
     match_log: list | None = None,
+    invalid: list | None = None,
 ) -> list[EvaluationReport]:
     """One report per dataset_id found in the truth set, sorted by id
     (``docs/formats.md#evaluation-report``), and the match dump's entries
-    appended to ``match_log``.  A pattern outside the dialect raises
-    ProductPatternError.
+    appended to ``match_log``.  A record whose pattern is outside the
+    dialect is scored as a regex that matches nothing, and appended to
+    ``invalid`` as ``{"ioc_id", "reason"}``.
     """
     truths = TruthSet(truths)  # one pair of haystacks for every regex
     datasets: dict[str, list[int]] = {}
@@ -399,9 +397,10 @@ def evaluate_by_dataset(
         try:
             rows.append(fpr(p["pattern"], p["capture_groups"], truths))
         except dialect.DialectError as exc:
-            raise ProductPatternError(
-                f"pattern of {p['ioc_id']!r} is outside the dialect: {exc}"
-            ) from exc
+            rows.append(_fpr_result([], []))
+            if invalid is not None:
+                reason = f"pattern outside the dialect: {exc}"
+                invalid.append({"ioc_id": p["ioc_id"], "reason": reason})
     similarities: dict[int, float] = {}  # by product position, across datasets
     reports = []
     for ds, members in sorted(datasets.items()):

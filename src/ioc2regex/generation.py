@@ -7,8 +7,9 @@ as one stage list, by ``docs/formats.md#generation-workflow``.
 The debug and audit verdicts and their diagnostics depend only on the
 pattern and the indicator, and so does a probe verdict that drew no probe
 string; every prompt opens with the same indicator head.  So one
-``IndicatorMemo`` computes each of them once for all the runs of an
-indicator (``docs/formats.md#best-of-k-and-reuse``).
+``IndicatorMemo`` holds an indicator's verdicts in one table keyed by
+(stage, pattern), which all its runs and their grading read, and computes
+each verdict once (``docs/formats.md#best-of-k-and-reuse``).
 ``WorkflowTrace.probed`` records for ``grading.select_best`` whether a run
 drew a probe string.
 """
@@ -146,7 +147,9 @@ def coverage(pattern: str, annotation: GroupAnnotation) -> NoncaptureResult:
 
 
 def noncapture_check(pattern: str, annotation: GroupAnnotation) -> NoncaptureResult:
-    """The group audit: ``coverage`` of an annotation with keep components."""
+    """The group audit: ``coverage`` of an annotation with keep components.
+    It is the audit's one entry, and ``IndicatorMemo.verdict`` calls it for
+    the score too."""
     if not annotation.keep_components:
         raise ValueError("noncapture_check requires an annotation with keep components")
     return coverage(pattern, annotation)
@@ -472,53 +475,36 @@ class WorkflowTrace:
 
 
 class IndicatorMemo:
-    """The pure results of one indicator's workflow runs, each computed once
-    (module docstring), and ``prompt``, the one prompt builder.  Make one
-    per indicator and pass it to each ``generate`` call.  Each verdict looks
-    up the check it caches at call time, so a patched module attribute
-    takes effect.  The ``coverage`` method hands the audit's result to the
-    score."""
+    """One table of one indicator's verdicts, keyed by (stage, pattern), and
+    ``prompt``, the one prompt builder (``docs/formats.md#best-of-k-and-reuse``).
+    Make one per indicator and pass it to each ``generate`` call and to the
+    grading of its runs."""
 
     def __init__(self, annotation: GroupAnnotation):
         self.annotation = annotation
         self.head = _prompt_head(annotation)
-        self._debug: dict[str, tuple[DebugResult, str]] = {}
-        self._noncapture: dict[str, tuple[NoncaptureResult, str]] = {}
-        self._unprobed: dict[str, tuple[OvergenResult, str]] = {}
+        self._verdicts: dict[tuple[str, str], tuple] = {}
 
-    def debug(self, pattern: str) -> tuple[DebugResult, str]:
-        """The debug verdict on the pattern and its diagnostic."""
-        verdict = self._debug.get(pattern)
-        if verdict is None:
-            result = debug_check(pattern, self.annotation.record.normalized)
-            verdict = self._debug[pattern] = (result, result.describe())
-        return verdict
+    def verdict(self, stage: str, pattern: str, rng_seed: int = 0) -> tuple:
+        """The ``stage`` check's result on the pattern and its diagnostic.
 
-    def noncapture(self, pattern: str) -> tuple[NoncaptureResult, str]:
-        """The audit's verdict on the pattern and its diagnostic."""
-        verdict = self._noncapture.get(pattern)
+        The check is looked up at call time, so a patched module attribute
+        takes effect.  Every verdict is kept but a probe verdict that drew
+        probes: that one depends on ``rng_seed``, while one that drew none
+        returned before the seed was read and holds for every seed.
+        """
+        verdict = self._verdicts.get((stage, pattern))
         if verdict is None:
-            result = noncapture_check(pattern, self.annotation)
-            verdict = self._noncapture[pattern] = (result, result.describe())
-        return verdict
-
-    def overgen(self, pattern: str, rng_seed: int) -> tuple[OvergenResult, str]:
-        """The probe's verdict on the pattern under the run's seed, and its
-        diagnostic.  A verdict that drew no probe returned before the seed
-        was read, so it is kept for every seed; one that drew probes is not."""
-        verdict = self._unprobed.get(pattern)
-        if verdict is None:
-            result = overgen_check(pattern, rng_seed, self.annotation.keep_components)
+            if stage == STAGE_DEBUG:
+                result = debug_check(pattern, self.annotation.record.normalized)
+            elif stage == STAGE_NONCAPTURE:
+                result = noncapture_check(pattern, self.annotation)
+            else:
+                result = overgen_check(pattern, rng_seed, self.annotation.keep_components)
             verdict = (result, result.describe())
-            if not result.probes:
-                self._unprobed[pattern] = verdict
+            if stage != STAGE_OVERGEN or not result.probes:
+                self._verdicts[stage, pattern] = verdict
         return verdict
-
-    def coverage(self, pattern: str) -> NoncaptureResult:
-        """The audit's result for the pattern if the audit ran on it, else
-        its ``coverage``, computed and not kept."""
-        verdict = self._noncapture.get(pattern)
-        return verdict[0] if verdict is not None else coverage(pattern, self.annotation)
 
     def prompt(self, previous_pattern: str = "", diagnostic: str = "",
                prior_failures: int = 0) -> str:
@@ -578,21 +564,22 @@ def generate(
     if memo is None:
         memo = IndicatorMemo(annotation)
 
-    def audit(pattern: str):
+    def check(stage: str, pattern: str) -> tuple:
         # A pattern fed back by the audit must still match the indicator.
-        regression = memo.debug(pattern)
-        return regression if not regression[0].ok else memo.noncapture(pattern)
+        if stage == STAGE_NONCAPTURE:
+            debug = memo.verdict(STAGE_DEBUG, pattern)
+            if not debug[0].ok:
+                return debug
+        result, diagnostic = memo.verdict(stage, pattern, rng_seed)
+        if stage == STAGE_OVERGEN and result.probes:
+            trace.probed = True
+        return result, diagnostic
 
-    def overgen(pattern: str):
-        verdict = memo.overgen(pattern, rng_seed)
-        trace.probed = trace.probed or bool(verdict[0].probes)
-        return verdict
-
-    # each check returns its verdict and the verdict's diagnostic
-    stages = [(STAGE_DEBUG, memo.debug, max_iterations)]
+    # each stage's check returns its verdict and the verdict's diagnostic
+    stages = [(STAGE_DEBUG, max_iterations)]
     if validate_groups:
-        stages.append((STAGE_NONCAPTURE, audit, max_iterations))
-    stages.append((STAGE_OVERGEN, overgen, 1))
+        stages.append((STAGE_NONCAPTURE, max_iterations))
+    stages.append((STAGE_OVERGEN, 1))
 
     trace = WorkflowTrace()
     for restart in range(restart_cap):
@@ -601,10 +588,10 @@ def generate(
         pattern = _propose(backend, annotation, opening, trace, restart, STAGE_DEBUG)
         if pattern is None:
             continue
-        for stage, check, attempts in stages:
+        for stage, attempts in stages:
             ok = False
             for attempt in range(1, attempts + 1):
-                result, diagnostic = check(pattern)
+                result, diagnostic = check(stage, pattern)
                 ok = result.ok
                 verdict = "pass" if ok else "fail"
                 trace.attempts.append(Attempt(restart, stage, pattern, verdict, diagnostic))

@@ -51,7 +51,7 @@ def grade(
 ) -> RegexCandidate:
     """Score = n_cg - n_wc for one candidate pattern, by the coverage rule
     (``docs/formats.md#scores``).  ``pinned`` is the pattern's ``generation.coverage``
-    of ``annotation`` when it is already known (the group audit's result),
+    of ``annotation`` when it is already known (the memo's audit verdict),
     else it is computed here."""
     try:
         analysis = dialect.analyze(pattern)
@@ -100,9 +100,9 @@ def select_best(
     below one is a ValueError.
 
     The runs share one ``generation.IndicatorMemo``, and each distinct
-    pattern is graded once, from the memo's coverage (the group audit's,
-    when it ran).  Returns (best or None, one graded candidate per
-    successful run).
+    pattern is graded once, from the memo's audit verdict on it: the one
+    the group audit computed, or else one computed here and kept.  Returns
+    (best or None, one graded candidate per successful run).
     """
     if k < 1:
         raise ValueError("select_best() requires k >= 1")
@@ -132,7 +132,8 @@ def select_best(
     for pattern in patterns:
         if pattern is not None:
             if pattern not in grades:
-                grades[pattern] = grade(pattern, annotation, memo.coverage(pattern))
+                pinned = memo.verdict(generation.STAGE_NONCAPTURE, pattern)[0]
+                grades[pattern] = grade(pattern, annotation, pinned)
             candidates.append(grades[pattern])
 
     if not candidates:

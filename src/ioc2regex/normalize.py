@@ -40,9 +40,9 @@ from pathlib import Path
 
 from .inputs import ConfigError, read_json
 from .knowledge import (
-    COMMAND_FOREST,
     EXECUTABLE_EXTENSIONS,
     KnowledgeStore,
+    NodeLabel,
     strip_executable_extension,
 )
 
@@ -195,7 +195,7 @@ def classify(
 
     tokens = s.split()
     first_token = strip_executable_extension(tokens[0])
-    if store is not None and store.contains(COMMAND_FOREST, first_token):
+    if store is not None and store.label_of(first_token) is NodeLabel.COMMAND:
         return IocKind.COMMAND_LINE
     if len(tokens) > 1 and any(t.startswith(("/", "-")) for t in tokens):
         return IocKind.COMMAND_LINE
@@ -266,7 +266,7 @@ def _strip_command_extensions(s: str, store: KnowledgeStore | None) -> str:
     def repl(m: re.Match) -> str:
         token = m.group(0)
         stripped = strip_executable_extension(token)
-        if stripped != token and store.contains(COMMAND_FOREST, stripped):
+        if stripped != token and store.label_of(stripped) is NodeLabel.COMMAND:
             return stripped
         return token
 

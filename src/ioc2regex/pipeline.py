@@ -300,7 +300,9 @@ def run_evaluate(
 ) -> dict:
     """Score a product file against a ground-truth file; write the report.
     The truths are normalized with the expansion and registry-root tables
-    the product's summary records, else with the bundled ones."""
+    the product's summary records, else with the bundled ones.  The report
+    names the records whose patterns are outside the dialect under
+    ``invalid`` (``docs/formats.md#evaluation-report``)."""
     store = load_store(kb_paths)
     product = read_json(products_path)
     check_object(product, _PRODUCT_FIELDS, str(products_path), required=("records",))
@@ -318,11 +320,13 @@ def run_evaluate(
     truths = evaluation.load_truths(truths_path, store, tables)
 
     match_log: list | None = [] if dump_matches else None
-    try:
-        reports = evaluation.evaluate_by_dataset(product["records"], truths, match_log)
-    except evaluation.ProductPatternError as exc:
-        raise ConfigError(f"{products_path}: {exc}") from exc
-    payload = {"reports": [r.to_dict() for r in reports]}
+    invalid: list = []
+    reports = evaluation.evaluate_by_dataset(product["records"], truths, match_log, invalid)
+    payload: dict = {"reports": [r.to_dict() for r in reports]}
+    for entry in invalid:
+        logger.warning("%s: record %r: %s", products_path, entry["ioc_id"], entry["reason"])
+    if invalid:
+        payload["invalid"] = invalid
     _write_json(output_path, payload)
     if dump_matches:
         _write_json(dump_matches, match_log)

@@ -796,7 +796,7 @@ def _ref_registry_markers(registry_roots: dict) -> frozenset[str]:
 
 
 def reference_classify(raw: str, store=None, registry_roots: dict | None = None):
-    from ioc2regex.knowledge import COMMAND_FOREST, strip_executable_extension
+    from ioc2regex.knowledge import NodeLabel, strip_executable_extension
     from ioc2regex.normalize import BUNDLED, ClassificationError, IocKind
 
     s = raw.strip()
@@ -812,7 +812,7 @@ def reference_classify(raw: str, store=None, registry_roots: dict | None = None)
 
     tokens = s.split()
     first_token = strip_executable_extension(tokens[0])
-    if store is not None and store.contains(COMMAND_FOREST, first_token):
+    if store is not None and store.label_of(first_token) is NodeLabel.COMMAND:
         return IocKind.COMMAND_LINE
     if len(tokens) > 1 and any(t.startswith(("/", "-")) for t in tokens):
         return IocKind.COMMAND_LINE
@@ -888,7 +888,7 @@ def _ref_normalize_usernames(s: str, kind, store) -> str:
 
 
 def _ref_strip_command_extensions(s: str, store) -> str:
-    from ioc2regex.knowledge import COMMAND_FOREST, strip_executable_extension
+    from ioc2regex.knowledge import NodeLabel, strip_executable_extension
 
     if store is None:
         return s
@@ -896,7 +896,7 @@ def _ref_strip_command_extensions(s: str, store) -> str:
     def repl(m: re.Match) -> str:
         token = m.group(0)
         stripped = strip_executable_extension(token)
-        if stripped != token and store.contains(COMMAND_FOREST, stripped):
+        if stripped != token and store.label_of(stripped) is NodeLabel.COMMAND:
             return stripped
         return token
 

@@ -779,16 +779,22 @@ class TestWorkflow:
 
 
 class TestIndicatorMemo:
+    @pytest.mark.parametrize(
+        "scripted, options",
+        [(False, {}), (True, {}), (True, {"validate_groups": False}),
+         (True, {"workflow": "single_shot"})],
+        ids=["template", "scripted", "no-audit", "single-shot"],
+    )
     def test_best_of_five_runs_each_pure_gate_once(
-        self, path_annotation, schtasks_annotation, monkeypatch
+        self, path_annotation, schtasks_annotation, monkeypatch, scripted, options
     ):
-        calls = {"debug": 0, "noncapture": 0, "grade": 0}
+        calls = {"debug": [], "noncapture": [], "grade": []}
         runs = []
 
         def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+            def wrapper(pattern, *args, **kwargs):
+                calls[name].append(pattern)
+                return fn(pattern, *args, **kwargs)
             return wrapper
 
         def recording(annotation, backend, **kwargs):
@@ -803,11 +809,26 @@ class TestIndicatorMemo:
         monkeypatch.setattr(grading, "grade", counting("grade", grading.grade))
         monkeypatch.setattr(generation, "generate", recording)
         for ann in (path_annotation, schtasks_annotation):
-            calls.update(debug=0, noncapture=0, grade=0)
+            for patterns in calls.values():
+                patterns.clear()
             runs.clear()
-            best, candidates = grading.select_best(ann, TemplateBackend(), k=5, rng_seed=3)
-            assert calls == {"debug": 1, "noncapture": 1, "grade": 1}
+            # a scripted backend is not deterministic, so all five runs go
+            backend = (
+                ScriptedBackend(["(bad", ".*"], fallback=TemplateBackend())
+                if scripted else TemplateBackend()
+            )
+            best, candidates = grading.select_best(ann, backend, k=5, rng_seed=3, **options)
+            graded = sorted({c.pattern for c in candidates})
+            # per distinct pattern: debug at most once, the audit and the grade once
+            assert sorted(set(calls["debug"])) == sorted(calls["debug"])
+            assert sorted(set(calls["noncapture"])) == sorted(calls["noncapture"])
+            assert set(graded) <= set(calls["noncapture"])
+            assert sorted(calls["grade"]) == graded
+            if scripted:
+                continue
             assert len(candidates) == 5
+            assert calls == {"debug": [best.pattern], "noncapture": [best.pattern],
+                             "grade": [best.pattern]}
             assert all(c is best for c in candidates)
             # the template backend is deterministic and its run drew no
             # probe, so one workflow run stands for all five

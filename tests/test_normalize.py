@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ioc2regex.evaluation import make_truth
-from ioc2regex.knowledge import EXECUTABLE_EXTENSIONS
+from ioc2regex.knowledge import EXECUTABLE_EXTENSIONS, NodeLabel
 from ioc2regex.normalize import (
     BUNDLED,
     ClassificationError,
@@ -69,6 +69,12 @@ class TestClassify:
     def test_command_by_store_known_first_token(self, store):
         # no option-style tokens at all; only the store identifies it
         assert classify("wevtutil cl System", store) is IocKind.COMMAND_LINE
+
+    def test_parameter_first_token_is_no_command(self, store):
+        # ``start`` names an ``sc`` and ``net`` parameter, not a command
+        assert store.label_of("start") is NodeLabel.PARAMETER
+        raw = r"Start Menu\Programs\Startup\evil.lnk"
+        assert classify(raw, store) is IocKind.FILE_PATH
 
     def test_hash_is_other(self, store):
         assert classify("d41d8cd98f00b204e9800998ecf8427e", store) is IocKind.OTHER
@@ -165,6 +171,12 @@ class TestPreprocess:
     def test_command_extension_stripped(self, store):
         out = preprocess("cmd.exe /c whoami", IocKind.COMMAND_LINE, store)
         assert out == "cmd /c whoami"
+
+    def test_parameter_extension_untouched(self, store):
+        # ``create`` names a parameter, not a command
+        assert store.label_of("create") is NodeLabel.PARAMETER
+        out = preprocess("cmd /c create.exe", IocKind.COMMAND_LINE, store)
+        assert out == "cmd /c create.exe"
 
     def test_payload_extension_untouched(self, store):
         out = preprocess("cmd /c 11.bat", IocKind.COMMAND_LINE, store)

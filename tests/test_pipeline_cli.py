@@ -240,6 +240,15 @@ class TestRunGenerate:
         summary = run_generate(cfg)
         assert summary["failed"] == 2
 
+    def test_path_led_by_a_parameter_name_ships(self, tmp_path):
+        # ``start`` names a knowledge-base parameter; the string is a path
+        iocs = write_json(tmp_path / "iocs.json", [r"Start Menu\Programs\Startup\evil.lnk"])
+        cfg = base_config(tmp_path, iocs)
+        run_generate(cfg)
+        (record,) = json.loads(Path(cfg.output_path).read_text())["records"]
+        assert record["kind"] == "file_path"
+        assert record["pattern"] == r"(?i).*Start\ Menu\\Programs\\Startup\\.*"
+
     def test_unbounded_brace_emission_is_repaired(self, tmp_path, fig1_input):
         # re cannot compile either bound; the dialect rejects both, so the
         # debug loop feeds them back and the template fallback repairs them
@@ -514,12 +523,47 @@ class TestRunEvaluate:
         "pattern", [r"(?P<n>x)", r"(a+)+$", r"(?:a|a)+$", "a{4294967296}"]
     )
     def test_product_pattern_outside_dialect(self, tmp_path, pattern):
+        # the record is scored as a regex that matches nothing, and named
         products = write_json(
             tmp_path / "products.json", {"records": [product_record(pattern=pattern)]}
         )
-        truths = write_json(tmp_path / "t.json", [])
-        with pytest.raises(ConfigError, match="'hand-edited'"):
-            run_evaluate(products, truths, tmp_path / "r.json")
+        truths = write_json(
+            tmp_path / "t.json", [{"text": "abc", "kind": "other", "capture_groups": ["abc"]}]
+        )
+        dump = tmp_path / "matches.json"
+        payload = run_evaluate(products, truths, tmp_path / "r.json", dump_matches=dump)
+        (entry,) = payload["invalid"]
+        assert entry["ioc_id"] == "hand-edited"
+        assert entry["reason"].startswith("pattern outside the dialect: ")
+        (report,) = payload["reports"]
+        assert report["per_regex_fpr"] == [["hand-edited", None]]
+        assert (report["matched"], report["mean_fpr"], report["score_stats"]) == (0, None, None)
+        assert json.loads((tmp_path / "r.json").read_text()) == payload
+        assert json.loads(dump.read_text()) == [
+            {"ioc_id": "hand-edited", "matched": [], "false_positives": []}
+        ]
+
+    def test_bad_record_leaves_the_good_rows_as_they_were(self, tmp_path):
+        entries = json.loads((DATA / "e2e_truths.json").read_text(encoding="utf-8"))
+        for i, entry in enumerate(entries):
+            entry["dataset_id"] = f"part-{i % 3}"
+        truths = write_json(tmp_path / "truths.json", entries)
+        cfg = base_config(tmp_path, str(DATA / "e2e_iocs.json"))
+        run_generate(cfg)
+        good = run_evaluate(cfg.output_path, truths, tmp_path / "good.json",
+                            dump_matches=tmp_path / "good-matches.json")
+        product = json.loads(Path(cfg.output_path).read_text())
+        product["records"].insert(1, product_record(ioc_id="bad", pattern="(a+)+$"))
+        products = write_json(tmp_path / "with-bad.json", product)
+        dump = tmp_path / "matches.json"
+        payload = run_evaluate(products, truths, tmp_path / "r.json", dump_matches=dump)
+        assert [entry["ioc_id"] for entry in payload.pop("invalid")] == ["bad"]
+        assert len(payload["reports"]) == 3
+        for report in payload["reports"]:
+            assert report["per_regex_fpr"].pop(1) == ["bad", None]
+        assert payload == good
+        matches = [m for m in json.loads(dump.read_text()) if m["ioc_id"] != "bad"]
+        assert matches == json.loads((tmp_path / "good-matches.json").read_text())
 
     @pytest.mark.parametrize(
         "record, problem",
@@ -711,7 +755,7 @@ class TestCli:
         )
         assert rc == 0
 
-    def test_exit_code_1_on_product_outside_dialect(self, tmp_path, caplog):
+    def test_exit_code_2_on_product_outside_dialect(self, tmp_path, caplog):
         products = write_json(
             tmp_path / "products.json", {"records": [product_record(pattern="(a+)+$")]}
         )
@@ -724,10 +768,13 @@ class TestCli:
                 "--output", str(tmp_path / "report.json"),
             ]
         )
-        assert rc == 1
+        assert rc == 2
         assert "'hand-edited'" in caplog.text
         assert "nested repetition" in caplog.text
-        assert not (tmp_path / "report.json").exists()
+        report = json.loads((tmp_path / "report.json").read_text())
+        (entry,) = report["invalid"]
+        assert entry["ioc_id"] == "hand-edited"
+        assert "nested repetition" in entry["reason"]
 
     def test_exit_code_1_on_product_record_without_pattern(self, tmp_path, caplog):
         record = product_record()
