@@ -126,6 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except Exception as exc:  # noqa: BLE001 - fatal, but with a readable message
         logger.error("unexpected failure: %s", exc)
+        logger.debug("traceback of the unexpected failure", exc_info=True)
         return 1
     return 0
 

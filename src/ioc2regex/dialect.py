@@ -9,10 +9,12 @@ of ``_CHAIN``: such a pattern is valid, all its runs are required, and its
 tokens and regex are built only if a caller needs them.  Any other pattern
 is tokenized, walked once by ``structure``, which validates it and marks
 its required runs, and compiled at once, so an ``re.error`` is still a
-``DialectError``.  ``analyze`` caches the analysis, or the error, for every
-caller; analyses, tokens and runs are never mutated.  ``Token`` and
-``LiteralRun`` are slotted, not frozen, dataclasses because building one is
-half as costly, so nothing may hash or change them.
+``DialectError``.  ``analysis_or_error`` caches the analysis, or the error,
+for every caller, and ``analyze`` raises a fresh copy of a cached error;
+analyses, tokens, runs and cached errors are never mutated, and a cached
+error is never raised.  ``Token`` and ``LiteralRun`` are slotted, not
+frozen, dataclasses because building one is half as costly, so nothing may
+hash or change them.
 
 Why each match rule gives what ``re.search`` gives:
 
@@ -543,8 +545,10 @@ def _unescape(run: str) -> str:
 
 
 @functools.lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)
-def _analysis_or_error(pattern: str) -> Analysis | tuple[str, int]:
-    """The pattern's analysis, or the message and offset of its DialectError.
+def analysis_or_error(pattern: str) -> Analysis | DialectError:
+    """The pattern's analysis, or its DialectError, returned, not raised,
+    and cached.  Every caller shares the error, so none may raise it:
+    ``analyze`` raises a copy.
 
     A pattern the find-chain regex accepts is read off its match, split at
     its wildcards; any other is tokenized and walked by ``structure``."""
@@ -565,7 +569,7 @@ def _analysis_or_error(pattern: str) -> Analysis | tuple[str, int]:
             tokens = tuple(tokenize(pattern))
             runs, leading = structure(tokens)
         except DialectError as exc:
-            return exc.message, exc.offset
+            return DialectError(exc.message, exc.offset)  # one without frames
         flags = tokens[0].text[2:-1] if tokens and tokens[0].kind == FLAGS else ""
         units, chain = wildcard_units(tokens), None
     needles = tuple(f for r in runs if r.required and (f := fold(r.text)) is not None)
@@ -578,25 +582,25 @@ def _analysis_or_error(pattern: str) -> Analysis | tuple[str, int]:
         try:
             analysis.regex  # compile now: an re.error is a DialectError
         except re.error as exc:  # e.g. a{3,1} or [z-a]
-            return exc.msg, exc.pos or 0
+            return DialectError(exc.msg, exc.pos or 0)
     return analysis
 
 
 def analyze(pattern: str) -> Analysis:
     """Validate and analyze a pattern; raises DialectError.
 
-    The outcome is cached: a repeated invalid pattern raises a new
-    DialectError with the same message and offset, without tokenizing it
-    again.  ``analyze.cache_clear()`` empties the cache, and
+    The outcome is ``analysis_or_error``'s: a repeated invalid pattern
+    raises a new DialectError with the same message and offset, without
+    tokenizing it again.  ``analyze.cache_clear()`` empties the cache, and
     ``analyze.cache_info()`` counts its hits and misses."""
-    outcome = _analysis_or_error(pattern)
+    outcome = analysis_or_error(pattern)
     if isinstance(outcome, Analysis):
         return outcome
-    raise DialectError(*outcome)
+    raise DialectError(outcome.message, outcome.offset)
 
 
-analyze.cache_clear = _analysis_or_error.cache_clear
-analyze.cache_info = _analysis_or_error.cache_info
+analyze.cache_clear = analysis_or_error.cache_clear
+analyze.cache_info = analysis_or_error.cache_info
 
 
 def compile_pattern(pattern: str) -> re.Pattern:

@@ -54,7 +54,7 @@ class BackendError(RuntimeError):
 # -- validation checks ---------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class DebugResult:
     ok: bool
     syntax_error: str = ""
@@ -79,10 +79,9 @@ def debug_check(pattern: str, target: str) -> DebugResult:
     """Does the pattern match the indicator?  On failure, report the longest
     compilable token-prefix that still matches and the first failing token
     (``dialect.Analysis.explain``)."""
-    try:
-        analysis = dialect.analyze(pattern)
-    except dialect.DialectError as exc:
-        return DebugResult(ok=False, syntax_error=str(exc))
+    analysis = dialect.analysis_or_error(pattern)
+    if isinstance(analysis, dialect.DialectError):
+        return DebugResult(ok=False, syntax_error=str(analysis))
     miss = analysis.explain(target)
     if miss is None:
         return DebugResult(ok=True)
@@ -92,7 +91,7 @@ def debug_check(pattern: str, target: str) -> DebugResult:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class NoncaptureResult:
     ok: bool
     missing_keep: list[str] = field(default_factory=list)
@@ -155,7 +154,7 @@ def noncapture_check(pattern: str, annotation: GroupAnnotation) -> NoncaptureRes
     return coverage(pattern, annotation)
 
 
-@dataclass
+@dataclass(slots=True)
 class OvergenResult:
     ok: bool
     probes: list[str] = field(default_factory=list)
@@ -467,7 +466,7 @@ class Attempt:
     diagnostic: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkflowTrace:
     attempts: list[Attempt] = field(default_factory=list)
     restarts: int = 0
@@ -563,25 +562,15 @@ def generate(
         raise ValueError("generate() requires an annotation with capture groups")
     if memo is None:
         memo = IndicatorMemo(annotation)
+    verdict_of = memo.verdict
 
-    def check(stage: str, pattern: str) -> tuple:
-        # A pattern fed back by the audit must still match the indicator.
-        if stage == STAGE_NONCAPTURE:
-            debug = memo.verdict(STAGE_DEBUG, pattern)
-            if not debug[0].ok:
-                return debug
-        result, diagnostic = memo.verdict(stage, pattern, rng_seed)
-        if stage == STAGE_OVERGEN and result.probes:
-            trace.probed = True
-        return result, diagnostic
-
-    # each stage's check returns its verdict and the verdict's diagnostic
     stages = [(STAGE_DEBUG, max_iterations)]
     if validate_groups:
         stages.append((STAGE_NONCAPTURE, max_iterations))
     stages.append((STAGE_OVERGEN, 1))
 
     trace = WorkflowTrace()
+    add_attempt = trace.attempts.append
     for restart in range(restart_cap):
         trace.restarts = restart
         opening = memo.prompt(prior_failures=restart)
@@ -591,10 +580,19 @@ def generate(
         for stage, attempts in stages:
             ok = False
             for attempt in range(1, attempts + 1):
-                result, diagnostic = check(stage, pattern)
+                if stage == STAGE_DEBUG:
+                    result, diagnostic = verdict_of(stage, pattern)
+                elif stage == STAGE_NONCAPTURE:
+                    # a pattern fed back by the audit must still match the indicator
+                    result, diagnostic = verdict_of(STAGE_DEBUG, pattern)
+                    if result.ok:
+                        result, diagnostic = verdict_of(stage, pattern)
+                else:
+                    result, diagnostic = verdict_of(stage, pattern, rng_seed)
+                    if result.probes:
+                        trace.probed = True
                 ok = result.ok
-                verdict = "pass" if ok else "fail"
-                trace.attempts.append(Attempt(restart, stage, pattern, verdict, diagnostic))
+                add_attempt(Attempt(restart, stage, pattern, "pass" if ok else "fail", diagnostic))
                 if ok or attempt == attempts:
                     break
                 feedback = memo.prompt(pattern, diagnostic, restart)

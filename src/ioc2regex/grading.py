@@ -36,7 +36,7 @@ class GradingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegexCandidate:
     pattern: str
     n_cg: int
@@ -136,7 +136,7 @@ def select_best(
                 grades[pattern] = grade(pattern, annotation, pinned)
             candidates.append(grades[pattern])
 
-    if not candidates:
-        return None, []
+    if len(grades) < 2:  # no pattern, or one: nothing to choose
+        return (candidates[0] if candidates else None), candidates
     best = min(candidates, key=lambda c: (-c.score, len(c.pattern), c.pattern))
     return best, candidates

@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -255,6 +254,9 @@ def run_generate(config: PipelineConfig) -> dict:
     if workers == 1:
         outcomes = [work(item) for item in enumerate(iocs)]
     else:
+        # imported here, so that a run with one worker does not pay for it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(work, enumerate(iocs)))
 

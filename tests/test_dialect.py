@@ -428,6 +428,24 @@ class TestAnalyze:
             ("syntax error at offset 6: unbalanced '('", 6)
         }
 
+    @pytest.mark.parametrize(
+        "pattern",
+        ["(?i).*(unclosed", "[a-z", "\\", "*lead", "(?P<n>x)", "(?i).*\\q",
+         "(a+)+$", "(?:a|a)+$", "a{70000}"],
+    )
+    def test_debug_check_reads_the_error_analyze_raises(self, pattern):
+        analyze.cache_clear()
+        cold = debug_check(pattern, "text").syntax_error
+        analyze.cache_clear()
+        with pytest.raises(DialectError) as first:
+            analyze(pattern)
+        with pytest.raises(DialectError) as second:
+            analyze(pattern)  # from the cache
+        assert first.value is not second.value
+        assert isinstance(dialect.analysis_or_error(pattern), DialectError)
+        warm = debug_check(pattern, "text").syntax_error
+        assert cold == warm == str(first.value) == str(second.value)
+
     def test_non_ascii_brace_bound_read_as_re_reads_it(self):
         pattern = "(?i).*Users\\\\x{\u0663}"
         analysis = analyze(pattern)

@@ -1,13 +1,18 @@
 import argparse
 import json
+import logging
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ioc2regex
 from ioc2regex import cli, dialect, pipeline
 from ioc2regex.capture import GroupAnnotation
 from ioc2regex.cli import main
@@ -155,6 +160,19 @@ class TestRunGenerate:
         run_generate(cfg_a)
         run_generate(cfg_b)
         assert Path(cfg_a.output_path).read_bytes() == Path(cfg_b.output_path).read_bytes()
+
+    def test_thread_pool_not_imported_at_start_up(self):
+        # only workers > 1 uses the pool, so no other run pays for its import
+        code = (
+            "import sys, ioc2regex, ioc2regex.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(ioc2regex.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "[]\n"
 
     def test_scripted_backend_forces_one_worker(self, tmp_path, fig1_input, caplog):
         replay = write_json(
@@ -775,6 +793,25 @@ class TestCli:
         (entry,) = report["invalid"]
         assert entry["ioc_id"] == "hand-edited"
         assert "nested repetition" in entry["reason"]
+
+    def test_unexpected_failure_traceback_at_debug_level(
+        self, tmp_path, fig1_input, caplog, monkeypatch
+    ):
+        def boom(config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_generate", boom)
+        caplog.set_level(logging.DEBUG)  # --verbose; basicConfig is a no-op under caplog
+        rc = main(["--verbose", "generate", "--input", fig1_input,
+                   "--output", str(tmp_path / "p.json")])
+        assert rc == 1
+        error, debug = caplog.records
+        assert (error.levelno, error.getMessage()) == (logging.ERROR, "unexpected failure: boom")
+        assert error.exc_info is None  # the default output stays one line
+        assert debug.levelno == logging.DEBUG
+        assert debug.exc_info[0] is RuntimeError
+        assert "Traceback (most recent call last)" in caplog.text
+        assert 'raise RuntimeError("boom")' in caplog.text
 
     def test_exit_code_1_on_product_record_without_pattern(self, tmp_path, caplog):
         record = product_record()
