@@ -4,23 +4,25 @@
 Each IOC contributes three ground-truth variants: the string itself plus two
 perturbations of its mutable parts (renamed payloads, different usernames,
 shuffled argument values).  Truth capture groups are frozen from the capture
-finder over the starter knowledge base.  The script verifies the fixture's
-quality targets (hit rate, mean FPR with the template backend) before writing
-and prints the achieved numbers.
+finder over the starter knowledge base.  Before writing, the script runs the
+pipeline's generate and evaluate on the fixture in a temporary directory,
+with the default configuration (the template backend), checks the fixture's
+quality targets (hit rate, mean FPR) in the report, and prints the achieved
+numbers.
 
 Run from the repository root:  python3 scripts/gen_e2e_fixture.py
 """
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
-from ioc2regex import annotate, default_store, make_record
-from ioc2regex.evaluation import evaluate_by_dataset, make_truth
-from ioc2regex.generation import TemplateBackend
-from ioc2regex.grading import select_best
+from ioc2regex import (
+    PipelineConfig, annotate, default_store, make_record, run_evaluate, run_generate,
+)
 
 OUT_DIR = Path(__file__).parent.parent / "tests" / "data"
 DATASET = "synthetic-e2e"
@@ -159,35 +161,29 @@ def build() -> tuple[list[dict], list[dict]]:
     return iocs, truths
 
 
+def write(path: Path, payload: list[dict]) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def verify(iocs: list[dict], truths: list[dict]) -> None:
-    store = default_store()
-    backend = TemplateBackend()
-    products = []
-    for i, entry in enumerate(iocs):
-        record = make_record(entry["text"], store, source_id=entry["source_id"])
-        annotation = annotate(record, store)
-        best, _ = select_best(annotation, backend, k=5, rng_seed=i)
-        assert best is not None, entry
-        products.append(
-            {
-                "ioc_id": entry["source_id"],
-                "pattern": best.pattern,
-                "capture_groups": sorted(
-                    c.casefold() for c in annotation.keep_components
-                ),
-                "normalized": record.normalized,
-                "score": best.score,
-            }
-        )
-    loaded = [make_truth(t, store) for t in truths]
-    [report] = evaluate_by_dataset(products, loaded)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write(tmp / "iocs.json", iocs)
+        write(tmp / "truths.json", truths)
+        summary = run_generate(PipelineConfig(
+            input_path=str(tmp / "iocs.json"), output_path=str(tmp / "products.json")
+        ))
+        assert summary["generated"] == 50, summary
+        payload = run_evaluate(tmp / "products.json", tmp / "truths.json", tmp / "report.json")
+    assert "invalid" not in payload, payload["invalid"]
+    [report] = payload["reports"]
     print(f"IOCs: {len(iocs)}  truths: {len(truths)}")
-    print(f"hit rate: {report.hit_rate:.3f}  mean FPR: {report.mean_fpr:.4f}")
-    offenders = [(rid, v) for rid, v in report.per_regex_fpr if v]
+    print(f"hit rate: {report['hit_rate']:.3f}  mean FPR: {report['mean_fpr']:.4f}")
+    offenders = [(rid, v) for rid, v in report["per_regex_fpr"] if v]
     if offenders:
         print("regexes with nonzero FPR:", offenders)
-    assert report.hit_rate >= 0.95, "fixture misses its own hit-rate target"
-    assert report.mean_fpr <= 0.05, "fixture exceeds its own FPR target"
+    assert report["hit_rate"] >= 0.95, "fixture misses its own hit-rate target"
+    assert report["mean_fpr"] <= 0.05, "fixture exceeds its own FPR target"
 
 
 def main() -> None:
@@ -196,12 +192,8 @@ def main() -> None:
     assert len(truths) == 150, len(truths)
     verify(iocs, truths)
     OUT_DIR.mkdir(parents=True, exist_ok=True)
-    (OUT_DIR / "e2e_iocs.json").write_text(
-        json.dumps(iocs, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (OUT_DIR / "e2e_truths.json").write_text(
-        json.dumps(truths, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write(OUT_DIR / "e2e_iocs.json", iocs)
+    write(OUT_DIR / "e2e_truths.json", truths)
     print(f"wrote {OUT_DIR / 'e2e_iocs.json'} and {OUT_DIR / 'e2e_truths.json'}")
 
 

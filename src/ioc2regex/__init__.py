@@ -23,6 +23,7 @@ from .evaluation import (
 from .generation import (
     BackendError,
     GeneratorBackend,
+    IndicatorMemo,
     RemoteBackend,
     ScriptedBackend,
     TemplateBackend,

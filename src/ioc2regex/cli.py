@@ -101,10 +101,10 @@ def main(argv: list[str] | None = None) -> int:
     p_kb.add_argument("files", nargs="+")
 
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = logging.DEBUG if args.verbose else logging.INFO
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig does nothing when the root logger already has a handler
+    logger.setLevel(level)
 
     try:
         if args.command == "generate":

@@ -116,12 +116,16 @@ class NoncaptureResult:
         return "; ".join(parts)
 
 
-def coverage(pattern: str, annotation: GroupAnnotation) -> NoncaptureResult:
-    """What the pattern's literal runs pin of the annotation, by the coverage
-    rule (``docs/formats.md#scores``): the keep components in no required
-    run, the discard components in some run, and per run the spans of the
-    keep occurrences in the run's case fold, where text is compared (the
-    grader maps them back to the run's characters).  Raises DialectError."""
+def noncapture_check(pattern: str, annotation: GroupAnnotation) -> NoncaptureResult:
+    """The group audit, by the coverage rule (``docs/formats.md#scores``),
+    of an annotation with keep components: the keep components in no
+    required literal run, the discard components in some run, and per run
+    the spans of the keep occurrences in the run's case fold, where text is
+    compared (the grader maps them back to the run's characters).  It is
+    the audit's one entry, and ``IndicatorMemo.verdict`` calls it for the
+    score too.  Raises DialectError."""
+    if not annotation.keep_components:
+        raise ValueError("noncapture_check requires an annotation with keep components")
     runs = dialect.analyze(pattern).runs
     folded = [run.text.casefold() for run in runs]
     spans: list[list[tuple[int, int]]] = [[] for _ in runs]  # in the folds
@@ -143,15 +147,6 @@ def coverage(pattern: str, annotation: GroupAnnotation) -> NoncaptureResult:
         if any(comp.casefold() in text for text in folded)
     ]
     return NoncaptureResult(not missing and not present, missing, present, spans)
-
-
-def noncapture_check(pattern: str, annotation: GroupAnnotation) -> NoncaptureResult:
-    """The group audit: ``coverage`` of an annotation with keep components.
-    It is the audit's one entry, and ``IndicatorMemo.verdict`` calls it for
-    the score too."""
-    if not annotation.keep_components:
-        raise ValueError("noncapture_check requires an annotation with keep components")
-    return coverage(pattern, annotation)
 
 
 @dataclass(slots=True)
@@ -474,10 +469,11 @@ class WorkflowTrace:
 
 
 class IndicatorMemo:
-    """One table of one indicator's verdicts, keyed by (stage, pattern), and
-    ``prompt``, the one prompt builder (``docs/formats.md#best-of-k-and-reuse``).
-    Make one per indicator and pass it to each ``generate`` call and to the
-    grading of its runs."""
+    """The one handle on an indicator: its annotation, one table of its
+    verdicts, keyed by (stage, pattern), and ``prompt``, the one prompt
+    builder (``docs/formats.md#best-of-k-and-reuse``).  Make one per
+    indicator and pass it to each ``generate`` or ``single_shot`` call and
+    to the grading of its runs."""
 
     def __init__(self, annotation: GroupAnnotation):
         self.annotation = annotation
@@ -543,25 +539,23 @@ def _propose(
 
 
 def generate(
-    annotation: GroupAnnotation,
+    memo: IndicatorMemo,
     backend: GeneratorBackend,
     rng_seed: int = 0,
     max_iterations: int = MAX_ITERATIONS,
     restart_cap: int = RESTART_CAP,
     validate_groups: bool = True,
-    memo: IndicatorMemo | None = None,
 ) -> tuple[str | None, WorkflowTrace]:
-    """Run the staged workflow; returns the first pattern passing all gates.
+    """Run the staged workflow on ``memo.annotation``; returns the first
+    pattern passing all gates.
 
     Each pass runs the stages (debug, the group audit if ``validate_groups``,
     overgen) in order; each of the first two checks at most ``max_iterations``
     candidates.  The whole workflow runs at most ``restart_cap`` passes.
-    ``memo`` must belong to ``annotation``; without one, the call makes its own.
     """
+    annotation = memo.annotation
     if not annotation.has_capture_groups:
         raise ValueError("generate() requires an annotation with capture groups")
-    if memo is None:
-        memo = IndicatorMemo(annotation)
     verdict_of = memo.verdict
 
     stages = [(STAGE_DEBUG, max_iterations)]
@@ -609,7 +603,7 @@ def generate(
 
 
 def single_shot(
-    annotation: GroupAnnotation, backend: GeneratorBackend
+    memo: IndicatorMemo, backend: GeneratorBackend
 ) -> tuple[str | None, WorkflowTrace]:
     """Ablation variant: one backend call, no validation loops.
 
@@ -617,7 +611,7 @@ def single_shot(
     can repair it.  The run draws no probe, so its seed never matters.
     """
     trace = WorkflowTrace()
-    pattern = _propose(backend, annotation, build_prompt(annotation), trace, 0, STAGE_DEBUG)
+    pattern = _propose(backend, memo.annotation, memo.prompt(), trace, 0, STAGE_DEBUG)
     if pattern is None:
         return None, trace
     try:

@@ -1,13 +1,14 @@
 """Score candidate patterns and pick the best of several generation runs.
 
 ``grade`` scores ``n_cg - n_wc`` by the coverage rule of
-``docs/formats.md#scores``, which ``generation.coverage`` applies for the
-group audit and the score alike.  One leading and one trailing bare ``.*``
-only say that a pattern may match anywhere in a string, which is why they
-are exempt from ``n_wc``.  ``grade`` reads the wildcard units and the start
-of the body from the pattern's analysis, which holds them whether or not it
-has tokenized the pattern, and maps the keep marks from each run's case
-fold back to the run's characters (``_unfold``).
+``docs/formats.md#scores``, which ``generation.noncapture_check`` applies for
+the group audit and the score alike: ``grade`` reads it from the
+indicator's ``generation.IndicatorMemo``.  One leading and one trailing bare
+``.*`` only say that a pattern may match anywhere in a string, which is why
+they are exempt from ``n_wc``.  ``grade`` reads the wildcard units and the
+start of the body from the pattern's analysis, which holds them whether or
+not it has tokenized the pattern, and maps the keep marks from each run's
+case fold back to the run's characters (``_unfold``).
 
 ``select_best`` runs the workflow ``k`` times, seeding run ``i`` with
 ``rng_seed + i``.  The seed reaches a run only through the probe, so when
@@ -44,23 +45,17 @@ class RegexCandidate:
     score: int
 
 
-def grade(
-    pattern: str,
-    annotation: GroupAnnotation,
-    pinned: generation.NoncaptureResult | None = None,
-) -> RegexCandidate:
-    """Score = n_cg - n_wc for one candidate pattern, by the coverage rule
-    (``docs/formats.md#scores``).  ``pinned`` is the pattern's ``generation.coverage``
-    of ``annotation`` when it is already known (the memo's audit verdict),
-    else it is computed here."""
+def grade(pattern: str, memo: generation.IndicatorMemo) -> RegexCandidate:
+    """Score = n_cg - n_wc for one candidate pattern of ``memo``'s indicator,
+    by the coverage rule (``docs/formats.md#scores``), which the memo's
+    audit verdict on the pattern holds."""
     try:
         analysis = dialect.analyze(pattern)
     except dialect.DialectError as exc:
         raise GradingError(f"cannot grade non-compiling pattern: {exc}") from exc
 
-    if pinned is None:
-        pinned = generation.coverage(pattern, annotation)
-    n_cg = len(annotation.keep_components) - len(pinned.missing_keep)
+    pinned = memo.verdict(generation.STAGE_NONCAPTURE, pattern)[0]
+    n_cg = len(memo.annotation.keep_components) - len(pinned.missing_keep)
     # a bare ".*" that opens or closes the body is exempt (module docstring)
     n_wc = sum(
         text != ".*" or analysis.body_start < start and end < len(pattern)
@@ -101,8 +96,9 @@ def select_best(
 
     The runs share one ``generation.IndicatorMemo``, and each distinct
     pattern is graded once, from the memo's audit verdict on it: the one
-    the group audit computed, or else one computed here and kept.  Returns
-    (best or None, one graded candidate per successful run).
+    the group audit computed, or else one that grading computes and the
+    memo keeps.  Returns (best or None, one graded candidate per
+    successful run).
     """
     if k < 1:
         raise ValueError("select_best() requires k >= 1")
@@ -110,15 +106,14 @@ def select_best(
 
     def run(i: int) -> tuple[str | None, generation.WorkflowTrace]:
         if workflow == "single_shot":
-            return generation.single_shot(annotation, backend)
+            return generation.single_shot(memo, backend)
         return generation.generate(
-            annotation,
+            memo,
             backend,
             rng_seed=rng_seed + i,
             max_iterations=max_iterations,
             restart_cap=restart_cap,
             validate_groups=validate_groups,
-            memo=memo,
         )
 
     first, trace = run(0)
@@ -132,8 +127,7 @@ def select_best(
     for pattern in patterns:
         if pattern is not None:
             if pattern not in grades:
-                pinned = memo.verdict(generation.STAGE_NONCAPTURE, pattern)[0]
-                grades[pattern] = grade(pattern, annotation, pinned)
+                grades[pattern] = grade(pattern, memo)
             candidates.append(grades[pattern])
 
     if len(grades) < 2:  # no pattern, or one: nothing to choose

@@ -50,8 +50,8 @@ logger = logging.getLogger(__name__)
 
 _DATA_DIR = Path(__file__).parent / "data"
 
-# Fallback for components allowed to follow "Users" unchanged when no store
-# is available to enumerate the native ones.
+# Components that stay as they are after "Users", with or without a store;
+# a store's children of "Users" stay too.
 _BUILTIN_USERS_CHILDREN = frozenset(
     {"public", "default", "user", "all users", "default user"}
 )

@@ -24,6 +24,7 @@ from ioc2regex.evaluation import (
     structural_similarity,
 )
 from ioc2regex.generation import (
+    IndicatorMemo,
     ScriptedBackend,
     debug_check,
     generate,
@@ -174,7 +175,8 @@ def test_criterion_4_workflow_guarantees(store):
             expect_final = True
 
         final, trace = generate(
-            ann, script, rng_seed=case, max_iterations=iters, restart_cap=cap
+            IndicatorMemo(ann), script, rng_seed=case, max_iterations=iters,
+            restart_cap=cap,
         )
 
         for restart in range(cap):
@@ -212,7 +214,7 @@ def test_criterion_5_grading_oracle(store):
     while graded < 200:
         ann, pattern = random_annotation_and_pattern(rng)
         try:
-            cand = grade(pattern, ann)
+            cand = grade(pattern, IndicatorMemo(ann))
         except GradingError:
             continue
         graded += 1
@@ -225,7 +227,7 @@ def test_criterion_5_grading_oracle(store):
     )
     exemplar = grade(
         r"(?i).*ProgramData\\Microsoft\\Windows\\StartMenu\\Programs\\StartUp.*",
-        annotate(rec, store),
+        IndicatorMemo(annotate(rec, store)),
     )
     exemplar_ok = (exemplar.n_cg, exemplar.score) == (6, 6)
     report(

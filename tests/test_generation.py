@@ -259,8 +259,10 @@ class TestNoncaptureCheck:
         assert res.ok and unfolded == []
         assert res.found == [[(0, 5), (6, 12)]]  # "USERS", "Public"
         # the grader maps the audit's spans, or its own, to the run's characters
-        assert grading.grade(pattern, path_annotation, res) == grading.grade(
-            pattern, path_annotation
+        audited = IndicatorMemo(path_annotation)
+        assert audited.verdict(generation.STAGE_NONCAPTURE, pattern)[0].ok
+        assert grading.grade(pattern, audited) == grading.grade(
+            pattern, IndicatorMemo(path_annotation)
         )
         assert unfolded == ["USERS\\Public\\"] * 2
 
@@ -523,7 +525,9 @@ class TestTemplateBackend:
         assert render_template(path_annotation) == GOOD_PATH_PATTERN
 
     def test_template_passes_all_stages(self, path_annotation):
-        pattern, trace = generate(path_annotation, TemplateBackend(), rng_seed=0)
+        pattern, trace = generate(
+            IndicatorMemo(path_annotation), TemplateBackend(), rng_seed=0
+        )
         assert pattern == GOOD_PATH_PATTERN
         assert [a.stage for a in trace.attempts] == ["debug", "noncapture", "overgen"]
         assert trace.restarts == 0
@@ -553,7 +557,7 @@ class TestTemplateBackend:
     def test_template_keeps_the_indicator_separators(self, store, raw, pattern):
         ann = annotate(make_record(raw, store), store)
         assert render_template(ann) == pattern
-        shipped, trace = generate(ann, TemplateBackend(), rng_seed=0)
+        shipped, trace = generate(IndicatorMemo(ann), TemplateBackend(), rng_seed=0)
         assert shipped == pattern
         assert trace.restarts == 0
 
@@ -625,7 +629,7 @@ class TestTemplateBackend:
 class TestWorkflow:
     def test_broken_then_fixed(self, path_annotation):
         backend = ScriptedBackend(["Users/Public", GOOD_PATH_PATTERN])
-        pattern, trace = generate(path_annotation, backend, rng_seed=0)
+        pattern, trace = generate(IndicatorMemo(path_annotation), backend, rng_seed=0)
         assert pattern == GOOD_PATH_PATTERN
         debug_attempts = [a for a in trace.attempts if a.stage == "debug"]
         assert [a.verdict for a in debug_attempts] == ["fail", "pass"]
@@ -634,7 +638,7 @@ class TestWorkflow:
     def test_universal_forever_never_finalizes(self, path_annotation):
         backend = ScriptedBackend([".*"])
         pattern, trace = generate(
-            path_annotation, backend, rng_seed=0, restart_cap=5
+            IndicatorMemo(path_annotation), backend, rng_seed=0, restart_cap=5
         )
         assert pattern is None
         assert trace.restarts == 4  # five passes, four returns to the start
@@ -649,7 +653,8 @@ class TestWorkflow:
         # is caught by the ten-random-string probe instead
         backend = ScriptedBackend([".*"])
         pattern, trace = generate(
-            path_annotation, backend, rng_seed=0, restart_cap=3, validate_groups=False
+            IndicatorMemo(path_annotation), backend, rng_seed=0, restart_cap=3,
+            validate_groups=False,
         )
         assert pattern is None
         overgens = [a for a in trace.attempts if a.stage == "overgen"]
@@ -658,7 +663,7 @@ class TestWorkflow:
     def test_eventually_correct_at_tenth_attempt(self, path_annotation):
         backend = ScriptedBackend(["(bad"] * 9 + [GOOD_PATH_PATTERN])
         pattern, trace = generate(
-            path_annotation, backend, rng_seed=0, max_iterations=10
+            IndicatorMemo(path_annotation), backend, rng_seed=0, max_iterations=10
         )
         assert pattern == GOOD_PATH_PATTERN
         assert trace.restarts == 0
@@ -666,7 +671,7 @@ class TestWorkflow:
 
     def test_correct_after_restart(self, path_annotation):
         backend = ScriptedBackend(["(bad"] * 10 + [GOOD_PATH_PATTERN])
-        pattern, trace = generate(path_annotation, backend, rng_seed=0)
+        pattern, trace = generate(IndicatorMemo(path_annotation), backend, rng_seed=0)
         assert pattern == GOOD_PATH_PATTERN
         assert trace.restarts == 1
         assert Counter(a.stage for a in trace.attempts if a.restart == 0) == {"debug": 10}
@@ -683,7 +688,7 @@ class TestWorkflow:
                     raise BackendError("boom")
                 return super().propose(annotation, prompt)
 
-        pattern, trace = generate(path_annotation, Flaky(), rng_seed=0)
+        pattern, trace = generate(IndicatorMemo(path_annotation), Flaky(), rng_seed=0)
         assert pattern == GOOD_PATH_PATTERN
         assert trace.attempts[0].verdict == "error"
         assert "boom" in trace.attempts[0].diagnostic
@@ -707,7 +712,7 @@ class TestWorkflow:
 
         assert re.search(bad, path_annotation.record.normalized)  # valid Python re
         backend = Recording([bad, GOOD_PATH_PATTERN])
-        pattern, trace = generate(path_annotation, backend, rng_seed=0)
+        pattern, trace = generate(IndicatorMemo(path_annotation), backend, rng_seed=0)
         assert pattern == GOOD_PATH_PATTERN
         first = trace.attempts[0]
         assert (first.pattern, first.verdict) == (bad, "fail")
@@ -719,7 +724,8 @@ class TestWorkflow:
         cap, iters = 4, 7
         backend = ScriptedBackend(["(never"])
         pattern, trace = generate(
-            path_annotation, backend, rng_seed=0, max_iterations=iters, restart_cap=cap
+            IndicatorMemo(path_annotation), backend, rng_seed=0, max_iterations=iters,
+            restart_cap=cap,
         )
         assert pattern is None
         for restart in range(cap):
@@ -731,14 +737,15 @@ class TestWorkflow:
 
     def test_deterministic_for_fixed_seed(self, path_annotation):
         runs = [
-            generate(path_annotation, TemplateBackend(), rng_seed=42) for _ in range(2)
+            generate(IndicatorMemo(path_annotation), TemplateBackend(), rng_seed=42)
+            for _ in range(2)
         ]
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
 
     def test_final_pattern_invariants(self, path_annotation, schtasks_annotation):
         for ann in (path_annotation, schtasks_annotation):
-            pattern, _ = generate(ann, TemplateBackend(), rng_seed=1)
+            pattern, _ = generate(IndicatorMemo(ann), TemplateBackend(), rng_seed=1)
             assert pattern is not None
             assert debug_check(pattern, ann.record.normalized).ok
             assert noncapture_check(pattern, ann).ok
@@ -748,7 +755,7 @@ class TestWorkflow:
         rec = IocRecord(raw="x", kind=IocKind.FILE_PATH, normalized="x", components=["x"])
         ann = GroupAnnotation(record=rec, labels=["discard"], capture_sequences=[])
         with pytest.raises(ValueError):
-            generate(ann, TemplateBackend())
+            generate(IndicatorMemo(ann), TemplateBackend())
 
     def test_first_try_valid_candidate_debugged_once(self, path_annotation, monkeypatch):
         calls = []
@@ -758,7 +765,9 @@ class TestWorkflow:
             return debug_check(pattern, target)
 
         monkeypatch.setattr(generation, "debug_check", counting)
-        pattern, trace = generate(path_annotation, TemplateBackend(), rng_seed=0)
+        pattern, trace = generate(
+            IndicatorMemo(path_annotation), TemplateBackend(), rng_seed=0
+        )
         assert pattern is not None
         assert calls == [pattern]
         assert [(a.stage, a.verdict) for a in trace.attempts] == [
@@ -769,7 +778,7 @@ class TestWorkflow:
         # passes the debug stage, fails the audit (no keep literal), then the
         # audit's feedback yields a pattern that no longer matches the indicator
         backend = ScriptedBackend([".*", "nomatch", GOOD_PATH_PATTERN])
-        pattern, trace = generate(path_annotation, backend, rng_seed=0)
+        pattern, trace = generate(IndicatorMemo(path_annotation), backend, rng_seed=0)
         assert pattern == GOOD_PATH_PATTERN
         audits = [a for a in trace.attempts if a.stage == "noncapture"]
         assert [(a.pattern, a.verdict) for a in audits] == [
@@ -797,8 +806,8 @@ class TestIndicatorMemo:
                 return fn(pattern, *args, **kwargs)
             return wrapper
 
-        def recording(annotation, backend, **kwargs):
-            result = generate(annotation, backend, **kwargs)
+        def recording(memo, backend, **kwargs):
+            result = generate(memo, backend, **kwargs)
             runs.append((kwargs["rng_seed"], result))
             return result
 
@@ -836,7 +845,7 @@ class TestIndicatorMemo:
             assert seed == 3
             for other in range(3, 8):
                 fresh_pattern, fresh_trace = generate(
-                    ann, TemplateBackend(), rng_seed=other, memo=IndicatorMemo(ann)
+                    IndicatorMemo(ann), TemplateBackend(), rng_seed=other
                 )
                 assert pattern == fresh_pattern == best.pattern
                 assert trace == fresh_trace
@@ -845,10 +854,10 @@ class TestIndicatorMemo:
         script = ["(bad", ".*", "nomatch", "Users/Public", GOOD_PATH_PATTERN]
         memo = IndicatorMemo(path_annotation)
         for seed in range(3):
-            shared = generate(
-                path_annotation, ScriptedBackend(script), rng_seed=seed, memo=memo
+            shared = generate(memo, ScriptedBackend(script), rng_seed=seed)
+            fresh = generate(
+                IndicatorMemo(path_annotation), ScriptedBackend(script), rng_seed=seed
             )
-            fresh = generate(path_annotation, ScriptedBackend(script), rng_seed=seed)
             assert shared[0] == fresh[0] == GOOD_PATH_PATTERN
             assert shared[1] == fresh[1]
 
@@ -866,8 +875,8 @@ class TestIndicatorMemo:
             calls.append(args[0])
             return overgen_check(*args)
 
-        def recording(annotation, backend, **kwargs):
-            result = generate(annotation, backend, **kwargs)
+        def recording(memo, backend, **kwargs):
+            result = generate(memo, backend, **kwargs)
             runs.append((kwargs["rng_seed"], result))
             return result
 
@@ -884,7 +893,9 @@ class TestIndicatorMemo:
         # each run equals a separately seeded run with its own memo
         alone = ScriptedBackend(script)
         for seed, (shared_pattern, trace) in runs:
-            fresh = generate(path_annotation, alone, rng_seed=seed, validate_groups=False)
+            fresh = generate(
+                IndicatorMemo(path_annotation), alone, rng_seed=seed, validate_groups=False
+            )
             assert (shared_pattern, trace) == fresh
             assert trace.probed is probed
         assert [c.pattern for c in candidates] == [pattern] * 5
@@ -954,14 +965,16 @@ class TestStageLoop:
                     validate_groups=validate_groups)
         for rng_seed in (seed, seed + 1):  # a shared memo is warm on the second run
             backend, reference = ErringScript(script), ErringScript(script)
-            got = generate(path_annotation, backend, rng_seed=rng_seed, memo=memo, **caps)
+            got = generate(
+                memo or IndicatorMemo(path_annotation), backend, rng_seed=rng_seed, **caps
+            )
             want = reference_generate(path_annotation, reference, rng_seed=rng_seed, **caps)
             assert got == want
             assert backend.prompts == reference.prompts
 
     def test_feedback_backend_error_ends_the_pass(self, path_annotation):
         backend = ErringScript(["(bad", ERROR_MARK, GOOD_PATH_PATTERN])
-        pattern, trace = generate(path_annotation, backend, rng_seed=0)
+        pattern, trace = generate(IndicatorMemo(path_annotation), backend, rng_seed=0)
         assert pattern == GOOD_PATH_PATTERN
         assert [(a.restart, a.stage, a.pattern, a.verdict) for a in trace.attempts] == [
             (0, "debug", "(bad", "fail"),
@@ -974,7 +987,7 @@ class TestStageLoop:
 
     def test_empty_reply_restarts_the_workflow(self, path_annotation):
         backend = ScriptedBackend(["", "(bad", "", GOOD_PATH_PATTERN])
-        pattern, trace = generate(path_annotation, backend, rng_seed=0)
+        pattern, trace = generate(IndicatorMemo(path_annotation), backend, rng_seed=0)
         assert pattern == GOOD_PATH_PATTERN
         assert [(a.restart, a.stage, a.pattern, a.verdict) for a in trace.attempts] == [
             (0, "debug", "", "error"),
@@ -988,7 +1001,9 @@ class TestStageLoop:
 
     def test_exhausted_audit_restarts_without_overgen(self, path_annotation):
         backend = ScriptedBackend([".*", DISCARD_LITERAL_PATTERN, GOOD_PATH_PATTERN])
-        pattern, trace = generate(path_annotation, backend, rng_seed=0, max_iterations=2)
+        pattern, trace = generate(
+            IndicatorMemo(path_annotation), backend, rng_seed=0, max_iterations=2
+        )
         assert pattern == GOOD_PATH_PATTERN
         assert [(a.restart, a.stage, a.pattern, a.verdict) for a in trace.attempts] == [
             (0, "debug", ".*", "pass"),
@@ -1005,23 +1020,27 @@ class TestSingleShot:
     def test_sends_the_opening_prompt(self, path_annotation, schtasks_annotation):
         for annotation in (path_annotation, schtasks_annotation):
             backend = ErringScript([GOOD_PATH_PATTERN])
-            single_shot(annotation, backend)
+            single_shot(IndicatorMemo(annotation), backend)
             assert backend.prompts == [reference_prompt(annotation)]
 
     def test_non_compiling_yields_nothing(self, path_annotation):
-        pattern, trace = single_shot(path_annotation, ScriptedBackend(["(broken"]))
+        pattern, trace = single_shot(
+            IndicatorMemo(path_annotation), ScriptedBackend(["(broken"])
+        )
         assert pattern is None
         assert [(a.verdict, a.pattern) for a in trace.attempts] == [("fail", "(broken")]
 
     def test_backend_error_recorded(self, path_annotation):
-        pattern, trace = single_shot(path_annotation, ErringScript([ERROR_MARK]))
+        pattern, trace = single_shot(
+            IndicatorMemo(path_annotation), ErringScript([ERROR_MARK])
+        )
         assert pattern is None
         assert trace.attempts == [
             generation.Attempt(0, "debug", "", "error", "backend error: scripted failure")
         ]
 
     def test_empty_reply_is_backend_error(self, path_annotation):
-        pattern, trace = single_shot(path_annotation, ScriptedBackend([""]))
+        pattern, trace = single_shot(IndicatorMemo(path_annotation), ScriptedBackend([""]))
         assert pattern is None
         assert trace.attempts == [
             generation.Attempt(0, "debug", "", "error", "backend error: empty pattern")
@@ -1029,7 +1048,7 @@ class TestSingleShot:
 
     def test_compiling_emission_accepted_unvalidated(self, path_annotation):
         # single shot skips the debug/audit/overgen loops entirely
-        pattern, _ = single_shot(path_annotation, ScriptedBackend([".*"]))
+        pattern, _ = single_shot(IndicatorMemo(path_annotation), ScriptedBackend([".*"]))
         assert pattern == ".*"
 
 
@@ -1092,7 +1111,7 @@ class TestRemoteBackend:
         with pytest.raises(BackendError, match="not a JSON object"):
             backend.propose(path_annotation, "prompt")
 
-        pattern, trace = generate(path_annotation, backend, restart_cap=2)
+        pattern, trace = generate(IndicatorMemo(path_annotation), backend, restart_cap=2)
         assert pattern is None
         assert [a.verdict for a in trace.attempts] == ["error", "error"]
         assert "not a JSON object" in trace.attempts[0].diagnostic
@@ -1110,7 +1129,7 @@ class TestRemoteBackend:
 
         monkeypatch.setattr(requests, "post", lambda *args, **kwargs: BlankReply())
         backend = RemoteBackend(endpoint="http://127.0.0.1:9/none")
-        pattern, trace = single_shot(path_annotation, backend)
+        pattern, trace = single_shot(IndicatorMemo(path_annotation), backend)
         assert pattern is None
         assert [(a.verdict, a.diagnostic) for a in trace.attempts] == [
             ("error", "backend error: empty pattern")

@@ -10,6 +10,7 @@ from ioc2regex import generation
 from ioc2regex.capture import GroupAnnotation
 from ioc2regex.generation import (
     GeneratorBackend,
+    IndicatorMemo,
     ScriptedBackend,
     TemplateBackend,
     overgen_check,
@@ -61,56 +62,56 @@ class TestGrade:
         )
         ann = annotate(rec, store)
         assert len(ann.keep_components) == 6
-        cand = grade(STARTUP_EXEMPLAR, ann)
+        cand = grade(STARTUP_EXEMPLAR, IndicatorMemo(ann))
         assert (cand.n_cg, cand.n_wc, cand.score) == (6, 0, 6)
 
     def test_optional_group_occurrence_not_counted(self):
         ann = annotation_for(["Users", "Public"], [True, True])
-        cand = grade(r"(?:Users)?\\Public", ann)
+        cand = grade(r"(?:Users)?\\Public", IndicatorMemo(ann))
         assert cand.n_cg == 1
 
     def test_interior_wildcard_penalty(self):
         ann = annotation_for(["Keep1"], [True])
-        cand = grade(r"(?i).*xy.*ab.*", ann)
+        cand = grade(r"(?i).*xy.*ab.*", IndicatorMemo(ann))
         assert (cand.n_cg, cand.n_wc, cand.score) == (0, 1, -1)
 
     def test_foreign_literal_run_penalty(self):
         ann = annotation_for(["Users"], [True])
-        cand = grade(r"(?i).*Users\\evilpayload.*", ann)
+        cand = grade(r"(?i).*Users\\evilpayload.*", IndicatorMemo(ann))
         assert cand.n_cg == 1
         assert cand.n_wc == 1  # "evilpayload" is a foreign literal run
         assert cand.score == 0
 
     def test_short_glue_not_penalized(self):
         ann = annotation_for(["Users", "Public"], [True, True])
-        cand = grade(r"(?i).*Users\\Public\\.*", ann)
+        cand = grade(r"(?i).*Users\\Public\\.*", IndicatorMemo(ann))
         assert (cand.n_cg, cand.n_wc, cand.score) == (2, 0, 2)
 
     def test_non_compiling_pattern_rejected(self):
         ann = annotation_for(["Users"], [True])
         with pytest.raises(GradingError):
-            grade("(open", ann)
+            grade("(open", IndicatorMemo(ann))
 
     def test_adding_keep_literal_raises_score_by_one(self):
         ann = annotation_for(["Users", "Public"], [True, True])
-        without = grade(r"(?i).*Users\\.*", ann)
-        with_both = grade(r"(?i).*Users\\Public.*", ann)
+        without = grade(r"(?i).*Users\\.*", IndicatorMemo(ann))
+        with_both = grade(r"(?i).*Users\\Public.*", IndicatorMemo(ann))
         assert with_both.score == without.score + 1
 
     def test_wrapping_keep_in_optional_drops_ncg_by_one(self):
         ann = annotation_for(["Users", "Public"], [True, True])
-        plain = grade(r"Users\\Public", ann)
-        wrapped = grade(r"(?:Users)?\\Public", ann)
+        plain = grade(r"Users\\Public", IndicatorMemo(ann))
+        wrapped = grade(r"(?:Users)?\\Public", IndicatorMemo(ann))
         assert wrapped.n_cg == plain.n_cg - 1
 
     def test_ncg_bounded_by_keep_count(self):
         ann = annotation_for(["Users"], [True])
-        cand = grade(r"Users.*Users.*Users", ann)
+        cand = grade(r"Users.*Users.*Users", IndicatorMemo(ann))
         assert cand.n_cg == 1
 
     def test_overlapping_keep_occurrences_all_cover(self):
         ann = annotation_for(["abcabc"], [True])
-        cand = grade("(?i).*ABCabcabc.*", ann)  # occurrences at 0 and 3
+        cand = grade("(?i).*ABCabcabc.*", IndicatorMemo(ann))  # occurrences at 0 and 3
         assert (cand.n_cg, cand.n_wc) == (1, 0)
 
     @pytest.mark.parametrize("char", ["ß", "İ", "ﬁ"])  # each folds to two
@@ -128,7 +129,7 @@ class TestGrade:
     def test_stray_literal_marks_fall_on_the_run_characters(self, char, template, n_wc):
         ann = annotation_for(["abc"], [True])
         pattern = template.format(c=char)
-        cand = grade(pattern, ann)
+        cand = grade(pattern, IndicatorMemo(ann))
         assert (cand.n_cg, cand.n_wc) == (1, n_wc)
         assert recount_score(pattern, ann.keep_components) == (1, n_wc)
 
@@ -158,18 +159,18 @@ def system32_annotation(store):
 class TestRequiredLiteralRule:
     @pytest.mark.parametrize("pattern", UNSOUND_SYSTEM32)
     def test_unsound_forms_score_no_keep(self, pattern, system32_annotation):
-        assert grade(pattern, system32_annotation).n_cg == 0
+        assert grade(pattern, IndicatorMemo(system32_annotation)).n_cg == 0
 
     @pytest.mark.parametrize(
         "pattern",
         [r"(?i).*(Windows\\System32)\\.*", r"(?i).*(?:Windows\\System32)+\\.*"],
     )
     def test_required_groups_still_count(self, pattern, system32_annotation):
-        assert grade(pattern, system32_annotation).n_cg == 2
+        assert grade(pattern, IndicatorMemo(system32_annotation)).n_cg == 2
 
     def test_keep_in_optional_group_still_covers_its_literals(self, system32_annotation):
         # "Windows" is no stray literal, so no foreign-run penalty either way
-        cand = grade(r"(?i).*(?:Windows)?\\System32\\.*", system32_annotation)
+        cand = grade(r"(?i).*(?:Windows)?\\System32\\.*", IndicatorMemo(system32_annotation))
         assert (cand.n_cg, cand.n_wc) == (1, 0)
 
     @pytest.mark.parametrize("unsound", UNSOUND_SYSTEM32)
@@ -241,7 +242,7 @@ def test_score_matches_independent_recount():
     for _ in range(200):
         ann, pattern = random_annotation_and_pattern(rng)
         try:
-            cand = grade(pattern, ann)
+            cand = grade(pattern, IndicatorMemo(ann))
         except GradingError:
             continue
         n_cg, n_wc = recount_score(pattern, ann.keep_components)
@@ -261,7 +262,7 @@ def test_audit_and_grade_agree_on_keeps():
     for _ in range(400):
         ann, pattern = random_annotation_and_pattern(rng)
         try:
-            cand = grade(pattern, ann)
+            cand = grade(pattern, IndicatorMemo(ann))
         except GradingError:
             continue
         keeps = ann.keep_components
@@ -396,7 +397,7 @@ class TestSelectBest:
             backend = FixedReply(pattern)
             seed = rng_seed + i
             found, trace = generation.generate(
-                path_annotation, backend, rng_seed=seed, **options
+                IndicatorMemo(path_annotation), backend, rng_seed=seed, **options
             )
             drew = [
                 overgen_check(a.pattern, seed, keeps).probes
@@ -408,7 +409,8 @@ class TestSelectBest:
         best, candidates = select_best(
             path_annotation, backend, k=5, rng_seed=rng_seed, **options
         )
-        assert candidates == [grade(p, path_annotation) for p, _, _ in runs if p is not None]
+        memo = IndicatorMemo(path_annotation)
+        assert candidates == [grade(p, memo) for p, _, _ in runs if p is not None]
         assert best == min(
             candidates, key=lambda c: (-c.score, len(c.pattern), c.pattern), default=None
         )
@@ -427,17 +429,17 @@ class TestSelectBest:
         # the score reads the audit's coverage; with no audit, grading
         # computes it once
         calls = []
-        coverage = generation.coverage
+        noncapture_check = generation.noncapture_check
 
         def counting(pattern, annotation):
             calls.append(pattern)
-            return coverage(pattern, annotation)
+            return noncapture_check(pattern, annotation)
 
-        monkeypatch.setattr(generation, "coverage", counting)
+        monkeypatch.setattr(generation, "noncapture_check", counting)
         best, candidates = select_best(path_annotation, TemplateBackend(), k=5, **options)
         assert calls == [best.pattern]
         assert candidates == [best] * 5
-        assert best == grade(best.pattern, path_annotation)
+        assert best == grade(best.pattern, IndicatorMemo(path_annotation))
 
     @pytest.mark.parametrize("deterministic, runs", [(True, 1), (False, 5)])
     def test_single_shot_runs_once_for_a_deterministic_backend(

@@ -721,6 +721,16 @@ class TestAblation:
         assert cfg.ablation == ""
         assert run_generate(cfg)["ablation"] == "full"
 
+    def test_run_ablation_rejects_an_unknown_mode_before_writing(self, tmp_path):
+        inp = write_json(tmp_path / "iocs.json", [r"C:\Users\Public\uniq77.bat"])
+        truths = write_json(tmp_path / "truths.json", [])
+        cfg = base_config(tmp_path, inp)
+        report = tmp_path / "report.json"
+        with pytest.raises(ConfigError, match="^unknown ablation mode 'x'$"):
+            run_ablation(cfg, "x", truths, report)
+        assert not Path(cfg.output_path).exists()
+        assert not report.exists()
+
 
 class TestCli:
     def test_bare_generate_takes_every_config_default(self):
@@ -801,7 +811,6 @@ class TestCli:
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli, "run_generate", boom)
-        caplog.set_level(logging.DEBUG)  # --verbose; basicConfig is a no-op under caplog
         rc = main(["--verbose", "generate", "--input", fig1_input,
                    "--output", str(tmp_path / "p.json")])
         assert rc == 1
@@ -812,6 +821,24 @@ class TestCli:
         assert debug.exc_info[0] is RuntimeError
         assert "Traceback (most recent call last)" in caplog.text
         assert 'raise RuntimeError("boom")' in caplog.text
+
+    @pytest.mark.parametrize(
+        "flags, levels",
+        [(["--verbose"], [logging.ERROR, logging.DEBUG]), ([], [logging.ERROR])],
+        ids=["verbose", "default"],
+    )
+    def test_verbose_sets_the_level_when_logging_is_already_set_up(
+        self, tmp_path, fig1_input, caplog, monkeypatch, flags, levels
+    ):
+        # caplog's handler on the root logger makes basicConfig a no-op
+        def boom(config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_generate", boom)
+        rc = main([*flags, "generate", "--input", fig1_input,
+                   "--output", str(tmp_path / "p.json")])
+        assert rc == 1
+        assert [record.levelno for record in caplog.records] == levels
 
     def test_exit_code_1_on_product_record_without_pattern(self, tmp_path, caplog):
         record = product_record()
