@@ -34,9 +34,8 @@ from .generation import (
     noncapture_check,
     overgen_check,
 )
-from .grading import GradingError, RegexCandidate, grade, select_best
+from .grading import RegexCandidate, grade, select_best
 from .knowledge import (
-    KnowledgeBaseError,
     KnowledgeStore,
     NodeLabel,
     default_store,

@@ -92,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_abl = sub.add_parser("ablate", help="generate under an ablation mode, then evaluate")
     _add_generate_flags(p_abl)
-    p_abl.add_argument("--mode", required=True, choices=list(ABLATION_MODES),
+    p_abl.add_argument("--mode", dest="ablation", required=True, choices=list(ABLATION_MODES),
                        help="use --mode=-CR to pass modes starting with a dash")
     p_abl.add_argument("--truths", required=True)
     p_abl.add_argument("--report", required=True)
@@ -115,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
                                    kb_paths=args.kb, dump_matches=args.dump_matches)
             return 2 if "invalid" in payload else 0
         if args.command == "ablate":
-            run_ablation(_config_from(args), args.mode, args.truths, args.report)
+            run_ablation(_config_from(args), args.truths, args.report)
             return 0
         if args.command == "kb-validate":
             store = KnowledgeStore.ingest(args.files)

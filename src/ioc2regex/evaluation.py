@@ -32,10 +32,6 @@ class UndefinedMetricError(ValueError):
     """A metric was requested over an empty population."""
 
 
-class GroundTruthError(ConfigError):
-    """A ground-truth file entry violates the schema or its invariants."""
-
-
 @dataclass
 class GroundTruthString:
     text: str
@@ -58,14 +54,15 @@ _TRUTH_REQUIRED = ("text", "kind", "capture_groups")
 
 def load_truths(
     path: str | Path,
-    store: KnowledgeStore | None = None,
+    store: KnowledgeStore,
     tables: Tables = BUNDLED,
 ) -> list[GroundTruthString]:
     """Read a ground-truth JSON file and normalize each entry for matching,
-    with the given expansion and registry-root tables (default: bundled)."""
-    data = read_json(path, GroundTruthError)
+    with ``store`` and the given expansion and registry-root tables
+    (default: bundled).  A fault in the file is a ConfigError."""
+    data = read_json(path)
     if not isinstance(data, list):
-        raise GroundTruthError(f"{path}: expected a JSON list of truth records")
+        raise ConfigError(f"{path}: expected a JSON list of truth records")
     return [
         make_truth(entry, store, f"{path}[{i}]", tables) for i, entry in enumerate(data)
     ]
@@ -73,11 +70,11 @@ def load_truths(
 
 def make_truth(
     entry: dict,
-    store: KnowledgeStore | None = None,
+    store: KnowledgeStore,
     where: str = "<record>",
     tables: Tables = BUNDLED,
 ) -> GroundTruthString:
-    check_object(entry, _TRUTH_FIELDS, where, GroundTruthError, _TRUTH_REQUIRED)
+    check_object(entry, _TRUTH_FIELDS, where, required=_TRUTH_REQUIRED)
     text, kind, groups = entry["text"], IocKind(entry["kind"]), entry["capture_groups"]
     dataset_id = entry.get("dataset_id", "default")
 
@@ -86,7 +83,7 @@ def make_truth(
     haystack = normalized.casefold()
     for g in folded:
         if g not in haystack:
-            raise GroundTruthError(
+            raise ConfigError(
                 f"{where}: capture group {g!r} does not appear in the normalized text"
             )
     return GroundTruthString(

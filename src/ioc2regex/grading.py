@@ -33,10 +33,6 @@ CANDIDATES = 5
 _STRAY_RE = re.compile(r"[^\\/ \t]{3,}")
 
 
-class GradingError(ValueError):
-    pass
-
-
 @dataclass(frozen=True, slots=True)
 class RegexCandidate:
     pattern: str
@@ -48,11 +44,9 @@ class RegexCandidate:
 def grade(pattern: str, memo: generation.IndicatorMemo) -> RegexCandidate:
     """Score = n_cg - n_wc for one candidate pattern of ``memo``'s indicator,
     by the coverage rule (``docs/formats.md#scores``), which the memo's
-    audit verdict on the pattern holds."""
-    try:
-        analysis = dialect.analyze(pattern)
-    except dialect.DialectError as exc:
-        raise GradingError(f"cannot grade non-compiling pattern: {exc}") from exc
+    audit verdict on the pattern holds.  A pattern outside the dialect is
+    ``dialect.analyze``'s DialectError."""
+    analysis = dialect.analyze(pattern)
 
     pinned = memo.verdict(generation.STAGE_NONCAPTURE, pattern)[0]
     n_cg = len(memo.annotation.keep_components) - len(pinned.missing_keep)

@@ -5,8 +5,7 @@ of knowledge-base, input-list, replay, product and ground-truth files are
 checked by ``check_object``, so each fault is named in one of a few forms
 (``docs/formats.md#input-files``).
 Every input fault is a ``ConfigError``, raised where it is found, so the
-command line reads one class and no caller translates it; a reader may pass
-a subclass of its own.  A field is a
+command line reads one class and no caller translates it.  A field is a
 ``(what, check)`` pair: ``check`` tells whether a value is allowed, and
 ``what`` says which values are, after "must be".
 """
@@ -33,9 +32,9 @@ class ConfigError(ValueError):
     code 1 and this message."""
 
 
-def read_json(path: str | Path, error: type[ConfigError] = ConfigError):
-    """A JSON file's content.  Malformed UTF-8 or JSON is ``error`` naming
-    the file and line as ``path:line``."""
+def read_json(path: str | Path):
+    """A JSON file's content.  Malformed UTF-8 or JSON is a ConfigError
+    naming the file and line as ``path:line``."""
     data = Path(path).read_bytes()
     try:
         return json.loads(data.decode("utf-8"))
@@ -44,25 +43,24 @@ def read_json(path: str | Path, error: type[ConfigError] = ConfigError):
     except json.JSONDecodeError as exc:
         line, problem = exc.lineno, f"invalid JSON: {exc.msg}"
     except ValueError as exc:  # a number of more digits than int() reads
-        raise error(f"{path}: {exc}") from exc
-    raise error(f"{path}:{line}: {problem}")
+        raise ConfigError(f"{path}: {exc}") from exc
+    raise ConfigError(f"{path}:{line}: {problem}")
 
 
-def check_object(value, fields: dict, where: str, error: type[ConfigError] = ConfigError,
-                 required: tuple[str, ...] = ()) -> dict:
+def check_object(value, fields: dict, where: str, required: tuple[str, ...] = ()) -> dict:
     """``value``, when it is a dict whose keys are all in ``fields``, whose
     values each pass their key's check, and that holds each ``required``
-    key; else ``error`` naming ``where`` and the first fault, in that order,
+    key; else a ConfigError naming ``where`` and the first fault, in that order,
     so a misspelt required key reads as an unknown key."""
     if not isinstance(value, dict):
-        raise error(f"{where}: not an object")
+        raise ConfigError(f"{where}: not an object")
     for key, item in value.items():
         field = fields.get(key)
         if field is None:
-            raise error(f"{where}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
         if not field[1](item):
-            raise error(f"{where}: {key!r} must be {field[0]}")
+            raise ConfigError(f"{where}: {key!r} must be {field[0]}")
     for key in required:
         if key not in value:
-            raise error(f"{where}: missing {key!r}")
+            raise ConfigError(f"{where}: missing {key!r}")
     return value

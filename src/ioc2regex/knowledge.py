@@ -48,10 +48,6 @@ class NodeLabel(str, Enum):
     PARAMETER = "parameter"
 
 
-class KnowledgeBaseError(ConfigError):
-    """Raised when a definition file cannot be parsed or violates the schema."""
-
-
 def _split_hierarchy(entry: str) -> list[str]:
     parts = [p.strip() for p in entry.replace("\\", "/").split("/")]
     return [p for p in parts if p]
@@ -82,7 +78,7 @@ class KnowledgeStore:
         """Build a store from JSON definition files; duplicates merge."""
         store = cls()
         for path in definition_files:
-            store._load_dict(read_json(path, KnowledgeBaseError), filename=str(path))
+            store._load_dict(read_json(path), filename=str(path))
         return store
 
     @classmethod
@@ -92,13 +88,13 @@ class KnowledgeStore:
         return store
 
     def _load_dict(self, data: dict, filename: str) -> None:
-        check_object(data, _FILE_FIELDS, filename, KnowledgeBaseError)
+        check_object(data, _FILE_FIELDS, filename)
         for key, forest in (("paths", PATH_FOREST), ("registry", REGISTRY_FOREST)):
             children = self._forests[forest]
             for i, entry in enumerate(data.get(key, [])):
                 components = _split_hierarchy(entry)
                 if not components:
-                    raise KnowledgeBaseError(
+                    raise ConfigError(
                         f"{filename}: {key}[{i}]: no components in {entry!r}"
                     )
                 folded = [c.casefold() for c in components]
@@ -109,7 +105,7 @@ class KnowledgeStore:
 
         for i, entry in enumerate(data.get("commands", [])):
             check_object(entry, _COMMAND_FIELDS, f"{filename}: commands[{i}]",
-                         KnowledgeBaseError, ("name",))
+                         required=("name",))
             params = {p.strip().casefold() for p in entry.get("parameters", [])}
             command = strip_executable_extension(entry["name"].strip()).casefold()
             self._forests[COMMAND_FOREST].setdefault(command, set()).update(params)
@@ -120,21 +116,13 @@ class KnowledgeStore:
     # -- queries ------------------------------------------------------
 
     def contains(self, forest: str, name: str) -> bool:
-        """True iff a node of that case-folded name exists in the forest."""
-        if not name:
-            return False
-        if forest not in self._forests:
-            raise ValueError(f"unknown forest selector: {forest!r}")
-        if forest == COMMAND_FOREST:
-            return self.label_of(name) is not None
+        """True iff a node of that case-folded name exists in the forest; in
+        the command forest the nodes are the commands, not their parameters.
+        A forest name outside ``FOREST_NAMES`` is a KeyError."""
         return name.casefold() in self._forests[forest]
 
     def adjacent(self, forest: str, parent: str, child: str) -> bool:
         """True iff some node named ``parent`` has a child named ``child``."""
-        if not parent or not child:
-            return False
-        if forest not in self._forests:
-            raise ValueError(f"unknown forest selector: {forest!r}")
         return child.casefold() in self._forests[forest].get(parent.casefold(), ())
 
     def label_of(self, name: str) -> NodeLabel | None:

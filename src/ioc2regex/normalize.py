@@ -50,8 +50,8 @@ logger = logging.getLogger(__name__)
 
 _DATA_DIR = Path(__file__).parent / "data"
 
-# Components that stay as they are after "Users", with or without a store;
-# a store's children of "Users" stay too.
+# Components that stay as they are after "Users", whatever the store; a
+# store's children of "Users" stay too.
 _BUILTIN_USERS_CHILDREN = frozenset(
     {"public", "default", "user", "all users", "default user"}
 )
@@ -66,11 +66,12 @@ _COMPONENT_RE = re.compile(r"[^\\/]+")
 _REGISTRY_HEAD_RE = re.compile(r"([\\/]*)([^\\/]*)")
 # The kernel namespace's names for two roots, read only after a Registry head.
 _KERNEL_ROOTS = {"machine": "hkey_local_machine", "user": "hkey_users"}
-# "Users" and the component after it; in a command line a component also
-# ends at whitespace, ";" or a quote.
+# "Users" and the name after it, which runs to the next delimiter (in a
+# command line, also to the next quote).  A command-line match ends where
+# its component does, at whitespace or ";" too; a kept name stays whole.
 _USERS_PREFIX = r"(?i)(?P<prefix>(?:^|[\\/\s\";])users[\\/])"
-_PATH_USERS_RE = re.compile(_USERS_PREFIX + r"(?P<comp>[^\\/]+)")
-_COMMAND_USERS_RE = re.compile(_USERS_PREFIX + r"(?P<comp>[^\\/\s;\"]+)")
+_PATH_USERS_RE = re.compile(_USERS_PREFIX + r"(?P<name>[^\\/]+)")
+_COMMAND_USERS_RE = re.compile(_USERS_PREFIX + r'(?=(?P<name>[^\\/"]+))[^\\/\s;"]+')
 # A whole command-line token that ends in an executable suffix after at
 # least one character.  The lookbehind starts a match only where a
 # token starts, so each token is tried once.  No re.ASCII: "\s" must keep
@@ -177,9 +178,7 @@ def _read_head(s: str, skip: tuple[str, ...]) -> tuple[re.Match, str]:
     return head, folded
 
 
-def classify(
-    raw: str, store: KnowledgeStore | None = None, tables: Tables = BUNDLED
-) -> IocKind:
+def classify(raw: str, store: KnowledgeStore, tables: Tables = BUNDLED) -> IocKind:
     """Decide whether a string is a file path, registry key, or command line.
 
     Rule order: registry first (syntactically most distinctive), then command
@@ -195,7 +194,7 @@ def classify(
 
     tokens = s.split()
     first_token = strip_executable_extension(tokens[0])
-    if store is not None and store.label_of(first_token) is NodeLabel.COMMAND:
+    if store.label_of(first_token) is NodeLabel.COMMAND:
         return IocKind.COMMAND_LINE
     if len(tokens) > 1 and any(t.startswith(("/", "-")) for t in tokens):
         return IocKind.COMMAND_LINE
@@ -242,27 +241,28 @@ def _rewrite_registry_root(s: str, roots: dict) -> str:
     return abbrev + s[head.end() :]
 
 
-def _normalize_usernames(s: str, kind: IocKind, store: KnowledgeStore | None) -> str:
+def _normalize_usernames(s: str, kind: IocKind, store: KnowledgeStore) -> str:
     """Rewrite the component following ``Users`` to the uniform ``user`` token."""
     if "users" not in s.casefold():
         return s
     pattern = _COMMAND_USERS_RE if kind is IocKind.COMMAND_LINE else _PATH_USERS_RE
+    kept = _BUILTIN_USERS_CHILDREN | store.path_children("users")
+    out, pos = [], 0
+    while m := pattern.search(s, pos):
+        start = m.end("prefix")
+        # the whole name stays if it is kept, else the matched part if it is
+        for end in (m.end("name"), m.end()):
+            if s[start:end].strip().casefold() in kept:
+                out.append(s[pos:end])
+                break
+        else:
+            out.append(s[pos:start] + "user")
+            end = m.end()
+        pos = end
+    return "".join(out) + s[pos:]
 
-    def repl(m: re.Match) -> str:
-        comp = m.group("comp").strip().casefold()
-        if comp in _BUILTIN_USERS_CHILDREN or (
-            store is not None and comp in store.path_children("users")
-        ):
-            return m.group(0)
-        return m.group("prefix") + "user"
 
-    return pattern.sub(repl, s)
-
-
-def _strip_command_extensions(s: str, store: KnowledgeStore | None) -> str:
-    if store is None:
-        return s
-
+def _strip_command_extensions(s: str, store: KnowledgeStore) -> str:
     def repl(m: re.Match) -> str:
         token = m.group(0)
         stripped = strip_executable_extension(token)
@@ -276,7 +276,7 @@ def _strip_command_extensions(s: str, store: KnowledgeStore | None) -> str:
 def preprocess(
     raw: str,
     kind: IocKind,
-    store: KnowledgeStore | None = None,
+    store: KnowledgeStore,
     tables: Tables = BUNDLED,
 ) -> str:
     """Apply the four normalization cases of ``kind``; an ``other`` string
@@ -327,7 +327,7 @@ def segment(normalized: str, kind: IocKind) -> list[str]:
 
 def make_record(
     raw: str,
-    store: KnowledgeStore | None = None,
+    store: KnowledgeStore,
     source_id: str = "",
     tables: Tables = BUNDLED,
 ) -> IocRecord:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -378,12 +378,12 @@ _SUMMARY_FIELDS = {
 }
 
 
-def run_ablation(config: PipelineConfig, mode: str, truths_path: str | Path,
+def run_ablation(config: PipelineConfig, truths_path: str | Path,
                  report_path: str | Path) -> dict:
-    """Generate under an ablation mode, then evaluate the products normally,
-    normalizing the truths with the tables the products record.  ``config``
-    itself is left as it is; ``run_generate`` rejects an unknown mode."""
-    run_generate(replace(config, ablation=mode))
+    """Generate under ``config.ablation``, then evaluate the products
+    normally, normalizing the truths with the tables the products record;
+    ``run_generate`` rejects an unknown mode."""
+    run_generate(config)
     return run_evaluate(
         config.output_path, truths_path, report_path, kb_paths=config.kb_paths
     )

@@ -795,7 +795,7 @@ def _ref_registry_markers(registry_roots: dict) -> frozenset[str]:
     return frozenset(names)
 
 
-def reference_classify(raw: str, store=None, registry_roots: dict | None = None):
+def reference_classify(raw: str, store, registry_roots: dict | None = None):
     from ioc2regex.knowledge import NodeLabel, strip_executable_extension
     from ioc2regex.normalize import BUNDLED, ClassificationError, IocKind
 
@@ -812,7 +812,7 @@ def reference_classify(raw: str, store=None, registry_roots: dict | None = None)
 
     tokens = s.split()
     first_token = strip_executable_extension(tokens[0])
-    if store is not None and store.label_of(first_token) is NodeLabel.COMMAND:
+    if store.label_of(first_token) is NodeLabel.COMMAND:
         return IocKind.COMMAND_LINE
     if len(tokens) > 1 and any(t.startswith(("/", "-")) for t in tokens):
         return IocKind.COMMAND_LINE
@@ -866,32 +866,40 @@ def _ref_rewrite_registry_root(
 def _ref_normalize_usernames(s: str, kind, store) -> str:
     from ioc2regex.normalize import IocKind
 
-    native = set(_REF_BUILTIN_USERS_CHILDREN)
-    if store is not None:
-        native |= store.path_children("users")
+    native = set(_REF_BUILTIN_USERS_CHILDREN) | store.path_children("users")
+    command = kind is IocKind.COMMAND_LINE
+    prefix = re.compile(r"(?i)(?:^|[\\/\s\";])users[\\/]")
 
-    if kind is IocKind.COMMAND_LINE:
-        comp_chars = r"[^\\/\s;\"]+"
-    else:
-        comp_chars = r"[^\\/]+"
-    pattern = re.compile(
-        r"(?i)(?P<prefix>(?:^|[\\/\s\";])users[\\/])(?P<comp>" + comp_chars + ")"
-    )
-
-    def repl(m: re.Match) -> str:
-        comp = m.group("comp")
-        if comp.strip().casefold() in native:
-            return m.group(0)
-        return m.group("prefix") + "user"
-
-    return pattern.sub(repl, s)
+    out, pos, at = [], 0, 0
+    while m := prefix.search(s, at):
+        start = name_end = comp_end = m.end()
+        # the name runs to a delimiter, or in a command line also to a quote
+        while name_end < len(s) and s[name_end] not in ("\\/\"" if command else "\\/"):
+            name_end += 1
+        # the component ends at whitespace or ";" too in a command line
+        while comp_end < name_end and not (
+            command and (s[comp_end].isspace() or s[comp_end] == ";")
+        ):
+            comp_end += 1
+        if comp_end == start:  # no component: "users" is no prefix here
+            at = m.start() + 1
+            continue
+        if s[start:name_end].strip().casefold() in native:
+            end = name_end
+        elif s[start:comp_end].strip().casefold() in native:
+            end = comp_end
+        else:
+            out.append(s[pos:start] + "user")
+            pos = at = comp_end
+            continue
+        out.append(s[pos:end])
+        pos = at = end
+    out.append(s[pos:])
+    return "".join(out)
 
 
 def _ref_strip_command_extensions(s: str, store) -> str:
     from ioc2regex.knowledge import NodeLabel, strip_executable_extension
-
-    if store is None:
-        return s
 
     def repl(m: re.Match) -> str:
         token = m.group(0)
@@ -906,7 +914,7 @@ def _ref_strip_command_extensions(s: str, store) -> str:
 def reference_preprocess(
     raw: str,
     kind,
-    store=None,
+    store,
     expansions: dict | None = None,
     registry_roots: dict | None = None,
 ) -> str:
@@ -970,7 +978,7 @@ def reference_segment(normalized: str, kind) -> list[str]:
 
 def reference_make_record(
     raw: str,
-    store=None,
+    store,
     source_id: str = "",
     expansions: dict | None = None,
     registry_roots: dict | None = None,

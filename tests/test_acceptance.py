@@ -14,6 +14,7 @@ import pytest
 
 from ioc2regex import annotate, make_record
 from ioc2regex.capture import find_command_groups, find_path_groups
+from ioc2regex.dialect import DialectError
 from ioc2regex.evaluation import (
     evaluate_by_dataset,
     fpr,
@@ -32,7 +33,7 @@ from ioc2regex.generation import (
     overgen_check,
     render_template,
 )
-from ioc2regex.grading import GradingError, grade
+from ioc2regex.grading import grade
 from ioc2regex.pipeline import PipelineConfig, run_evaluate, run_generate
 
 from oracles import (
@@ -215,7 +216,7 @@ def test_criterion_5_grading_oracle(store):
         ann, pattern = random_annotation_and_pattern(rng)
         try:
             cand = grade(pattern, IndicatorMemo(ann))
-        except GradingError:
+        except DialectError:
             continue
         graded += 1
         n_cg, n_wc = recount_score(pattern, ann.keep_components)

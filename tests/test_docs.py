@@ -103,10 +103,11 @@ def test_replay_example_loads(tmp_path):
     assert backend.emissions == json.loads(block)["emissions"]
 
 
-def test_truth_example_loads():
+def test_truth_example_loads(store):
     (block,) = examples()["ground-truth-file"]
     for i, entry in enumerate(json.loads(block)):
-        assert evaluation.make_truth(entry, where=f"example[{i}]").kind is IocKind.FILE_PATH
+        truth = evaluation.make_truth(entry, store, where=f"example[{i}]")
+        assert truth.kind is IocKind.FILE_PATH
 
 
 def test_product_and_annotation_examples_are_what_generate_writes(tmp_path):

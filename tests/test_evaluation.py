@@ -16,7 +16,6 @@ from ioc2regex import dialect
 from ioc2regex.evaluation import (
     SEPARATOR,
     EvaluationReport,
-    GroundTruthError,
     GroundTruthString,
     TruthSet,
     UndefinedMetricError,
@@ -31,6 +30,7 @@ from ioc2regex.evaluation import (
     similarity,
     structural_similarity,
 )
+from ioc2regex.inputs import ConfigError
 from ioc2regex.normalize import IocKind
 
 from oracles import reference_levenshtein, reference_matches, reference_prefilter
@@ -43,7 +43,7 @@ from test_generation import (
 )
 
 
-def truth(text, kind, groups, dataset="ds", store=None):
+def truth(text, kind, groups, dataset="ds", *, store):
     return make_truth(
         {"text": text, "kind": kind, "capture_groups": groups, "dataset_id": dataset},
         store,
@@ -432,19 +432,20 @@ class TestGroundTruthLoading:
         assert "temp" in loaded.capture_groups
 
     def test_bad_kind_rejected(self, store):
-        with pytest.raises(GroundTruthError):
+        with pytest.raises(ConfigError):
             truth("x", "no_such_kind", [], store=store)
 
     def test_group_missing_from_text_rejected(self, store):
-        with pytest.raises(GroundTruthError, match="does not appear"):
+        with pytest.raises(ConfigError, match="does not appear"):
             truth(r"c:\windows\a.exe", "file_path", ["system32"], store=store)
 
     def test_first_missing_group_named_under_any_hash_seed(self):
         # a set of the groups would be iterated in an order PYTHONHASHSEED picks
         code = (
+            "from ioc2regex import default_store\n"
             "from ioc2regex.evaluation import make_truth\n"
             "make_truth({'text': 'x.exe', 'kind': 'other',"
-            " 'capture_groups': ['alpha', 'beta', 'gamma']})\n"
+            " 'capture_groups': ['alpha', 'beta', 'gamma']}, default_store())\n"
         )
         src = str(Path(ioc2regex.__file__).parents[1])
         for seed in ("1", "2"):
@@ -461,7 +462,7 @@ class TestGroundTruthLoading:
         f.write_text(json.dumps([{**entry, "dataset_id": "a"},
                                  {**entry, "dataset_id": 1}]))
         with pytest.raises(
-            GroundTruthError, match=r"truths\.json\[1\]: 'dataset_id' must be a string"
+            ConfigError, match=r"truths\.json\[1\]: 'dataset_id' must be a string"
         ):
             load_truths(f, store)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ioc2regex import generation
 from ioc2regex.capture import GroupAnnotation
+from ioc2regex.dialect import DialectError
 from ioc2regex.generation import (
     GeneratorBackend,
     IndicatorMemo,
@@ -15,7 +16,7 @@ from ioc2regex.generation import (
     TemplateBackend,
     overgen_check,
 )
-from ioc2regex.grading import GradingError, grade, select_best
+from ioc2regex.grading import grade, select_best
 from ioc2regex.normalize import IocKind, IocRecord
 
 from oracles import recount_score
@@ -89,7 +90,7 @@ class TestGrade:
 
     def test_non_compiling_pattern_rejected(self):
         ann = annotation_for(["Users"], [True])
-        with pytest.raises(GradingError):
+        with pytest.raises(DialectError):
             grade("(open", IndicatorMemo(ann))
 
     def test_adding_keep_literal_raises_score_by_one(self):
@@ -243,7 +244,7 @@ def test_score_matches_independent_recount():
         ann, pattern = random_annotation_and_pattern(rng)
         try:
             cand = grade(pattern, IndicatorMemo(ann))
-        except GradingError:
+        except DialectError:
             continue
         n_cg, n_wc = recount_score(pattern, ann.keep_components)
         assert (cand.n_cg, cand.n_wc) == (n_cg, n_wc), pattern
@@ -263,7 +264,7 @@ def test_audit_and_grade_agree_on_keeps():
         ann, pattern = random_annotation_and_pattern(rng)
         try:
             cand = grade(pattern, IndicatorMemo(ann))
-        except GradingError:
+        except DialectError:
             continue
         keeps = ann.keep_components
         audit = generation.noncapture_check(pattern, ann)

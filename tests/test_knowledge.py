@@ -1,12 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import ioc2regex
+from ioc2regex.inputs import ConfigError
 from ioc2regex.knowledge import (
     COMMAND_FOREST,
     PATH_FOREST,
     REGISTRY_FOREST,
-    KnowledgeBaseError,
     KnowledgeStore,
     NodeLabel,
 )
@@ -59,8 +61,22 @@ def test_label_of_examples(store):
 def test_case_insensitive_queries(store):
     assert store.contains(PATH_FOREST, "USERS")
     assert store.adjacent(PATH_FOREST, "Users", "PUBLIC")
-    assert store.contains(COMMAND_FOREST, "/F")
+    assert store.contains(COMMAND_FOREST, "SCHTASKS")
     assert store.label_of("SCHTASKS") is NodeLabel.COMMAND
+
+
+def test_command_forest_contains_exactly_the_commands(store):
+    # every command and parameter of the bundled base, and names it lacks
+    names = ["/F", "SCHTASKS", "cmd.exe", "<remote_host>", "users", "-zz"]
+    for path in (Path(ioc2regex.__file__).parent / "data" / "kb").glob("*.json"):
+        for entry in json.loads(path.read_text())["commands"]:
+            names += [entry["name"], *entry.get("parameters", [])]
+    for name in names:
+        assert store.contains(COMMAND_FOREST, name) == (
+            store.label_of(name) is NodeLabel.COMMAND
+        ), name
+    with pytest.raises(KeyError):
+        store.contains("commands", "cmd")
 
 
 def test_command_names_stored_extensionless():
@@ -109,7 +125,7 @@ def test_adjacent_implies_contains():
 def test_malformed_json_names_file_and_line(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{\n  "paths": [,]\n}\n')
-    with pytest.raises(KnowledgeBaseError) as err:
+    with pytest.raises(ConfigError) as err:
         KnowledgeStore.ingest([bad])
     assert "bad.json" in str(err.value)
     assert ":2" in str(err.value)
@@ -118,7 +134,7 @@ def test_malformed_json_names_file_and_line(tmp_path):
 def test_command_without_name_is_schema_error(tmp_path):
     bad = tmp_path / "cmd.json"
     bad.write_text(json.dumps({"commands": [{"parameters": ["-x"]}]}))
-    with pytest.raises(KnowledgeBaseError, match=r"cmd\.json: commands\[0\]: missing 'name'"):
+    with pytest.raises(ConfigError, match=r"cmd\.json: commands\[0\]: missing 'name'"):
         KnowledgeStore.ingest([bad])
 
 
@@ -127,7 +143,7 @@ def test_unknown_top_level_key_is_error(tmp_path):
     bad.write_text(json.dumps(
         {"path": ["Users/Public"], "command": [{"name": "cmd", "params": ["/c"]}]}
     ))
-    with pytest.raises(KnowledgeBaseError, match=r"kb\.json: unknown key 'path'"):
+    with pytest.raises(ConfigError, match=r"kb\.json: unknown key 'path'"):
         KnowledgeStore.ingest([bad])
 
 
@@ -135,7 +151,7 @@ def test_unknown_command_key_is_error(tmp_path):
     bad = tmp_path / "kb.json"
     bad.write_text(json.dumps({"commands": [{"name": "cmd", "params": ["/c"]}]}))
     with pytest.raises(
-        KnowledgeBaseError, match=r"kb\.json: commands\[0\]: unknown key 'params'"
+        ConfigError, match=r"kb\.json: commands\[0\]: unknown key 'params'"
     ):
         KnowledgeStore.ingest([bad])
 
@@ -143,7 +159,7 @@ def test_unknown_command_key_is_error(tmp_path):
 def test_empty_hierarchy_entry_is_error(tmp_path):
     bad = tmp_path / "p.json"
     bad.write_text(json.dumps({"paths": ["//"]}))
-    with pytest.raises(KnowledgeBaseError, match="no components"):
+    with pytest.raises(ConfigError, match="no components"):
         KnowledgeStore.ingest([bad])
 
 

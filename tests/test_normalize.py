@@ -63,8 +63,8 @@ class TestClassify:
     def test_command_line(self, store):
         assert classify(FIG1_SCHTASKS, store) is IocKind.COMMAND_LINE
 
-    def test_command_by_option_tokens_without_store(self):
-        assert classify("unknowntool /x /y target") is IocKind.COMMAND_LINE
+    def test_command_by_option_tokens_of_an_unknown_tool(self, store):
+        assert classify("unknowntool /x /y target", store) is IocKind.COMMAND_LINE
 
     def test_command_by_store_known_first_token(self, store):
         # no option-style tokens at all; only the store identifies it
@@ -96,13 +96,13 @@ class TestClassify:
 
     @given(st.text(min_size=1, max_size=80))
     @settings(max_examples=200)
-    def test_total_and_deterministic(self, raw):
+    def test_total_and_deterministic(self, store, raw):
         try:
-            first = classify(raw)
+            first = classify(raw, store)
         except ClassificationError:
             assert not raw.strip()
             return
-        assert first is classify(raw)
+        assert first is classify(raw, store)
         assert isinstance(first, IocKind)
 
 
@@ -200,6 +200,27 @@ class TestPreprocess:
             r'schtasks /tr "c:\users\jsmith\go.bat" /f', IocKind.COMMAND_LINE, store
         )
         assert out == r'schtasks /tr "c:\users\user\go.bat" /f'
+
+    @pytest.mark.parametrize(
+        "raw, out",
+        [
+            (r"cmd /c C:\Users\All Users\x.bat", None),
+            (r'cmd /c "C:\Users\All Users\x.bat"', None),
+            (r"cmd /c dir C:\Users\Default User", None),
+            (r"cmd /c C:\Users\John Smith/x.bat", None),
+            (r"cmd /c C:\Users\All Users\Users\bob\x.bat",
+             r"cmd /c C:\Users\All Users\Users\user\x.bat"),
+            (r"cmd /c C:\Users\bob smith\x.bat", r"cmd /c C:\Users\user smith\x.bat"),
+            (r"cmd /c C:\Users\All Users;x", r"cmd /c C:\Users\user Users;x"),
+        ],
+    )
+    def test_kept_name_with_a_space_stays_whole_in_a_command_line(self, raw, out):
+        # kept: "John Smith" as the store's child of Users, "all users" and
+        # "default user" as built-in names; only before \, /, " or the end
+        store = tiny_store(paths=["Users/John Smith"], commands=[("cmd", ["/c"])])
+        want = raw if out is None else out
+        assert preprocess(raw, IocKind.COMMAND_LINE, store) == want
+        assert reference_preprocess(raw, IocKind.COMMAND_LINE, store) == want
 
     @pytest.mark.parametrize(
         "raw, out",
@@ -394,7 +415,7 @@ class TestAgainstReference:
     """The compiled, prefiltered normalize layer against the per-call
     helpers and the character-loop segmenter (``oracles``)."""
 
-    @pytest.mark.parametrize("store_name", ["bundled", "none", "tiny"])
+    @pytest.mark.parametrize("store_name", ["bundled", "tiny"])
     @pytest.mark.parametrize("tables", [None, CUSTOM_TABLES],
                              ids=["default-tables", "custom-tables"])
     @given(raw=st.lists(st.sampled_from(NORMALIZE_FRAGMENTS), max_size=12).map("".join))
@@ -404,7 +425,7 @@ class TestAgainstReference:
     @example(raw="C:\\uſers\\bob\\a.exe")
     @example(raw="\\ \\hklm/registry")
     def test_every_entry_point_agrees(self, store, store_name, tables, raw):
-        any_store = {"bundled": store, "none": None, "tiny": TINY_STORE}[store_name]
+        any_store = {"bundled": store, "tiny": TINY_STORE}[store_name]
         # the references take the raw tables, None for the bundled ones
         expansions, roots = tables or (None, None)
         tables = Tables(*tables) if tables else BUNDLED
@@ -466,12 +487,12 @@ class TestAgainstReference:
                     bad.append((ext, hex(i)))
         assert bad == []
 
-    def test_markers_come_from_a_tables_roots_and_their_values(self):
+    def test_markers_come_from_a_tables_roots_and_their_values(self, store):
         tables = Tables.from_json({"registry_roots": {"MyRoot": "MR"}}, str)
         assert tables.expansions == BUNDLED.expansions
         assert tables.registry_roots == {"myroot": "MR"}
         assert tables.markers == {"myroot", "mr", "registry"}
         for raw in ("MYROOT\\Run", "mr\\Run", "Registry\\x"):
-            assert classify(raw, tables=tables) is IocKind.REGISTRY_KEY
-        assert classify("myroot\\Run") is IocKind.FILE_PATH
-        assert preprocess("myRoot\\Run", IocKind.REGISTRY_KEY, tables=tables) == "MR\\Run"
+            assert classify(raw, store, tables) is IocKind.REGISTRY_KEY
+        assert classify("myroot\\Run", store) is IocKind.FILE_PATH
+        assert preprocess("myRoot\\Run", IocKind.REGISTRY_KEY, store, tables) == "MR\\Run"

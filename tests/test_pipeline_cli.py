@@ -701,33 +701,21 @@ class TestAblation:
                 }
             ],
         )
-        cfg = base_config(tmp_path, inp)
-        payload = run_ablation(cfg, "-CR", truths, tmp_path / "report.json")
+        cfg = base_config(tmp_path, inp, ablation="-CR")
+        payload = run_ablation(cfg, truths, tmp_path / "report.json")
         (report,) = payload["reports"]
         # the -CR pattern embeds the payload literally: it matches the copy,
         # and the all-component group set differs from the annotated one
         assert report["hit_rate"] == 1.0
         assert report["mean_fpr"] == 1.0
 
-    def test_run_ablation_leaves_the_config_alone(self, tmp_path):
-        inp = write_json(tmp_path / "iocs.json", [r"C:\Users\Public\uniq77.bat"])
-        truths = write_json(
-            tmp_path / "truths.json",
-            [{"text": r"C:\Users\Public\uniq77.bat", "kind": "file_path",
-              "capture_groups": ["users", "public"]}],
-        )
-        cfg = base_config(tmp_path, inp)
-        run_ablation(cfg, "-CR", truths, tmp_path / "report.json")
-        assert cfg.ablation == ""
-        assert run_generate(cfg)["ablation"] == "full"
-
     def test_run_ablation_rejects_an_unknown_mode_before_writing(self, tmp_path):
         inp = write_json(tmp_path / "iocs.json", [r"C:\Users\Public\uniq77.bat"])
         truths = write_json(tmp_path / "truths.json", [])
-        cfg = base_config(tmp_path, inp)
+        cfg = base_config(tmp_path, inp, ablation="x")
         report = tmp_path / "report.json"
         with pytest.raises(ConfigError, match="^unknown ablation mode 'x'$"):
-            run_ablation(cfg, "x", truths, report)
+            run_ablation(cfg, truths, report)
         assert not Path(cfg.output_path).exists()
         assert not report.exists()
 
@@ -1045,7 +1033,7 @@ class TestCli:
             ("truths.json",
              [{"text": r"c:\windows\a.exe", "kind": "file_path",
                "capture_groups": ["system32"]}],
-             load_truths,
+             lambda path: load_truths(path, pipeline.default_store()),
              lambda path, out: ["evaluate", "--products", write_json(
                  Path(out).with_name("p.json"), {"records": []}),
                  "--truths", path, "--output", out],
@@ -1144,6 +1132,7 @@ class TestCli:
         )
         assert rc == 0
         assert (tmp_path / "r.json").exists()
+        assert read_json(tmp_path / "p.json")["summary"]["ablation"] == "-CR"
 
     def test_ablate_normalizes_truths_with_its_expansion_table(self, tmp_path):
         table = write_json(tmp_path / "expansions.json", {"%APPDIR%": "C:\\Windows"})
