@@ -10,6 +10,36 @@
 # Exits non-zero at the first check that fails.
 set -euo pipefail
 
+# The package imports only the standard library, the HTTP client too: after
+# importing the package and its CLI, and one remote call to a loopback port
+# that refuses it (a BackendError), every module loaded since start-up is
+# the package's or the standard library's.
+python - <<'EOF'
+import sys
+
+at_start_up = set(sys.modules)
+import socket
+
+import ioc2regex
+import ioc2regex.cli
+from ioc2regex.generation import BackendError, RemoteBackend
+
+with socket.socket() as closed:  # bound but not listening: connections are refused
+    closed.bind(("127.0.0.1", 0))
+    backend = RemoteBackend(f"http://127.0.0.1:{closed.getsockname()[1]}/v1", timeout=5)
+    try:
+        backend.propose(None, "prompt")
+        sys.exit("a refused remote call returned a pattern")
+    except BackendError:
+        pass
+foreign = sorted(
+    name for name in set(sys.modules) - at_start_up
+    if name.partition(".")[0] not in sys.stdlib_module_names | {"ioc2regex"}
+)
+if foreign:
+    sys.exit(f"modules from outside the standard library: {foreign}")
+EOF
+
 kb_dir=$(python -c "import ioc2regex, pathlib; print(pathlib.Path(ioc2regex.__file__).parent / 'data' / 'kb')")
 ioc2regex kb-validate "$kb_dir"/*.json
 # A misspelt key in a knowledge-base or replay file is exit 1, naming the key.

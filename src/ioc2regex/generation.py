@@ -17,10 +17,12 @@ drew a probe string.
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import random
 import re
 import string
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -397,12 +399,75 @@ class ScriptedBackend(GeneratorBackend):
 # The remote backend's defaults, which ``pipeline.PipelineConfig`` reads too.
 REMOTE_TEMPERATURE = 0.2
 REMOTE_API_KEY_ENV = "IOC2REGEX_API_KEY"
+REMOTE_REPLY_CAP = 64 * 1024  # bytes of a reply's body
+
+
+def _post_json(url: str, payload: dict, headers: dict[str, str], timeout: float) -> object:
+    """The JSON reply to a POST of ``payload``; BackendError unless it
+    comes within ``timeout`` seconds for the whole call, with an HTTP
+    success status and a body of at most ``REMOTE_REPLY_CAP`` bytes.
+
+    A socket timeout bounds each read, not the call, so each connection
+    arms a timer that shuts its socket at the deadline.  That ends a read
+    still waiting on a trickle of headers or body, as a lost connection or
+    a short body, which the clock then tells from a normal end.
+    """
+    import http.client
+    import socket
+    import threading
+    import urllib.request
+
+    deadline = time.monotonic() + timeout
+    timers: list[threading.Timer] = []
+
+    def shut(sock: socket.socket) -> None:
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:  # the call ended and closed the socket first
+            pass
+
+    class DeadlineHandler(urllib.request.HTTPHandler, urllib.request.HTTPSHandler):
+        def do_open(self, http_class, req, **kwargs):
+            class Connection(http_class):
+                def connect(self) -> None:
+                    super().connect()
+                    timers.append(threading.Timer(deadline - time.monotonic(), shut, [self.sock]))
+                    timers[-1].start()
+
+            return super().do_open(Connection, req, **kwargs)
+
+    failure: object = None
+    try:
+        request = urllib.request.Request(url, json.dumps(payload).encode(), headers)
+        if request.type not in ("http", "https"):
+            raise ValueError(f"not an http or https URL: {url!r}")
+        with urllib.request.build_opener(DeadlineHandler).open(request, timeout=timeout) as reply:
+            body = reply.read(REMOTE_REPLY_CAP + 1)
+        if len(body) > REMOTE_REPLY_CAP:
+            raise ValueError(f"reply body over {REMOTE_REPLY_CAP} bytes")
+        data = json.loads(body)
+    except (OSError, ValueError, http.client.HTTPException) as exc:
+        if isinstance(exc, urllib.request.HTTPError):
+            exc.close()  # it holds the reply, and so its socket
+        failure = exc
+    finally:
+        for timer in timers:
+            timer.cancel()
+    if time.monotonic() >= deadline:
+        failure = f"no complete reply within {timeout} s"
+    if failure is not None:
+        raise BackendError(f"remote backend failure: {failure}")
+    return data
 
 
 class RemoteBackend(GeneratorBackend):
-    """HTTP backend: POSTs the prompt, expects ``{"pattern": "..."}`` back.
+    """HTTP backend: POSTs the prompt as JSON and expects ``{"pattern":
+    "..."}`` back, by ``docs/formats.md#remote-backend``.
 
-    The credential is read from the environment, never from config files.
+    ``timeout`` bounds the whole call and ``REMOTE_REPLY_CAP`` the reply's
+    body; a stop at either, an HTTP error status or a reply of another
+    shape is a BackendError.  The credential is read from the environment,
+    never from config files.
     """
 
     kind = "remote_llm"
@@ -422,25 +487,12 @@ class RemoteBackend(GeneratorBackend):
         self.timeout = timeout
 
     def propose(self, annotation: GroupAnnotation, prompt: str) -> str:
-        import requests
-
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.api_key_env, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        payload = {
-            "model": self.model,
-            "prompt": prompt,
-            "temperature": self.temperature,
-        }
-        try:
-            resp = requests.post(
-                self.endpoint, json=payload, headers=headers, timeout=self.timeout
-            )
-            resp.raise_for_status()
-            data = resp.json()
-        except (requests.RequestException, ValueError) as exc:
-            raise BackendError(f"remote backend failure: {exc}") from exc
+        payload = {"model": self.model, "prompt": prompt, "temperature": self.temperature}
+        data = _post_json(self.endpoint, payload, headers, self.timeout)
         if not isinstance(data, dict):
             raise BackendError("remote backend reply is not a JSON object")
         pattern = data.get("pattern")

@@ -1,9 +1,13 @@
+import http.server
 import inspect
+import json
+import random
 import re
 import signal
 import string
 import sys
 import threading
+import time
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -12,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ioc2regex import annotate, generation, grading, make_record
+from ioc2regex import annotate, dialect, generation, grading, make_record
 from ioc2regex.capture import GroupAnnotation, find_path_groups
 from ioc2regex.generation import (
     BackendError,
@@ -337,6 +341,24 @@ FOLDING_CASES = [
 ]
 
 
+# Indicators shaped like the benchmark corpus's: paths and registry keys
+# under knowledge-base chains, with a random mutable tail, and commands with
+# some of their parameters.
+BENCH_SHAPED_IOCS = [
+    r"C:\Users\jdoe\AppData\Roaming\Microsoft\Windows\Start Menu\Programs\Startup\x1.lnk",
+    r"%APPDATA%\Microsoft\Windows\Start Menu\Programs\Startup\k3v.lnk",
+    r"C:\Windows\System32\drivers\qzxv.sys",
+    r"C:\ProgramData\Microsoft\Windows\Start Menu\Programs\StartUp\a9.exe",
+    r"HKEY_CURRENT_USER\Software\Microsoft\Windows\CurrentVersion\Run\updater",
+    r"HKLM\SYSTEM\CurrentControlSet\Services\evilsvc\ImagePath",
+    r"C:\Users\Public\11.bat",
+    'schtasks /create /tn upd /tr "c:\\users\\public\\11.bat" /sc DAILY',
+    "cmd.exe /c whoami",
+    "reg add HKCU\\Software\\x /v y /d z",
+    "powershell -nop -w hidden -enc AAAA",
+]
+
+
 class TestOvergenCheck:
     def test_universal_pattern_fails(self):
         res = overgen_check(".*", 0)
@@ -361,6 +383,46 @@ class TestOvergenCheck:
         res = overgen_check("(?i).*\u0131.*", 1596, ["\u0131"])
         assert not res.ok
         assert len(res.probes) == 10
+
+    def test_audit_implies_an_unprobed_pass(self, store):
+        """In the full workflow the audit implies the probe: a pattern that
+        passes the audit and whose required runs are all ASCII passes the
+        probe with no probe drawn.  Over the grader's pattern draws, on
+        their own annotations and on bench-shaped ones, and the templates."""
+        from test_grading import random_annotation_and_pattern, random_pattern
+
+        rng = random.Random(1717)
+        bench = [annotate(make_record(raw, store), store) for raw in BENCH_SHAPED_IOCS]
+        cases = [(ann, render_template(ann)) for ann in bench]
+        cases += [random_annotation_and_pattern(rng) for _ in range(600)]
+        cases += [(ann, random_pattern(rng, ann.keep_components)) for ann in bench * 60]
+        implied = 0
+        for ann, pattern in cases:
+            analysis = dialect.analysis_or_error(pattern)
+            if isinstance(analysis, dialect.DialectError):
+                continue
+            if noncapture_check(pattern, ann).ok and all(
+                run.text.isascii() for run in analysis.runs if run.required
+            ):
+                res = overgen_check(pattern, rng.randrange(2**32), ann.keep_components)
+                assert res.ok and res.probes == [], pattern
+                implied += 1
+        assert implied >= 60, implied
+
+    def test_dotted_capital_i_keep_can_fail_after_the_audit(self):
+        # the one exception: (?i) matches "İ" to ASCII "i", and the probes'
+        # keep filter keeps every "i", since the fold of "İ" is not ASCII
+        from test_grading import annotation_for
+
+        ann = annotation_for(["C:", "\u0130", "evil.exe"], [False, True, False])
+        pattern = "(?i).*\u0130.*"
+        assert debug_check(pattern, ann.record.normalized).ok
+        assert noncapture_check(pattern, ann).ok
+        keeps = ann.keep_components
+        assert len(overgen_check(pattern, 0, keeps).probes) == 4
+        assert [s for s in range(5000) if not overgen_check(pattern, s, keeps).ok] == [
+            1596, 4180
+        ]
 
     def test_empty_keep_never_decides(self):
         res = overgen_check("(?i).*q.*", 0, ["", "Users"])
@@ -1077,6 +1139,81 @@ class TestScriptedBackend:
         assert backend.propose(path_annotation, "") == "x"
 
 
+# The request body ``RemoteBackend.propose(ann, "prompt")`` sends by default.
+REMOTE_REQUEST = b'{"model": "", "prompt": "prompt", "temperature": 0.2}'
+
+
+def fixed_reply(body: bytes | str, status: int = 200):
+    """A loopback reply with this status and body, its length declared."""
+    body = body.encode() if isinstance(body, str) else body
+
+    def reply(handler):
+        handler.send_response(status)
+        handler.send_header("Content-Length", str(len(body)))
+        handler.end_headers()
+        handler.wfile.write(body)
+
+    return reply
+
+
+def trickle(handler, data: bytes):
+    """Write ``data`` one byte at a time, 0.1 s apart."""
+    for byte in data:
+        handler.wfile.write(bytes([byte]))
+        handler.wfile.flush()
+        time.sleep(0.1)
+
+
+def header_trickle(handler):
+    trickle(handler, b"HTTP/1.0 200 OK\r\nX-Slow: " + b"a" * 60)
+
+
+def body_trickle(handler):
+    # a whole reply, then blanks and no Content-Length: a deadline stop that
+    # read as the end of the body would ship the pattern
+    handler.send_response(200)
+    handler.end_headers()
+    handler.wfile.write(b'{"pattern": "(?i).*Users.*"}')
+    trickle(handler, b" " * 60)
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """``serve(reply)`` starts an HTTP server on 127.0.0.1 in a thread,
+    which records each request in ``serve.received`` as (request line,
+    headers, body) and answers it with ``reply(handler)``; it returns the
+    URL of ``/v1`` there.  Proxy variables are cleared, so calls stay on
+    loopback."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    received, servers = [], []
+
+    def serve(reply):
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                received.append((self.requestline, self.headers, body))
+                try:
+                    reply(self)
+                except OSError:  # the client hung up first
+                    pass
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
+        servers.append(server)
+        return f"http://127.0.0.1:{server.server_port}/v1"
+
+    serve.received = received
+    yield serve
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
 class TestRemoteBackend:
     def test_defaults_agree_with_pipeline_config(self):
         backend, config = RemoteBackend(endpoint="http://127.0.0.1:9/none"), PipelineConfig()
@@ -1096,41 +1233,121 @@ class TestRemoteBackend:
         with pytest.raises(BackendError):
             backend.propose(path_annotation, "prompt")
 
-    def test_non_object_reply_is_backend_error(self, path_annotation, monkeypatch):
-        import requests
+    def test_good_reply_and_request_body(self, path_annotation, loopback):
+        url = loopback(fixed_reply('{"pattern": " (?i).*Users.*\\n", "note": 1}'))
+        backend = RemoteBackend(endpoint=url)
+        assert backend.propose(path_annotation, "prompt") == "(?i).*Users.*"
+        [(line, headers, body)] = loopback.received
+        assert line == "POST /v1 HTTP/1.1"
+        assert headers["Content-Type"] == "application/json"
+        assert body == REMOTE_REQUEST == json.dumps(
+            {"model": "", "prompt": "prompt", "temperature": 0.2}
+        ).encode()
 
-        class ListReply:
-            def raise_for_status(self):
-                pass
+    def test_authorization_only_when_the_key_is_set(
+        self, path_annotation, loopback, monkeypatch
+    ):
+        url = loopback(fixed_reply('{"pattern": "x"}'))
+        backend = RemoteBackend(endpoint=url, api_key_env="IOC2REGEX_TEST_KEY")
+        monkeypatch.delenv("IOC2REGEX_TEST_KEY", raising=False)
+        backend.propose(path_annotation, "prompt")
+        monkeypatch.setenv("IOC2REGEX_TEST_KEY", "")
+        backend.propose(path_annotation, "prompt")
+        monkeypatch.setenv("IOC2REGEX_TEST_KEY", "s3cret")
+        backend.propose(path_annotation, "prompt")
+        assert [h["Authorization"] for _, h, _ in loopback.received] == [
+            None, None, "Bearer s3cret"
+        ]
 
-            def json(self):
-                return ["(?i).*Users.*"]
-
-        monkeypatch.setattr(requests, "post", lambda *args, **kwargs: ListReply())
-        backend = RemoteBackend(endpoint="http://127.0.0.1:9/none")
-        with pytest.raises(BackendError, match="not a JSON object"):
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("(?i).*Users.*", "remote backend failure: Expecting value"),
+            ("", "remote backend failure: Expecting value"),
+            ("\xff", "remote backend failure"),
+            ('["(?i).*Users.*"]', "not a JSON object"),
+            ('"(?i).*Users.*"', "not a JSON object"),
+            ("{}", "returned no pattern"),
+            ('{"pattern": ""}', "returned no pattern"),
+            ('{"pattern": null}', "returned no pattern"),
+            ('{"pattern": ["x"]}', "returned no pattern"),
+        ],
+    )
+    def test_malformed_reply_is_backend_error(self, path_annotation, loopback, body, message):
+        backend = RemoteBackend(endpoint=loopback(fixed_reply(body)))
+        with pytest.raises(BackendError, match=re.escape(message)):
             backend.propose(path_annotation, "prompt")
 
+    def test_non_object_reply_is_backend_error(self, path_annotation, loopback):
+        backend = RemoteBackend(endpoint=loopback(fixed_reply('["(?i).*Users.*"]')))
         pattern, trace = generate(IndicatorMemo(path_annotation), backend, restart_cap=2)
         assert pattern is None
         assert [a.verdict for a in trace.attempts] == ["error", "error"]
         assert "not a JSON object" in trace.attempts[0].diagnostic
         assert trace.restarts == 1
 
-    def test_whitespace_reply_is_an_empty_pattern(self, path_annotation, monkeypatch):
-        import requests
-
-        class BlankReply:
-            def raise_for_status(self):
-                pass
-
-            def json(self):
-                return {"pattern": " \n"}
-
-        monkeypatch.setattr(requests, "post", lambda *args, **kwargs: BlankReply())
-        backend = RemoteBackend(endpoint="http://127.0.0.1:9/none")
+    def test_whitespace_reply_is_an_empty_pattern(self, path_annotation, loopback):
+        backend = RemoteBackend(endpoint=loopback(fixed_reply('{"pattern": " \\n"}')))
         pattern, trace = single_shot(IndicatorMemo(path_annotation), backend)
         assert pattern is None
         assert [(a.verdict, a.diagnostic) for a in trace.attempts] == [
             ("error", "backend error: empty pattern")
         ]
+
+    @pytest.mark.parametrize("status", [400, 404, 500, 503])
+    def test_http_error_status_is_backend_error(self, path_annotation, loopback, status):
+        backend = RemoteBackend(endpoint=loopback(fixed_reply('{"pattern": "x"}', status)))
+        with pytest.raises(BackendError, match=rf"remote backend failure: .*\b{status}\b"):
+            backend.propose(path_annotation, "prompt")
+
+    def test_redirected_post_is_backend_error(self, path_annotation, loopback):
+        # the POST is not sent again to the redirect's target
+        def redirect(handler):
+            handler.send_response(307)
+            handler.send_header("Location", "/v1")
+            handler.send_header("Content-Length", "0")
+            handler.end_headers()
+
+        backend = RemoteBackend(endpoint=loopback(redirect))
+        with pytest.raises(BackendError, match="HTTP Error 307"):
+            backend.propose(path_annotation, "prompt")
+        assert len(loopback.received) == 1
+
+    def test_reply_body_capped(self, path_annotation, loopback):
+        reply = b'{"pattern": "x"}'
+        pad = generation.REMOTE_REPLY_CAP - len(reply)
+        at_cap = RemoteBackend(endpoint=loopback(fixed_reply(reply + b" " * pad)))
+        assert at_cap.propose(path_annotation, "prompt") == "x"
+        # one byte more is refused, though it is a good reply
+        over_cap = RemoteBackend(endpoint=loopback(fixed_reply(reply + b" " * (pad + 1))))
+        with pytest.raises(BackendError, match="reply body over 65536 bytes"):
+            over_cap.propose(path_annotation, "prompt")
+        big = RemoteBackend(endpoint=loopback(fixed_reply(b" " * 2**20 + reply)))
+        with pytest.raises(BackendError, match="reply body over 65536 bytes"):
+            big.propose(path_annotation, "prompt")
+
+    @pytest.mark.parametrize("reply", [header_trickle, body_trickle], ids=["headers", "body"])
+    def test_one_deadline_per_call(self, path_annotation, loopback, reply):
+        # each byte comes well within the timeout, but the reply takes 6 s
+        backend = RemoteBackend(endpoint=loopback(reply), timeout=0.5)
+        start = time.monotonic()
+        with pytest.raises(BackendError, match="no complete reply within 0.5 s"):
+            backend.propose(path_annotation, "prompt")
+        assert time.monotonic() - start < 1.0
+
+    def test_non_http_endpoint_is_backend_error(self, path_annotation, tmp_path):
+        reply = tmp_path / "reply.json"
+        reply.write_text('{"pattern": "x"}')
+        backend = RemoteBackend(endpoint=reply.as_uri())
+        with pytest.raises(BackendError, match="remote backend failure"):
+            backend.propose(path_annotation, "prompt")
+
+    def test_environment_proxy_is_used(self, path_annotation, loopback, monkeypatch):
+        proxy = loopback(fixed_reply('{"pattern": "x"}'))
+        monkeypatch.setenv("http_proxy", proxy.removesuffix("/v1"))
+        # a loopback address with nothing behind it: only the proxy answers
+        backend = RemoteBackend(endpoint="http://127.0.0.2:9/v1")
+        assert backend.propose(path_annotation, "prompt") == "x"
+        [(line, _, body)] = loopback.received
+        assert line == "POST http://127.0.0.2:9/v1 HTTP/1.1"
+        assert body == REMOTE_REQUEST

@@ -205,8 +205,12 @@ def random_annotation_and_pattern(rng):
     components = keeps + discards
     rng.shuffle(components)
     mask = [c in keeps for c in components]
-    ann = annotation_for(components, mask)
+    return annotation_for(components, mask), random_pattern(rng, keeps)
 
+
+def random_pattern(rng, keeps):
+    """A pattern that holds some of ``keeps``, each required, optional,
+    repeated or in an alternation, among wildcards and stray literals."""
     parts = ["(?i)"] if rng.random() < 0.7 else []
     if rng.random() < 0.8:
         parts.append(".*")
@@ -234,7 +238,7 @@ def random_annotation_and_pattern(rng):
         parts.append(".*")
     if rng.random() < 0.05:
         parts.append("|x")
-    return ann, "".join(parts)
+    return "".join(parts)
 
 
 def test_score_matches_independent_recount():

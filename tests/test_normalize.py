@@ -384,13 +384,15 @@ class TestMakeRecord:
 # case-insensitive "users" (also through U+017F), characters whose case
 # folding changes length or maps onto ASCII, known and unknown variables,
 # executable suffixes in every case (also through U+017F), quotes,
-# separators and the ASCII and non-ASCII whitespace that str.isspace knows.
+# separators, the ASCII and non-ASCII whitespace that str.isspace knows, and
+# user names that hold a space, built in or in the tiny store.
 NORMALIZE_FRAGMENTS = (
     "users\\", "users/", "USERS\\", "USERS/", "uſers\\", "u", "ſ", "ers",
     "\u212a", "İ", "ß", "%TEMP%", "%X%", "%", "cmd.exe", "x.EXE", ".exe",
     "a.exe.exe", "p.pſ1", "p.PS1", '"', ";", " ", "\t", "\x1c", "\x1d", "\x1e",
     "\x1f", "\u3000", "\n", "\\", "/", "C:", "HKEY_CURRENT_USER", "hklm",
     "registry", "MACHINE", "User", "Public", "bob", "schtasks", "/c", "-x", "a",
+    "All Users", "default user", "bob smith",
 )
 CUSTOM_TABLES = (
     {"%TEMP%": "C:\\Users\\ſam\\Temp", "%X%": 'users/"İ x.exe'},
@@ -398,7 +400,7 @@ CUSTOM_TABLES = (
 )
 KINDS = (IocKind.FILE_PATH, IocKind.REGISTRY_KEY, IocKind.COMMAND_LINE)
 TINY_STORE = tiny_store(
-    paths=["C:/Users/bob", "Users/ſ"],
+    paths=["C:/Users/bob", "Users/ſ", "Users/bob smith"],
     commands=[("cmd.exe", ["/c"]), ("a.exe.exe", []), ("p", ["-x"])],
 )
 

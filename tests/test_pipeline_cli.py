@@ -74,6 +74,15 @@ def base_config(tmp_path, input_path, **overrides):
     return cfg
 
 
+def modules_at_start_up() -> set[str]:
+    """The modules a fresh interpreter holds after ``import ioc2regex.cli``."""
+    code = "import json, sys, ioc2regex, ioc2regex.cli\nprint(json.dumps(list(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(ioc2regex.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return set(json.loads(run.stdout))
+
+
 class TestRunGenerate:
     def test_fig1_pair_generates_two_records(self, tmp_path, fig1_input):
         cfg = base_config(tmp_path, fig1_input)
@@ -163,16 +172,11 @@ class TestRunGenerate:
 
     def test_thread_pool_not_imported_at_start_up(self):
         # only workers > 1 uses the pool, so no other run pays for its import
-        code = (
-            "import sys, ioc2regex, ioc2regex.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n"
-        )
-        env = {**os.environ, "PYTHONPATH": str(Path(ioc2regex.__file__).parents[1])}
-        run = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert run.returncode == 0, run.stderr
-        assert run.stdout == "[]\n"
+        assert not any(m.startswith("concurrent") for m in modules_at_start_up())
+
+    def test_http_client_not_imported_at_start_up(self):
+        # only the remote backend's call uses them, so no other run pays for them
+        assert not {"urllib.request", "http.client"} & modules_at_start_up()
 
     def test_scripted_backend_forces_one_worker(self, tmp_path, fig1_input, caplog):
         replay = write_json(
