@@ -429,9 +429,9 @@ class Analysis:
 
     def explain(self, text: str) -> tuple[str, int, str] | None:
         """None when the pattern matches ``text``.  Otherwise the longest
-        compilable top-level token prefix of the pattern that matches, the
-        end offset of its match in ``text``, and the first failing token:
-        by ``_explain_chain`` under the find-chain rule, else by searching
+        top-level token prefix of the pattern that matches, the end offset
+        of its match in ``text``, and the first failing token: by
+        ``_explain_chain`` under the find-chain rule, else by searching
         each prefix in turn.  The scan always ends at a failing prefix: the
         last one is the whole pattern."""
         hay = self._hay(text)
@@ -448,10 +448,7 @@ class Analysis:
                 continue
             for j, piece in enumerate(tok.text if tok.kind == LITERAL else (tok.text,)):
                 end = tok.pos + j + len(piece)
-                try:
-                    rx = re.compile(self.pattern[:end])
-                except re.error:
-                    continue
+                rx = re.compile(self.pattern[:end])
                 m = (rx.match if offset_0 else rx.search)(text)
                 if m is None:
                     return matched, offset, piece
@@ -591,16 +588,11 @@ def analyze(pattern: str) -> Analysis:
 
     The outcome is ``analysis_or_error``'s: a repeated invalid pattern
     raises a new DialectError with the same message and offset, without
-    tokenizing it again.  ``analyze.cache_clear()`` empties the cache, and
-    ``analyze.cache_info()`` counts its hits and misses."""
+    tokenizing it again."""
     outcome = analysis_or_error(pattern)
     if isinstance(outcome, Analysis):
         return outcome
     raise DialectError(outcome.message, outcome.offset)
-
-
-analyze.cache_clear = analysis_or_error.cache_clear
-analyze.cache_info = analysis_or_error.cache_info
 
 
 def compile_pattern(pattern: str) -> re.Pattern:

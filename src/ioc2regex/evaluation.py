@@ -252,10 +252,6 @@ def levenshtein(a: str, b: str) -> int:
     an xor with the mask), and the distance is read once, at the end: the
     last column's top cell, ``len(b)``, plus its vertical deltas.
     """
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
     if len(a) < len(b):
         a, b = b, a  # one loop step per character of the shorter string
     peq: dict[str, int] = {}

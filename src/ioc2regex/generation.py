@@ -79,7 +79,7 @@ class DebugResult:
 
 def debug_check(pattern: str, target: str) -> DebugResult:
     """Does the pattern match the indicator?  On failure, report the longest
-    compilable token-prefix that still matches and the first failing token
+    token-prefix that still matches and the first failing token
     (``dialect.Analysis.explain``)."""
     analysis = dialect.analysis_or_error(pattern)
     if isinstance(analysis, dialect.DialectError):
@@ -223,9 +223,6 @@ def overgen_check(
     analysis = dialect.analyze(pattern)
     if any(comp in needle for needle in analysis.needles for comp in folded):
         return OvergenResult(ok=True, unprobed=_HOLDS_KEEP)
-    # _probe_stream yields nothing only when every probe character is a keep
-    if all(c.casefold() in folded for c in _PROBE_ALPHABET):
-        return OvergenResult(ok=True, unprobed=_NO_PROBE_ALPHABET)
     probes: list[str] = []
     for probe in itertools.islice(
         _probe_stream(rng_seed, keep_components), RANDOM_PROBE_COUNT
@@ -233,6 +230,8 @@ def overgen_check(
         probes.append(probe)
         if not analysis.matches(probe):
             return OvergenResult(ok=True, probes=probes)
+    if not probes:  # the stream ends at once: every probe character is a keep
+        return OvergenResult(ok=True, unprobed=_NO_PROBE_ALPHABET)
     return OvergenResult(ok=False, probes=probes)
 
 
@@ -240,14 +239,25 @@ def overgen_check(
 
 
 def build_prompt(
-    annotation: GroupAnnotation,
+    memo: IndicatorMemo,
     previous_pattern: str = "",
     diagnostic: str = "",
     prior_failures: int = 0,
 ) -> str:
-    """Deterministic prompt text for a backend; byte-stable for golden tests
-    (``IndicatorMemo.prompt``)."""
-    return IndicatorMemo(annotation).prompt(previous_pattern, diagnostic, prior_failures)
+    """The prompt for an attempt on ``memo``'s indicator: its head, a note
+    on the earlier passes that validation discarded, feedback on the
+    previous pattern when a check failed it, and the reply instruction."""
+    note = (
+        f"\n\nNote: {prior_failures} earlier attempt(s) were discarded by validation;"
+        " start fresh." if prior_failures else ""
+    )
+    feedback = (
+        "\n\nFeedback on the previous attempt:"
+        f"\n  pattern: {previous_pattern}\n  problem: {diagnostic}"
+        if diagnostic else ""
+    )
+    reply = "\n\nRespond with the regular expression only."
+    return f"{memo.head}{note}{feedback}{reply}"
 
 
 # The close of every prompt head: the dialect rules, the same for every indicator.
@@ -521,11 +531,12 @@ class WorkflowTrace:
 
 
 class IndicatorMemo:
-    """The one handle on an indicator: its annotation, one table of its
-    verdicts, keyed by (stage, pattern), and ``prompt``, the one prompt
-    builder (``docs/formats.md#best-of-k-and-reuse``).  Make one per
-    indicator and pass it to each ``generate`` or ``single_shot`` call and
-    to the grading of its runs."""
+    """The one handle on an indicator: its annotation, the ``head`` of its
+    every prompt, which ``build_prompt`` reads, and one table of its
+    verdicts, keyed by (stage, pattern)
+    (``docs/formats.md#best-of-k-and-reuse``).  Make one per indicator and
+    pass it to each ``generate`` or ``single_shot`` call and to the grading
+    of its runs."""
 
     def __init__(self, annotation: GroupAnnotation):
         self.annotation = annotation
@@ -552,23 +563,6 @@ class IndicatorMemo:
             if stage != STAGE_OVERGEN or not result.probes:
                 self._verdicts[stage, pattern] = verdict
         return verdict
-
-    def prompt(self, previous_pattern: str = "", diagnostic: str = "",
-               prior_failures: int = 0) -> str:
-        """The prompt for an attempt: the head, a note on the earlier passes
-        that validation discarded, feedback on the previous pattern when a
-        check failed it, and the reply instruction."""
-        note = (
-            f"\n\nNote: {prior_failures} earlier attempt(s) were discarded by validation;"
-            " start fresh." if prior_failures else ""
-        )
-        feedback = (
-            "\n\nFeedback on the previous attempt:"
-            f"\n  pattern: {previous_pattern}\n  problem: {diagnostic}"
-            if diagnostic else ""
-        )
-        reply = "\n\nRespond with the regular expression only."
-        return f"{self.head}{note}{feedback}{reply}"
 
 
 def _propose(
@@ -619,7 +613,7 @@ def generate(
     add_attempt = trace.attempts.append
     for restart in range(restart_cap):
         trace.restarts = restart
-        opening = memo.prompt(prior_failures=restart)
+        opening = build_prompt(memo, prior_failures=restart)
         pattern = _propose(backend, annotation, opening, trace, restart, STAGE_DEBUG)
         if pattern is None:
             continue
@@ -641,7 +635,7 @@ def generate(
                 add_attempt(Attempt(restart, stage, pattern, "pass" if ok else "fail", diagnostic))
                 if ok or attempt == attempts:
                     break
-                feedback = memo.prompt(pattern, diagnostic, restart)
+                feedback = build_prompt(memo, pattern, diagnostic, restart)
                 pattern = _propose(
                     backend, annotation, feedback, trace, restart, stage, pattern
                 )
@@ -663,7 +657,7 @@ def single_shot(
     can repair it.  The run draws no probe, so its seed never matters.
     """
     trace = WorkflowTrace()
-    pattern = _propose(backend, memo.annotation, memo.prompt(), trace, 0, STAGE_DEBUG)
+    pattern = _propose(backend, memo.annotation, build_prompt(memo), trace, 0, STAGE_DEBUG)
     if pattern is None:
         return None, trace
     try:

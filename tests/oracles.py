@@ -8,6 +8,7 @@ package's own code paths.
 from __future__ import annotations
 
 import re
+import string
 
 from ioc2regex.dialect import (
     ALT, ANCHOR, CLASS, CLASS_ESCAPE, DOT, ESCAPE, FLAGS, GROUP_CLOSE,
@@ -317,7 +318,6 @@ def reference_probe_strings(seed: int, keeps, count: int = 10) -> list[str]:
     strings of 8-64 printable non-whitespace characters, redrawn while one
     holds a keep (case-folded)."""
     import random
-    import string
 
     alphabet = "".join(c for c in string.printable if not c.isspace())
     rng = random.Random(seed)
@@ -584,6 +584,78 @@ def reference_chain_shape(tokens) -> bool:
         elif tok.kind not in (FLAGS, LITERAL, ESCAPE):
             return False
     return True
+
+
+# What the match sampler draws for a shorthand, and the characters it tries
+# against a class.
+_SHORTHAND_MEMBERS = {"\\w": "k", "\\W": "-", "\\s": " ", "\\S": "k", "\\d": "7", "\\D": "k"}
+_CLASS_CANDIDATES = string.ascii_letters + string.digits + string.punctuation + " "
+
+
+def sample_match(analysis, rng) -> str:
+    """A string drawn from a pattern's tokens, meant to be one it matches:
+    each literal as written, with ASCII letters in a random case under
+    ``(?i)``, and an escape as its character; a letter for ``.``, one fixed
+    member per shorthand, a member of a class from ``_CLASS_CANDIDATES``;
+    ``lo`` to ``lo + 2`` repeats of a quantified atom, capped at its
+    maximum; a random branch of an alternation; nothing for an anchor.
+
+    A draw can miss (an anchor inside the text, a class with no candidate
+    member), so callers keep only the draws ``re.search`` matches."""
+    tokens = [tok for tok in analysis.tokens if tok.kind != FLAGS]
+    flags = re.IGNORECASE if "i" in analysis.flags else 0
+    pos = 0
+
+    def alternatives() -> list[list]:
+        """The branches up to the ``)`` that closes the current group, each
+        a list of (atom, quantifier text); a group is its own branches."""
+        nonlocal pos
+        branches: list[list] = [[]]
+        while pos < len(tokens) and tokens[pos].kind != GROUP_CLOSE:
+            tok = tokens[pos]
+            pos += 1
+            if tok.kind == ALT:
+                branches.append([])
+                continue
+            atom = tok
+            if tok.kind == GROUP_OPEN:
+                atom = alternatives()
+                pos += 1  # its ')'
+            quant = ""
+            if pos < len(tokens) and tokens[pos].kind == QUANT:
+                quant = tokens[pos].text
+                pos += 1
+            branches[-1].append((atom, quant))
+        return branches
+
+    def draw(branches: list[list]) -> str:
+        out = []
+        for atom, quant in rng.choice(branches):
+            low, high = _reference_bounds(quant) if quant else (1, 1)
+            count = rng.randint(low, low + 2 if high is None else min(low + 2, high))
+            out += [one(atom) for _ in range(count)]
+        return "".join(out)
+
+    def one(atom) -> str:
+        if isinstance(atom, list):
+            return draw(atom)
+        if atom.kind == LITERAL:
+            return "".join(
+                c.swapcase() if flags and c.isascii() and rng.random() < 0.5 else c
+                for c in atom.text
+            )
+        if atom.kind == ESCAPE:
+            return atom.text[1]
+        if atom.kind == DOT:
+            return rng.choice(string.ascii_letters)
+        if atom.kind == CLASS_ESCAPE:
+            return _SHORTHAND_MEMBERS[atom.text]
+        if atom.kind == CLASS:
+            members = [c for c in _CLASS_CANDIDATES if re.fullmatch(atom.text, c, flags)]
+            return rng.choice(members) if members else ""
+        return ""  # an anchor
+
+    return draw(alternatives())
 
 
 def reference_debug_check(pattern: str, target: str):

@@ -1,3 +1,4 @@
+import random
 import re
 import sys
 import warnings
@@ -24,6 +25,7 @@ from oracles import (
     reference_debug_check,
     reference_structure,
     reference_tokenize,
+    sample_match,
 )
 from test_generation import DEBUG_ELEMENTS, hard_timeout
 
@@ -269,7 +271,7 @@ class TestValidate:
             re_rejects = True
         # the one extra reason: a POSIX bracket expression, as PCRE reads it
         posix = POSIX_BRACKET.match(pattern) is not None
-        analyze.cache_clear()
+        dialect.analysis_or_error.cache_clear()
         try:
             analyze(pattern)
             rejected = False
@@ -416,7 +418,7 @@ class TestAnalyze:
             return tokenize_(text)
 
         monkeypatch.setattr(dialect, "tokenize", counting)
-        analyze.cache_clear()
+        dialect.analysis_or_error.cache_clear()
         errors = []
         for _ in range(3):
             with pytest.raises(DialectError) as info:
@@ -434,9 +436,9 @@ class TestAnalyze:
          "(a+)+$", "(?:a|a)+$", "a{70000}"],
     )
     def test_debug_check_reads_the_error_analyze_raises(self, pattern):
-        analyze.cache_clear()
+        dialect.analysis_or_error.cache_clear()
         cold = debug_check(pattern, "text").syntax_error
-        analyze.cache_clear()
+        dialect.analysis_or_error.cache_clear()
         with pytest.raises(DialectError) as first:
             analyze(pattern)
         with pytest.raises(DialectError) as second:
@@ -648,7 +650,7 @@ class TestMatches:
         assert analyze(pattern).chain == chain
 
     def test_chain_tokens_built_on_first_use(self):
-        analyze.cache_clear()
+        dialect.analysis_or_error.cache_clear()
         chain, other = analyze(r"(?i).*Users\\Public\\.*"), analyze(r"(?i).*Users\\.+")
         assert "tokens" not in vars(chain)
         assert "tokens" in vars(other)  # tokenized to find its shape
@@ -657,7 +659,7 @@ class TestMatches:
 
     def test_chain_decided_without_compiling(self):
         pattern = "(?i).*-enc.*-nop.*-w.*"
-        analyze.cache_clear()
+        dialect.analysis_or_error.cache_clear()
         analysis = analyze(pattern)
         assert not analysis.matches("-w " + "-enc x -nop y " * 800)
         assert analysis.matches("-ENC x -Nop y -W")
@@ -666,7 +668,7 @@ class TestMatches:
         assert analysis.matches("-enc x -nop y -w\n")  # a line break: re decides
 
     def test_error_of_a_compiled_pattern_raised_by_analyze(self):
-        analyze.cache_clear()
+        dialect.analysis_or_error.cache_clear()
         with pytest.raises(DialectError, match="bad character range"):
             analyze("[z-a].*")
 
@@ -706,7 +708,7 @@ class TestChainRegex:
         assert accepted == (valid and reference_chain_shape(tokens))
         if not accepted:
             return
-        analyze.cache_clear()
+        dialect.analysis_or_error.cache_clear()
         analysis = analyze(pattern)
         assert "tokens" not in vars(analysis)
         needles = tuple(r.text.lower() for r in runs if r.required and r.text.isascii())
@@ -838,7 +840,7 @@ class TestExplainChain:
         pattern = r"(?i).*Users\\Public\\Documents\\Reports\\2024\\q4.*\.exe"
         text = r"C:\Users\Public\Documents\Reports\2024\Q4\summary.docx"
         ref = reference_debug_check(pattern, text)
-        analyze.cache_clear()
+        dialect.analysis_or_error.cache_clear()
         analysis = analyze(pattern)
         compile_, tokenize_ = dialect.re.compile, dialect.tokenize
         calls = []
@@ -865,6 +867,60 @@ class TestExplainChain:
             res = debug_check(pattern, text)
         assert (res.matched_prefix, res.failing_token) == (f"(?i).*{body}", "z")
         assert res.target_offset == 5060
+
+
+def top_level_prefixes(analysis):
+    """The prefixes ``Analysis.explain`` searches: up to the end of each
+    top-level token, and of each character of a top-level literal."""
+    depth = 0
+    for tok in analysis.tokens:
+        depth += (tok.kind == dialect.GROUP_OPEN) - (tok.kind == dialect.GROUP_CLOSE)
+        if depth == 0:
+            ends = range(tok.pos + 1, tok.end + 1) if tok.kind == dialect.LITERAL else [tok.end]
+            yield from (analysis.pattern[:end] for end in ends)
+
+
+class TestAcceptedPatterns:
+    """Properties of every accepted pattern, over the soups of the
+    structure and chain tests."""
+
+    @settings(derandomize=True, deadline=None, max_examples=1500)
+    @given(
+        prefix=st.sampled_from(["", "(?i)", "(?s)", "(?i).*"]),
+        body=st.one_of(
+            soup_patterns, st.lists(st.sampled_from(CHAIN_SOUP), max_size=7).map("".join)
+        ),
+    )
+    def test_every_top_level_prefix_compiles(self, prefix, body):
+        try:
+            analysis = analyze(prefix + body)
+        except DialectError:
+            return
+        for top in top_level_prefixes(analysis):
+            re.compile(top)
+
+    @settings(derandomize=True, deadline=None, max_examples=1500)
+    @given(
+        prefix=st.sampled_from(["", "(?i)", "(?i).*"]),
+        soup=soup_patterns,
+        seed=st.integers(0, 2**32),
+    )
+    @example(prefix="(?i)", soup="(?:a|K)+zz", seed=0)
+    def test_drawn_matches_hold_every_required_run(self, prefix, soup, seed):
+        pattern = prefix + soup
+        try:
+            analysis = analyze(pattern)
+        except DialectError:
+            return
+        fold = str.lower if "i" in analysis.flags else str
+        required = [fold(run.text) for run in analysis.runs if run.required]
+        rng = random.Random(seed)
+        for _ in range(5):
+            text = sample_match(analysis, rng)
+            if re.search(pattern, text) is None:  # e.g. an anchor inside
+                continue
+            assert analysis.matches(text), text
+            assert all(run in fold(text) for run in required), (text, required)
 
 
 class TestWildcardUnits:

@@ -67,6 +67,14 @@ def test_every_formats_link_names_a_heading():
     assert [link for link in links if link[1] not in known] == []
 
 
+def test_readme_layout_names_every_module():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = re.search(r"^## Layout\n\n```\n(.*?)^```$", readme, re.M | re.S)[1]
+    named = set(re.findall(r"^  (\w+\.py) ", layout, re.M))
+    modules = {path.name for path in (ROOT / "src" / "ioc2regex").glob("*.py")}
+    assert named == modules - {"__init__.py"}
+
+
 def test_knowledge_base_example_loads():
     (block,) = examples()["knowledge-base-definition-file"]
     stats = KnowledgeStore.from_dict(json.loads(block)).stats()

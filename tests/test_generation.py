@@ -540,7 +540,7 @@ class TestOvergenCheck:
 
 class TestBuildPrompt:
     def test_first_attempt_has_no_feedback(self, path_annotation):
-        prompt = build_prompt(path_annotation)
+        prompt = build_prompt(IndicatorMemo(path_annotation))
         assert "C:\\Users\\Public\\11.bat" in prompt
         assert "- Users" in prompt and "- Public" in prompt
         assert "- 11.bat" in prompt
@@ -549,7 +549,7 @@ class TestBuildPrompt:
     def test_debug_diagnostic_included_verbatim(self, path_annotation, path_record):
         diag = debug_check("Users/Public", path_record.normalized).describe()
         prompt = build_prompt(
-            path_annotation, previous_pattern="Users/Public", diagnostic=diag
+            IndicatorMemo(path_annotation), previous_pattern="Users/Public", diagnostic=diag
         )
         assert diag in prompt
 
@@ -557,11 +557,13 @@ class TestBuildPrompt:
         diag = noncapture_check(
             r"(?i).*Users\\Public\\11\.bat", path_annotation
         ).describe()
-        prompt = build_prompt(path_annotation, diagnostic=diag)
+        prompt = build_prompt(IndicatorMemo(path_annotation), diagnostic=diag)
         assert "'11.bat'" in prompt
 
     def test_golden_bytes(self, path_annotation):
-        assert build_prompt(path_annotation) == GOLDEN.read_text(encoding="utf-8")
+        assert build_prompt(IndicatorMemo(path_annotation)) == GOLDEN.read_text(
+            encoding="utf-8"
+        )
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(
@@ -576,10 +578,9 @@ class TestBuildPrompt:
     ):
         annotation = schtasks_annotation if schtasks else path_annotation
         want = reference_prompt(annotation, previous, diagnostic, prior_failures)
-        assert build_prompt(annotation, previous, diagnostic, prior_failures) == want
         memo = IndicatorMemo(annotation)
         for _ in range(2):  # and again from the same memo
-            assert memo.prompt(previous, diagnostic, prior_failures) == want
+            assert build_prompt(memo, previous, diagnostic, prior_failures) == want
 
 
 class TestTemplateBackend:

@@ -643,9 +643,9 @@ class TestRunEvaluate:
             tmp_path / "products.json",
             {"records": [product_record(f"p{i}", p) for i, p in enumerate(patterns)]},
         )
-        dialect.analyze.cache_clear()
+        dialect.analysis_or_error.cache_clear()
         run_evaluate(products, str(DATA / "e2e_truths.json"), tmp_path / "r.json")
-        assert dialect.analyze.cache_info().misses == len(patterns)
+        assert dialect.analysis_or_error.cache_info().misses == len(patterns)
 
     def test_records_sharing_an_ioc_id_rejected(self, tmp_path):
         products = write_json(
