@@ -51,6 +51,10 @@ echo '["C:\\Users\\Public\\x.bat"]' > iocs.json
 ioc2regex generate --input iocs.json --output products.json --dump-annotations annotations.json
 python -c "import json, sys; sys.exit(json.load(open('products.json'))['summary']['generated'] != 1)"
 python -c "import json, sys; sys.exit([a['rejection_reason'] for a in json.load(open('annotations.json'))] != [None])"
+# A quoted command loses its extension and keeps its capture.
+echo '["\"cmd.exe\" /c whoami"]' > quoted-iocs.json
+ioc2regex generate --input quoted-iocs.json --output quoted-products.json
+python -c "import json, sys; g = json.load(open('quoted-products.json'))['records'][0]['capture_groups']; sys.exit(not {'cmd', '/c'} <= set(g))"
 echo '{"emissions": ["(?i).*(unclosed", "(?i).*Users\\\\Nobody\\\\.*", "(?i).*?Users\\\\Nobody.*?x", "(?i).*Users\\\\Public\\\\x\\.exe", "[a-z"], "per_record": true, "fallback": "template"}' > replay.json
 ioc2regex generate --backend scripted --replay replay.json --input iocs.json --output repaired.json
 python -c "import json, sys; sys.exit(json.load(open('repaired.json'))['summary']['generated'] != 1)"
@@ -108,7 +112,7 @@ done
 cmp products-1.json products-2.json
 cmp report-1.json report-2.json
 cmp missing-1.err missing-2.err
-for f in products.json annotations.json repaired.json report.json matches.json ablated.json ablated-report.json reg-products.json reg-report.json blank-head-products.json shape-products.json one-bad-report.json; do
+for f in products.json annotations.json quoted-products.json repaired.json report.json matches.json ablated.json ablated-report.json reg-products.json reg-report.json blank-head-products.json shape-products.json one-bad-report.json; do
   python -c "import json, sys; t = open(sys.argv[1], encoding='utf-8').read(); sys.exit(t != json.dumps(json.loads(t), indent=2, sort_keys=True) + '\n' and sys.argv[1] + ' differs from json.dumps')" "$f"
 done
 echo "installed package smoke test passed"

@@ -8,7 +8,6 @@ from .capture import (
 )
 from .dialect import DialectError, compile_pattern
 from .evaluation import (
-    EvaluationReport,
     GroundTruthString,
     UndefinedMetricError,
     fpr,

@@ -292,26 +292,6 @@ def structural_similarity(pattern_a: str, pattern_b: str) -> float:
 # -- distributions -----------------------------------------------------------
 
 
-@dataclass
-class Stats:
-    minimum: float
-    q1: float
-    median: float
-    q3: float
-    maximum: float
-    mean: float
-
-    def to_dict(self) -> dict:
-        return {
-            "min": self.minimum,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "max": self.maximum,
-            "mean": self.mean,
-        }
-
-
 def _quantile(sorted_values: list[float], p: float) -> float:
     """Linear interpolation between closest ranks (the R-7 rule)."""
     n = len(sorted_values)
@@ -323,50 +303,22 @@ def _quantile(sorted_values: list[float], p: float) -> float:
     return sorted_values[lo] + (h - lo) * (sorted_values[hi] - sorted_values[lo])
 
 
-def score_distribution(scores: list[float]) -> Stats:
-    """Five-number summary plus mean."""
+def score_distribution(scores: list[float]) -> dict[str, float]:
+    """Five-number summary plus mean, keyed as in the report."""
     if not scores:
         raise UndefinedMetricError("score distribution requires at least one value")
     ordered = sorted(float(s) for s in scores)
-    return Stats(
-        minimum=ordered[0],
-        q1=_quantile(ordered, 0.25),
-        median=_quantile(ordered, 0.5),
-        q3=_quantile(ordered, 0.75),
-        maximum=ordered[-1],
-        mean=_mean(ordered),
-    )
+    return {
+        "min": ordered[0],
+        "q1": _quantile(ordered, 0.25),
+        "median": _quantile(ordered, 0.5),
+        "q3": _quantile(ordered, 0.75),
+        "max": ordered[-1],
+        "mean": _mean(ordered),
+    }
 
 
 # -- report assembly ---------------------------------------------------------
-
-
-@dataclass
-class EvaluationReport:
-    dataset_id: str
-    total: int
-    matched: int
-    hit_rate: float
-    unmatched_by_kind: dict[str, int]
-    per_regex_fpr: list[tuple[str, float | None]]
-    mean_fpr: float | None
-    score_stats: Stats | None
-    similarity_stats: Stats | None
-
-    def to_dict(self) -> dict:
-        return {
-            "dataset_id": self.dataset_id,
-            "total": self.total,
-            "matched": self.matched,
-            "hit_rate": self.hit_rate,
-            "unmatched_by_kind": dict(sorted(self.unmatched_by_kind.items())),
-            "per_regex_fpr": [[rid, value] for rid, value in self.per_regex_fpr],
-            "mean_fpr": self.mean_fpr,
-            "score_stats": self.score_stats.to_dict() if self.score_stats else None,
-            "similarity_stats": (
-                self.similarity_stats.to_dict() if self.similarity_stats else None
-            ),
-        }
 
 
 def evaluate_by_dataset(
@@ -374,12 +326,12 @@ def evaluate_by_dataset(
     truths: list[GroundTruthString],
     match_log: list | None = None,
     invalid: list | None = None,
-) -> list[EvaluationReport]:
-    """One report per dataset_id found in the truth set, sorted by id
-    (``docs/formats.md#evaluation-report``), and the match dump's entries
-    appended to ``match_log``.  A record whose pattern is outside the
-    dialect is scored as a regex that matches nothing, and appended to
-    ``invalid`` as ``{"ioc_id", "reason"}``.
+) -> list[dict]:
+    """One report per dataset_id found in the truth set, sorted by id, as
+    the entries the report file holds (``docs/formats.md#evaluation-report``),
+    and the match dump's entries appended to ``match_log``.  A record whose
+    pattern is outside the dialect is scored as a regex that matches
+    nothing, and appended to ``invalid`` as ``{"ioc_id", "reason"}``.
     """
     truths = TruthSet(truths)  # one pair of haystacks for every regex
     datasets: dict[str, list[int]] = {}
@@ -422,21 +374,21 @@ def evaluate_by_dataset(
         for k in matching:
             if k not in similarities:
                 similarities[k] = similarity(products[k]["pattern"], products[k]["normalized"])
-        reports.append(EvaluationReport(
-            dataset_id=ds,
-            total=hits.total,
-            matched=len(hits.matched_indices),
-            hit_rate=hits.rate,
-            unmatched_by_kind=hits.unmatched_by_kind,
-            per_regex_fpr=[(p["ioc_id"], row.value) for p, row in zip(products, ds_rows)],
-            mean_fpr=mean_fpr([ds_rows[k].value for k in matching]) if matching else None,
-            score_stats=(
+        reports.append({
+            "dataset_id": ds,
+            "total": hits.total,
+            "matched": len(hits.matched_indices),
+            "hit_rate": hits.rate,
+            "unmatched_by_kind": hits.unmatched_by_kind,
+            "per_regex_fpr": [[p["ioc_id"], row.value] for p, row in zip(products, ds_rows)],
+            "mean_fpr": mean_fpr([ds_rows[k].value for k in matching]) if matching else None,
+            "score_stats": (
                 score_distribution([products[k]["score"] for k in matching])
                 if matching
                 else None
             ),
-            similarity_stats=(
+            "similarity_stats": (
                 score_distribution([similarities[k] for k in matching]) if matching else None
             ),
-        ))
+        })
     return reports

@@ -26,8 +26,10 @@ its trigger can occur in the string.  Each skip is exact:
   token whose fold ends in a suffix ends in it under ``(?i)`` too.
 
 Command lines split at whitespace and ``;`` outside double quotes, by one
-pattern whose ``\s`` stands for ``str.isspace``.  ``tests/test_normalize.py``
-checks this and both premises above at every code point.
+pattern whose ``\s`` stands for ``str.isspace``.  For the extension strip
+a double quote also ends a token, so a quoted command loses its suffix.
+``tests/test_normalize.py`` checks this and both premises above at every
+code point.
 """
 
 from __future__ import annotations
@@ -73,13 +75,14 @@ _USERS_PREFIX = r"(?i)(?P<prefix>(?:^|[\\/\s\";])users[\\/])"
 _PATH_USERS_RE = re.compile(_USERS_PREFIX + r"(?P<name>[^\\/]+)")
 _COMMAND_USERS_RE = re.compile(_USERS_PREFIX + r'(?=(?P<name>[^\\/"]+))[^\\/\s;"]+')
 # A whole command-line token that ends in an executable suffix after at
-# least one character.  The lookbehind starts a match only where a
-# token starts, so each token is tried once.  No re.ASCII: "\s" must keep
+# least one character; a double quote ends a token too, so a quoted
+# command is stripped.  The lookbehind starts a match only where a token
+# starts, so each token is tried once.  No re.ASCII: "\s" must keep
 # \x1c-\x1f as whitespace, as str.isspace does.
 _EXECUTABLE_TOKEN_RE = re.compile(
-    r"(?<![^\s;])[^\s;]+?(?:"
+    r'(?<![^\s;"])[^\s;"]+?(?:'
     + "|".join(re.escape(ext) for ext in EXECUTABLE_EXTENSIONS)
-    + r")(?![^\s;])",
+    + r')(?![^\s;"])',
     re.IGNORECASE,
 )
 # One command-line token: quoted spans and runs of unquoted non-separators.

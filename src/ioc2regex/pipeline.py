@@ -324,7 +324,7 @@ def run_evaluate(
     match_log: list | None = [] if dump_matches else None
     invalid: list = []
     reports = evaluation.evaluate_by_dataset(product["records"], truths, match_log, invalid)
-    payload: dict = {"reports": [r.to_dict() for r in reports]}
+    payload: dict = {"reports": reports}
     for entry in invalid:
         logger.warning("%s: record %r: %s", products_path, entry["ioc_id"], entry["reason"])
     if invalid:

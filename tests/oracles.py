@@ -980,7 +980,7 @@ def _ref_strip_command_extensions(s: str, store) -> str:
             return stripped
         return token
 
-    return re.sub(r"[^\s;]+", repl, s)
+    return re.sub(r'[^\s;"]+', repl, s)
 
 
 def reference_preprocess(

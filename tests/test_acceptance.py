@@ -294,8 +294,8 @@ def test_criterion_6_metric_fixtures(store):
     ok = ok and mean_fpr([v for v in values.values()]) == pytest.approx(0.125)
 
     [report6] = evaluate_by_dataset(products, truths)
-    stats = report6.score_stats
-    ok = ok and (stats.minimum, stats.q1, stats.median, stats.q3, stats.maximum, stats.mean) == (
+    stats = report6["score_stats"]
+    ok = ok and tuple(stats[k] for k in ("min", "q1", "median", "q3", "max", "mean")) == (
         1.0, 1.75, 2.0, 2.25, 3.0, 2.0,
     )
 

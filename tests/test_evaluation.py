@@ -12,10 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ioc2regex
-from ioc2regex import dialect
+from ioc2regex import dialect, pipeline
 from ioc2regex.evaluation import (
     SEPARATOR,
-    EvaluationReport,
     GroundTruthString,
     TruthSet,
     UndefinedMetricError,
@@ -326,7 +325,7 @@ class TestMeanFpr:
     def test_summed_left_to_right_on_every_python(self):
         # the builtin sum gives 0.1 here on Python 3.12 and later
         assert mean_fpr([0.1] * 10) == 0.09999999999999999
-        assert score_distribution([0.1] * 10).mean == 0.09999999999999999
+        assert score_distribution([0.1] * 10)["mean"] == 0.09999999999999999
 
 
 class TestSimilarity:
@@ -387,25 +386,25 @@ class TestStructuralSimilarity:
 class TestScoreDistribution:
     def test_odd_run(self):
         stats = score_distribution([2, 3, 4, 5, 6])
-        assert stats.median == 4
-        assert stats.mean == 4
-        assert stats.minimum == 2 and stats.maximum == 6
+        assert stats["median"] == 4
+        assert stats["mean"] == 4
+        assert stats["min"] == 2 and stats["max"] == 6
 
     def test_single_element(self):
         stats = score_distribution([7])
-        assert (stats.minimum, stats.q1, stats.median, stats.q3, stats.maximum) == (
+        assert (stats["min"], stats["q1"], stats["median"], stats["q3"], stats["max"]) == (
             7, 7, 7, 7, 7,
         )
-        assert stats.mean == 7
+        assert stats["mean"] == 7
 
     def test_twenty_values_match_reference_quantiles(self):
         values = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4]
         stats = score_distribution(values)
         q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        assert stats.q1 == pytest.approx(q1)
-        assert stats.median == pytest.approx(median)
-        assert stats.q3 == pytest.approx(q3)
-        assert stats.mean == pytest.approx(statistics.fmean(values))
+        assert stats["q1"] == pytest.approx(q1)
+        assert stats["median"] == pytest.approx(median)
+        assert stats["q3"] == pytest.approx(q3)
+        assert stats["mean"] == pytest.approx(statistics.fmean(values))
 
     def test_empty_error(self):
         with pytest.raises(UndefinedMetricError):
@@ -493,14 +492,17 @@ class TestEvaluateProducts:
 
     def test_report_shape(self, store, certutil_truths):
         [report] = evaluate_by_dataset(self.make_products(), certutil_truths)
-        assert isinstance(report, EvaluationReport)
-        assert report.total == 3
-        assert report.matched == 2
-        assert report.hit_rate == pytest.approx(2 / 3)
-        assert dict(report.per_regex_fpr) == {"p1": 0.0, "p2": None}
-        assert report.mean_fpr == 0.0
-        assert report.score_stats.mean == 2  # only p1 matched anything
-        assert report.similarity_stats is not None
+        assert report.keys() == {
+            "dataset_id", "total", "matched", "hit_rate", "unmatched_by_kind",
+            "per_regex_fpr", "mean_fpr", "score_stats", "similarity_stats",
+        }
+        assert report["total"] == 3
+        assert report["matched"] == 2
+        assert report["hit_rate"] == pytest.approx(2 / 3)
+        assert dict(report["per_regex_fpr"]) == {"p1": 0.0, "p2": None}
+        assert report["mean_fpr"] == 0.0
+        assert report["score_stats"]["mean"] == 2  # only p1 matched anything
+        assert report["similarity_stats"] is not None
 
     def test_disjoint_products_and_truths(self, store, certutil_truths):
         products = [
@@ -513,6 +515,25 @@ class TestEvaluateProducts:
             }
         ]
         [report] = evaluate_by_dataset(products, certutil_truths)
-        assert report.hit_rate == 0.0
-        assert report.mean_fpr is None
-        assert report.score_stats is None
+        assert report["hit_rate"] == 0.0
+        assert report["mean_fpr"] is None
+        assert report["score_stats"] is None
+
+    def test_reports_are_the_json_they_write(self, store, certutil_truths):
+        truths = certutil_truths + [
+            truth(r"c:\windows\system32\whoami.exe", "file_path", ["windows", "system32"],
+                  "other", store=store),
+        ]
+        products = self.make_products() + [{
+            "ioc_id": "bad",
+            "pattern": "(a+)+$",
+            "capture_groups": ["x"],
+            "normalized": "aaa",
+            "score": 0,
+        }]
+        invalid = []
+        reports = evaluate_by_dataset(products, truths, invalid=invalid)
+        # no tuples, no sets, no objects: the file reads back as what was built
+        assert json.loads(pipeline.json_text(reports)) == reports
+        assert [r["dataset_id"] for r in reports] == ["ds", "other"]
+        assert [entry["ioc_id"] for entry in invalid] == ["bad"]

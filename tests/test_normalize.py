@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ioc2regex.capture import annotate
 from ioc2regex.evaluation import make_truth
 from ioc2regex.knowledge import EXECUTABLE_EXTENSIONS, NodeLabel
 from ioc2regex.normalize import (
@@ -136,6 +137,25 @@ class TestPreprocess:
         assert out == abbr + r"\Sub"
         # identity on already-abbreviated forms
         assert preprocess(out, IocKind.REGISTRY_KEY, store) == out
+
+    @pytest.mark.parametrize(
+        "raw,normalized,captured",
+        [
+            ('"cmd.exe" /c whoami', '"cmd" /c whoami', [["cmd", "/c"], ["whoami"]]),
+            (
+                '"powershell.exe" -nop -enc AAAA',
+                '"powershell" -nop -enc AAAA',
+                [["powershell", "-nop", "-enc"]],
+            ),
+            (r'cmd /c "c:\tasks\ivory3.bat"', r'cmd /c "c:\tasks\ivory3.bat"', [["cmd", "/c"]]),
+        ],
+    )
+    def test_quote_ends_a_token_for_the_strip(self, store, raw, normalized, captured):
+        # a quoted command loses its extension and keeps its capture; a
+        # quoted non-command keeps its extension
+        record = make_record(raw, store)
+        assert record.normalized == normalized
+        assert annotate(record, store).capture_sequences == captured
 
     def test_bare_registry_prefix_dropped(self, store):
         out = preprocess(r"REGISTRY\MACHINE\Software", IocKind.REGISTRY_KEY, store)

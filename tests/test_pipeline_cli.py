@@ -1445,9 +1445,8 @@ def reference_reports(records, truths):
             "per_regex_fpr": per_regex,
             "mean_fpr": sum(values) / len(values) if values else None,
             "score_stats": (
-                score_distribution([r["score"] for r in matching]).to_dict()
-                if matching else None
+                score_distribution([r["score"] for r in matching]) if matching else None
             ),
-            "similarity_stats": score_distribution(sims).to_dict() if sims else None,
+            "similarity_stats": score_distribution(sims) if sims else None,
         })
     return reports, matches
