@@ -51,10 +51,11 @@ echo '["C:\\Users\\Public\\x.bat"]' > iocs.json
 ioc2regex generate --input iocs.json --output products.json --dump-annotations annotations.json
 python -c "import json, sys; sys.exit(json.load(open('products.json'))['summary']['generated'] != 1)"
 python -c "import json, sys; sys.exit([a['rejection_reason'] for a in json.load(open('annotations.json'))] != [None])"
-# A quoted command loses its extension and keeps its capture.
-echo '["\"cmd.exe\" /c whoami"]' > quoted-iocs.json
+# A quoted command loses its extension and keeps its capture, and a quoted
+# first token names its command.
+echo '["\"cmd.exe\" /c whoami", "\"net.exe\" user add"]' > quoted-iocs.json
 ioc2regex generate --input quoted-iocs.json --output quoted-products.json
-python -c "import json, sys; g = json.load(open('quoted-products.json'))['records'][0]['capture_groups']; sys.exit(not {'cmd', '/c'} <= set(g))"
+python -c "import json, sys; g = [set(r['capture_groups']) for r in json.load(open('quoted-products.json'))['records']]; sys.exit(len(g) != 2 or not {'cmd', '/c'} <= g[0] or not {'net', 'user'} <= g[1])"
 echo '{"emissions": ["(?i).*(unclosed", "(?i).*Users\\\\Nobody\\\\.*", "(?i).*?Users\\\\Nobody.*?x", "(?i).*Users\\\\Public\\\\x\\.exe", "[a-z"], "per_record": true, "fallback": "template"}' > replay.json
 ioc2regex generate --backend scripted --replay replay.json --input iocs.json --output repaired.json
 python -c "import json, sys; sys.exit(json.load(open('repaired.json'))['summary']['generated'] != 1)"

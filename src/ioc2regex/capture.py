@@ -26,6 +26,14 @@ KEEP = "keep"
 DISCARD = "discard"
 
 
+def _first_of_each_fold(components, taken=()) -> list[str]:
+    """In order, the first component of each case fold not in ``taken``."""
+    firsts: dict[str, str] = {}
+    for comp in components:
+        firsts.setdefault(comp.casefold(), comp)
+    return [comp for fold, comp in firsts.items() if fold not in taken]
+
+
 @dataclass
 class GroupAnnotation:
     """Per-component keep/discard labels plus the extracted capture sequences.
@@ -40,24 +48,13 @@ class GroupAnnotation:
     @functools.cached_property
     def keep_components(self) -> list[str]:
         """Unique keep components in first-seen order, original casing."""
-        out: list[str] = []
-        seen: set[str] = set()
-        for seq in self.capture_sequences:
-            for comp in seq:
-                if comp.casefold() not in seen:
-                    seen.add(comp.casefold())
-                    out.append(comp)
-        return out
+        return _first_of_each_fold(c for seq in self.capture_sequences for c in seq)
 
     @functools.cached_property
     def discard_components(self) -> list[str]:
-        out: list[str] = []
-        seen = {c.casefold() for c in self.keep_components}
-        for comp, label in zip(self.record.components, self.labels):
-            if label == DISCARD and comp.casefold() not in seen:
-                seen.add(comp.casefold())
-                out.append(comp)
-        return out
+        taken = {c.casefold() for c in self.keep_components}
+        labeled = zip(self.record.components, self.labels)
+        return _first_of_each_fold((c for c, lab in labeled if lab == DISCARD), taken)
 
     @property
     def has_capture_groups(self) -> bool:
@@ -113,34 +110,24 @@ def find_command_groups(record: IocRecord, store: KnowledgeStore) -> GroupAnnota
         raise ValueError(f"find_command_groups got kind {record.kind.value!r}")
 
     components = record.components
-    sequences: list[list[tuple[int, str]]] = []
-    current: list[tuple[int, str]] = []
+    labels = [DISCARD] * len(components)
+    sequences: list[list[str]] = []
     command: str | None = None
     for idx, comp in enumerate(components):
         label = store.label_of(comp)
         if label is NodeLabel.COMMAND:
-            if current:
-                sequences.append(current)
-            current = [(idx, comp)]
+            sequences.append([comp])
             command = comp
         elif (
             label is NodeLabel.PARAMETER
             and command is not None
             and store.adjacent(COMMAND_FOREST, command, comp)
         ):
-            current.append((idx, comp))
-    if current:
-        sequences.append(current)
-
-    labels = [DISCARD] * len(components)
-    for seq in sequences:
-        for idx, _comp in seq:
-            labels[idx] = KEEP
-    return GroupAnnotation(
-        record=record,
-        labels=labels,
-        capture_sequences=[[comp for _i, comp in seq] for seq in sequences],
-    )
+            sequences[-1].append(comp)
+        else:
+            continue
+        labels[idx] = KEEP
+    return GroupAnnotation(record=record, labels=labels, capture_sequences=sequences)
 
 
 def annotate(record: IocRecord, store: KnowledgeStore) -> GroupAnnotation:

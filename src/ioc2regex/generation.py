@@ -620,16 +620,11 @@ def generate(
         for stage, attempts in stages:
             ok = False
             for attempt in range(1, attempts + 1):
-                if stage == STAGE_DEBUG:
-                    result, diagnostic = verdict_of(stage, pattern)
-                elif stage == STAGE_NONCAPTURE:
-                    # a pattern fed back by the audit must still match the indicator
-                    result, diagnostic = verdict_of(STAGE_DEBUG, pattern)
-                    if result.ok:
-                        result, diagnostic = verdict_of(stage, pattern)
-                else:
+                # a pattern fed back by a later stage must still match the indicator
+                result, diagnostic = verdict_of(STAGE_DEBUG, pattern)
+                if stage != STAGE_DEBUG and result.ok:
                     result, diagnostic = verdict_of(stage, pattern, rng_seed)
-                    if result.probes:
+                    if stage == STAGE_OVERGEN and result.probes:
                         trace.probed = True
                 ok = result.ok
                 add_attempt(Attempt(restart, stage, pattern, "pass" if ok else "fail", diagnostic))
@@ -660,10 +655,9 @@ def single_shot(
     pattern = _propose(backend, memo.annotation, build_prompt(memo), trace, 0, STAGE_DEBUG)
     if pattern is None:
         return None, trace
-    try:
-        dialect.analyze(pattern)
-    except dialect.DialectError as exc:
-        trace.attempts.append(Attempt(0, STAGE_DEBUG, pattern, "fail", str(exc)))
+    analysis = dialect.analysis_or_error(pattern)
+    if isinstance(analysis, dialect.DialectError):
+        trace.attempts.append(Attempt(0, STAGE_DEBUG, pattern, "fail", str(analysis)))
         return None, trace
     trace.attempts.append(Attempt(0, STAGE_DEBUG, pattern, "pass", "single shot"))
     return pattern, trace

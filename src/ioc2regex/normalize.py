@@ -185,8 +185,9 @@ def classify(raw: str, store: KnowledgeStore, tables: Tables = BUNDLED) -> IocKi
     """Decide whether a string is a file path, registry key, or command line.
 
     Rule order: registry first (syntactically most distinctive), then command
-    detection (store-known first token or option-style tokens), then path
-    shape; anything else is ``other``.
+    detection (a first token that, without its executable extension and its
+    double quotes, names a command, as in ``"net.exe" user add``, or
+    option-style tokens), then path shape; anything else is ``other``.
     """
     s = raw.strip()
     if not s:
@@ -196,7 +197,7 @@ def classify(raw: str, store: KnowledgeStore, tables: Tables = BUNDLED) -> IocKi
         return IocKind.REGISTRY_KEY
 
     tokens = s.split()
-    first_token = strip_executable_extension(tokens[0])
+    first_token = strip_executable_extension(tokens[0].replace('"', ""))
     if store.label_of(first_token) is NodeLabel.COMMAND:
         return IocKind.COMMAND_LINE
     if len(tokens) > 1 and any(t.startswith(("/", "-")) for t in tokens):

@@ -883,7 +883,7 @@ def reference_classify(raw: str, store, registry_roots: dict | None = None):
         return IocKind.REGISTRY_KEY
 
     tokens = s.split()
-    first_token = strip_executable_extension(tokens[0])
+    first_token = strip_executable_extension(tokens[0].replace('"', ""))
     if store.label_of(first_token) is NodeLabel.COMMAND:
         return IocKind.COMMAND_LINE
     if len(tokens) > 1 and any(t.startswith(("/", "-")) for t in tokens):

@@ -11,7 +11,7 @@ from ioc2regex.capture import (
     find_path_groups,
 )
 from ioc2regex.knowledge import COMMAND_FOREST, PATH_FOREST
-from ioc2regex.normalize import IocKind, IocRecord
+from ioc2regex.normalize import IocKind, IocRecord, make_record
 
 from conftest import tiny_store
 from oracles import brute_force_longest_run, interpret_command_algorithm
@@ -198,6 +198,17 @@ def test_keep_label_soundness(store, schtasks_annotation, path_annotation):
         head = seq[0]
         for param in seq[1:]:
             assert store.adjacent(COMMAND_FOREST, head, param)
+
+
+def test_keeps_and_discards_take_the_first_of_each_case_fold(store):
+    ann = annotate(make_record("cmd /c x && CMD /C y", store), store)
+    assert ann.capture_sequences == [["cmd", "/c"], ["CMD", "/C"]]
+    assert ann.keep_components == ["cmd", "/c"]
+    assert ann.discard_components == ["x", "&&", "y"]
+    # ``public`` is a discard whose case fold a keep already has
+    ann = annotate(make_record(r"C:\Users\Public\x\public\y.bat", store), store)
+    assert ann.keep_components == ["Users", "Public"]
+    assert ann.discard_components == ["C:", "x", "y.bat"]
 
 
 def test_annotate_dispatch(store, path_record_fixture=None):

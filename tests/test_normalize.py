@@ -91,6 +91,25 @@ class TestClassify:
         assert (record.kind, record.normalized) == (IocKind.REGISTRY_KEY, r"HKU\x")
         assert classify(r"\ \ \Users\pam", store) is IocKind.FILE_PATH
 
+    @pytest.mark.parametrize(
+        "raw, kind, normalized, capture",
+        [
+            ('"net.exe" user add', IocKind.COMMAND_LINE, '"net" user add', [["net", "user"]]),
+            ('"net" user', IocKind.COMMAND_LINE, '"net" user', [["net", "user"]]),
+            ('"whoami"', IocKind.COMMAND_LINE, '"whoami"', [["whoami"]]),
+            (r'"C:\Program Files\x.exe"', IocKind.FILE_PATH, None, None),
+            ('""', IocKind.OTHER, None, None),
+        ],
+    )
+    def test_first_token_is_looked_up_without_its_quotes(
+        self, store, raw, kind, normalized, capture
+    ):
+        assert classify(raw, store) is kind
+        if kind is IocKind.COMMAND_LINE:
+            record = make_record(raw, store)
+            assert record.normalized == normalized
+            assert annotate(record, store).capture_sequences == capture
+
     def test_empty_raises(self, store):
         with pytest.raises(ClassificationError):
             classify("   ", store)
@@ -446,6 +465,7 @@ class TestAgainstReference:
     @example(raw="p.pſ1\x1ccmd.exe;x.EXE")
     @example(raw="C:\\uſers\\bob\\a.exe")
     @example(raw="\\ \\hklm/registry")
+    @example(raw='"net.exe" user add')
     def test_every_entry_point_agrees(self, store, store_name, tables, raw):
         any_store = {"bundled": store, "tiny": TINY_STORE}[store_name]
         # the references take the raw tables, None for the bundled ones
