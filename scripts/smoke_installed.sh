@@ -56,6 +56,11 @@ python -c "import json, sys; sys.exit([a['rejection_reason'] for a in json.load(
 echo '["\"cmd.exe\" /c whoami", "\"net.exe\" user add"]' > quoted-iocs.json
 ioc2regex generate --input quoted-iocs.json --output quoted-products.json
 python -c "import json, sys; g = [set(r['capture_groups']) for r in json.load(open('quoted-products.json'))['records']]; sys.exit(len(g) != 2 or not {'cmd', '/c'} <= g[0] or not {'net', 'user'} <= g[1])"
+# A path or registry key wrapped in one pair of double quotes loses them: no
+# component or capture group holds a quote, and the key is a registry key.
+echo '["\"C:\\Users\\Public\\evil.bat\"", "\"HKLM\\Software\\Microsoft\\Windows\\CurrentVersion\\Run\\x\""]' > quoted-paths.json
+ioc2regex generate --input quoted-paths.json --output quoted-paths-products.json --dump-annotations quoted-paths-annotations.json
+python -c "import json, sys; a = json.load(open('quoted-paths-annotations.json')); r = json.load(open('quoted-paths-products.json'))['records']; held = [c for x in a for c in x['components'] + sum(x['capture_sequences'], [])] + [c for x in r for c in x['capture_groups']]; sys.exit(len(a) != 2 or len(r) != 2 or any('\"' in c for c in held) or [x['kind'] for x in a] != ['file_path', 'registry_key'])"
 echo '{"emissions": ["(?i).*(unclosed", "(?i).*Users\\\\Nobody\\\\.*", "(?i).*?Users\\\\Nobody.*?x", "(?i).*Users\\\\Public\\\\x\\.exe", "[a-z"], "per_record": true, "fallback": "template"}' > replay.json
 ioc2regex generate --backend scripted --replay replay.json --input iocs.json --output repaired.json
 python -c "import json, sys; sys.exit(json.load(open('repaired.json'))['summary']['generated'] != 1)"
@@ -113,7 +118,7 @@ done
 cmp products-1.json products-2.json
 cmp report-1.json report-2.json
 cmp missing-1.err missing-2.err
-for f in products.json annotations.json quoted-products.json repaired.json report.json matches.json ablated.json ablated-report.json reg-products.json reg-report.json blank-head-products.json shape-products.json one-bad-report.json; do
+for f in products.json annotations.json quoted-products.json quoted-paths-products.json quoted-paths-annotations.json repaired.json report.json matches.json ablated.json ablated-report.json reg-products.json reg-report.json blank-head-products.json shape-products.json one-bad-report.json; do
   python -c "import json, sys; t = open(sys.argv[1], encoding='utf-8').read(); sys.exit(t != json.dumps(json.loads(t), indent=2, sort_keys=True) + '\n' and sys.argv[1] + ' differs from json.dumps')" "$f"
 done
 echo "installed package smoke test passed"

@@ -12,6 +12,9 @@ string; every prompt opens with the same indicator head.  So one
 each verdict once (``docs/formats.md#best-of-k-and-reuse``).
 ``WorkflowTrace.probed`` records for ``grading.select_best`` whether a run
 drew a probe string.
+
+The workflow decides from verdicts alone: text is rendered when first read,
+and a prompt built only for a backend that ``reads_prompt``.
 """
 
 from __future__ import annotations
@@ -56,52 +59,97 @@ class BackendError(RuntimeError):
 # -- validation checks ---------------------------------------------------
 
 
-@dataclass(slots=True)
-class DebugResult:
-    ok: bool
-    syntax_error: str = ""
-    matched_prefix: str = ""
-    failing_token: str = ""
-    target_offset: int = 0
+class _Verdict:
+    """A check's result, whose ``describe()`` renders its text on first
+    read and keeps it in ``_text``."""
+
+    __slots__ = ()
 
     def describe(self) -> str:
+        if not self._text:
+            self._text = self._render()
+        return self._text
+
+
+class DebugResult(_Verdict):
+    """The debug verdict.  ``debug_check`` leaves a miss unexplained: the
+    first read of ``matched_prefix``, ``target_offset``, ``failing_token``
+    or ``describe()`` runs ``dialect.Analysis.explain`` once and keeps its
+    answer."""
+
+    __slots__ = ("ok", "syntax_error", "_explained", "_miss", "_text")
+
+    def __init__(
+        self,
+        ok: bool,
+        syntax_error: str = "",
+        matched_prefix: str = "",
+        failing_token: str = "",
+        target_offset: int = 0,
+    ):
+        self.ok = ok
+        self.syntax_error = syntax_error
+        self._explained = (matched_prefix, target_offset, failing_token)
+        self._miss: tuple[dialect.Analysis, str] | None = None
+        self._text = ""
+
+    def _explanation(self) -> tuple[str, int, str]:
+        if self._miss is not None:
+            analysis, target = self._miss
+            self._explained, self._miss = analysis.explain(target), None
+        return self._explained
+
+    matched_prefix = property(lambda self: self._explanation()[0])
+    target_offset = property(lambda self: self._explanation()[1])
+    failing_token = property(lambda self: self._explanation()[2])
+
+    def _fields(self) -> tuple:
+        return self.ok, self.syntax_error, *self._explanation()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, DebugResult) and self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "DebugResult(ok=%r, syntax_error=%r, explained=(%r, %r, %r))" % self._fields()
+
+    def _render(self) -> str:
         if self.ok:
             return "match ok"
         if self.syntax_error:
             return self.syntax_error
+        prefix, offset, failing = self._explanation()
         return (
             "pattern does not match the indicator; "
-            f"longest matching pattern prefix: {self.matched_prefix!r} "
-            f"(reaches target offset {self.target_offset}); "
-            f"first failing pattern token: {self.failing_token!r}"
+            f"longest matching pattern prefix: {prefix!r} "
+            f"(reaches target offset {offset}); "
+            f"first failing pattern token: {failing!r}"
         )
 
 
 def debug_check(pattern: str, target: str) -> DebugResult:
-    """Does the pattern match the indicator?  On failure, report the longest
-    token-prefix that still matches and the first failing token
+    """Does the pattern match the indicator?  A miss reports, when read,
+    the longest token-prefix that still matches and the first failing token
     (``dialect.Analysis.explain``)."""
     analysis = dialect.analysis_or_error(pattern)
     if isinstance(analysis, dialect.DialectError):
         return DebugResult(ok=False, syntax_error=str(analysis))
-    miss = analysis.explain(target)
-    if miss is None:
+    if analysis.matches(target):
         return DebugResult(ok=True)
-    prefix, offset, failing = miss
-    return DebugResult(
-        ok=False, matched_prefix=prefix, failing_token=failing, target_offset=offset
-    )
+    miss = DebugResult(ok=False)
+    miss._miss = (analysis, target)
+    return miss
 
 
 @dataclass(slots=True)
-class NoncaptureResult:
+class NoncaptureResult(_Verdict):
     ok: bool
     missing_keep: list[str] = field(default_factory=list)
     present_discard: list[str] = field(default_factory=list)
     # per literal run, the spans of its keep occurrences in its case fold
     found: list[list[tuple[int, int]]] = field(default_factory=list)
+    _text: str = field(default="", init=False, repr=False, compare=False)
 
-    def describe(self) -> str:
+    def _render(self) -> str:
         if self.ok:
             return "group audit ok"
         parts = []
@@ -152,12 +200,13 @@ def noncapture_check(pattern: str, annotation: GroupAnnotation) -> NoncaptureRes
 
 
 @dataclass(slots=True)
-class OvergenResult:
+class OvergenResult(_Verdict):
     ok: bool
     probes: list[str] = field(default_factory=list)
     unprobed: str = _HOLDS_KEEP  # why a pass with no probe drew none
+    _text: str = field(default="", init=False, repr=False, compare=False)
 
-    def describe(self) -> str:
+    def _render(self) -> str:
         if self.ok and not self.probes:
             return f"over-generalization probe ok (no probe drawn: {self.unprobed})"
         if self.ok:
@@ -257,6 +306,8 @@ def build_prompt(
         if diagnostic else ""
     )
     reply = "\n\nRespond with the regular expression only."
+    if not memo.head:
+        memo.head = _prompt_head(memo.annotation)
     return f"{memo.head}{note}{feedback}{reply}"
 
 
@@ -292,10 +343,13 @@ class GeneratorBackend:
     """One candidate pattern per call, from (annotation, prompt).
 
     ``deterministic`` says that ``propose`` is a pure function of
-    (annotation, prompt): the same reply, or the same error, every call."""
+    (annotation, prompt): the same reply, or the same error, every call.
+    ``reads_prompt`` says that it reads the prompt; one that does not gets
+    ``""``, and no prompt is built for it."""
 
     kind = "abstract"
     deterministic = False
+    reads_prompt = True
 
     def propose(self, annotation: GroupAnnotation, prompt: str) -> str:
         raise NotImplementedError
@@ -343,6 +397,7 @@ class TemplateBackend(GeneratorBackend):
 
     kind = "template_fallback"
     deterministic = True
+    reads_prompt = False
     _last: tuple[GroupAnnotation | None, str] = (None, "")
 
     def propose(self, annotation: GroupAnnotation, prompt: str) -> str:
@@ -363,9 +418,11 @@ _REPLAY_FIELDS = {
 class ScriptedBackend(GeneratorBackend):
     """Replays a fixed list of emissions, for tests and offline dry-runs, as
     ``docs/formats.md#scripted-replay-file`` states; under ``per_record`` a
-    record is keyed by its ``source_id``."""
+    record is keyed by its ``source_id``.  It reads no prompt, unless its
+    fallback does."""
 
     kind = "scripted_mock"
+    reads_prompt = False
 
     def __init__(
         self,
@@ -378,6 +435,8 @@ class ScriptedBackend(GeneratorBackend):
         self.emissions = list(emissions)
         self.per_record = per_record
         self.fallback = fallback
+        if fallback is not None and fallback.reads_prompt:
+            self.reads_prompt = True
         self._cursors: dict[str, int] = {}  # by record under per_record, else ""
         self.calls = 0
 
@@ -514,13 +573,27 @@ class RemoteBackend(GeneratorBackend):
 # -- workflow --------------------------------------------------------------
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Attempt:
+    """One check or backend call: ``result`` is the check's result, whose
+    ``diagnostic`` renders on first read, or the diagnostic itself."""
+
     restart: int
     stage: str
     pattern: str
     verdict: str  # "pass" | "fail" | "error"
-    diagnostic: str = ""
+    result: str | _Verdict = ""
+
+    @property
+    def diagnostic(self) -> str:
+        result = self.result
+        return result if isinstance(result, str) else result.describe()
+
+    def _key(self) -> tuple:
+        return self.restart, self.stage, self.pattern, self.verdict, self.diagnostic
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Attempt) and self._key() == other._key()
 
 
 @dataclass(slots=True)
@@ -532,37 +605,37 @@ class WorkflowTrace:
 
 class IndicatorMemo:
     """The one handle on an indicator: its annotation, the ``head`` of its
-    every prompt, which ``build_prompt`` reads, and one table of its
-    verdicts, keyed by (stage, pattern)
-    (``docs/formats.md#best-of-k-and-reuse``).  Make one per indicator and
-    pass it to each ``generate`` or ``single_shot`` call and to the grading
-    of its runs."""
+    every prompt, which ``build_prompt`` reads, and one table of its check
+    results, keyed by (stage, pattern)
+    (``docs/formats.md#best-of-k-and-reuse``).  The head and each result's
+    text are rendered on first read.  Make one per indicator and pass it to
+    each ``generate`` or ``single_shot`` call and to the grading of its
+    runs."""
 
     def __init__(self, annotation: GroupAnnotation):
         self.annotation = annotation
-        self.head = _prompt_head(annotation)
-        self._verdicts: dict[tuple[str, str], tuple] = {}
+        self.head = ""  # rendered by the first build_prompt
+        self._verdicts: dict[tuple[str, str], _Verdict] = {}
 
-    def verdict(self, stage: str, pattern: str, rng_seed: int = 0) -> tuple:
-        """The ``stage`` check's result on the pattern and its diagnostic.
+    def verdict(self, stage: str, pattern: str, rng_seed: int = 0) -> _Verdict:
+        """The ``stage`` check's result on the pattern.
 
         The check is looked up at call time, so a patched module attribute
-        takes effect.  Every verdict is kept but a probe verdict that drew
+        takes effect.  Every result is kept but a probe result that drew
         probes: that one depends on ``rng_seed``, while one that drew none
         returned before the seed was read and holds for every seed.
         """
-        verdict = self._verdicts.get((stage, pattern))
-        if verdict is None:
+        result = self._verdicts.get((stage, pattern))
+        if result is None:
             if stage == STAGE_DEBUG:
                 result = debug_check(pattern, self.annotation.record.normalized)
             elif stage == STAGE_NONCAPTURE:
                 result = noncapture_check(pattern, self.annotation)
             else:
                 result = overgen_check(pattern, rng_seed, self.annotation.keep_components)
-            verdict = (result, result.describe())
             if stage != STAGE_OVERGEN or not result.probes:
-                self._verdicts[stage, pattern] = verdict
-        return verdict
+                self._verdicts[stage, pattern] = result
+        return result
 
 
 def _propose(
@@ -603,6 +676,7 @@ def generate(
     if not annotation.has_capture_groups:
         raise ValueError("generate() requires an annotation with capture groups")
     verdict_of = memo.verdict
+    reads_prompt = backend.reads_prompt
 
     stages = [(STAGE_DEBUG, max_iterations)]
     if validate_groups:
@@ -613,7 +687,7 @@ def generate(
     add_attempt = trace.attempts.append
     for restart in range(restart_cap):
         trace.restarts = restart
-        opening = build_prompt(memo, prior_failures=restart)
+        opening = build_prompt(memo, prior_failures=restart) if reads_prompt else ""
         pattern = _propose(backend, annotation, opening, trace, restart, STAGE_DEBUG)
         if pattern is None:
             continue
@@ -621,16 +695,19 @@ def generate(
             ok = False
             for attempt in range(1, attempts + 1):
                 # a pattern fed back by a later stage must still match the indicator
-                result, diagnostic = verdict_of(STAGE_DEBUG, pattern)
+                result = verdict_of(STAGE_DEBUG, pattern)
                 if stage != STAGE_DEBUG and result.ok:
-                    result, diagnostic = verdict_of(stage, pattern, rng_seed)
+                    result = verdict_of(stage, pattern, rng_seed)
                     if stage == STAGE_OVERGEN and result.probes:
                         trace.probed = True
                 ok = result.ok
-                add_attempt(Attempt(restart, stage, pattern, "pass" if ok else "fail", diagnostic))
+                add_attempt(Attempt(restart, stage, pattern, "pass" if ok else "fail", result))
                 if ok or attempt == attempts:
                     break
-                feedback = build_prompt(memo, pattern, diagnostic, restart)
+                feedback = (
+                    build_prompt(memo, pattern, result.describe(), restart)
+                    if reads_prompt else ""
+                )
                 pattern = _propose(
                     backend, annotation, feedback, trace, restart, stage, pattern
                 )
@@ -652,7 +729,8 @@ def single_shot(
     can repair it.  The run draws no probe, so its seed never matters.
     """
     trace = WorkflowTrace()
-    pattern = _propose(backend, memo.annotation, build_prompt(memo), trace, 0, STAGE_DEBUG)
+    prompt = build_prompt(memo) if backend.reads_prompt else ""
+    pattern = _propose(backend, memo.annotation, prompt, trace, 0, STAGE_DEBUG)
     if pattern is None:
         return None, trace
     analysis = dialect.analysis_or_error(pattern)

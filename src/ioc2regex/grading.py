@@ -48,7 +48,7 @@ def grade(pattern: str, memo: generation.IndicatorMemo) -> RegexCandidate:
     ``dialect.analyze``'s DialectError."""
     analysis = dialect.analyze(pattern)
 
-    pinned = memo.verdict(generation.STAGE_NONCAPTURE, pattern)[0]
+    pinned = memo.verdict(generation.STAGE_NONCAPTURE, pattern)
     n_cg = len(memo.annotation.keep_components) - len(pinned.missing_keep)
     # a bare ".*" that opens or closes the body is exempt (module docstring)
     n_wc = sum(

@@ -181,17 +181,27 @@ def _read_head(s: str, skip: tuple[str, ...]) -> tuple[re.Match, str]:
     return head, folded
 
 
+def _unquote(s: str) -> str:
+    """The stripped inside of a string wrapped in one pair of double
+    quotes that holds no other quote, when it is not blank; else ``s``."""
+    if s[:1] == s[-1:] == '"' and s.count('"') == 2 and (inside := s[1:-1].strip()):
+        return inside
+    return s
+
+
 def classify(raw: str, store: KnowledgeStore, tables: Tables = BUNDLED) -> IocKind:
     """Decide whether a string is a file path, registry key, or command line.
 
     Rule order: registry first (syntactically most distinctive), then command
     detection (a first token that, without its executable extension and its
     double quotes, names a command, as in ``"net.exe" user add``, or
-    option-style tokens), then path shape; anything else is ``other``.
+    option-style tokens), then path shape; anything else is ``other``.  A
+    string wrapped in one pair of double quotes is classified by its inside.
     """
     s = raw.strip()
     if not s:
         raise ClassificationError("cannot classify empty or whitespace-only string")
+    s = _unquote(s)
 
     if _read_head(s, ("",))[1] in tables.markers:
         return IocKind.REGISTRY_KEY
@@ -284,7 +294,8 @@ def preprocess(
     tables: Tables = BUNDLED,
 ) -> str:
     """Apply the four normalization cases of ``kind``; an ``other`` string
-    is only stripped.
+    is only stripped.  A path or registry key wrapped in one pair of double
+    quotes is normalized as its inside, so it loses the quotes.
 
     Idempotent for a fixed table set as long as no table value is rewritten
     again: no abbreviation is itself a root key or ``registry``, and no
@@ -294,6 +305,8 @@ def preprocess(
     s = raw.strip()
     if kind is IocKind.OTHER:
         return s
+    if kind is not IocKind.COMMAND_LINE:
+        s = _unquote(s)
     s = _expand_env_vars(s, tables.expansions)
     if kind is IocKind.REGISTRY_KEY:
         s = _rewrite_registry_root(s, tables.registry_roots)

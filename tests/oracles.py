@@ -867,6 +867,17 @@ def _ref_registry_markers(registry_roots: dict) -> frozenset[str]:
     return frozenset(names)
 
 
+def _ref_quoted_inside(s: str) -> str | None:
+    """The stripped inside of ``s`` when ``s`` is one pair of double quotes
+    around text that is not blank and holds no quote."""
+    if len(s) < 2 or s[0] != '"' or s[-1] != '"':
+        return None
+    inside = s[1:-1]
+    if '"' in inside or not inside.strip():
+        return None
+    return inside.strip()
+
+
 def reference_classify(raw: str, store, registry_roots: dict | None = None):
     from ioc2regex.knowledge import NodeLabel, strip_executable_extension
     from ioc2regex.normalize import BUNDLED, ClassificationError, IocKind
@@ -874,6 +885,9 @@ def reference_classify(raw: str, store, registry_roots: dict | None = None):
     s = raw.strip()
     if not s:
         raise ClassificationError("cannot classify empty or whitespace-only string")
+    inside = _ref_quoted_inside(s)
+    if inside is not None:  # a quoted string is classified by its inside
+        s = inside
 
     roots = registry_roots if registry_roots is not None else BUNDLED.registry_roots
     # the first component that is not blank
@@ -1000,6 +1014,9 @@ def reference_preprocess(
     )
 
     s = raw.strip()
+    inside = _ref_quoted_inside(s)
+    if inside is not None and kind is not IocKind.COMMAND_LINE:
+        s = inside  # a quoted path or registry key loses its quotes
     s = _ref_expand_env_vars(s, expansions)
     if kind is IocKind.REGISTRY_KEY:
         s = _ref_rewrite_registry_root(s, registry_roots)

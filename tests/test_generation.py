@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ioc2regex import annotate, dialect, generation, grading, make_record
+from ioc2regex import annotate, dialect, generation, grading, make_record, pipeline
 from ioc2regex.capture import GroupAnnotation, find_path_groups
 from ioc2regex.generation import (
     BackendError,
@@ -264,7 +264,7 @@ class TestNoncaptureCheck:
         assert res.found == [[(0, 5), (6, 12)]]  # "USERS", "Public"
         # the grader maps the audit's spans, or its own, to the run's characters
         audited = IndicatorMemo(path_annotation)
-        assert audited.verdict(generation.STAGE_NONCAPTURE, pattern)[0].ok
+        assert audited.verdict(generation.STAGE_NONCAPTURE, pattern).ok
         assert grading.grade(pattern, audited) == grading.grade(
             pattern, IndicatorMemo(path_annotation)
         )
@@ -769,6 +769,8 @@ class TestWorkflow:
         prompts = []
 
         class Recording(ScriptedBackend):
+            reads_prompt = True
+
             def propose(self, annotation, prompt):
                 prompts.append(prompt)
                 return super().propose(annotation, prompt)
@@ -995,6 +997,8 @@ class ErringScript(ScriptedBackend):
     """A scripted backend that records its prompts and raises
     ``BackendError`` for ``ERROR_MARK``."""
 
+    reads_prompt = True
+
     def __init__(self, emissions):
         super().__init__(emissions)
         self.prompts = []
@@ -1077,6 +1081,97 @@ class TestStageLoop:
             (1, "overgen", GOOD_PATH_PATTERN, "pass"),
         ]
         assert "mutable components still present" in trace.attempts[2].diagnostic
+
+
+class SilentErringScript(ErringScript):
+    """``ErringScript`` for a backend that reads no prompt."""
+
+    reads_prompt = False
+
+
+@contextmanager
+def recorded_explanations():
+    """The patterns whose ``Analysis.explain`` runs inside the block."""
+    explained = []
+    explain = dialect.Analysis.explain
+
+    def recording(analysis, text):
+        explained.append(analysis.pattern)
+        return explain(analysis, text)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dialect.Analysis, "explain", recording)
+        yield explained
+
+
+class TestRenderOnRead:
+    """The workflow decides from verdicts alone: a diagnostic renders when
+    something reads it, and a prompt is built for a backend that reads one."""
+
+    def test_offline_backends_render_nothing(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("rendered text that nothing reads")
+
+        misses = []
+        check = generation.debug_check
+
+        def counting(pattern, target):
+            result = check(pattern, target)
+            misses.append(not result.ok and not result.syntax_error)
+            return result
+
+        monkeypatch.setattr(dialect.Analysis, "explain", refuse)
+        monkeypatch.setattr(generation, "build_prompt", refuse)
+        monkeypatch.setattr(generation, "debug_check", counting)
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps(
+            {"emissions": BAD_EMISSIONS, "per_record": True, "fallback": "template"}
+        ))
+        iocs = Path(__file__).parent / "data" / "e2e_iocs.json"
+        for backend in ("template", "scripted"):
+            summary = pipeline.run_generate(PipelineConfig(
+                str(iocs), str(tmp_path / f"{backend}.json"), backend=backend,
+                replay_path=str(replay),
+            ))
+            assert summary["failed"] == 0 and summary["generated"] == summary["inputs"]
+        assert any(misses)  # the replay's misses went unexplained
+
+    @given(
+        script=st.lists(st.sampled_from(WORKFLOW_EMISSIONS), min_size=1, max_size=8),
+        validate_groups=st.booleans(),
+        max_iterations=st.integers(1, 3),
+        restart_cap=st.integers(1, 3),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    def test_trace_read_later_equals_reference_workflow(
+        self, path_annotation, script, validate_groups, max_iterations, restart_cap
+    ):
+        caps = dict(max_iterations=max_iterations, restart_cap=restart_cap,
+                    validate_groups=validate_groups)
+        backend = SilentErringScript(script)
+        with recorded_explanations() as explained:
+            got = generate(IndicatorMemo(path_annotation), backend, **caps)
+        assert explained == [] and set(backend.prompts) <= {""}
+        want = reference_generate(path_annotation, ErringScript(script), **caps)
+        with recorded_explanations() as explained:
+            for _ in range(2):
+                diagnostics = [a.diagnostic for a in got[1].attempts]
+                assert diagnostics == [a.diagnostic for a in want[1].attempts]
+        assert got == want
+        assert len(explained) == len(set(explained))  # each miss once
+
+    def test_replay_prompts_a_fallback_that_reads_them(self, path_annotation):
+        prompts = []
+
+        class Reading(generation.GeneratorBackend):
+            def propose(self, annotation, prompt):
+                prompts.append(prompt)
+                return GOOD_PATH_PATTERN
+
+        assert not ScriptedBackend(["x"], fallback=TemplateBackend()).reads_prompt
+        backend = ScriptedBackend(["(bad"], fallback=Reading())
+        assert generate(IndicatorMemo(path_annotation), backend)[0] == GOOD_PATH_PATTERN
+        assert prompts and "problem: syntax error" in prompts[0]
 
 
 class TestSingleShot:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ioc2regex.capture import annotate
 from ioc2regex.evaluation import make_truth
+from ioc2regex.generation import noncapture_check
 from ioc2regex.knowledge import EXECUTABLE_EXTENSIONS, NodeLabel
 from ioc2regex.normalize import (
     BUNDLED,
@@ -417,6 +418,57 @@ class TestMakeRecord:
         assert rec.kind is IocKind.FILE_PATH
         assert rec.normalized == r"C:\Users\Public\11.bat"
         assert rec.components == ["C:", "Users", "Public", "11.bat"]
+
+
+class TestQuotedIndicator:
+    """A path or registry key wrapped in one pair of double quotes is
+    classified and normalized as its inside."""
+
+    PATH = r"C:\Users\Public\evil.bat"
+    KEY = r"HKLM\Software\Microsoft\Windows\CurrentVersion\Run\x"
+
+    @pytest.mark.parametrize("raw, kind", [(PATH, IocKind.FILE_PATH),
+                                           (KEY, IocKind.REGISTRY_KEY)])
+    def test_quotes_are_dropped(self, store, raw, kind):
+        for quoted in (f'"{raw}"', f' " {raw}"\t'):
+            rec = make_record(quoted, store)
+            assert (rec.kind, rec.normalized, rec.components) == (
+                kind, raw, make_record(raw, store).components
+            )
+            assert preprocess(rec.normalized, kind, store) == rec.normalized
+
+    def test_audit_rejects_the_pinned_name_as_unquoted(self, store):
+        pattern = r"(?i).*Users\\Public\\evil\.bat.*"
+        for raw in (self.PATH, f'"{self.PATH}"'):
+            audit = noncapture_check(pattern, annotate(make_record(raw, store), store))
+            assert (audit.ok, audit.present_discard) == (False, ["evil.bat"]), raw
+
+    @pytest.mark.parametrize("raw", [
+        '"cmd.exe" /c whoami',  # a quoted first token
+        '"cmd /c whoami"',  # a quoted command line keeps its quotes
+        '"C:\\a" "C:\\b"',  # two pairs
+        '""',
+    ])
+    def test_other_quotes_stay(self, store, raw):
+        rec = make_record(raw, store)
+        assert rec.normalized.count('"') == raw.count('"')
+
+    @given(
+        pieces=st.lists(
+            st.tuples(st.sampled_from(["\\", "/", " ", ""]), st.sampled_from(PROPERTY_WORDS)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    def test_quoted_equals_unquoted(self, store, pieces):
+        raw = "".join(sep + word for sep, word in pieces)
+        if not raw.strip() or classify(raw, store) in (IocKind.OTHER, IocKind.COMMAND_LINE):
+            return
+        quoted, plain = make_record(f'"{raw}"', store), make_record(raw, store)
+        assert (quoted.kind, quoted.normalized, quoted.components) == (
+            plain.kind, plain.normalized, plain.components
+        )
 
 
 # Pieces that reach each rewrite's trigger and the edges of its prefilter:

@@ -5,7 +5,9 @@
 calls reads 0 in every traced run, whatever the layer costs.  The test reads
 those calls as text, so it neither imports nor changes the tracer, counts
 the calls of each named function over a generate and an evaluate run, and
-names the functions that were never called.
+names the functions that were never called.  The offline backends read no
+prompt, so one more run replays to a backend that reads its prompts, as a
+remote one does.
 """
 
 import json
@@ -14,6 +16,7 @@ from collections import Counter
 from pathlib import Path
 
 from ioc2regex import dialect, evaluation, generation, grading, pipeline
+from ioc2regex.generation import ScriptedBackend
 from ioc2regex.pipeline import PipelineConfig, run_evaluate, run_generate
 
 ROOT = Path(__file__).parent.parent
@@ -27,6 +30,10 @@ MODULES = {
 UNCALLED = {("dialect", "compile_pattern"), ("generation", "random_probe_strings")}
 # An emission that is not a find chain, so that its analysis tokenizes it.
 NON_CHAIN = r"(?i).*Users\\[a-z]+\\.*"
+
+
+class PromptReadingReplay(ScriptedBackend):
+    reads_prompt = True
 
 
 def traced_names() -> list[tuple[str, str]]:
@@ -55,9 +62,15 @@ def test_every_traced_name_is_called_by_the_pipeline(tmp_path, monkeypatch):
     run_evaluate(products, DATA / "e2e_truths.json", tmp_path / "report.json")
     replay = tmp_path / "replay.json"
     replay.write_text(json.dumps({"emissions": [NON_CHAIN], "fallback": "template"}))
-    run_generate(PipelineConfig(
+    replayed = PipelineConfig(
         str(DATA / "e2e_iocs.json"), str(tmp_path / "replayed.json"),
         backend="scripted", replay_path=str(replay),
-    ))
+    )
+    run_generate(replayed)
+    assert not calls["generation", "build_prompt"]
+    monkeypatch.setattr(
+        pipeline, "make_backend", lambda config: PromptReadingReplay([NON_CHAIN])
+    )
+    run_generate(replayed)
 
     assert {name for name in names if not calls[name]} == UNCALLED
